@@ -30,66 +30,52 @@ bool GroupUnionView::UnionSingleton(int copy, int level) const {
   return UnionSingletonBucket(group, level);
 }
 
-size_t MergedUnion::CounterBytes() const {
-  size_t total = 0;
-  for (const TwoLevelHashSketch& sketch : merged) {
-    total += sketch.CounterBytes();
-  }
-  for (const std::vector<unsigned char>& bits : nonempty) {
-    total += bits.size();
-  }
-  return total;
-}
-
-MergedUnion MergeUnionGroups(const std::vector<SketchGroup>& groups) {
-  MergedUnion out;
-  if (groups.empty() || groups[0].empty()) return out;
+bool ProbeTable::Build(const std::vector<SketchGroup>& groups) {
+  copies_ = 0;
+  levels_ = 0;
+  words_ = 0;
+  occupancy_.clear();
+  flags_.clear();
+  if (groups.empty() || groups[0].empty()) return false;
+  const size_t columns = groups[0].size();
   const int levels = groups[0][0]->levels();
-  out.merged.reserve(groups.size());
-  out.nonempty.resize(groups.size());
-  for (size_t i = 0; i < groups.size(); ++i) {
-    const SketchGroup& group = groups[i];
-    if (!GroupSeedsMatch(group)) return MergedUnion{};
-    TwoLevelHashSketch merged = *group[0];
-    for (size_t k = 1; k < group.size(); ++k) {
-      if (!merged.Merge(*group[k])) return MergedUnion{};
+  for (const SketchGroup& group : groups) {
+    if (group.size() != columns || !GroupSeedsMatch(group) ||
+        group[0]->levels() != levels) {
+      return false;
     }
-    // Capture the lazy per-group occupancy bit at merge time: identical to
-    // what GroupUnionView::NonEmpty would answer, for every input (the
-    // summed LevelTotal could differ under adversarial negative counters,
-    // the OR of per-stream occupancies cannot).
-    std::vector<unsigned char>& bits = out.nonempty[i];
-    bits.resize(static_cast<size_t>(levels));
-    for (int level = 0; level < levels; ++level) {
-      bits[static_cast<size_t>(level)] =
-          UnionBucketEmpty(group, level) ? 0 : 1;
-    }
-    out.merged.push_back(std::move(merged));
   }
-  out.ok = true;
-  return out;
-}
-
-MergedUnionView::MergedUnionView(const MergedUnion& merged)
-    : merged_(merged) {}
-
-int MergedUnionView::copies() const {
-  return static_cast<int>(merged_.merged.size());
-}
-
-int MergedUnionView::levels() const {
-  return merged_.merged.empty() ? 0 : merged_.merged[0].levels();
-}
-
-bool MergedUnionView::NonEmpty(int copy, int level) const {
-  return merged_.nonempty[static_cast<size_t>(copy)]
-                         [static_cast<size_t>(level)] != 0;
-}
-
-bool MergedUnionView::UnionSingleton(int copy, int level) const {
-  // The merged sketch's counters are the exact sums of the group's, so the
-  // unary singleton check here equals UnionSingletonBucket on the group.
-  return SingletonBucket(merged_.merged[static_cast<size_t>(copy)], level);
+  copies_ = static_cast<int>(groups.size());
+  levels_ = levels;
+  words_ = (columns + 63) / 64;
+  const size_t cells = groups.size() * static_cast<size_t>(levels);
+  occupancy_.assign(cells * words_, 0);
+  flags_.assign(cells, 0);
+  for (int copy = 0; copy < copies_; ++copy) {
+    const SketchGroup& group = groups[static_cast<size_t>(copy)];
+    for (int level = 0; level < levels_; ++level) {
+      const size_t cell = Cell(copy, level);
+      uint64_t* mask = &occupancy_[cell * words_];
+      bool any = false;
+      int64_t total = 0;
+      for (size_t k = 0; k < columns; ++k) {
+        const int64_t level_total = group[k]->LevelTotal(level);
+        total += level_total;
+        if (level_total != 0) {  // !LevelEmpty(level).
+          mask[k / 64] |= uint64_t{1} << (k % 64);
+          any = true;
+        }
+      }
+      if (!any) continue;  // All totals 0: empty and not a singleton.
+      flags_[cell] = kNonEmpty;
+      // UnionSingletonBucket on the total summed above (the split half
+      // alone; re-summing costs ~15% of the build).
+      if (total != 0 && !UnionBucketSplit(group, level)) {
+        flags_[cell] |= kSingleton;
+      }
+    }
+  }
+  return true;
 }
 
 UnionEstimate KernelEstimateUnion(const UnionView& view, double epsilon,

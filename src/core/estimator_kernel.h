@@ -18,15 +18,19 @@
 // Two view implementations exist:
 //   * GroupUnionView — lazy sums over aligned SketchGroups, no
 //     materialization; this is the classic direct-estimation path.
-//   * MergedUnionView — over a MergedUnion artifact: per-copy merged
-//     sketches (counter sums, exact by linearity) plus per-copy/level
-//     occupancy bits captured at merge time. Both probes are bit-identical
-//     to GroupUnionView over the same groups; query/plan_cache.h memoizes
-//     MergedUnion so repeated queries skip the per-stream scans.
+//   * ProbeTable — the same two facts precomputed once per (copy, level)
+//     from live groups, plus each stream's occupancy bit (the leaf value
+//     of the witness condition B(E)) in a ceil(k/64)-word mask. Its probes
+//     are bit-identical to GroupUnionView over the same groups by
+//     construction; query/plan_cache.h builds one per stale plan under the
+//     caller's ingest locks and evaluates it after they are released, so
+//     no sketch counters are ever copied or merged for a query.
 
 #ifndef SETSKETCH_CORE_ESTIMATOR_KERNEL_H_
 #define SETSKETCH_CORE_ESTIMATOR_KERNEL_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -75,35 +79,54 @@ class GroupUnionView final : public UnionView {
   bool pairwise_;
 };
 
-/// Materialized union of r aligned SketchGroups: per-copy merged sketches
-/// (exact counter sums) plus the per-copy/level occupancy bits evaluated
-/// at merge time. The memoizable artifact behind MergedUnionView.
-struct MergedUnion {
-  std::vector<TwoLevelHashSketch> merged;           ///< One per copy.
-  std::vector<std::vector<unsigned char>> nonempty; ///< [copy][level].
-  bool ok = false;
-
-  /// Bytes of counter + occupancy state (plan-cache memory accounting).
-  size_t CounterBytes() const;
-};
-
-/// Merges each group's sketches into one per-copy union sketch. Fails
-/// (ok = false) on empty input or mismatched seeds.
-MergedUnion MergeUnionGroups(const std::vector<SketchGroup>& groups);
-
-/// View over a completed MergedUnion. Probes are O(1)/O(s) on the merged
-/// state instead of O(streams)/O(streams * s) on the group.
-class MergedUnionView final : public UnionView {
+/// Per-(copy, level) probe table over r aligned SketchGroups
+/// (groups[copy][column]): which stream columns' buckets are occupied, and
+/// whether the union bucket is a singleton. NonEmpty is the OR of the
+/// column bits and UnionSingleton is UnionSingletonBucket on the summed
+/// counters, so every probe equals the n-ary GroupUnionView's over the
+/// same groups.
+class ProbeTable final : public UnionView {
  public:
-  explicit MergedUnionView(const MergedUnion& merged);
+  /// Rebuilds the table from `groups`, reusing this table's storage.
+  /// Returns false (and leaves the table empty) on empty or ragged input,
+  /// or on mismatched seeds.
+  bool Build(const std::vector<SketchGroup>& groups);
 
-  int copies() const override;
-  int levels() const override;
-  bool NonEmpty(int copy, int level) const override;
-  bool UnionSingleton(int copy, int level) const override;
+  int copies() const override { return copies_; }
+  int levels() const override { return levels_; }
+  bool NonEmpty(int copy, int level) const override {
+    return (flags_[Cell(copy, level)] & kNonEmpty) != 0;
+  }
+  bool UnionSingleton(int copy, int level) const override {
+    return (flags_[Cell(copy, level)] & kSingleton) != 0;
+  }
+
+  /// True iff stream `column`'s bucket at (copy, level) is non-empty.
+  bool Occupied(int copy, int level, int column) const {
+    const uint64_t word = occupancy_[Cell(copy, level) * words_ +
+                                     static_cast<size_t>(column) / 64];
+    return ((word >> (column % 64)) & 1) != 0;
+  }
+
+  /// Bytes of mask + flag storage (plan-cache memory accounting).
+  size_t Bytes() const {
+    return occupancy_.size() * sizeof(uint64_t) + flags_.size();
+  }
 
  private:
-  const MergedUnion& merged_;
+  static constexpr unsigned char kNonEmpty = 1;
+  static constexpr unsigned char kSingleton = 2;
+
+  size_t Cell(int copy, int level) const {
+    return static_cast<size_t>(copy) * static_cast<size_t>(levels_) +
+           static_cast<size_t>(level);
+  }
+
+  int copies_ = 0;
+  int levels_ = 0;
+  size_t words_ = 0;                 ///< ceil(columns / 64).
+  std::vector<uint64_t> occupancy_;  ///< [cell * words_ + column / 64].
+  std::vector<unsigned char> flags_; ///< [cell]: kNonEmpty | kSingleton.
 };
 
 /// Stage 1: the Figure 5 union-cardinality estimate over a view (threshold

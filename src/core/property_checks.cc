@@ -62,7 +62,10 @@ bool UnionSingletonBucket(const SketchGroup& group, int level) {
   // the multiset union of the streams; run SingletonBucket on those sums.
   int64_t total = 0;
   for (const TwoLevelHashSketch* x : group) total += x->LevelTotal(level);
-  if (total == 0) return false;
+  return total != 0 && !UnionBucketSplit(group, level);
+}
+
+bool UnionBucketSplit(const SketchGroup& group, int level) {
   const int s = group[0]->num_second_level();
   for (int j = 0; j < s; ++j) {
     int64_t c0 = 0, c1 = 0;
@@ -70,9 +73,9 @@ bool UnionSingletonBucket(const SketchGroup& group, int level) {
       c0 += x->Count(level, j, 0);
       c1 += x->Count(level, j, 1);
     }
-    if (c0 > 0 && c1 > 0) return false;
+    if (c0 > 0 && c1 > 0) return true;
   }
-  return true;
+  return false;
 }
 
 }  // namespace setsketch

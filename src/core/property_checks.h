@@ -55,6 +55,13 @@ bool UnionBucketEmpty(const SketchGroup& group, int level);
 /// elements mapping to bucket `level` is a singleton.
 bool UnionSingletonBucket(const SketchGroup& group, int level);
 
+/// The split test behind UnionSingletonBucket: true iff some second-level
+/// pair of the group's summed counters at bucket `level` has both cells
+/// positive. With a nonzero summed LevelTotal, the union bucket is a
+/// singleton iff this is false. Lets a caller that already summed the
+/// level totals skip re-reading them.
+bool UnionBucketSplit(const SketchGroup& group, int level);
+
 /// True iff all sketches in `group` share one SketchSeed (and the group is
 /// non-empty). Estimators validate their inputs with this.
 bool GroupSeedsMatch(const SketchGroup& group);

@@ -45,8 +45,9 @@ UnionEstimate EstimateSetUnion(const std::vector<SketchGroup>& groups,
 /// p_j(u) = 1 - (1 - 2^-(j+1))^u — so the log-likelihood
 /// L(u) = sum_j [ k_j log p_j(u) + (r - k_j) log(1 - p_j(u)) ]
 /// pools every level's evidence. L is maximized by golden-section search
-/// over log2(u) (it is unimodal in practice). Typically ~2x lower error
-/// than Figure 5 at the same r (see bench_union); the returned
+/// over log2(u) (it is unimodal in practice). Typically ~5x lower error
+/// than Figure 5 at the same r (bench_union at scale 0.25: median 4.8x,
+/// range 2.9-11x over overlaps 0/0.5/1 and r = 32..512); the returned
 /// `level`/`p_hat` report the Figure 5 stopping level for diagnostics.
 UnionEstimate EstimateSetUnionMle(const std::vector<SketchGroup>& groups,
                                   double epsilon = 0.5);

@@ -11,20 +11,6 @@ namespace setsketch {
 
 namespace {
 
-// True iff the canonical node is a union whose children are all stream
-// leaves — the sub-expression shape whose occupancy bits are memoizable
-// independently of the rest of the plan.
-bool IsLeafOnlyUnion(const CanonicalPlan& plan, const CanonicalNode& node) {
-  if (node.kind != Expression::Kind::kUnion) return false;
-  for (int child : node.children) {
-    if (plan.nodes[static_cast<size_t>(child)].kind !=
-        Expression::Kind::kStream) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string HashToHex(uint64_t hash) {
   static const char kDigits[] = "0123456789abcdef";
   std::string out = "0x";
@@ -32,6 +18,25 @@ std::string HashToHex(uint64_t hash) {
     out += kDigits[(hash >> shift) & 0xf];
   }
   return out;
+}
+
+// Builds the probe table for `streams` from the quiesced `bank` into
+// *request (reusing its table storage), recording the probe's bank id and
+// epochs, or request->error.
+void Probe(const std::vector<std::string>& streams, const SketchBank& bank,
+           PlanCache::SnapshotRequest* request) {
+  request->error.clear();
+  request->bank_id = bank.bank_id();
+  request->epochs.resize(streams.size());
+  for (size_t k = 0; k < streams.size(); ++k) {
+    request->epochs[k] = bank.StreamEpoch(streams[k]);
+  }
+  const std::vector<SketchGroup> groups = bank.Groups(streams);
+  if (groups.empty()) {
+    request->error = "unknown stream in expression";
+  } else if (!request->table.Build(groups)) {
+    request->error = "sketch probe failed (mismatched seeds)";
+  }
 }
 
 // A zero-capacity cache would evict the entry FindOrCompileLocked just
@@ -146,7 +151,6 @@ PlanCache::Result PlanCache::Query(const Expression& expr,
     ++stats_.misses;
     scratch_entry.plan = std::move(plan);
     scratch_entry.canonical = std::move(canonical);
-    scratch_entry.streams = scratch_entry.plan.streams;
     entry = &scratch_entry;
   } else {
     if (FreshLocked(*entry, bank)) {
@@ -162,26 +166,18 @@ PlanCache::Result PlanCache::Query(const Expression& expr,
     }
   }
 
-  const std::vector<SketchGroup> groups = bank.Groups(entry->streams);
-  if (groups.empty()) {
-    Result result;
-    result.canonical = entry->canonical;
-    result.error = "unknown stream in expression";
-    entry->result_built = false;
-    return result;
-  }
-  std::vector<uint64_t> epochs(entry->streams.size(), 0);
-  for (size_t k = 0; k < entry->streams.size(); ++k) {
-    epochs[k] = bank.StreamEpoch(entry->streams[k]);
-  }
-  return EvaluateLocked(entry, groups, bank.bank_id(), std::move(epochs));
+  ++stats_.merge_builds;
+  SnapshotRequest request;
+  std::swap(request.table, entry->table);
+  Probe(entry->plan.streams, bank, &request);
+  return EvaluateLocked(entry, std::move(request));
 }
 
 bool PlanCache::BeginQuery(const Expression& expr, const SketchBank& bank,
                            Result* hit, SnapshotRequest* request) {
   if (UsesBackendStreams(expr, bank)) {
     // Backend-routed queries evaluate inline: the synopsis is a few KB
-    // and the algebra is O(sample), so there is no cold merge worth
+    // and the algebra is O(sample), so there is no cold evaluation worth
     // moving outside the caller's ingest locks.
     *hit = BackendQuery(expr, bank);
     return true;
@@ -193,51 +189,36 @@ bool PlanCache::BeginQuery(const Expression& expr, const SketchBank& bank,
     return true;
   }
 
-  MutexLock lock(&mutex_);
-  Entry* entry = FindOrCompileLocked(plan, canonical);
-  if (entry != nullptr) {
-    if (FreshLocked(*entry, bank)) {
+  {
+    MutexLock lock(&mutex_);
+    Entry* entry = FindOrCompileLocked(plan, canonical);
+    if (entry != nullptr && FreshLocked(*entry, bank)) {
       ++stats_.hits;
       *hit = entry->result;
       hit->cache_hit = true;
       return true;
     }
-    if (entry->result_built) {
+    // A structural-hash collision (entry == nullptr) is a miss that
+    // FinishQuery answers from a scratch entry.
+    if (entry != nullptr && entry->result_built) {
       ++stats_.invalidations;
     } else {
       ++stats_.misses;
     }
-    request->streams = entry->streams;
-  } else {
-    // Structural-hash collision: FinishQuery will answer from a scratch
-    // entry; the caller still snapshots the plan's streams.
-    ++stats_.misses;
-    request->streams = plan.streams;
+    ++stats_.merge_builds;
+    // Borrow the entry's table storage; FinishQuery hands it back.
+    if (entry != nullptr) std::swap(request->table, entry->table);
   }
-  request->bank_id = bank.bank_id();
-  request->epochs.assign(request->streams.size(), 0);
-  for (size_t k = 0; k < request->streams.size(); ++k) {
-    request->epochs[k] = bank.StreamEpoch(request->streams[k]);
-  }
+  // The probe reads the bank (quiesced by the caller) but no cache state,
+  // so concurrent FinishQuery evaluations are not held up behind it.
+  Probe(plan.streams, bank, request);
   return false;
 }
 
-PlanCache::Result PlanCache::FinishQuery(
-    const Expression& expr, const SnapshotRequest& request,
-    const std::vector<std::vector<TwoLevelHashSketch>>& sketches) {
+PlanCache::Result PlanCache::FinishQuery(const Expression& expr,
+                                         SnapshotRequest request) {
   CanonicalPlan plan = Canonicalize(expr);
   std::string canonical = plan.ToString();
-
-  // Per-copy groups over the snapshot: sketches[k] is the copy column of
-  // request.streams[k], so groups[i][k] is copy i of stream k.
-  const size_t copies = sketches.empty() ? 0 : sketches[0].size();
-  std::vector<SketchGroup> groups(copies);
-  for (size_t i = 0; i < copies; ++i) {
-    groups[i].reserve(sketches.size());
-    for (size_t k = 0; k < sketches.size(); ++k) {
-      groups[i].push_back(&sketches[k][i]);
-    }
-  }
 
   MutexLock lock(&mutex_);
   // The entry may have been evicted (or evaluated by a concurrent
@@ -247,16 +228,16 @@ PlanCache::Result PlanCache::FinishQuery(
       entry->bank_id == request.bank_id &&
       entry->epochs.size() == request.epochs.size()) {
     if (entry->epochs == request.epochs) {
-      // A concurrent FinishQuery already landed this snapshot's answer.
+      // A concurrent FinishQuery already landed this probe's answer.
       Result result = entry->result;
       result.cache_hit = true;
       return result;
     }
     for (size_t k = 0; k < request.epochs.size(); ++k) {
       if (entry->epochs[k] > request.epochs[k]) {
-        // The installed memo is for newer epochs than this snapshot
-        // (epochs are monotonic): answer the snapshot without regressing
-        // the entry to older state.
+        // The installed memo is for newer epochs than this probe (epochs
+        // are monotonic): answer the probe without regressing the entry
+        // to older state.
         entry = nullptr;
         break;
       }
@@ -268,17 +249,18 @@ PlanCache::Result PlanCache::FinishQuery(
     // scratch entry without touching the cache.
     scratch_entry.plan = std::move(plan);
     scratch_entry.canonical = std::move(canonical);
-    scratch_entry.streams = scratch_entry.plan.streams;
     entry = &scratch_entry;
   }
-  return EvaluateLocked(entry, groups, request.bank_id, request.epochs);
+  return EvaluateLocked(entry, std::move(request));
 }
 
 bool PlanCache::FreshLocked(const Entry& entry,
                             const SketchBank& bank) const {
   if (!entry.result_built || entry.bank_id != bank.bank_id()) return false;
-  for (size_t k = 0; k < entry.streams.size(); ++k) {
-    if (bank.StreamEpoch(entry.streams[k]) != entry.epochs[k]) return false;
+  for (size_t k = 0; k < entry.plan.streams.size(); ++k) {
+    if (bank.StreamEpoch(entry.plan.streams[k]) != entry.epochs[k]) {
+      return false;
+    }
   }
   return true;
 }
@@ -298,158 +280,67 @@ PlanCache::Entry* PlanCache::FindOrCompileLocked(const CanonicalPlan& plan,
   Entry entry;
   entry.plan = plan;
   entry.canonical = canonical;
-  entry.streams = plan.streams;
   entry.last_used = tick_;
-  // Pre-plan the memoizable sub-union tasks: every shared or standalone
-  // leaf-only union node gets its own occupancy memo keyed by just its own
-  // streams' epochs.
-  for (size_t id = 0; id < plan.nodes.size(); ++id) {
-    const CanonicalNode& node = plan.nodes[id];
-    if (!IsLeafOnlyUnion(plan, node)) continue;
-    SubUnionMemo memo;
-    memo.node = static_cast<int>(id);
-    for (int child : node.children) {
-      memo.columns.push_back(plan.nodes[static_cast<size_t>(child)].column);
-    }
-    entry.sub_memos.push_back(std::move(memo));
-  }
 
   Entry* inserted = &entries_.emplace(key, std::move(entry)).first->second;
   EvictIfNeededLocked();
   return inserted;
 }
 
-PlanCache::Result PlanCache::EvaluateLocked(
-    Entry* entry, const std::vector<SketchGroup>& groups, uint64_t bank_id,
-    std::vector<uint64_t> epochs) {
+PlanCache::Result PlanCache::EvaluateLocked(Entry* entry,
+                                            SnapshotRequest request) {
   Result result;
   result.canonical = entry->canonical;
-
-  // A different bank instance invalidates every memo wholesale: epochs from
-  // another bank are meaningless here, and bank ids are process-unique.
-  if (entry->bank_id != bank_id) {
-    entry->bank_id = bank_id;
-    entry->union_built = false;
-    for (SubUnionMemo& memo : entry->sub_memos) memo.built = false;
+  if (!request.error.empty()) {
+    result.error = std::move(request.error);
     entry->result_built = false;
-  }
-
-  // Stage-1 memo: the full-union merge feeding occupancy + singleton
-  // probes. Rebuilt only if any participating stream's epoch moved.
-  const bool union_stale =
-      !entry->union_built || entry->epochs != epochs;
-  if (union_stale) {
-    entry->union_memo = MergeUnionGroups(groups);
-    entry->union_built = entry->union_memo.ok;
-    ++stats_.merge_builds;
-    if (!entry->union_memo.ok) {
-      result.error = "sketch merge failed (mismatched seeds)";
-      entry->result_built = false;
-      return result;
-    }
-  }
-
-  // Sub-expression memos: each tracks only its own streams, so ingest into
-  // stream X leaves the memo for "B | C" intact.
-  const int copies = static_cast<int>(groups.size());
-  const int levels =
-      copies > 0 && !groups[0].empty() ? groups[0][0]->levels() : 0;
-  for (SubUnionMemo& memo : entry->sub_memos) {
-    bool stale = !memo.built;
-    if (!stale) {
-      for (size_t k = 0; k < memo.columns.size(); ++k) {
-        if (memo.epochs[k] !=
-            epochs[static_cast<size_t>(memo.columns[k])]) {
-          stale = true;
-          break;
-        }
-      }
-    }
-    if (!stale) continue;
-    memo.nonempty.assign(static_cast<size_t>(copies),
-                         std::vector<unsigned char>(
-                             static_cast<size_t>(levels), 0));
-    for (int copy = 0; copy < copies; ++copy) {
-      const SketchGroup& group = groups[static_cast<size_t>(copy)];
-      for (int level = 0; level < levels; ++level) {
-        bool occupied = false;
-        for (int column : memo.columns) {
-          if (!BucketEmpty(*group[static_cast<size_t>(column)], level)) {
-            occupied = true;
-            break;
-          }
-        }
-        memo.nonempty[static_cast<size_t>(copy)]
-                     [static_cast<size_t>(level)] =
-            occupied ? 1 : 0;
-      }
-    }
-    memo.epochs.resize(memo.columns.size());
-    for (size_t k = 0; k < memo.columns.size(); ++k) {
-      memo.epochs[k] = epochs[static_cast<size_t>(memo.columns[k])];
-    }
-    memo.built = true;
-    ++stats_.merge_builds;
+    return result;
   }
 
   // Witness predicate: evaluate the canonical DAG bottom-up into the
-  // entry's scratch arena. Leaves probe the group directly; memoized
-  // sub-unions read their precomputed bit. Pointwise identical to
-  // Expression::Evaluate on the original tree.
+  // entry's scratch arena, reading each leaf's occupancy bit from the
+  // table. Pointwise identical to Expression::Evaluate on the original
+  // tree.
   const CanonicalPlan& plan = entry->plan;
-  std::vector<int> memo_of_node(plan.nodes.size(), -1);
-  for (size_t m = 0; m < entry->sub_memos.size(); ++m) {
-    memo_of_node[static_cast<size_t>(entry->sub_memos[m].node)] =
-        static_cast<int>(m);
-  }
+  const ProbeTable& table = request.table;
   std::vector<unsigned char>& scratch = entry->scratch;
+  scratch.resize(plan.nodes.size());
   const auto witness = [&](int copy, int level) {
-    scratch.assign(plan.nodes.size(), 0);
-    const SketchGroup& group = groups[static_cast<size_t>(copy)];
     for (size_t id = 0; id < plan.nodes.size(); ++id) {
       const CanonicalNode& node = plan.nodes[id];
       bool value = false;
-      const int memo_index = memo_of_node[id];
-      if (memo_index >= 0) {
-        value = entry->sub_memos[static_cast<size_t>(memo_index)]
-                    .nonempty[static_cast<size_t>(copy)]
-                             [static_cast<size_t>(level)] != 0;
-      } else {
-        switch (node.kind) {
-          case Expression::Kind::kStream:
-            value = !BucketEmpty(
-                *group[static_cast<size_t>(node.column)], level);
-            break;
-          case Expression::Kind::kUnion:
-            for (int child : node.children) {
-              if (scratch[static_cast<size_t>(child)] != 0) {
-                value = true;
-                break;
-              }
+      switch (node.kind) {
+        case Expression::Kind::kStream:
+          value = table.Occupied(copy, level, node.column);
+          break;
+        case Expression::Kind::kUnion:
+          for (int child : node.children) {
+            if (scratch[static_cast<size_t>(child)] != 0) {
+              value = true;
+              break;
             }
-            break;
-          case Expression::Kind::kIntersect:
-            value = true;
-            for (int child : node.children) {
-              if (scratch[static_cast<size_t>(child)] == 0) {
-                value = false;
-                break;
-              }
+          }
+          break;
+        case Expression::Kind::kIntersect:
+          value = true;
+          for (int child : node.children) {
+            if (scratch[static_cast<size_t>(child)] == 0) {
+              value = false;
+              break;
             }
-            break;
-          case Expression::Kind::kDifference:
-            value = scratch[static_cast<size_t>(node.children[0])] != 0 &&
-                    scratch[static_cast<size_t>(node.children[1])] == 0;
-            break;
-        }
+          }
+          break;
+        case Expression::Kind::kDifference:
+          value = scratch[static_cast<size_t>(node.children[0])] != 0 &&
+                  scratch[static_cast<size_t>(node.children[1])] == 0;
+          break;
       }
       scratch[id] = value ? 1 : 0;
     }
     return scratch[static_cast<size_t>(plan.root)] != 0;
   };
 
-  const MergedUnionView view(entry->union_memo);
-  result.detail = EstimateExpressionWithKernel(view, witness,
+  result.detail = EstimateExpressionWithKernel(table, witness,
                                                options_.witness);
   result.ok = result.detail.ok;
   if (result.ok) {
@@ -458,7 +349,9 @@ PlanCache::Result PlanCache::EvaluateLocked(
                                       UnionInterval(result.detail.union_part));
   }
 
-  entry->epochs = std::move(epochs);
+  entry->bank_id = request.bank_id;
+  entry->epochs = std::move(request.epochs);
+  entry->table = std::move(request.table);
   entry->result = result;
   entry->result_built = true;
   return result;
@@ -541,16 +434,14 @@ std::string PlanCache::Explain(const Expression& expr,
     return out.str();
   }
 
-  // Merge tasks: the stage-1 full union plus every memoizable leaf-only
-  // sub-union.
-  out << "merge tasks: full union over " << plan.streams.size()
-      << " stream(s)";
-  int sub_tasks = 0;
-  for (const CanonicalNode& node : plan.nodes) {
-    if (IsLeafOnlyUnion(plan, node)) ++sub_tasks;
-  }
-  if (sub_tasks > 0) out << " + " << sub_tasks << " memoized sub-union(s)";
-  out << "\n";
+  // The probe a stale or cold answer costs: one occupancy mask per
+  // (copy, level) over the plan's stream columns, plus the union-singleton
+  // bit.
+  out << "probe table: " << bank.num_copies() << " copies x "
+      << bank.family().params().levels << " levels; per cell "
+      << plan.streams.size() << " occupancy bit(s) in "
+      << (plan.streams.size() + 63) / 64
+      << " mask word(s) + the union-singleton bit\n";
 
   MutexLock lock(&mutex_);
   auto it = entries_.find(plan.hash());
@@ -562,9 +453,9 @@ std::string PlanCache::Explain(const Expression& expr,
       out << "cache: COMPILED (no valid result for this bank)\n";
     } else {
       std::vector<std::string> changed;
-      for (size_t k = 0; k < entry.streams.size(); ++k) {
-        if (bank.StreamEpoch(entry.streams[k]) != entry.epochs[k]) {
-          changed.push_back(entry.streams[k]);
+      for (size_t k = 0; k < entry.plan.streams.size(); ++k) {
+        if (bank.StreamEpoch(entry.plan.streams[k]) != entry.epochs[k]) {
+          changed.push_back(entry.plan.streams[k]);
         }
       }
       if (changed.empty()) {
@@ -590,13 +481,7 @@ PlanCache::Stats PlanCache::stats() const {
   stats.memo_bytes = 0;
   for (const auto& [key, entry] : entries_) {
     (void)key;
-    if (entry.union_built) stats.memo_bytes += entry.union_memo.CounterBytes();
-    for (const SubUnionMemo& memo : entry.sub_memos) {
-      for (const std::vector<unsigned char>& row : memo.nonempty) {
-        stats.memo_bytes += row.size();
-      }
-    }
-    stats.memo_bytes += entry.scratch.size();
+    stats.memo_bytes += entry.table.Bytes() + entry.scratch.size();
   }
   return stats;
 }

@@ -3,32 +3,32 @@
 //
 // Every query is canonicalized (expr/canonical.h) and compiled once into a
 // cached plan keyed by its structural hash, so "A | (B & C)" and
-// "(C & B) | A" share one entry. A plan holds
-//   * the canonical DAG plus a reusable scratch arena for witness
-//     evaluation,
-//   * the memoized stage-1 union merge (per-copy merged sketches and
-//     occupancy bits over all participating streams), and
-//   * per-sub-expression occupancy memos for leaf-only union nodes, each
-//     tracking only its own streams' epochs,
-// together with the fully memoized answer. Validity is governed by
-// SketchBank's per-stream ingest epochs plus its process-unique bank id:
-// a repeated query over an unchanged bank is answered from the memo with
-// no sketch access at all; after ingest, only the merges whose streams
-// actually changed are rebuilt. A recovered / reloaded bank always carries
-// a fresh bank id, so stale plans can never answer for it.
+// "(C & B) | A" share one entry. A plan holds the canonical DAG, a
+// reusable scratch arena for witness evaluation, and the fully memoized
+// answer. Validity is governed by SketchBank's per-stream ingest epochs
+// plus its process-unique bank id: a repeated query over an unchanged
+// bank is answered from the memo with no sketch access at all. A recovered
+// / reloaded bank always carries a fresh bank id, so stale plans can never
+// answer for it.
+//
+// A stale or cold plan is answered from a ProbeTable
+// (core/estimator_kernel.h) built straight from the live bank: per
+// (copy, level), the occupancy bits of the plan's stream columns and the
+// union-singleton bit of their summed counters — everything the Section 4
+// estimator reads. Nothing is copied or merged; the witness DAG reads its
+// leaf bits from the table's masks.
 //
 // Planned evaluation is bit-identical to direct EstimateSetExpression over
-// the same bank: the merged view's occupancy and singleton probes equal
-// the lazy group probes by counter linearity, and canonicalization
-// preserves the Boolean witness function pointwise
-// (tests/plan_cache_test.cc asserts exact equality, including through
-// ingest -> invalidation -> re-query cycles).
+// the same bank: the table's probes equal the lazy group probes by
+// construction, and canonicalization preserves the Boolean witness
+// function pointwise (tests/plan_cache_test.cc asserts exact equality,
+// including through ingest -> invalidation -> re-query cycles).
 //
 // Thread safety: all public methods are serialized on an internal mutex,
 // but the caller must keep `bank` quiescent (no concurrent mutation) for
 // the duration of any call that takes one — the server holds its ingest
 // locks, the engine is externally synchronized. FinishQuery takes no
-// bank (only caller-owned sketch copies), so cold evaluation can run
+// bank (only the probe table BeginQuery built), so evaluation can run
 // after the caller released its ingest locks; see BeginQuery.
 
 #ifndef SETSKETCH_QUERY_PLAN_CACHE_H_
@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "core/confidence.h"
+#include "core/estimator_kernel.h"
 #include "core/set_expression_estimator.h"
 #include "core/sketch_bank.h"
 #include "expr/canonical.h"
@@ -66,11 +67,14 @@ class PlanCache {
     uint64_t invalidations = 0;  ///< Cached plan, stale epochs: re-evaluate.
     uint64_t compiles = 0;       ///< Canonical plans built.
     uint64_t evictions = 0;      ///< LRU evictions.
-    uint64_t merge_builds = 0;   ///< Union-merge memos (re)built.
+    /// Probe tables built, one per stale/cold answer (STATS consumers
+    /// read it under this name).
+    uint64_t merge_builds = 0;
     uint64_t bypasses = 0;       ///< EstimateUncached calls.
     uint64_t backend_queries = 0;  ///< Routed to an alternative backend.
     uint64_t entries = 0;        ///< Current cached plans.
-    uint64_t memo_bytes = 0;     ///< Bytes held by memoized merges.
+    /// Bytes of probe tables and witness scratch arenas held by entries.
+    uint64_t memo_bytes = 0;
   };
 
   /// Outcome of a planned query.
@@ -93,37 +97,32 @@ class PlanCache {
   /// Parses `text` first; parse failures surface in Result::error.
   Result Query(const std::string& text, const SketchBank& bank);
 
-  /// A BeginQuery miss: everything FinishQuery needs to evaluate on a
-  /// caller-taken snapshot — the plan's stream list (canonical, sorted
-  /// order), the bank identity, and the per-stream epochs at snapshot
-  /// time.
+  /// A BeginQuery miss: everything FinishQuery needs to evaluate without
+  /// the bank — the bank identity, the per-stream epochs (canonical,
+  /// sorted stream order) and the probe table, all taken at probe time.
   struct SnapshotRequest {
-    std::vector<std::string> streams;
     uint64_t bank_id = 0;
     std::vector<uint64_t> epochs;
+    ProbeTable table;
+    std::string error;  ///< Unknown stream / mismatched seeds, if any.
   };
 
-  /// Two-phase query for callers that must not run a cold evaluation
-  /// while holding their ingest locks (the server: a burst of cold
-  /// expressions would otherwise stall PUSH admission for the duration
-  /// of each merge + estimate).
+  /// Two-phase query for callers that must not evaluate while holding
+  /// their ingest locks (the server: a burst of cold expressions would
+  /// otherwise stall PUSH admission for the duration of each estimate).
   ///
-  /// BeginQuery runs under the caller's quiesced locks and is cheap: on
-  /// a fresh memoized result it fills *hit and returns true; otherwise
-  /// it fills *request and returns false, and the caller copies the
-  /// requested streams' sketches out (still under its locks), releases
-  /// them, and calls FinishQuery with the copies (sketches[k] = the
-  /// per-copy column of request->streams[k]). FinishQuery evaluates on
-  /// the snapshot, reusing/rebuilding the plan's memoized merges, and
-  /// installs the result under the snapshot's epochs — unless a
-  /// concurrent FinishQuery already installed a result under newer
-  /// epochs, in which case the snapshot's (still point-in-time-correct)
-  /// answer is returned without regressing the newer memo.
+  /// BeginQuery runs under the caller's quiesced locks: on a fresh
+  /// memoized result it fills *hit and returns true; otherwise it builds
+  /// the plan's probe table from `bank` into *request and returns false.
+  /// The caller then releases its locks and calls FinishQuery, which
+  /// evaluates the table and installs the result under the probe's
+  /// epochs — unless a concurrent FinishQuery already installed a result
+  /// under newer epochs, in which case this probe's (still
+  /// point-in-time-correct) answer is returned without regressing the
+  /// newer memo.
   bool BeginQuery(const Expression& expr, const SketchBank& bank,
                   Result* hit, SnapshotRequest* request);
-  Result FinishQuery(
-      const Expression& expr, const SnapshotRequest& request,
-      const std::vector<std::vector<TwoLevelHashSketch>>& sketches);
+  Result FinishQuery(const Expression& expr, SnapshotRequest request);
 
   /// Direct (uncached) estimation for callers whose sketch groups are not
   /// a plain bank view — e.g. the server's coordinator-merged snapshot.
@@ -132,9 +131,9 @@ class PlanCache {
                           const std::vector<std::string>& stream_names,
                           const std::vector<SketchGroup>& groups);
 
-  /// Human-readable EXPLAIN report: canonical plan, CSE sharing, merge
-  /// tasks, and the cache/epoch state of the matching entry (read-only —
-  /// does not compile or promote anything).
+  /// Human-readable EXPLAIN report: canonical plan, CSE sharing, probe
+  /// table shape, and the cache/epoch state of the matching entry
+  /// (read-only — does not compile or promote anything).
   std::string Explain(const Expression& expr, const SketchBank& bank) const;
   std::string Explain(const std::string& text, const SketchBank& bank) const;
 
@@ -144,31 +143,16 @@ class PlanCache {
   void Clear();
 
  private:
-  // Occupancy memo for one leaf-only union sub-expression: the per-copy,
-  // per-level "union bucket non-empty" bits, valid while its own streams'
-  // epochs are unchanged.
-  struct SubUnionMemo {
-    int node = -1;                ///< Canonical DAG node id.
-    std::vector<int> columns;     ///< Leaf columns under the node.
-    std::vector<uint64_t> epochs; ///< Per column, epoch at build time.
-    std::vector<std::vector<unsigned char>> nonempty;  ///< [copy][level].
-    bool built = false;
-  };
-
   struct Entry {
     CanonicalPlan plan;
     std::string canonical;            ///< plan.ToString() (collision guard).
-    std::vector<std::string> streams; ///< == plan.streams (sorted).
 
-    uint64_t bank_id = 0;             ///< Bank the memos below belong to.
-    std::vector<uint64_t> epochs;     ///< Stage-1/result epochs per stream.
-    MergedUnion union_memo;           ///< Stage-1 merge over all streams.
-    bool union_built = false;
-    std::vector<SubUnionMemo> sub_memos;
-
+    uint64_t bank_id = 0;             ///< Bank the result belongs to.
+    std::vector<uint64_t> epochs;     ///< Per plan.streams, at probe time.
     Result result;                    ///< Memoized full answer.
     bool result_built = false;
 
+    ProbeTable table;                 ///< Last probe (storage reused).
     std::vector<unsigned char> scratch;  ///< Witness-DAG eval arena.
     uint64_t last_used = 0;           ///< LRU tick.
   };
@@ -176,7 +160,7 @@ class PlanCache {
   /// True iff any stream of `expr` is registered under an alternative
   /// sketch backend in `bank` — such queries route around the memo
   /// machinery (DistinctSketch synopses are tiny; there is no r-copy
-  /// merge worth memoizing) straight to the backend's expression algebra.
+  /// probe worth memoizing) straight to the backend's expression algebra.
   static bool UsesBackendStreams(const Expression& expr,
                                  const SketchBank& bank);
   /// Evaluates a backend-routed query (see UsesBackendStreams).
@@ -190,11 +174,9 @@ class PlanCache {
   /// (bank_id, epochs).
   bool FreshLocked(const Entry& entry, const SketchBank& bank) const
       SETSKETCH_REQUIRES(mutex_);
-  /// Evaluates the entry's plan over `groups` (per-copy columns aligned
-  /// with entry->streams) and installs the memoized result keyed by
-  /// (bank_id, epochs).
-  Result EvaluateLocked(Entry* entry, const std::vector<SketchGroup>& groups,
-                        uint64_t bank_id, std::vector<uint64_t> epochs)
+  /// Evaluates the entry's plan over request.table and installs the
+  /// memoized result keyed by the request's (bank_id, epochs).
+  Result EvaluateLocked(Entry* entry, SnapshotRequest request)
       SETSKETCH_REQUIRES(mutex_);
   void EvictIfNeededLocked() SETSKETCH_REQUIRES(mutex_);
 

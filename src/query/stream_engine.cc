@@ -337,10 +337,10 @@ StreamEngine::Answer StreamEngine::AnswerExpression(
     const Expression& expr) const {
   Answer answer;
   answer.expression = expr.ToString();
-  // Compiled path: canonicalize, reuse the cached plan + memoized merges
-  // when this bank's stream epochs are unchanged, re-merge only what
-  // moved otherwise. Bit-identical to direct estimation (the provably-
-  // empty shortcut lives inside the cache too).
+  // Compiled path: canonicalize, reuse the cached plan's memoized answer
+  // when this bank's stream epochs are unchanged, otherwise re-answer
+  // from a fresh probe table over the live bank. Bit-identical to direct
+  // estimation (the provably-empty shortcut lives inside the cache too).
   const PlanCache::Result planned = plan_cache_->Query(expr, bank_);
   answer.ok = planned.ok;
   answer.estimate = planned.estimate;

@@ -157,7 +157,8 @@ class StreamEngine {
   int64_t updates_processed() const { return updates_processed_; }
 
   /// Plan-cache counters for the compiled-query path every answer runs
-  /// through (hits / misses / epoch invalidations / merge builds / ...).
+  /// through (hits / misses / epoch invalidations / probe tables built /
+  /// ...).
   PlanCache::Stats plan_cache_stats() const { return plan_cache_->stats(); }
 
   /// The engine's plan cache (mutable: answering caches plans). Exposed
@@ -175,7 +176,7 @@ class StreamEngine {
   Options options_;
   SketchBank bank_;
   // All query answering funnels through the plan cache: canonicalized,
-  // compiled once, memoized merges invalidated by the bank's stream
+  // compiled once, memoized answers invalidated by the bank's stream
   // epochs. Behind a unique_ptr so the engine stays movable (PlanCache
   // owns a mutex); never null after construction.
   std::unique_ptr<PlanCache> plan_cache_;

@@ -978,9 +978,9 @@ QueryResultInfo SketchServer::Answer(const std::string& expression_text) {
 
   // Queries whose streams live wholly in the direct-ingest bank run the
   // compiled-plan path: the memoized-answer check is cheap and happens
-  // under the quiesced locks; a cold/stale plan only snapshots its
-  // streams' sketches there, and the (possibly slow) merge + estimation
-  // runs after the locks are released so it never stalls PUSH admission.
+  // under the quiesced locks; a cold/stale plan only builds its probe
+  // table there (occupancy and singleton bits, no counter copies), and
+  // the estimation runs after the locks are released.
   // Streams carried by site summaries need a coordinator-merged snapshot
   // per query; those copy the combined view out and estimate uncached.
   const auto fill = [&result](const PlanCache::Result& planned) {
@@ -999,7 +999,6 @@ QueryResultInfo SketchServer::Answer(const std::string& expression_text) {
   bool bank_only = false;
   PlanCache::SnapshotRequest request;
   std::vector<std::vector<TwoLevelHashSketch>> combined;
-  combined.reserve(names.size());
   {
     MutexLock push_lock(&push_mutex_);
     for (const auto& queue : queues_) queue->WaitDrained();
@@ -1037,17 +1036,15 @@ QueryResultInfo SketchServer::Answer(const std::string& expression_text) {
         fill(hit);
         return result;
       }
-      // Cache miss or stale epochs: snapshot just the plan's streams
-      // (every name is in the bank here) and finish outside the locks.
+      // Cache miss or stale epochs: the probe table is built; finish
+      // outside the locks.
       bank_only = true;
-      for (const std::string& name : request.streams) {
-        combined.push_back(bank_.Sketches(name));
-      }
     } else {
       // Snapshot a combined view per stream: directly pushed counters
       // plus site-summary counters merge by linearity. Copying under the
       // quiesced locks keeps the (possibly slow) estimation outside
       // them.
+      combined.reserve(names.size());
       for (const std::string& name : names) {
         const bool in_bank = bank_.HasStream(name);
         const std::vector<TwoLevelHashSketch>* from_sites =
@@ -1065,7 +1062,7 @@ QueryResultInfo SketchServer::Answer(const std::string& expression_text) {
   }
 
   if (bank_only) {
-    fill(plan_cache_.FinishQuery(*parsed.expression, request, combined));
+    fill(plan_cache_.FinishQuery(*parsed.expression, std::move(request)));
     return result;
   }
 

@@ -201,10 +201,13 @@ class SketchServer : private EpollServerBackend::Handler {
     uint64_t plan_cache_hits = 0;
     uint64_t plan_cache_misses = 0;
     uint64_t plan_cache_invalidations = 0;
+    /// Probe tables built for stale/cold plans (STATS consumers read it
+    /// under this name).
     uint64_t plan_cache_merge_builds = 0;
     uint64_t plan_cache_bypasses = 0;   ///< Coordinator-merged queries.
     uint64_t plan_cache_backend_queries = 0;  ///< Backend-routed queries.
     uint64_t plan_cache_entries = 0;
+    /// Bytes of probe tables and witness scratch held by cached plans.
     uint64_t plan_cache_memo_bytes = 0;
     // Backend-seam exposure (DESIGN.md §3.8).
     uint8_t backend_default = 0;        ///< Options::default_backend id.

@@ -1,9 +1,11 @@
 // Tests for the plan cache (query/plan_cache.h): bit-identical equivalence
 // of planned + cached evaluation vs direct EstimateSetExpression (the
 // refactor's correctness bar), including through ingest -> epoch
-// invalidation -> re-query cycles; cache-hit semantics for equivalent
-// spellings; sub-expression memo granularity; LRU eviction; bank-identity
-// invalidation; and the engine-level wiring.
+// invalidation -> re-query cycles; probe-table equivalence with the lazy
+// group probes (negative net frequencies, multi-word masks, mismatched
+// seeds); cache-hit semantics for equivalent spellings; one probe per
+// stale query; LRU eviction; bank-identity invalidation; and the
+// engine-level wiring.
 
 #include <memory>
 #include <random>
@@ -171,38 +173,38 @@ TEST(PlanCacheTest, EquivalentSpellingsHitOneCachedPlan) {
   EXPECT_GT(stats.memo_bytes, 0u);
 }
 
-TEST(PlanCacheTest, IngestInvalidatesOnlyTouchedMemos) {
+TEST(PlanCacheTest, IngestRebuildsOneProbeTablePerStaleQuery) {
   VennPartitionGenerator gen(3, UniformRegionProbs(3));
   auto bank = BankFromDataset(gen.Generate(1024, 41), 32, 41);
   PlanCache::Options options;
   options.witness.pool_all_levels = true;  // Robust across seeds.
   PlanCache cache(options);
 
-  // Plan with a leaf-only union sub-expression (S0 | S1) under the root:
-  // it gets its own occupancy memo keyed on {S0, S1} epochs only.
+  // A plan with a union sub-expression under the root: every leaf bit it
+  // reads comes from one probe table, so there is exactly one build per
+  // stale answer whichever stream moved.
   const ExprPtr expr = Parse("(S0 | S1) & S2");
   const PlanCache::Result cold = cache.Query(*expr, *bank);
   ASSERT_TRUE(cold.ok) << cold.error;
-  const uint64_t builds_cold = cache.stats().merge_builds;
-  EXPECT_GE(builds_cold, 2u);  // Full-union memo + (S0|S1) memo.
+  EXPECT_EQ(cache.stats().merge_builds, 1u);
 
-  // Ingest into S2 only: the stage-1 full-union memo must rebuild, but
-  // the (S0 | S1) sub-memo's epochs are unchanged and it is reused.
   bank->Apply("S2", 987654321u, 1);
-  ASSERT_TRUE(cache.Query(*expr, *bank).ok);
-  const uint64_t builds_after_s2 = cache.stats().merge_builds;
-  EXPECT_EQ(builds_after_s2, builds_cold + 1);
+  ExpectBitIdentical(cache.Query(*expr, *bank),
+                     EstimateSetExpression(*expr, *bank, options.witness),
+                     "after S2 ingest");
+  EXPECT_EQ(cache.stats().merge_builds, 2u);
   EXPECT_EQ(cache.stats().invalidations, 1u);
 
-  // Ingest into S0: now both the full union and the sub-memo rebuild.
   bank->Apply("S0", 123456789u, 1);
-  ASSERT_TRUE(cache.Query(*expr, *bank).ok);
-  EXPECT_EQ(cache.stats().merge_builds, builds_after_s2 + 2);
+  ExpectBitIdentical(cache.Query(*expr, *bank),
+                     EstimateSetExpression(*expr, *bank, options.witness),
+                     "after S0 ingest");
+  EXPECT_EQ(cache.stats().merge_builds, 3u);
   EXPECT_EQ(cache.stats().invalidations, 2u);
 
   // Quiescent re-query: pure hit, nothing rebuilt.
   ASSERT_TRUE(cache.Query(*expr, *bank).ok);
-  EXPECT_EQ(cache.stats().merge_builds, builds_after_s2 + 2);
+  EXPECT_EQ(cache.stats().merge_builds, 3u);
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
@@ -244,6 +246,165 @@ TEST(PlanCacheTest, DifferentBankNeverReusesMemos) {
   EXPECT_TRUE(cache.Query("S0 - S1", *bank_b).cache_hit);
   // ...while going back to bank_a re-derives again.
   EXPECT_FALSE(cache.Query("S0 - S1", *bank_a).cache_hit);
+}
+
+// --- Probe table ---------------------------------------------------------
+
+/// Asserts every probe of `table` equals the lazy group probes over the
+/// same groups: union occupancy and singleton per (copy, level), and each
+/// column's occupancy bit.
+void ExpectTableMatchesGroups(const ProbeTable& table,
+                              const std::vector<SketchGroup>& groups) {
+  const GroupUnionView lazy(groups);
+  ASSERT_EQ(table.copies(), lazy.copies());
+  ASSERT_EQ(table.levels(), lazy.levels());
+  for (int copy = 0; copy < table.copies(); ++copy) {
+    const SketchGroup& group = groups[static_cast<size_t>(copy)];
+    for (int level = 0; level < table.levels(); ++level) {
+      ASSERT_EQ(table.NonEmpty(copy, level), lazy.NonEmpty(copy, level))
+          << "copy " << copy << " level " << level;
+      ASSERT_EQ(table.UnionSingleton(copy, level),
+                lazy.UnionSingleton(copy, level))
+          << "copy " << copy << " level " << level;
+      for (size_t k = 0; k < group.size(); ++k) {
+        ASSERT_EQ(table.Occupied(copy, level, static_cast<int>(k)),
+                  !BucketEmpty(*group[k], level))
+            << "copy " << copy << " level " << level << " column " << k;
+      }
+    }
+  }
+}
+
+TEST(ProbeTableTest, MatchesGroupProbesUnderNegativeNetFrequencies) {
+  // Sparse banks with churn: some elements carry negative net frequency,
+  // and some appear with opposite signs in two streams, so a bucket can
+  // be occupied in both while the summed LevelTotal is 0 — the case where
+  // the OR of occupancies (NonEmpty) and the summed counters
+  // (UnionSingleton) must each keep their own semantics.
+  std::mt19937_64 rng(0xC0FFEE);
+  const std::vector<std::string> names = {"S0", "S1", "S2", "S3", "S4"};
+  std::uniform_int_distribution<uint64_t> pick_element(1, 1u << 30);
+  std::uniform_int_distribution<size_t> pick_stream(0, names.size() - 1);
+  std::uniform_int_distribution<int> pick_delta(-2, 2);
+  int cancelling_cells = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    SketchBank bank(SketchFamily(TestParams(), 16, 500 + trial));
+    for (const std::string& name : names) bank.AddStream(name);
+    for (int i = 0; i < 60; ++i) {
+      const uint64_t element = pick_element(rng);
+      const int delta = pick_delta(rng);
+      if (delta == 0) continue;
+      bank.Apply(names[pick_stream(rng)], element, delta);
+      if (i % 3 == 0) {
+        // The same element with the opposite sign in a random stream
+        // (usually another one; the same one cancels it).
+        bank.Apply(names[pick_stream(rng)], element, -delta);
+      }
+    }
+    const std::vector<SketchGroup> groups = bank.Groups(names);
+    ProbeTable table;
+    ASSERT_TRUE(table.Build(groups));
+    ExpectTableMatchesGroups(table, groups);
+    for (int copy = 0; copy < table.copies(); ++copy) {
+      for (int level = 0; level < table.levels(); ++level) {
+        int64_t total = 0;
+        for (const TwoLevelHashSketch* x :
+             groups[static_cast<size_t>(copy)]) {
+          total += x->LevelTotal(level);
+        }
+        if (table.NonEmpty(copy, level) && total == 0) ++cancelling_cells;
+      }
+    }
+
+    // And the planner's answers stay bit-identical to the direct
+    // estimator over such banks, whether or not estimation succeeds.
+    PlanCache cache(PlanCache::Options{});
+    for (int q = 0; q < 8; ++q) {
+      const ExprPtr expr = RandomExpression(rng, names, 3);
+      if (ProvablyEmpty(*expr)) continue;
+      ExpectBitIdentical(cache.Query(*expr, bank),
+                         EstimateSetExpression(*expr, bank),
+                         expr->ToString() + " (churn)");
+    }
+  }
+  // The workload really exercised the OR-vs-sum distinction.
+  EXPECT_GT(cancelling_cells, 0);
+}
+
+TEST(ProbeTableTest, MultiWordMasksCoverSeventyStreams) {
+  // 70 stream columns need two mask words per (copy, level); an
+  // expression over all of them must still match the direct estimator.
+  constexpr int kStreams = 70;
+  SketchBank bank(SketchFamily(TestParams(), 16, 65));
+  std::vector<std::string> names;
+  for (int k = 0; k < kStreams; ++k) {
+    names.push_back("S" + std::to_string(k));
+    bank.AddStream(names.back());
+  }
+  std::mt19937_64 rng(65);
+  std::uniform_int_distribution<uint64_t> pick_element(1, 4000);
+  for (int k = 0; k < kStreams; ++k) {
+    for (int i = 0; i < 40 + 5 * k; ++i) {
+      bank.Apply(names[static_cast<size_t>(k)], pick_element(rng), 1);
+    }
+  }
+
+  const std::vector<SketchGroup> groups = bank.Groups(names);
+  ProbeTable table;
+  ASSERT_TRUE(table.Build(groups));
+  ExpectTableMatchesGroups(table, groups);
+
+  std::string all = names[0];
+  for (int k = 1; k < kStreams; ++k) {
+    all += " | " + names[static_cast<size_t>(k)];
+  }
+  PlanCache::Options options;
+  options.witness.pool_all_levels = true;
+  PlanCache cache(options);
+  const std::vector<std::string> queries = {
+      "(" + all + ") - (S3 & S67)", "(" + all + ") & S69",
+      "(S68 | S1) - (S65 & S66)"};
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const ExprPtr expr = Parse(queries[q]);
+    const PlanCache::Result planned = cache.Query(*expr, bank);
+    ASSERT_TRUE(planned.ok) << planned.error;
+    ExpectBitIdentical(planned,
+                       EstimateSetExpression(*expr, bank, options.witness),
+                       "query " + std::to_string(q));
+  }
+}
+
+TEST(ProbeTableTest, MismatchedSeedsAreATypedError) {
+  VennPartitionGenerator gen(2, BinaryIntersectionProbs(0.5));
+  auto bank = BankFromDataset(gen.Generate(512, 121), 8, 121);
+  // Corrupt one copy of S1 with a sketch from a different family: its
+  // coins no longer match copy 3 of S0.
+  const SketchFamily other(TestParams(), 8, 999);
+  TwoLevelHashSketch foreign(other.seed(3));
+  foreign.Update(42, 1);
+  (*bank->MutableSketches("S1"))[3] = foreign;
+
+  const std::vector<std::string> names = {"S0", "S1"};
+  ProbeTable table;
+  EXPECT_FALSE(table.Build(bank->Groups(names)));
+  EXPECT_EQ(table.copies(), 0);
+  EXPECT_FALSE(EstimateSetExpression(*Parse("S0 - S1"), *bank).ok);
+
+  PlanCache cache(PlanCache::Options{});
+  const PlanCache::Result inline_result = cache.Query("S0 - S1", *bank);
+  EXPECT_FALSE(inline_result.ok);
+  EXPECT_NE(inline_result.error.find("mismatched seeds"), std::string::npos)
+      << inline_result.error;
+
+  // The two-phase path reports the same error from FinishQuery.
+  PlanCache::Result hit;
+  PlanCache::SnapshotRequest request;
+  ASSERT_FALSE(cache.BeginQuery(*Parse("S0 & S1"), *bank, &hit, &request));
+  const PlanCache::Result finished =
+      cache.FinishQuery(*Parse("S0 & S1"), request);
+  EXPECT_FALSE(finished.ok);
+  EXPECT_NE(finished.error.find("mismatched seeds"), std::string::npos)
+      << finished.error;
 }
 
 // --- Cache management ----------------------------------------------------
@@ -288,18 +449,6 @@ TEST(PlanCacheTest, ZeroCapacityClampsToOneUsableEntry) {
 
 // --- Two-phase (snapshot) queries ----------------------------------------
 
-/// Copies the requested streams' sketch columns out of the bank — what the
-/// server does under its quiesced ingest locks between Begin and Finish.
-std::vector<std::vector<TwoLevelHashSketch>> SnapshotStreams(
-    const SketchBank& bank, const PlanCache::SnapshotRequest& request) {
-  std::vector<std::vector<TwoLevelHashSketch>> copies;
-  copies.reserve(request.streams.size());
-  for (const std::string& name : request.streams) {
-    copies.push_back(bank.Sketches(name));
-  }
-  return copies;
-}
-
 TEST(PlanCacheTest, TwoPhaseQueryMatchesInlineAndInstallsTheMemo) {
   VennPartitionGenerator gen(3, UniformRegionProbs(3));
   const auto bank = BankFromDataset(gen.Generate(2048, 17), 32, 17);
@@ -311,11 +460,11 @@ TEST(PlanCacheTest, TwoPhaseQueryMatchesInlineAndInstallsTheMemo) {
   PlanCache::SnapshotRequest request;
   ASSERT_FALSE(cache.BeginQuery(*expr, *bank, &hit, &request));
   EXPECT_EQ(request.bank_id, bank->bank_id());
-  ASSERT_EQ(request.streams.size(), 3u);
-  const auto snapshot = SnapshotStreams(*bank, request);
+  ASSERT_EQ(request.epochs.size(), 3u);
+  EXPECT_EQ(request.table.copies(), 32);
+  EXPECT_TRUE(request.error.empty()) << request.error;
 
-  const PlanCache::Result finished =
-      cache.FinishQuery(*expr, request, snapshot);
+  const PlanCache::Result finished = cache.FinishQuery(*expr, request);
   ExpectBitIdentical(finished, direct, "two-phase cold");
   EXPECT_EQ(cache.stats().misses, 1u);
 
@@ -343,7 +492,6 @@ TEST(PlanCacheTest, StaleSnapshotAnswersItselfWithoutRegressingNewerMemo) {
   PlanCache::Result hit;
   PlanCache::SnapshotRequest request;
   ASSERT_FALSE(cache.BeginQuery(*expr, *bank, &hit, &request));
-  const auto snapshot = SnapshotStreams(*bank, request);
 
   // Ingest + inline evaluation land first (newer epochs).
   for (uint64_t e = 0; e < 512; ++e) bank->Apply("S0", 1u << 20 | e, 1);
@@ -351,7 +499,7 @@ TEST(PlanCacheTest, StaleSnapshotAnswersItselfWithoutRegressingNewerMemo) {
   ASSERT_TRUE(newer.ok);
 
   // The stale snapshot still answers its own point in time...
-  const PlanCache::Result stale = cache.FinishQuery(*expr, request, snapshot);
+  const PlanCache::Result stale = cache.FinishQuery(*expr, request);
   ExpectBitIdentical(stale, old_direct, "stale snapshot");
 
   // ...and the newer memo survives: the next query is a hit on it.
@@ -374,15 +522,12 @@ TEST(PlanCacheTest, SameEpochFinishReusesTheConcurrentlyInstalledAnswer) {
   PlanCache::SnapshotRequest first_request, second_request;
   ASSERT_FALSE(cache.BeginQuery(*expr, *bank, &hit, &first_request));
   ASSERT_FALSE(cache.BeginQuery(*expr, *bank, &hit, &second_request));
-  const auto snapshot = SnapshotStreams(*bank, first_request);
 
-  const PlanCache::Result first =
-      cache.FinishQuery(*expr, first_request, snapshot);
+  const PlanCache::Result first = cache.FinishQuery(*expr, first_request);
   ASSERT_TRUE(first.ok);
   EXPECT_FALSE(first.cache_hit);
   const uint64_t builds = cache.stats().merge_builds;
-  const PlanCache::Result second =
-      cache.FinishQuery(*expr, second_request, snapshot);
+  const PlanCache::Result second = cache.FinishQuery(*expr, second_request);
   ASSERT_TRUE(second.ok);
   EXPECT_TRUE(second.cache_hit);  // Reused, nothing rebuilt.
   EXPECT_EQ(cache.stats().merge_builds, builds);

@@ -411,9 +411,10 @@ TEST(TsanConcurrencyTest, ServerConcurrentPushQueryStats) {
 TEST(TsanConcurrencyTest, ServerPlanCacheConcurrentQueryVsPush) {
   // Queriers hammer one logical query in two equivalent spellings (plus
   // EXPLAIN) while pushers mutate the very streams it reads. The plan
-  // cache memoizes, invalidates on ingest epochs, and rebuilds merges
-  // concurrently with admission — TSan proves the locking; the functional
-  // assertions prove answers stay sane and the counters stay coherent.
+  // cache memoizes, invalidates on ingest epochs, and rebuilds probe
+  // tables concurrently with admission — TSan proves the locking; the
+  // functional assertions prove answers stay sane and the counters stay
+  // coherent.
   SketchServer::Options options;
   options.params = SmallParams();
   options.copies = 32;

@@ -114,7 +114,8 @@ stage_release() {
   python3 tools/validate_bench_json.py "${ip_json}"
 
   # Plan-cache smoke: also enforces the >= 5x hot-vs-cold repeated-query
-  # speedup floor (the bench exits nonzero below it).
+  # speedup floor and the <= 1.25x re-query-after-ingest vs direct
+  # estimator ceiling (the bench exits nonzero outside either).
   echo "=== bench smoke (plan-cache JSON trajectory) ==="
   local pc_json="${prefix}-release/BENCH_plan_cache.smoke.json"
   SETSKETCH_BENCH_JSON="${pc_json}" SETSKETCH_BENCH_SCALE=0.05 \

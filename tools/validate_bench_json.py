@@ -16,7 +16,7 @@ configured to emit. Benches are keyed by the marker:
                     off/nofsync/fsync, client batch-width sweep)
   plan_cache        bench_plan_cache (repeated-query throughput: cold
                     direct/replan vs hot/equivalent cache hits, epoch
-                    invalidation re-merge, served loopback QUERY path)
+                    invalidation re-probe, served loopback QUERY path)
   cluster           bench_cluster (single-node vs routed ingest with and
                     without replication; federated query cost cold vs
                     via the router's epoch-aware summary cache; the
