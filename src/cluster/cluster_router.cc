@@ -16,6 +16,7 @@
 #include "expr/analysis.h"
 #include "expr/parser.h"
 #include "server/fault_injector.h"
+#include "server/ingest_arena.h"
 #include "server/socket_io.h"
 
 namespace setsketch {
@@ -96,8 +97,8 @@ bool WindowCovers(const Window& have, const Window& want) {
   return true;
 }
 
-std::string InDoubtKey(const std::string& site, uint64_t sequence) {
-  return site + '#' + std::to_string(sequence);
+std::string InDoubtKey(std::string_view site, uint64_t sequence) {
+  return std::string(site) + '#' + std::to_string(sequence);
 }
 
 }  // namespace
@@ -238,25 +239,33 @@ void ClusterRouter::HandleConnection(int fd) {
         .ok();
   };
 
-  FrameDecoder decoder;
+  // One thread per connection (the handlers block on shard round
+  // trips), parsing like the server's io loop: bytes land in an arena and
+  // frames are scanned zero-copy off its front.
+  constexpr size_t kReadChunkBytes = 1 << 16;
+  IngestArena arena;
   Connection connection;
   connection.fd = fd;
-  std::vector<char> buffer(1 << 16);
   bool open = true;
   while (open) {
+    char* cursor = arena.WritePtr(kReadChunkBytes);
     size_t received = 0;
     const IoResult got =
-        RecvSomeWithDeadline(fd, buffer.data(), buffer.size(),
+        RecvSomeWithDeadline(fd, cursor, arena.write_capacity(),
                              options_.idle_timeout_ms, &received);
     if (!got.ok()) break;
-    decoder.Feed(buffer.data(), received);
-    Frame frame;
+    arena.CommitRead(received);
     while (open) {
-      const FrameDecoder::Status status = decoder.Next(&frame);
-      if (status == FrameDecoder::Status::kNeedMore) break;
-      if (status == FrameDecoder::Status::kError) {
+      FrameView frame;
+      size_t frame_bytes = 0;
+      WireError error = WireError::kNone;
+      std::string error_message;
+      const FrameScanStatus status = ScanFrame(
+          arena.Unparsed(), &frame, &frame_bytes, &error, &error_message);
+      if (status == FrameScanStatus::kNeedMore) break;
+      if (status == FrameScanStatus::kError) {
         ++protocol_errors_;
-        send_response(ErrorFrame(decoder.error(), decoder.error_message()));
+        send_response(ErrorFrame(error, error_message));
         open = false;
         break;
       }
@@ -265,6 +274,7 @@ void ClusterRouter::HandleConnection(int fd) {
       bool keep_open = true;
       const std::string response = HandleFrame(frame, &connection,
                                                &keep_open);
+      arena.Consume(frame_bytes);
       const bool sent = send_response(response);
       if (connection.notify_shutdown) {
         connection.notify_shutdown = false;
@@ -286,6 +296,7 @@ void ClusterRouter::HandleConnection(int fd) {
       }
       if (!keep_open) open = false;
     }
+    arena.MaybeShrink(4 * kReadChunkBytes);
   }
   {
     MutexLock lock(&connections_mutex_);
@@ -295,14 +306,15 @@ void ClusterRouter::HandleConnection(int fd) {
   --connections_active_;
 }
 
-std::string ClusterRouter::HandleFrame(const Frame& frame,
+std::string ClusterRouter::HandleFrame(const FrameView& frame,
                                        Connection* connection,
                                        bool* keep_open) {
   *keep_open = true;
   switch (frame.opcode) {
     case Opcode::kPing: {
       HelloInfo hello;
-      if (DecodeHello(frame.payload, /*response=*/false, &hello)) {
+      if (DecodeHello(std::string(frame.payload), /*response=*/false,
+                      &hello)) {
         HelloInfo mine;
         mine.features = kFeatureSummaryPull;
         mine.params = options_.params;
@@ -316,19 +328,20 @@ std::string ClusterRouter::HandleFrame(const Frame& frame,
       return EncodeFrame(Opcode::kPong, frame.payload);
     }
     case Opcode::kPushUpdates:
-      return HandlePushUpdates(frame, connection);
+      return HandlePushUpdates(frame.payload, connection);
     case Opcode::kQuery:
       return EncodeFrame(Opcode::kQueryResult,
-                         EncodeQueryResult(Answer(frame.payload)));
+                         EncodeQueryResult(Answer(std::string(frame.payload))));
     case Opcode::kStats:
       return EncodeFrame(Opcode::kStatsResult, RenderStats());
     case Opcode::kExplain:
       return EncodeFrame(Opcode::kExplainResult,
-                         ExplainPlacement(frame.payload));
+                         ExplainPlacement(std::string(frame.payload)));
     case Opcode::kAddShard: {
       ShardAdminRequest request;
       std::string decode_error;
-      if (!DecodeShardAdmin(frame.payload, &request, &decode_error)) {
+      if (!DecodeShardAdmin(std::string(frame.payload), &request,
+                            &decode_error)) {
         ++connection->errors;
         ++protocol_errors_;
         return ErrorFrame(WireError::kBadPayload, decode_error);
@@ -349,7 +362,8 @@ std::string ClusterRouter::HandleFrame(const Frame& frame,
     case Opcode::kDrainShard: {
       ShardAdminRequest request;
       std::string decode_error;
-      if (!DecodeShardAdmin(frame.payload, &request, &decode_error)) {
+      if (!DecodeShardAdmin(std::string(frame.payload), &request,
+                            &decode_error)) {
         ++connection->errors;
         ++protocol_errors_;
         return ErrorFrame(WireError::kBadPayload, decode_error);
@@ -484,7 +498,7 @@ bool ClusterRouter::ProbeLocked(ShardState* state) {
   return false;
 }
 
-std::vector<size_t> ClusterRouter::TargetIndices(const std::string& stream,
+std::vector<size_t> ClusterRouter::TargetIndices(std::string_view stream,
                                                  bool for_write) const {
   MutexLock lock(&placement_mutex_);
   if (for_write) {
@@ -546,13 +560,13 @@ std::string ClusterRouter::ReadTarget(const std::string& stream) const {
                    : shards_[static_cast<size_t>(index)]->shard.name;
 }
 
-void ClusterRouter::RecordInDoubt(const std::string& site,
+void ClusterRouter::RecordInDoubt(std::string_view site,
                                   uint64_t sequence) {
   MutexLock lock(&in_doubt_mutex_);
   in_doubt_.insert(InDoubtKey(site, sequence));
 }
 
-void ClusterRouter::ClearInDoubt(const std::string& site,
+void ClusterRouter::ClearInDoubt(std::string_view site,
                                  uint64_t sequence) {
   bool drained = false;
   {
@@ -586,11 +600,11 @@ bool ClusterRouter::WaitInDoubtDrained(std::string* error) {
   return true;
 }
 
-std::string ClusterRouter::HandlePushUpdates(const Frame& frame,
+std::string ClusterRouter::HandlePushUpdates(std::string_view payload,
                                              Connection* connection) {
-  UpdateBatch batch;
+  UpdateBatchView batch;
   std::string decode_error;
-  if (!DecodePushUpdates(frame.payload, &batch, &decode_error)) {
+  if (!DecodePushUpdates(payload, &batch, &decode_error)) {
     ++connection->errors;
     ++protocol_errors_;
     return ErrorFrame(WireError::kBadPayload, decode_error);
@@ -605,16 +619,19 @@ std::string ClusterRouter::HandlePushUpdates(const Frame& frame,
 
   // Partition the batch by placed shard: every stream goes to its owner
   // plus replicas, each sub-batch keeping the ORIGINAL (site, sequence)
-  // header so the shards' dedup windows see the client's identity.
+  // header so the shards' dedup windows see the client's identity. The
+  // decoded names borrow the frame payload; only the sub-batches copy
+  // them.
   struct SubBatch {
     UpdateBatch batch;
-    std::unordered_map<std::string, uint64_t> local_index;
+    std::vector<uint64_t> local_index;  ///< Per batch stream; kAbsent if none.
   };
+  constexpr uint64_t kAbsent = ~uint64_t{0};
   std::map<size_t, SubBatch> per_shard;
   std::vector<std::vector<size_t>> shards_of_stream(
       batch.stream_names.size());
   for (size_t k = 0; k < batch.stream_names.size(); ++k) {
-    const std::string& name = batch.stream_names[k];
+    const std::string_view name = batch.stream_names[k];
     const std::vector<size_t> placed =
         TargetIndices(name, /*for_write=*/true);
     for (const size_t shard_index : placed) {
@@ -632,31 +649,31 @@ std::string ClusterRouter::HandlePushUpdates(const Frame& frame,
     }
     if (shards_of_stream[k].empty()) {
       return ErrorFrame(WireError::kNoHealthyShard,
-                        "stream '" + name + "' has no healthy shard");
+                        "stream '" + std::string(name) +
+                            "' has no healthy shard");
     }
     for (const size_t shard_index : shards_of_stream[k]) {
       SubBatch& sub = per_shard[shard_index];
-      if (sub.batch.stream_names.empty()) {
+      if (sub.local_index.empty()) {
         sub.batch.site_id = batch.site_id;
         sub.batch.sequence = batch.sequence;
+        sub.local_index.assign(batch.stream_names.size(), kAbsent);
       }
-      if (!sub.local_index.contains(name)) {
-        sub.local_index.emplace(name, sub.batch.stream_names.size());
-        sub.batch.stream_names.push_back(name);
+      if (sub.local_index[k] == kAbsent) {
+        sub.local_index[k] = sub.batch.stream_names.size();
+        sub.batch.stream_names.emplace_back(name);
         // Backend tags travel with the stream entry so a fan-out never
         // silently strips the client's backend selection.
-        sub.batch.stream_backends.push_back(
-            k < batch.stream_backends.size() ? batch.stream_backends[k] : 0);
+        sub.batch.stream_backends.push_back(batch.stream_backends[k]);
       }
     }
   }
   for (const Update& u : batch.updates) {
-    const std::string& name = batch.stream_names[u.stream];
     for (const size_t shard_index : shards_of_stream[u.stream]) {
       SubBatch& sub = per_shard.at(shard_index);
-      sub.batch.updates.push_back(Update{
-          static_cast<StreamId>(sub.local_index.at(name)), u.element,
-          u.delta});
+      sub.batch.updates.push_back(
+          Update{static_cast<StreamId>(sub.local_index[u.stream]), u.element,
+                 u.delta});
     }
   }
 

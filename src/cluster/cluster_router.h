@@ -67,8 +67,10 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -358,9 +360,10 @@ class ClusterRouter {
   void HandleConnection(int fd);
   void ProbeLoop();
 
-  std::string HandleFrame(const Frame& frame, Connection* connection,
+  std::string HandleFrame(const FrameView& frame, Connection* connection,
                           bool* keep_open);
-  std::string HandlePushUpdates(const Frame& frame, Connection* connection);
+  std::string HandlePushUpdates(std::string_view payload,
+                                Connection* connection);
   /// Not const: fetches each healthy shard's STATS over its connection to
   /// fold the per-shard ingest counters into the report.
   std::string RenderStats();
@@ -384,7 +387,7 @@ class ClusterRouter {
 
   /// Placement target indices (owner first) for a stream. When
   /// `for_write`, an active dual-write overlay entry overrides the ring.
-  std::vector<size_t> TargetIndices(const std::string& stream,
+  std::vector<size_t> TargetIndices(std::string_view stream,
                                     bool for_write) const
       SETSKETCH_EXCLUDES(placement_mutex_);
   /// First placed shard eligible for reads; -1 if none. Sets *failover
@@ -413,8 +416,8 @@ class ClusterRouter {
   /// Waits (bounded) for the in-doubt (site, sequence) set to drain.
   bool WaitInDoubtDrained(std::string* error)
       SETSKETCH_EXCLUDES(in_doubt_mutex_);
-  void RecordInDoubt(const std::string& site, uint64_t sequence);
-  void ClearInDoubt(const std::string& site, uint64_t sequence);
+  void RecordInDoubt(std::string_view site, uint64_t sequence);
+  void ClearInDoubt(std::string_view site, uint64_t sequence);
 
   Options options_;
   SketchFamily family_;
@@ -429,7 +432,9 @@ class ClusterRouter {
       SETSKETCH_GUARDED_BY(placement_mutex_);
   /// Dual-write overlay: stream -> union of old + new target indices,
   /// active while a migration is between snapshot and ring flip.
-  std::unordered_map<std::string, std::vector<size_t>> write_overlay_
+  /// Ordered with a transparent comparator so pushes look streams up by
+  /// the view the decoder handed them.
+  std::map<std::string, std::vector<size_t>, std::less<>> write_overlay_
       SETSKETCH_GUARDED_BY(placement_mutex_);
 
   /// shards_ only grows (ADD_SHARD appends or revives a tombstoned slot

@@ -18,22 +18,6 @@
 
 namespace setsketch {
 
-bool ParseIngestBackend(const std::string& text, IngestBackend* out) {
-  if (text == "epoll") {
-    *out = IngestBackend::kEpoll;
-    return true;
-  }
-  if (text == "threads" || text == "threaded") {
-    *out = IngestBackend::kThreaded;
-    return true;
-  }
-  return false;
-}
-
-const char* IngestBackendName(IngestBackend backend) {
-  return backend == IngestBackend::kEpoll ? "epoll" : "threads";
-}
-
 bool PinCurrentThreadToCpu(int cpu) {
   const long cpus = ::sysconf(_SC_NPROCESSORS_ONLN);
   if (cpus <= 0) return false;
@@ -98,16 +82,15 @@ bool EpollServerBackend::Adopt(int fd) {
   auto state = std::make_unique<ConnState>();
   state->connection.fd = fd;
   state->last_activity = std::chrono::steady_clock::now();
-  ConnState* raw = state.get();
-  {
-    MutexLock lock(&loop->mutex);
-    loop->connections.emplace(fd, std::move(state));
-  }
   epoll_event ev{};
   ev.events = EPOLLIN;  // Level-triggered: re-fires while bytes remain.
-  ev.data.ptr = raw;
+  ev.data.ptr = state.get();
+  // Publish and register under one lock: the io thread's idle sweep and
+  // CloseConnection take the same lock, so they never see (or retire) a
+  // connection whose epoll registration is still in flight.
+  MutexLock lock(&loop->mutex);
+  loop->connections.emplace(fd, std::move(state));
   if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-    MutexLock lock(&loop->mutex);
     loop->connections.erase(fd);
     return false;
   }

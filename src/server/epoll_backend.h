@@ -1,10 +1,5 @@
-// Batched epoll I/O backend for the sketch server's ingest fast path.
-//
-// The original server spends one handler thread per connection and one
-// recv()+decode+send() round trip per frame; at cluster ingest rates the
-// syscall and copy overhead dwarfs the sketch-update kernel by an order
-// of magnitude. This backend replaces that loop for connections the
-// server adopts:
+// Batched epoll I/O loop serving every sketch-server connection; the
+// server's acceptor adopts each one here:
 //
 //   * a small set of io threads multiplex all connections over
 //     level-triggered epoll instead of parking one thread per peer;
@@ -22,8 +17,7 @@
 // reports disconnects, and enforces the per-connection error budget. All
 // protocol semantics live in the Handler (the server): what a frame
 // does, what a header error answers, when the lifecycle learns about
-// SHUTDOWN. Equivalence with the thread-per-connection loop — same
-// response bytes, same WAL bytes, same bank state — is pinned by tests.
+// SHUTDOWN.
 
 #ifndef SETSKETCH_SERVER_EPOLL_BACKEND_H_
 #define SETSKETCH_SERVER_EPOLL_BACKEND_H_
@@ -46,23 +40,13 @@ namespace setsketch {
 
 class FaultInjector;
 
-/// Ingest backend selector (SketchServer::Options::backend).
-enum class IngestBackend {
-  kThreaded,  ///< One handler thread per connection (the original loop).
-  kEpoll,     ///< Batched epoll io threads + zero-copy parse (default).
-};
-
-/// Parses "epoll"/"threads" (sketchtool --backend). False on junk.
-bool ParseIngestBackend(const std::string& text, IngestBackend* out);
-const char* IngestBackendName(IngestBackend backend);
-
 /// Pins the calling thread to `cpu` (mod the machine's CPU count).
 /// Returns false if the affinity call fails; callers treat pinning as
 /// best-effort.
 bool PinCurrentThreadToCpu(int cpu);
 
-/// Per-connection protocol state, shared between the two backends so the
-/// server's frame handlers are backend-agnostic.
+/// Per-connection protocol state the server's frame handlers read and
+/// update.
 struct ServerConnection {
   int fd = -1;
   int errors = 0;  ///< Recoverable protocol errors so far.

@@ -111,68 +111,6 @@ std::string EncodeFrame(Opcode opcode, std::string_view payload) {
   return out;
 }
 
-void FrameDecoder::Feed(const char* data, size_t size) {
-  if (error_ != WireError::kNone) return;
-  // Drop the already-consumed prefix before it grows unboundedly.
-  if (consumed_ > 0 && (consumed_ >= buffer_.size() || consumed_ > 4096)) {
-    buffer_.erase(0, consumed_);
-    consumed_ = 0;
-  }
-  buffer_.append(data, size);
-}
-
-FrameDecoder::Status FrameDecoder::Fail(WireError error,
-                                        std::string message) {
-  error_ = error;
-  error_message_ = std::move(message);
-  return Status::kError;
-}
-
-FrameDecoder::Status FrameDecoder::Next(Frame* frame) {
-  if (error_ != WireError::kNone) return Status::kError;
-  if (buffer_.size() - consumed_ < kFrameHeaderBytes) {
-    return Status::kNeedMore;
-  }
-  const size_t base = consumed_;
-  const uint32_t magic = ReadU32At(buffer_, base);
-  if (magic != kProtocolMagic) {
-    return Fail(WireError::kBadMagic, "bad frame magic");
-  }
-  const uint8_t version = static_cast<uint8_t>(buffer_[base + 4]);
-  if (version != kProtocolVersion) {
-    return Fail(WireError::kBadVersion,
-                "unsupported protocol version " + std::to_string(version));
-  }
-  if (buffer_[base + 6] != 0 || buffer_[base + 7] != 0) {
-    return Fail(WireError::kBadHeader, "nonzero reserved header bits");
-  }
-  const uint32_t payload_size = ReadU32At(buffer_, base + 8);
-  if (payload_size > kMaxPayloadBytes) {
-    return Fail(WireError::kOversizedPayload,
-                "payload of " + std::to_string(payload_size) +
-                    " bytes exceeds the frame limit");
-  }
-  if (buffer_.size() - base - kFrameHeaderBytes < payload_size) {
-    return Status::kNeedMore;
-  }
-  frame->opcode = static_cast<Opcode>(buffer_[base + 5]);
-  frame->payload.assign(buffer_, base + kFrameHeaderBytes, payload_size);
-  consumed_ = base + kFrameHeaderBytes + payload_size;
-  return Status::kFrame;
-}
-
-void FrameDecoder::ShrinkIfDrained() {
-  // Only worth a reallocation when a past large frame left a buffer far
-  // beyond the steady-state read size.
-  constexpr size_t kShrinkAboveBytes = 256u << 10;
-  if (consumed_ != buffer_.size() || buffer_.capacity() <= kShrinkAboveBytes) {
-    return;
-  }
-  buffer_.clear();
-  buffer_.shrink_to_fit();
-  consumed_ = 0;
-}
-
 FrameScanStatus ScanFrame(std::string_view data, FrameView* view,
                           size_t* frame_bytes, WireError* error,
                           std::string* error_message) {
@@ -278,12 +216,10 @@ std::string EncodePushUpdates(const UpdateBatch& batch,
 namespace {
 
 /// Decodes the optional PUSH_UPDATES backend-tags section starting at
-/// *offset (shared by the string and zero-copy decoders so both accept
-/// and reject identically). `tags` was pre-sized to the name count.
-template <typename Names>
+/// *offset. `tags` was pre-sized to the name count.
 bool DecodeBackendTags(std::string_view payload, size_t* offset,
-                       const Names& names, std::vector<uint8_t>* tags,
-                       std::string* error) {
+                       const std::vector<std::string_view>& names,
+                       std::vector<uint8_t>* tags, std::string* error) {
   const uint8_t* base = reinterpret_cast<const uint8_t*>(payload.data());
   uint64_t tag_count = 0;
   const size_t n =
@@ -308,98 +244,6 @@ bool DecodeBackendTags(std::string_view payload, size_t* offset,
   }
   return true;
 }
-
-}  // namespace
-
-bool DecodePushUpdates(std::string_view payload, UpdateBatch* out,
-                       std::string* error) {
-  out->stream_names.clear();
-  out->updates.clear();
-  out->stream_backends.clear();
-  size_t offset = 0;
-  if (!ReadVarintString(payload, &offset, kMaxSiteIdBytes, &out->site_id)) {
-    *error = "malformed site id";
-    return false;
-  }
-  if (!ReadVarint(payload, &offset, &out->sequence)) {
-    *error = "truncated sequence number";
-    return false;
-  }
-  uint64_t num_names = 0;
-  if (!ReadVarint(payload, &offset, &num_names)) {
-    *error = "truncated stream-name count";
-    return false;
-  }
-  // An empty batch header with updates could not address any stream, and a
-  // name count beyond the remaining bytes is certainly malformed.
-  if (num_names > payload.size() - offset) {
-    *error = "stream-name count exceeds payload";
-    return false;
-  }
-  out->stream_names.reserve(static_cast<size_t>(num_names));
-  std::unordered_set<std::string> seen_names;
-  for (uint64_t i = 0; i < num_names; ++i) {
-    std::string name;
-    if (!ReadVarintString(payload, &offset, kMaxStreamNameBytes, &name)) {
-      *error = "malformed stream name " + std::to_string(i);
-      return false;
-    }
-    if (name.empty()) {
-      *error = "empty stream name";
-      return false;
-    }
-    // Duplicate ids in the batch-local table would make two local indexes
-    // alias one stream — a client-side bug (or hostile payload) that must
-    // be rejected, not silently double-applied.
-    if (!seen_names.insert(name).second) {
-      *error = "duplicate stream name '" + name + "' in batch";
-      return false;
-    }
-    out->stream_names.push_back(std::move(name));
-  }
-  uint64_t num_updates = 0;
-  if (!ReadVarint(payload, &offset, &num_updates)) {
-    *error = "truncated update count";
-    return false;
-  }
-  // Each update costs at least 3 payload bytes; reject absurd counts
-  // before reserving memory for them.
-  if (num_updates > (payload.size() - offset + 2) / 3) {
-    *error = "update count exceeds payload";
-    return false;
-  }
-  out->updates.reserve(static_cast<size_t>(num_updates));
-  for (uint64_t i = 0; i < num_updates; ++i) {
-    uint64_t stream = 0, element = 0, zigzag_delta = 0;
-    if (!ReadVarint(payload, &offset, &stream) ||
-        !ReadVarint(payload, &offset, &element) ||
-        !ReadVarint(payload, &offset, &zigzag_delta)) {
-      *error = "truncated update " + std::to_string(i);
-      return false;
-    }
-    if (stream >= num_names) {
-      *error = "update " + std::to_string(i) +
-               " addresses undeclared stream index " + std::to_string(stream);
-      return false;
-    }
-    out->updates.push_back(Update{static_cast<StreamId>(stream), element,
-                                  ZigZagDecode(zigzag_delta)});
-  }
-  out->stream_backends.assign(static_cast<size_t>(num_names), 0);
-  if (offset != payload.size()) {
-    if (!DecodeBackendTags(payload, &offset, out->stream_names,
-                           &out->stream_backends, error)) {
-      return false;
-    }
-    if (offset != payload.size()) {
-      *error = "trailing bytes after update batch";
-      return false;
-    }
-  }
-  return true;
-}
-
-namespace {
 
 /// ReadVarint over a borrowed buffer (same accept/reject semantics).
 bool ReadVarintView(std::string_view data, size_t* offset, uint64_t* value) {
@@ -445,6 +289,7 @@ bool DecodePushUpdates(std::string_view payload, UpdateBatchView* out,
     *error = "truncated stream-name count";
     return false;
   }
+  // A name count beyond the remaining bytes is certainly malformed.
   if (num_names > payload.size() - offset) {
     *error = "stream-name count exceeds payload";
     return false;
@@ -462,6 +307,9 @@ bool DecodePushUpdates(std::string_view payload, UpdateBatchView* out,
       *error = "empty stream name";
       return false;
     }
+    // Duplicate ids in the batch-local table would make two local indexes
+    // alias one stream — a client-side bug (or hostile payload) that must
+    // be rejected, not silently double-applied.
     if (!seen_names.insert(name).second) {
       *error = "duplicate stream name '" + std::string(name) + "' in batch";
       return false;
@@ -473,6 +321,8 @@ bool DecodePushUpdates(std::string_view payload, UpdateBatchView* out,
     *error = "truncated update count";
     return false;
   }
+  // Each update costs at least 3 payload bytes; reject absurd counts
+  // before reserving memory for them.
   if (num_updates > (payload.size() - offset + 2) / 3) {
     *error = "update count exceeds payload";
     return false;
@@ -505,8 +355,8 @@ bool DecodePushUpdates(std::string_view payload, UpdateBatchView* out,
                                     ZigZagDecode(values[3 * k + 2])});
     }
     if (got < 3 * chunk) {
-      // A varint in triple `full` failed (truncated or overlong) — the
-      // same condition and index the legacy decoder reports.
+      // A varint in triple `full` failed (truncated or overlong): report
+      // the triple a one-varint-at-a-time scan would stop at.
       *error = "truncated update " + std::to_string(decoded + full);
       return false;
     }

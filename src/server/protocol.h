@@ -21,11 +21,14 @@
 // plus a human-readable message).
 //
 // Frames are self-delimiting, so a connection is a plain byte stream of
-// concatenated frames; FrameDecoder below reassembles them incrementally
-// from arbitrary read() chunk boundaries. Header-level corruption (bad
-// magic/version/reserved bits, oversized payload) poisons the stream —
-// there is no resynchronization — while payload-level problems are
-// reported per frame and leave the connection usable.
+// concatenated frames. ScanFrame below is the one frame parser: every
+// reader (the server's epoll loop, the router's connections, the client)
+// accumulates bytes in an IngestArena (server/ingest_arena.h) and scans
+// complete frames off its front, whatever the read() chunk boundaries.
+// Header-level corruption (bad magic/version/reserved bits, oversized
+// payload) poisons the stream — there is no resynchronization — while
+// payload-level problems are reported per frame and leave the connection
+// usable.
 
 #ifndef SETSKETCH_SERVER_PROTOCOL_H_
 #define SETSKETCH_SERVER_PROTOCOL_H_
@@ -108,7 +111,7 @@ enum class WireError : uint8_t {
 /// Human-readable error-code name ("BAD_PAYLOAD").
 const char* WireErrorName(WireError error);
 
-/// One decoded frame.
+/// One frame with an owned payload (the client's copy of a reply).
 struct Frame {
   Opcode opcode = Opcode::kPing;
   std::string payload;
@@ -119,8 +122,8 @@ struct Frame {
 std::string EncodeFrame(Opcode opcode, std::string_view payload);
 
 /// Borrowed view of one frame: `payload` points into the caller's read
-/// buffer (the epoll backend's per-connection arena) and stays valid only
-/// until that buffer is consumed or compacted.
+/// buffer (a connection's IngestArena) and stays valid only until that
+/// buffer is consumed or compacted.
 struct FrameView {
   Opcode opcode = Opcode::kPing;
   std::string_view payload;
@@ -132,52 +135,15 @@ enum class FrameScanStatus {
   kError,     ///< Header-level corruption; the stream is poisoned.
 };
 
-/// Scans the frame at the front of `data` without copying its payload —
-/// the zero-copy counterpart of FrameDecoder::Next, applying the same
-/// header checks and producing the same error codes and messages (the
-/// equivalence is pinned by tests). On kFrame, *view borrows from `data`
-/// and *frame_bytes is the full frame length (header + payload).
+/// Scans the frame at the front of `data` without copying its payload,
+/// checking magic, version, reserved bits and the payload cap (in that
+/// order; the first failure sets *error and *error_message). On kFrame,
+/// *view borrows from `data` and *frame_bytes is the full frame length
+/// (header + payload). A stream that errored keeps erroring: the bad
+/// header stays at the front until the reader closes the connection.
 FrameScanStatus ScanFrame(std::string_view data, FrameView* view,
                           size_t* frame_bytes, WireError* error,
                           std::string* error_message) SETSKETCH_HOT_PATH;
-
-/// Incremental frame reassembler. Feed() raw socket bytes in any chunking;
-/// Next() yields complete frames. A header-level error is terminal: the
-/// decoder stays in the error state and the connection should be closed.
-class FrameDecoder {
- public:
-  enum class Status {
-    kNeedMore,  ///< No complete frame buffered yet.
-    kFrame,     ///< *frame was filled with the next frame.
-    kError,     ///< Stream poisoned; see error()/error_message().
-  };
-
-  /// Appends raw bytes to the reassembly buffer.
-  void Feed(const char* data, size_t size);
-
-  /// Extracts the next complete frame, if any.
-  Status Next(Frame* frame);
-
-  WireError error() const { return error_; }
-  const std::string& error_message() const { return error_message_; }
-
-  /// Bytes buffered but not yet consumed as frames.
-  size_t buffered_bytes() const { return buffer_.size() - consumed_; }
-
-  /// Releases an oversized reassembly buffer once it is fully drained,
-  /// so a connection that once carried a large frame does not pin its
-  /// high-watermark allocation while idle. No-op while bytes are
-  /// buffered.
-  void ShrinkIfDrained();
-
- private:
-  Status Fail(WireError error, std::string message);
-
-  std::string buffer_;
-  size_t consumed_ = 0;  // Prefix of buffer_ already handed out as frames.
-  WireError error_ = WireError::kNone;
-  std::string error_message_;
-};
 
 // ---------------------------------------------------------------------------
 // Payload codecs. Integers are LEB128 varints (util/varint.h), deltas are
@@ -192,9 +158,8 @@ class FrameDecoder {
 /// stream index, varint element, varint zigzag(delta); then an OPTIONAL
 /// backend-tags section — varint tag count (must equal #names) followed
 /// by one SketchBackendId byte per name. The section is emitted only
-/// when some tag is nonzero, so default-backend batches are byte-
-/// identical to the legacy layout (and legacy WAL records decode as
-/// all-default).
+/// when some tag is nonzero, so default-backend batches keep the
+/// untagged layout (and untagged WAL records decode as all-default).
 ///
 /// The (site_id, sequence) pair is the exactly-once key: a client stamps
 /// every batch with its site id and a per-site monotone sequence, and the
@@ -216,12 +181,11 @@ std::string EncodePushUpdates(const UpdateBatch& batch);
 /// header, so a retry loop can restamp without copying the batch.
 std::string EncodePushUpdates(const UpdateBatch& batch,
                               std::string_view site_id, uint64_t sequence);
-bool DecodePushUpdates(std::string_view payload, UpdateBatch* out,
-                       std::string* error);
 
-/// Borrowed-payload counterpart of UpdateBatch (the ingest fast path):
-/// `site_id` and `stream_names` point into the frame payload; `updates`
-/// storage is owned and its capacity reused across frames.
+/// A decoded PUSH_UPDATES payload: `site_id` and `stream_names` point
+/// into the payload bytes; `updates` storage is owned and its capacity
+/// reused across frames. Readers that keep a batch past the payload's
+/// lifetime copy what they keep (the router's per-shard sub-batches).
 struct UpdateBatchView {
   std::string_view site_id;
   uint64_t sequence = 0;
@@ -229,12 +193,11 @@ struct UpdateBatchView {
   std::vector<Update> updates;
   std::vector<uint8_t> stream_backends;  ///< Parallel to stream_names.
 };
-/// Zero-copy, SIMD-assisted PUSH_UPDATES decoder. Accepts exactly the
-/// payloads the string-based DecodePushUpdates accepts and emits the same
-/// error strings — randomized fuzz tests pin the two decoders against
-/// each other. The update triples decode through DecodeVarintRun
-/// (util/varint_bulk.h), so hot batches skip the per-varint call
-/// overhead entirely.
+/// Zero-copy, SIMD-assisted PUSH_UPDATES decoder — the one decoder the
+/// server, WAL replay and the router share. The update triples decode
+/// through DecodeVarintRun (util/varint_bulk.h), so hot batches skip the
+/// per-varint call overhead entirely; randomized fuzz tests pin it,
+/// error strings included, against a scalar ReadVarint reference.
 bool DecodePushUpdates(std::string_view payload, UpdateBatchView* out,
                        std::string* error);
 

@@ -4,7 +4,7 @@
 // *copy range*. Every accepted batch is enqueued to all shards; shard t
 // applies each update only to copies [t*r/S, (t+1)*r/S) of the addressed
 // stream, so every counter is owned by exactly one worker and the merged
-// result is bit-identical to serial ingest. Connection handlers are the
+// result is bit-identical to serial ingest. The io threads are the
 // (multiple) producers, one worker thread per shard is the consumer.
 //
 // The queue is explicitly bounded: a batch counts against the capacity
@@ -21,30 +21,22 @@
 #include <memory>
 #include <vector>
 
-#include "core/sketch_backend.h"
-#include "core/two_level_hash_sketch.h"
-#include "stream/update.h"
+#include "core/sketch_bank.h"
 #include "util/thread_annotations.h"
 
 namespace setsketch {
 
 /// One accepted PUSH_UPDATES batch, resolved against the server's stream
-/// registry and grouped by stream: each group pairs the bank's sketch-copy
-/// vector for one stream (stable storage — SketchBank's map is node-based,
-/// so later stream registrations never move it) with the batch's updates
+/// registry and grouped by stream: each StreamBatch pairs the bank's
+/// storage for one stream (stable — SketchBank's maps are node-based, so
+/// later stream registrations never move it) with the batch's updates
 /// addressed to it, in arrival order. Grouping happens once at resolve
 /// time; every shard worker then streams each group through the batched
-/// kernel over its copy range. Alternative-backend streams carry their
-/// single DistinctSketch instead of a copy column (exactly one pointer is
-/// set); those groups are applied by shard worker 0 only — a
-/// DistinctSketch has no independent copy ranges to shard over.
+/// kernel over its copy range. Alternative-backend groups are applied by
+/// shard worker 0 only — a DistinctSketch has no independent copy ranges
+/// to shard over.
 struct IngestBatch {
-  struct Group {
-    std::vector<TwoLevelHashSketch>* column = nullptr;
-    DistinctSketch* backend_sketch = nullptr;
-    std::vector<ElementDelta> items;
-  };
-  std::vector<Group> groups;
+  std::vector<StreamBatch> groups;
   size_t num_updates = 0;  ///< Total items across groups.
 };
 

@@ -85,7 +85,6 @@ bool SketchClient::Dial(std::string* error) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   fd_ = fd;
-  decoder_ = FrameDecoder();
   return true;
 }
 
@@ -94,7 +93,7 @@ void SketchClient::Disconnect() {
     ::close(fd_);
     fd_ = -1;
   }
-  decoder_ = FrameDecoder();
+  arena_.Consume(arena_.Unparsed().size());
 }
 
 SketchClient::Status SketchClient::RoundTrip(Opcode opcode,
@@ -137,12 +136,25 @@ SketchClient::Status SketchClient::RoundTrip(Opcode opcode,
     return status;
   }
 
-  char buffer[1 << 16];
+  // Receive straight into the arena; only the reply payload is copied
+  // out (the caller owns *reply past the next round trip).
+  constexpr size_t kReadChunkBytes = 1 << 16;
   while (true) {
-    const FrameDecoder::Status decoded = decoder_.Next(reply);
-    if (decoded == FrameDecoder::Status::kFrame) break;
-    if (decoded == FrameDecoder::Status::kError) {
-      status.error = "protocol error: " + decoder_.error_message();
+    FrameView view;
+    size_t frame_bytes = 0;
+    WireError scan_error = WireError::kNone;
+    std::string scan_message;
+    const FrameScanStatus scanned = ScanFrame(
+        arena_.Unparsed(), &view, &frame_bytes, &scan_error, &scan_message);
+    if (scanned == FrameScanStatus::kFrame) {
+      reply->opcode = view.opcode;
+      reply->payload.assign(view.payload);
+      arena_.Consume(frame_bytes);
+      arena_.MaybeShrink(4 * kReadChunkBytes);
+      break;
+    }
+    if (scanned == FrameScanStatus::kError) {
+      status.error = "protocol error: " + scan_message;
       Disconnect();
       return status;
     }
@@ -156,9 +168,10 @@ SketchClient::Status SketchClient::RoundTrip(Opcode opcode,
       Disconnect();
       return status;
     }
+    char* cursor = arena_.WritePtr(kReadChunkBytes);
     size_t received = 0;
-    const IoResult got =
-        RecvSomeWithDeadline(fd_, buffer, sizeof(buffer), budget, &received);
+    const IoResult got = RecvSomeWithDeadline(
+        fd_, cursor, arena_.write_capacity(), budget, &received);
     if (!got.ok()) {
       if (got.status == IoStatus::kTimeout) {
         status.timed_out = true;
@@ -168,7 +181,7 @@ SketchClient::Status SketchClient::RoundTrip(Opcode opcode,
       Disconnect();
       return status;
     }
-    decoder_.Feed(buffer, received);
+    arena_.CommitRead(received);
   }
   // Map the generic failure responses here; callers only see successes
   // and their op-specific payloads.

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "server/ingest_arena.h"
 #include "server/protocol.h"
 #include "stream/update.h"
 #include "util/backoff.h"
@@ -206,7 +207,7 @@ class SketchClient {
 
   Options options_;
   int fd_ = -1;
-  FrameDecoder decoder_;
+  IngestArena arena_;  ///< Received reply bytes not yet scanned as frames.
   uint64_t next_sequence_;
   Counters counters_;
   Backoff backoff_;

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -16,8 +15,6 @@
 #include "expr/analysis.h"
 #include "expr/parser.h"
 #include "query/stream_engine.h"
-#include "server/fault_injector.h"
-#include "server/socket_io.h"
 #include "util/check.h"
 #include "util/varint_bulk.h"
 
@@ -27,6 +24,20 @@ namespace {
 
 std::string ErrorFrame(WireError code, std::string_view message) {
   return EncodeFrame(Opcode::kError, EncodeError(code, message));
+}
+
+/// Applies one resolved group to copies [begin, end) of its column, or —
+/// for an alternative-backend group — to the whole synopsis when
+/// `owns_backend`.
+void ApplyGroup(const StreamBatch& group, int begin, int end,
+                bool owns_backend) {
+  if (group.column == nullptr) {
+    if (owns_backend) group.backend_sketch->UpdateBatch(group.items);
+    return;
+  }
+  for (int i = begin; i < end; ++i) {
+    (*group.column)[static_cast<size_t>(i)].UpdateBatch(group.items);
+  }
 }
 
 }  // namespace
@@ -89,27 +100,24 @@ bool SketchServer::Start(std::string* error) {
   }
   port_ = ntohs(bound.sin_port);
 
-  if (options_.backend == IngestBackend::kEpoll) {
-    EpollServerBackend::Options backend_options;
-    backend_options.io_threads = options_.io_threads;
-    backend_options.read_chunk_bytes = options_.read_chunk_bytes;
-    backend_options.io_timeout_ms = options_.io_timeout_ms;
-    backend_options.idle_timeout_ms = options_.idle_timeout_ms;
-    backend_options.max_connection_errors = options_.max_connection_errors;
-    // io threads pin after the shard workers (worker t -> cpu t).
-    backend_options.pin_cpu_offset =
-        options_.pin_shards ? options_.shards : -1;
-    backend_options.fault_injector = options_.fault_injector;
-    epoll_backend_ = std::make_unique<EpollServerBackend>(
-        backend_options, static_cast<EpollServerBackend::Handler*>(this));
-    std::string backend_error;
-    if (!epoll_backend_->Start(&backend_error)) {
-      if (error != nullptr) *error = backend_error;
-      epoll_backend_.reset();
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return false;
-    }
+  EpollServerBackend::Options backend_options;
+  backend_options.io_threads = options_.io_threads;
+  backend_options.read_chunk_bytes = options_.read_chunk_bytes;
+  backend_options.io_timeout_ms = options_.io_timeout_ms;
+  backend_options.idle_timeout_ms = options_.idle_timeout_ms;
+  backend_options.max_connection_errors = options_.max_connection_errors;
+  // io threads pin after the shard workers (worker t -> cpu t).
+  backend_options.pin_cpu_offset = options_.pin_shards ? options_.shards : -1;
+  backend_options.fault_injector = options_.fault_injector;
+  epoll_backend_ = std::make_unique<EpollServerBackend>(
+      backend_options, static_cast<EpollServerBackend::Handler*>(this));
+  std::string backend_error;
+  if (!epoll_backend_->Start(&backend_error)) {
+    if (error != nullptr) *error = backend_error;
+    epoll_backend_.reset();
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return false;
   }
 
   queues_.reserve(static_cast<size_t>(options_.shards));
@@ -142,89 +150,11 @@ void SketchServer::AcceptLoop() {
     }
     ++connections_accepted_;
     ++connections_active_;
-    if (epoll_backend_ != nullptr) {
-      if (!epoll_backend_->Adopt(fd)) {
-        ::close(fd);
-        --connections_active_;
-      }
-      continue;
+    if (!epoll_backend_->Adopt(fd)) {
+      ::close(fd);
+      --connections_active_;
     }
-    MutexLock lock(&connections_mutex_);
-    open_fds_.push_back(fd);
-    handler_threads_.emplace_back(&SketchServer::HandleConnection, this, fd);
   }
-}
-
-void SketchServer::HandleConnection(int fd) {
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  SetNonBlocking(fd);  // All I/O below is poll-gated (deadlines).
-
-  // Sends honor the per-response deadline and route through the fault
-  // injector (the chaos tests' drop/truncate/reset seam).
-  const auto send_response = [&](const std::string& bytes) {
-    return SendAllWithDeadline(fd, bytes, options_.io_timeout_ms,
-                               options_.fault_injector)
-        .ok();
-  };
-
-  FrameDecoder decoder;
-  Connection connection;
-  connection.fd = fd;
-  std::vector<char> buffer(1 << 16);
-  bool open = true;
-  while (open) {
-    size_t received = 0;
-    const IoResult got =
-        RecvSomeWithDeadline(fd, buffer.data(), buffer.size(),
-                             options_.idle_timeout_ms, &received);
-    if (!got.ok()) break;  // EOF, error, or idle deadline: drop the peer.
-    decoder.Feed(buffer.data(), received);
-    const size_t buffered = decoder.buffered_bytes();
-    size_t frames_in_read = 0;
-    Frame frame;
-    while (open) {
-      const FrameDecoder::Status status = decoder.Next(&frame);
-      if (status == FrameDecoder::Status::kNeedMore) break;
-      if (status == FrameDecoder::Status::kError) {
-        // Header-level corruption: no resync is possible. Report & close.
-        ++protocol_errors_;
-        send_response(ErrorFrame(decoder.error(), decoder.error_message()));
-        open = false;
-        break;
-      }
-      ++frames_received_;
-      ++connection.frames;
-      ++frames_in_read;
-      bool keep_open = true;
-      const std::string response =
-          HandleFrame(frame.opcode, frame.payload, &connection, &keep_open);
-      const bool sent = send_response(response);
-      NotifyShutdownIfRequested(&connection);
-      if (!sent) {
-        open = false;
-        break;
-      }
-      if (connection.errors >= options_.max_connection_errors) {
-        send_response(ErrorFrame(WireError::kTooManyErrors,
-                                 "connection error budget exhausted"));
-        open = false;
-        break;
-      }
-      if (!keep_open) open = false;
-    }
-    // A drained decoder releases a high-watermark reassembly buffer so an
-    // idle connection that once saw a huge frame holds nothing oversized.
-    decoder.ShrinkIfDrained();
-    CountReadBatch(received, frames_in_read, buffered);
-  }
-  {
-    // Deregister before close so Stop() never shutdown()s a recycled fd.
-    MutexLock lock(&connections_mutex_);
-    std::erase(open_fds_, fd);
-  }
-  ::close(fd);
-  --connections_active_;
 }
 
 std::string SketchServer::HandleFrame(Opcode opcode, std::string_view payload,
@@ -272,8 +202,8 @@ std::string SketchServer::HandleFrame(Opcode opcode, std::string_view payload,
     case Opcode::kShutdown: {
       draining_.store(true);
       // The lifecycle notify is deferred until the ACK below has been
-      // queued on the socket (both backends run the post-send
-      // NotifyShutdownIfRequested hook): waking the Stop() thread first
+      // queued on the socket (OnResponsesSent, which the io loop runs
+      // post-send): waking the Stop() thread first
       // would let its shutdown(SHUT_RDWR) sweep race ahead of the ACK.
       connection->notify_shutdown = true;
       return EncodeFrame(Opcode::kAck, EncodeAck(AckInfo{}));
@@ -287,35 +217,8 @@ std::string SketchServer::HandleFrame(Opcode opcode, std::string_view payload,
   }
 }
 
-void SketchServer::NotifyShutdownIfRequested(Connection* connection) {
-  if (!connection->notify_shutdown) return;
-  connection->notify_shutdown = false;
-  {
-    MutexLock lock(&lifecycle_mutex_);
-    shutdown_requested_ = true;
-  }
-  lifecycle_cv_.notify_all();
-}
-
-void SketchServer::CountReadBatch(size_t bytes, size_t frames,
-                                  size_t arena_high_watermark) {
-  ingest_bytes_read_ += bytes;
-  ++ingest_read_calls_;
-  uint64_t seen = ingest_max_frames_per_read_.load(std::memory_order_relaxed);
-  while (frames > seen &&
-         !ingest_max_frames_per_read_.compare_exchange_weak(seen, frames)) {
-  }
-  seen = ingest_arena_hwm_bytes_.load(std::memory_order_relaxed);
-  while (arena_high_watermark > seen &&
-         !ingest_arena_hwm_bytes_.compare_exchange_weak(
-             seen, arena_high_watermark)) {
-  }
-}
-
 // ---------------------------------------------------------------------------
-// EpollServerBackend::Handler — the epoll ingest backend calls back into
-// the same frame dispatch as the thread-per-connection loop, so both
-// backends produce identical responses, WAL bytes and bank state.
+// EpollServerBackend::Handler — the io loop's calls into frame dispatch.
 
 void SketchServer::OnFrame(const FrameView& frame,
                            ServerConnection* connection,
@@ -333,12 +236,28 @@ void SketchServer::OnStreamError(WireError error, const std::string& message,
 }
 
 void SketchServer::OnResponsesSent(ServerConnection* connection) {
-  NotifyShutdownIfRequested(connection);
+  if (!connection->notify_shutdown) return;
+  connection->notify_shutdown = false;
+  {
+    MutexLock lock(&lifecycle_mutex_);
+    shutdown_requested_ = true;
+  }
+  lifecycle_cv_.notify_all();
 }
 
 void SketchServer::OnReadBatch(size_t bytes, size_t frames,
                                size_t arena_high_watermark) {
-  CountReadBatch(bytes, frames, arena_high_watermark);
+  ingest_bytes_read_ += bytes;
+  ++ingest_read_calls_;
+  uint64_t seen = ingest_max_frames_per_read_.load(std::memory_order_relaxed);
+  while (frames > seen &&
+         !ingest_max_frames_per_read_.compare_exchange_weak(seen, frames)) {
+  }
+  seen = ingest_arena_hwm_bytes_.load(std::memory_order_relaxed);
+  while (arena_high_watermark > seen &&
+         !ingest_arena_hwm_bytes_.compare_exchange_weak(
+             seen, arena_high_watermark)) {
+  }
 }
 
 void SketchServer::OnDisconnect(ServerConnection* /*connection*/) {
@@ -349,6 +268,9 @@ std::shared_ptr<IngestBatch> SketchServer::ResolveBatchLocked(
     const std::vector<std::string_view>& stream_names,
     const std::vector<uint8_t>& stream_backends,
     const std::vector<Update>& updates, std::string* conflict) {
+  const auto tag_of = [&stream_backends](size_t i) {
+    return i < stream_backends.size() ? stream_backends[i] : uint8_t{0};
+  };
   std::vector<StreamId> global_ids;
   global_ids.reserve(stream_names.size());
   // Backend conflicts are detected for EVERY named stream before any
@@ -356,8 +278,7 @@ std::shared_ptr<IngestBatch> SketchServer::ResolveBatchLocked(
   // no trace (it is never WAL-logged, so recovery must not need it).
   for (size_t i = 0; i < stream_names.size(); ++i) {
     const std::string_view name = stream_names[i];
-    const uint8_t tag =
-        i < stream_backends.size() ? stream_backends[i] : uint8_t{0};
+    const uint8_t tag = tag_of(i);
     if (tag == 0) continue;
     auto it = ids_.find(name);
     if (it == ids_.end()) continue;
@@ -378,18 +299,13 @@ std::shared_ptr<IngestBatch> SketchServer::ResolveBatchLocked(
       // First sight of this stream: the only point where a name view is
       // materialized into owned storage. A nonzero backend tag selects
       // the stream's synopsis type here, once, forever.
-      const uint8_t tag =
-          i < stream_backends.size() ? stream_backends[i] : uint8_t{0};
+      const uint8_t tag = tag_of(i);
       const SketchBackendId backend =
           tag != 0 ? static_cast<SketchBackendId>(tag)
                    : options_.default_backend;
       const StreamId id = static_cast<StreamId>(names_by_id_.size());
       std::string owned(name);
-      if (backend == SketchBackendId::kTwoLevelHash) {
-        bank_.AddStream(owned);
-      } else {
-        bank_.AddStreamWithBackend(owned, backend, bank_.backend_options());
-      }
+      bank_.AddStreamWithBackend(owned, backend, bank_.backend_options());
       names_by_id_.push_back(owned);
       it = ids_.emplace(std::move(owned), id).first;
     }
@@ -407,7 +323,7 @@ std::shared_ptr<IngestBatch> SketchServer::ResolveBatchLocked(
     if (g < 0) {
       g = static_cast<int>(resolved->groups.size());
       const std::string& name = names_by_id_[global_ids[u.stream]];
-      IngestBatch::Group group;
+      StreamBatch group;
       if (bank_.StreamBackend(name) == SketchBackendId::kTwoLevelHash) {
         group.column = bank_.MutableSketches(name);
       } else {
@@ -424,36 +340,20 @@ std::shared_ptr<IngestBatch> SketchServer::ResolveBatchLocked(
 
 std::string SketchServer::HandlePushUpdates(std::string_view payload,
                                             Connection* connection) {
-  if (options_.backend == IngestBackend::kEpoll) {
-    // Fast path: zero-copy decode — site id and stream names stay views
-    // into the connection arena, update triples decode through the SIMD
-    // varint runs. thread_local keeps the vectors' capacity warm across
-    // the io thread's frames.
-    // Per-frame scratch: the stale views are fully overwritten by
-    // DecodePushUpdates before any read. analyze-ok: arena-escape
-    thread_local UpdateBatchView batch;
-    std::string decode_error;
-    if (!DecodePushUpdates(payload, &batch, &decode_error)) {
-      ++connection->errors;
-      ++protocol_errors_;
-      return ErrorFrame(WireError::kBadPayload, decode_error);
-    }
-    return AdmitPush(batch.site_id, batch.sequence, batch.stream_names,
-                     batch.stream_backends, batch.updates, payload);
-  }
-  // Legacy backend: the original owning decoder (per-frame string
-  // copies), kept as-was so the backend comparison measures the real
-  // historical path.
-  UpdateBatch batch;
+  // Zero-copy decode: site id and stream names stay views into the
+  // connection arena, update triples decode through the SIMD varint
+  // runs. thread_local keeps the vectors' capacity warm across the io
+  // thread's frames.
+  // Per-frame scratch: the stale views are fully overwritten by
+  // DecodePushUpdates before any read. analyze-ok: arena-escape
+  thread_local UpdateBatchView batch;
   std::string decode_error;
   if (!DecodePushUpdates(payload, &batch, &decode_error)) {
     ++connection->errors;
     ++protocol_errors_;
     return ErrorFrame(WireError::kBadPayload, decode_error);
   }
-  const std::vector<std::string_view> names(batch.stream_names.begin(),
-                                            batch.stream_names.end());
-  return AdmitPush(batch.site_id, batch.sequence, names,
+  return AdmitPush(batch.site_id, batch.sequence, batch.stream_names,
                    batch.stream_backends, batch.updates, payload);
 }
 
@@ -842,40 +742,29 @@ bool SketchServer::RecoverAndOpenWal(std::string* error) {
   const bool replayed = Wal::Replay(
       options_.wal_dir, checkpoint.covered_generation,
       [this](const WalRecord& record) {
-        UpdateBatch batch;
-        std::string decode_error;
-        if (!DecodePushUpdates(record.payload, &batch, &decode_error)) {
+        UpdateBatchView batch;
+        std::string error;
+        if (!DecodePushUpdates(record.payload, &batch, &error)) {
           return;  // CRC-valid but undecodable: skip, keep replaying.
         }
-        for (size_t i = 0; i < batch.stream_names.size(); ++i) {
-          const std::string& name = batch.stream_names[i];
-          if (!ids_.contains(name)) {
-            // The raw payload preserves backend tags, so replay recreates
-            // each stream under the same backend admission chose.
-            const uint8_t tag = i < batch.stream_backends.size()
-                                    ? batch.stream_backends[i]
-                                    : uint8_t{0};
-            const SketchBackendId backend =
-                tag != 0 ? static_cast<SketchBackendId>(tag)
-                         : options_.default_backend;
-            if (backend == SketchBackendId::kTwoLevelHash) {
-              bank_.AddStream(name);
-            } else {
-              bank_.AddStreamWithBackend(name, backend,
-                                         bank_.backend_options());
-            }
-            ids_.emplace(name, static_cast<StreamId>(names_by_id_.size()));
-            names_by_id_.push_back(name);
-          }
+        // The admission path's own resolve registers first-seen streams
+        // under the backend their tags chose (the raw payload preserves
+        // the tags) and groups the updates; replay applies every group to
+        // all copies inline. A conflicting tag was refused at admission,
+        // so it never reaches the log; skip it like an undecodable record.
+        const std::shared_ptr<IngestBatch> resolved = ResolveBatchLocked(
+            batch.stream_names, batch.stream_backends, batch.updates,
+            &error);
+        if (resolved == nullptr) return;
+        for (const StreamBatch& group : resolved->groups) {
+          ApplyGroup(group, 0, options_.copies, /*owns_backend=*/true);
         }
-        const size_t applied =
-            bank_.ApplyBatch(batch.stream_names, batch.updates);
         if (!record.site_id.empty()) {
           dedup_.Record(record.site_id, record.sequence);
         }
         ++recovered_batches_;
-        recovered_updates_ += applied;
-        persisted_updates_ += static_cast<int64_t>(applied);
+        recovered_updates_ += resolved->num_updates;
+        persisted_updates_ += static_cast<int64_t>(resolved->num_updates);
       },
       &replay_stats, &replay_error);
   if (!replayed) return fail(replay_error);
@@ -942,19 +831,12 @@ void SketchServer::WorkerLoop(int shard_index) {
   const int end = (shard_index + 1) * copies / shards;
   ShardQueue& queue = *queues_[static_cast<size_t>(shard_index)];
   while (std::shared_ptr<const IngestBatch> batch = queue.PopOrWait()) {
-    for (const IngestBatch::Group& group : batch->groups) {
-      if (group.column == nullptr) {
-        // Backend group: a single DistinctSketch has no copy ranges to
-        // shard, so shard 0 applies it whole — still single-writer, since
-        // every queue sees every batch in the same order and only this
-        // shard touches the synopsis.
-        if (shard_index == 0) group.backend_sketch->UpdateBatch(group.items);
-        continue;
-      }
-      std::vector<TwoLevelHashSketch>& column = *group.column;
-      for (int i = begin; i < end; ++i) {
-        column[static_cast<size_t>(i)].UpdateBatch(group.items);
-      }
+    // A single DistinctSketch has no copy ranges to shard, so shard 0
+    // applies backend groups whole — still single-writer, since every
+    // queue sees every batch in the same order and only this shard
+    // touches the synopsis.
+    for (const StreamBatch& group : batch->groups) {
+      ApplyGroup(group, begin, end, /*owns_backend=*/shard_index == 0);
     }
     shard_updates_applied_ += batch->num_updates;
     queue.TaskDone();
@@ -1142,7 +1024,6 @@ std::string SketchServer::RenderStats() const {
       << "repair_pulls " << s.repair_pulls << "\n"
       << "repair_installs " << s.repair_installs << "\n"
       << "uptime_ms " << s.uptime_ms << "\n"
-      << "ingest_backend " << IngestBackendName(options_.backend) << "\n"
       << "ingest_io_threads " << options_.io_threads << "\n"
       << "ingest_simd_varint " << s.ingest_simd_varint << "\n"
       << "ingest_bytes_read " << s.ingest_bytes_read << "\n"
@@ -1247,18 +1128,8 @@ void SketchServer::Stop() {
   ::shutdown(listen_fd_, SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
 
-  // 2. Unblock and join the connection handlers: epoll io threads (which
-  // close their adopted connections), then any legacy per-connection
-  // threads. handler_threads_ only grows from the (joined) acceptor, so
-  // swapping it out is safe.
-  if (epoll_backend_ != nullptr) epoll_backend_->Shutdown();
-  std::vector<std::thread> handlers;
-  {
-    MutexLock lock(&connections_mutex_);
-    for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
-    handlers.swap(handler_threads_);
-  }
-  for (std::thread& handler : handlers) handler.join();
+  // 2. Join the io threads, which close every adopted connection.
+  epoll_backend_->Shutdown();
 
   // 3. Drain: workers finish every queued batch, then exit. Nothing that
   // was acknowledged is lost.

@@ -5,9 +5,12 @@
 //
 // Threading model:
 //
-//   acceptor thread ──▶ one handler thread per connection
-//                          │  decodes frames (server/protocol.h)
-//                          │  resolves stream names to dense ids
+//   acceptor thread ──▶ epoll io threads (server/epoll_backend.h), which
+//                          │  multiplex every connection, scan frames
+//                          │  zero-copy out of per-connection arenas,
+//                          │  decode PUSH_UPDATES into views
+//                          │  (server/protocol.h) and resolve stream
+//                          │  names to dense ids
 //                          ▼
 //                       bounded ShardQueues (one per ingest shard)
 //                          │  full queue => RETRY_LATER frame
@@ -38,9 +41,10 @@
 //     index) after a crash, rebuilding bit-identical sketch state by
 //     counter linearity. snapshot_every_bytes compacts the log into
 //     engine-snapshot checkpoints.
-//   * Deadlines: connection sends honor io_timeout_ms and reads honor
-//     idle_timeout_ms (poll-based, src/server/socket_io.h), so a stalled
-//     peer costs a connection, never a wedged handler thread.
+//   * Deadlines: response sends honor io_timeout_ms (poll-based,
+//     src/server/socket_io.h) and the io loop drops connections idle for
+//     idle_timeout_ms, so a stalled peer costs a connection, never a
+//     wedged io thread.
 //
 // Coordinator summaries are NOT written to the WAL: PUSH_SUMMARY is
 // already idempotent per site (latest summary wins), so a site that
@@ -125,20 +129,14 @@ class SketchServer : private EpollServerBackend::Handler {
 
     /// Deadline for sending any response frame; <= 0 = no deadline.
     int io_timeout_ms = 30000;
-    /// Idle-connection deadline: a connection with no complete frame for
+    /// Idle-connection deadline: a connection that received no bytes for
     /// this long is dropped. <= 0 = never.
     int idle_timeout_ms = 0;
 
-    /// Ingest I/O backend. kEpoll (the default, server/epoll_backend.h)
-    /// multiplexes all connections over a few io threads with batched
-    /// arena reads and zero-copy frame decode; kThreaded is the original
-    /// thread-per-connection loop (kept selectable for comparison — both
-    /// produce bit-identical bank and WAL state).
-    IngestBackend backend = IngestBackend::kEpoll;
-    /// Event-loop threads for the epoll backend.
+    /// Event-loop threads serving the connections (server/epoll_backend.h).
     int io_threads = 1;
-    /// Bytes drained from a socket per readable event (epoll backend);
-    /// also the steady-state per-connection arena capacity.
+    /// Bytes drained from a socket per readable event; also the
+    /// steady-state per-connection arena capacity.
     size_t read_chunk_bytes = 256u << 10;
     /// Pin threads to CPUs: shard worker t -> cpu t, epoll io thread i ->
     /// cpu shards + i (mod CPU count). Keeps each copy range's counters
@@ -182,7 +180,11 @@ class SketchServer : private EpollServerBackend::Handler {
     uint64_t batches_accepted = 0;
     uint64_t batches_rejected = 0;  ///< RETRY_LATER responses.
     uint64_t updates_enqueued = 0;
-    uint64_t updates_applied = 0;   ///< Fully applied across all shards.
+    /// Shard-applied update count summed over shards, divided by the
+    /// shard count: a batch some shards have applied and others have not
+    /// counts partially. Equals updates_enqueued once ingest drained
+    /// (after any QUERY, which waits for the queues).
+    uint64_t updates_applied = 0;
     uint64_t summaries_accepted = 0;
     uint64_t summaries_rejected = 0;
     uint64_t queries_answered = 0;
@@ -219,7 +221,7 @@ class SketchServer : private EpollServerBackend::Handler {
     uint64_t repair_pulls = 0;       ///< PULL_REPAIR manifests served.
     uint64_t repair_installs = 0;    ///< PUSH_REPAIR installs applied.
     uint64_t uptime_ms = 0;          ///< Milliseconds since Start().
-    // Ingest fast-path counters (both backends report them).
+    // Ingest I/O counters (the epoll loop's reads).
     uint64_t ingest_bytes_read = 0;  ///< Socket bytes drained by reads.
     uint64_t ingest_read_calls = 0;  ///< recv() calls that returned data.
     uint64_t ingest_max_frames_per_read = 0;  ///< Peak read-batch occupancy.
@@ -280,15 +282,13 @@ class SketchServer : private EpollServerBackend::Handler {
   const Options& options() const { return options_; }
 
  private:
-  /// Per-connection protocol state — shared with the epoll backend so
-  /// frame handlers are backend-agnostic.
+  /// Per-connection protocol state, owned by the epoll backend.
   using Connection = ServerConnection;
 
   void AcceptLoop();
-  void HandleConnection(int fd);
   void WorkerLoop(int shard_index);
 
-  // EpollServerBackend::Handler — the epoll backend's protocol hooks.
+  // EpollServerBackend::Handler — the io loop's protocol hooks.
   // All run on io threads; per-connection calls are serialized by the
   // owning event loop.
   void OnFrame(const FrameView& frame, ServerConnection* connection,
@@ -317,7 +317,7 @@ class SketchServer : private EpollServerBackend::Handler {
                                Connection* connection);
   std::string RenderStats() const;
 
-  /// The one exactly-once admission path both backends funnel into:
+  /// The one exactly-once admission path every PUSH_UPDATES takes:
   /// draining gate, dedup seen-check, all-or-nothing queue admission,
   /// epoch-bumping resolve, WAL append (fsync before ACK), dedup record,
   /// enqueue — all under push_mutex_. Views may borrow from the caller's
@@ -332,14 +332,6 @@ class SketchServer : private EpollServerBackend::Handler {
                         const std::vector<Update>& updates,
                         std::string_view raw_payload)
       SETSKETCH_EXCLUDES(push_mutex_, registry_mutex_);
-
-  /// Releases the lifecycle waiters after a SHUTDOWN ACK was handed to
-  /// the socket (both backends call this post-send).
-  void NotifyShutdownIfRequested(Connection* connection);
-
-  /// Folds one read batch into the ingest I/O counters.
-  void CountReadBatch(size_t bytes, size_t frames,
-                      size_t arena_high_watermark);
 
   /// Restores checkpoint + WAL tail from options_.wal_dir and opens a
   /// fresh WAL generation. Called by Start() before listening. False +
@@ -370,7 +362,8 @@ class SketchServer : private EpollServerBackend::Handler {
 
   /// Registers unseen names and resolves the batch to per-stream groups
   /// of column pointer + element/delta items (the shard workers' batched
-  /// ingest unit). Called with push_mutex_ AND registry_mutex_ held: the
+  /// ingest unit; WAL replay applies the same groups inline). Called
+  /// with push_mutex_ AND registry_mutex_ held: the
   /// MutableSketches hand-outs bump the streams' ingest epochs, and that
   /// bump must be atomic with the enqueue w.r.t. queries (which read
   /// epochs + counters under push_mutex_ with drained queues), or a
@@ -438,16 +431,11 @@ class SketchServer : private EpollServerBackend::Handler {
       0;  // Lifetime total, survives crashes.
   uint64_t bytes_at_last_checkpoint_ SETSKETCH_GUARDED_BY(push_mutex_) = 0;
 
-  // Sockets and connection handlers. The epoll backend (when selected)
-  // owns adopted connections; handler_threads_/open_fds_ serve the
-  // legacy thread-per-connection backend.
+  // Sockets. The acceptor hands every connection to the epoll backend,
+  // which owns it from then on.
   int listen_fd_ = -1;
   int port_ = -1;
   std::thread acceptor_;
-  Mutex connections_mutex_;
-  std::vector<std::thread> handler_threads_
-      SETSKETCH_GUARDED_BY(connections_mutex_);
-  std::vector<int> open_fds_ SETSKETCH_GUARDED_BY(connections_mutex_);
   std::unique_ptr<EpollServerBackend> epoll_backend_;
 
   // Lifecycle.
@@ -483,7 +471,7 @@ class SketchServer : private EpollServerBackend::Handler {
   std::atomic<uint64_t> recoveries_{0};
   std::atomic<uint64_t> recovered_batches_{0};
   std::atomic<uint64_t> recovered_updates_{0};
-  // Ingest I/O fast-path counters (CountReadBatch).
+  // Ingest I/O counters (OnReadBatch).
   std::atomic<uint64_t> ingest_bytes_read_{0};
   std::atomic<uint64_t> ingest_read_calls_{0};
   std::atomic<uint64_t> ingest_max_frames_per_read_{0};

@@ -1,13 +1,16 @@
-// Tests for the ingest fast path (src/server/epoll_backend,
+// Tests for the ingest path (src/server/epoll_backend,
 // src/server/ingest_arena, src/util/varint_bulk and the zero-copy
 // protocol decode): the bulk varint decoder must agree byte-for-byte
-// with ReadVarint on random and hostile input, the zero-copy
-// PUSH_UPDATES decode must agree with the legacy owning decode down to
-// the error strings, ScanFrame must agree with FrameDecoder under any
-// read chunking, and the epoll backend must produce bank and WAL state
-// bit-identical to the legacy thread-per-connection backend. A
-// TSan-targeted suite (IngestFastPathTsan, see tools/check.sh) stresses
-// concurrent push/query/shutdown through the epoll loop.
+// with ReadVarint on random and hostile input; the zero-copy
+// PUSH_UPDATES decode must agree, down to the error strings, with a
+// scalar field-by-field reference of the wire layout (the untagged
+// layout plus its optional backend-tag section); ScanFrame over an arena
+// fed in arbitrary read chunks must see exactly the frames and errors of
+// a whole-buffer scan; and a served workload must leave a bank equal to
+// in-process SketchBank::ApplyBatch of the same batches, WAL records
+// byte-equal to the pushed payloads, and a WAL that replays to the same
+// bank. A TSan-targeted suite (IngestFastPathTsan, see tools/check.sh)
+// stresses concurrent push/query/shutdown through the epoll loop.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -16,21 +19,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/sketch_bank.h"
 #include "core/two_level_hash_sketch.h"
+#include "frame_reader.h"
 #include "hash/prng.h"
 #include "server/ingest_arena.h"
 #include "server/protocol.h"
 #include "server/sketch_client.h"
 #include "server/sketch_server.h"
+#include "server/wal.h"
 #include "util/varint.h"
 #include "util/varint_bulk.h"
 
@@ -39,7 +45,7 @@ namespace {
 
 constexpr uint64_t kMasterSeed = 20030609;
 
-SketchServer::Options ServerOptions(IngestBackend backend) {
+SketchServer::Options ServerOptions() {
   SketchServer::Options options;
   options.params.levels = 24;
   options.params.num_second_level = 16;
@@ -48,7 +54,6 @@ SketchServer::Options ServerOptions(IngestBackend backend) {
   options.shards = 2;
   options.queue_capacity = 64;
   options.witness.pool_all_levels = true;
-  options.backend = backend;
   return options;
 }
 
@@ -177,7 +182,7 @@ TEST(VarintBulkTest, RunDecodeAgreesOnRandomByteSoup) {
   }
 }
 
-// --- Zero-copy PUSH_UPDATES decode vs the legacy owning decode ---------
+// --- Zero-copy PUSH_UPDATES decode vs a scalar reference --------------
 
 UpdateBatch SampleBatch(Xoshiro256StarStar* rng) {
   UpdateBatch batch;
@@ -211,17 +216,97 @@ UpdateBatch SampleBatch(Xoshiro256StarStar* rng) {
   return batch;
 }
 
-/// Both decoders must agree on ok/error-string; on success the view
-/// decode must read back the exact same batch.
+/// Scalar reference for DecodePushUpdates: one ReadVarint per field,
+/// owned strings, and each check and error string spelled out in wire
+/// order — what the view decoder's borrowed names and SIMD triple runs
+/// must reproduce exactly.
+bool ReferenceDecode(std::string_view payload, UpdateBatch* out,
+                     std::string* error) {
+  const auto fail = [error](std::string message) {
+    *error = std::move(message);
+    return false;
+  };
+  size_t offset = 0;
+  if (!ReadVarintString(payload, &offset, kMaxSiteIdBytes, &out->site_id)) {
+    return fail("malformed site id");
+  }
+  if (!ReadVarint(payload, &offset, &out->sequence)) {
+    return fail("truncated sequence number");
+  }
+  uint64_t num_names = 0;
+  if (!ReadVarint(payload, &offset, &num_names)) {
+    return fail("truncated stream-name count");
+  }
+  if (num_names > payload.size() - offset) {
+    return fail("stream-name count exceeds payload");
+  }
+  for (uint64_t i = 0; i < num_names; ++i) {
+    std::string name;
+    if (!ReadVarintString(payload, &offset, kMaxStreamNameBytes, &name)) {
+      return fail("malformed stream name " + std::to_string(i));
+    }
+    if (name.empty()) return fail("empty stream name");
+    if (std::find(out->stream_names.begin(), out->stream_names.end(),
+                  name) != out->stream_names.end()) {
+      return fail("duplicate stream name '" + name + "' in batch");
+    }
+    out->stream_names.push_back(std::move(name));
+  }
+  uint64_t num_updates = 0;
+  if (!ReadVarint(payload, &offset, &num_updates)) {
+    return fail("truncated update count");
+  }
+  if (num_updates > (payload.size() - offset + 2) / 3) {
+    return fail("update count exceeds payload");
+  }
+  for (uint64_t i = 0; i < num_updates; ++i) {
+    uint64_t stream = 0, element = 0, zigzag_delta = 0;
+    if (!ReadVarint(payload, &offset, &stream) ||
+        !ReadVarint(payload, &offset, &element) ||
+        !ReadVarint(payload, &offset, &zigzag_delta)) {
+      return fail("truncated update " + std::to_string(i));
+    }
+    if (stream >= num_names) {
+      return fail("update " + std::to_string(i) +
+                  " addresses undeclared stream index " +
+                  std::to_string(stream));
+    }
+    out->updates.push_back(Update{static_cast<StreamId>(stream), element,
+                                  ZigZagDecode(zigzag_delta)});
+  }
+  out->stream_backends.assign(out->stream_names.size(), 0);
+  if (offset == payload.size()) return true;
+  uint64_t tag_count = 0;
+  if (!ReadVarint(payload, &offset, &tag_count) || tag_count != num_names) {
+    return fail("malformed backend-tag count");
+  }
+  if (payload.size() - offset < tag_count) {
+    return fail("truncated backend tags");
+  }
+  for (size_t i = 0; i < out->stream_names.size(); ++i) {
+    const uint8_t tag = static_cast<uint8_t>(payload[offset++]);
+    if (!KnownSketchBackend(tag)) {
+      return fail("unknown backend tag for stream '" + out->stream_names[i] +
+                  "'");
+    }
+    out->stream_backends[i] = tag;
+  }
+  if (offset != payload.size()) {
+    return fail("trailing bytes after update batch");
+  }
+  return true;
+}
+
+/// The view decoder must agree with the reference on ok/error-string;
+/// on success it must read back the exact same batch.
 void ExpectDecodersAgree(const std::string& payload) {
   UpdateBatch legacy;
   std::string legacy_error;
-  const bool legacy_ok = DecodePushUpdates(payload, &legacy, &legacy_error);
+  const bool legacy_ok = ReferenceDecode(payload, &legacy, &legacy_error);
   UpdateBatchView view;
   std::string view_error;
-  const bool view_ok =
-      DecodePushUpdates(std::string_view(payload), &view, &view_error);
-  ASSERT_EQ(view_ok, legacy_ok) << "legacy: " << legacy_error
+  const bool view_ok = DecodePushUpdates(payload, &view, &view_error);
+  ASSERT_EQ(view_ok, legacy_ok) << "reference: " << legacy_error
                                 << " view: " << view_error;
   if (!legacy_ok) {
     EXPECT_EQ(view_error, legacy_error);
@@ -239,7 +324,7 @@ void ExpectDecodersAgree(const std::string& payload) {
     EXPECT_EQ(view.updates[i].element, legacy.updates[i].element);
     EXPECT_EQ(view.updates[i].delta, legacy.updates[i].delta);
   }
-  // Both decoders normalize tags to one per stream (0 = default).
+  // Tags are normalized to one per stream (0 = default).
   EXPECT_EQ(view.stream_backends, legacy.stream_backends);
   EXPECT_EQ(legacy.stream_backends.size(), legacy.stream_names.size());
 }
@@ -290,13 +375,14 @@ TEST(ZeroCopyDecodeTest, AgreesWithLegacyOnRandomPayloadSoup) {
   }
 }
 
-// --- ScanFrame vs FrameDecoder under arbitrary chunking ----------------
+// --- ScanFrame over an arena under arbitrary chunking -------------------
 
-TEST(ZeroCopyDecodeTest, ScanFrameAgreesWithFrameDecoderUnderChunking) {
+TEST(ZeroCopyDecodeTest, ScanFrameOverArenaAgreesWithWholeBufferScan) {
   Xoshiro256StarStar rng(kMasterSeed + 14);
   for (int round = 0; round < 300; ++round) {
     // A stream of small frames, occasionally ending in corruption.
     std::string wire;
+    std::vector<std::string> sent_payloads;
     const size_t num_frames = rng.NextBelow(8);
     for (size_t i = 0; i < num_frames; ++i) {
       std::string payload;
@@ -305,6 +391,7 @@ TEST(ZeroCopyDecodeTest, ScanFrameAgreesWithFrameDecoderUnderChunking) {
         payload.push_back(static_cast<char>(rng.NextBelow(256)));
       }
       wire += EncodeFrame(Opcode::kPing, payload);
+      sent_payloads.push_back(std::move(payload));
     }
     const bool corrupt = rng.NextBelow(2) == 0;
     if (corrupt) {
@@ -313,65 +400,56 @@ TEST(ZeroCopyDecodeTest, ScanFrameAgreesWithFrameDecoderUnderChunking) {
       wire += tail;
     }
 
-    // Reference: FrameDecoder fed in random chunks.
-    FrameDecoder decoder;
+    // Reference: ScanFrame over the whole wire at once.
     std::vector<std::string> want_payloads;
     bool want_error = false;
     std::string want_message;
-    size_t offset = 0;
-    while (offset < wire.size() && !want_error) {
-      const size_t chunk =
-          1 + rng.NextBelow(std::min<size_t>(wire.size() - offset, 61));
-      decoder.Feed(wire.data() + offset, chunk);
-      offset += chunk;
-      while (true) {
-        Frame frame;
-        const FrameDecoder::Status status = decoder.Next(&frame);
-        if (status == FrameDecoder::Status::kFrame) {
-          want_payloads.push_back(frame.payload);
-        } else if (status == FrameDecoder::Status::kError) {
-          want_error = true;
-          want_message = decoder.error_message();
-          break;
-        } else {
-          break;
-        }
-      }
-    }
-
-    // ScanFrame over an accumulating buffer, arena-style.
-    std::vector<std::string> got_payloads;
-    bool got_error = false;
-    std::string got_message;
-    std::string buffer = wire;
-    size_t parsed = 0;
-    while (parsed < buffer.size()) {
+    for (size_t parsed = 0; parsed < wire.size();) {
       FrameView frame;
       size_t frame_bytes = 0;
       WireError wire_error;
       std::string message;
       const FrameScanStatus status =
-          ScanFrame(std::string_view(buffer).substr(parsed), &frame,
+          ScanFrame(std::string_view(wire).substr(parsed), &frame,
                     &frame_bytes, &wire_error, &message);
       if (status == FrameScanStatus::kFrame) {
-        got_payloads.push_back(std::string(frame.payload));
+        want_payloads.push_back(std::string(frame.payload));
         parsed += frame_bytes;
-      } else if (status == FrameScanStatus::kError) {
-        got_error = true;
-        got_message = message;
-        break;
       } else {
+        want_error = status == FrameScanStatus::kError;
+        want_message = message;
         break;
       }
     }
+    // Every intact frame scans; a corrupted tail either errors or (an
+    // opcode flip) still scans as a frame.
+    ASSERT_GE(want_payloads.size(), sent_payloads.size()) << "round " << round;
+    EXPECT_TRUE(std::equal(sent_payloads.begin(), sent_payloads.end(),
+                           want_payloads.begin()));
+    EXPECT_TRUE(corrupt || !want_error) << "round " << round;
 
-    ASSERT_EQ(got_payloads.size(), want_payloads.size()) << "round "
-                                                         << round;
-    for (size_t i = 0; i < got_payloads.size(); ++i) {
-      EXPECT_EQ(got_payloads[i], want_payloads[i]);
+    // The same wire fed to an arena in random chunks, scanned after each.
+    FrameReader reader;
+    std::vector<std::string> got_payloads;
+    bool got_error = false;
+    size_t offset = 0;
+    while (offset < wire.size() && !got_error) {
+      const size_t chunk =
+          1 + rng.NextBelow(std::min<size_t>(wire.size() - offset, 61));
+      reader.Feed(std::string_view(wire).substr(offset, chunk));
+      offset += chunk;
+      Frame frame;
+      FrameScanStatus status;
+      while ((status = reader.Next(&frame)) == FrameScanStatus::kFrame) {
+        got_payloads.push_back(frame.payload);
+      }
+      got_error = status == FrameScanStatus::kError;
     }
+
+    ASSERT_EQ(got_payloads, want_payloads) << "round " << round;
     EXPECT_EQ(got_error, want_error);
-    EXPECT_EQ(got_message, want_message);
+    EXPECT_EQ(got_error ? reader.error_message() : std::string(),
+              want_message);
   }
 }
 
@@ -424,7 +502,7 @@ TEST(IngestArenaTest, GrowsCompactsAndTracksHighWatermark) {
 // --- Epoll backend end to end ------------------------------------------
 
 TEST(EpollIngestTest, ServesPushQueryStatsOverEpollBackend) {
-  SketchServer server(ServerOptions(IngestBackend::kEpoll));
+  SketchServer server(ServerOptions());
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -449,7 +527,7 @@ TEST(EpollIngestTest, ServesPushQueryStatsOverEpollBackend) {
 
   std::string stats_text;
   ASSERT_TRUE(client->Stats(&stats_text).ok);
-  EXPECT_NE(stats_text.find("ingest_backend epoll"), std::string::npos)
+  EXPECT_NE(stats_text.find("ingest_io_threads 1"), std::string::npos)
       << stats_text;
 
   ASSERT_TRUE(client->Shutdown().ok);
@@ -462,86 +540,107 @@ TEST(EpollIngestTest, ServesPushQueryStatsOverEpollBackend) {
   EXPECT_EQ(stats.updates_applied, batch.updates.size());
 }
 
-/// Pushes a deterministic churned workload and returns the server's
-/// final bank plus its WAL directory bytes (path -> contents).
-struct IngestOutcome {
-  std::vector<std::string> stream_names;
-  std::vector<std::string> serialized_banks;
-  std::map<std::string, std::string> wal_files;
-};
-
-IngestOutcome RunWorkload(IngestBackend backend,
-                          const std::filesystem::path& wal_dir) {
-  std::filesystem::remove_all(wal_dir);
-  SketchServer::Options options = ServerOptions(backend);
-  options.wal_dir = wal_dir.string();
-  options.wal_fsync = false;
-  SketchServer server(options);
-  std::string error;
-  EXPECT_TRUE(server.Start(&error)) << error;
-
-  SketchClient::Options client_options;
-  client_options.port = server.port();
-  client_options.site_id = "identity-site";
-  auto client = SketchClient::Connect(client_options, &error);
-  EXPECT_NE(client, nullptr) << error;
-
-  Xoshiro256StarStar rng(kMasterSeed + 21);
-  for (int frame = 0; frame < 40; ++frame) {
-    UpdateBatch batch;
-    batch.stream_names = {"A", "B", "C"};
-    const size_t count = 1 + rng.NextBelow(700);
-    for (size_t i = 0; i < count; ++i) {
-      batch.updates.push_back(
-          Update{static_cast<StreamId>(rng.NextBelow(3)), rng.Next() % 9999,
-                 rng.NextBelow(5) == 0 ? int64_t{-1} : int64_t{1}});
-    }
-    const SketchClient::Status status = client->PushUpdatesWithRetry(batch);
-    EXPECT_TRUE(status.ok) << status.error;
-  }
-  client->Shutdown();
-  server.Wait();
-
-  IngestOutcome outcome;
-  outcome.stream_names = server.bank().StreamNames();
-  for (const std::string& name : outcome.stream_names) {
+/// Each stream's sketches serialized back to back, in `names` order.
+std::vector<std::string> SerializeStreams(
+    const SketchBank& bank, const std::vector<std::string>& names) {
+  std::vector<std::string> out;
+  for (const std::string& name : names) {
     std::string bytes;
-    for (const TwoLevelHashSketch& sketch : server.bank().Sketches(name)) {
+    for (const TwoLevelHashSketch& sketch : bank.Sketches(name)) {
       sketch.SerializeTo(&bytes);
     }
-    outcome.serialized_banks.push_back(std::move(bytes));
+    out.push_back(std::move(bytes));
   }
-  for (const auto& entry :
-       std::filesystem::directory_iterator(wal_dir)) {
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    outcome.wal_files[entry.path().filename().string()] =
-        std::move(contents);
-  }
-  std::filesystem::remove_all(wal_dir);
-  return outcome;
+  return out;
 }
 
-TEST(EpollIngestTest, BankAndWalBitIdenticalToLegacyBackend) {
+TEST(EpollIngestTest, ServedBankWalAndReplayMatchInProcessApply) {
   const std::filesystem::path base =
-      std::filesystem::temp_directory_path() / "setsketch_identity_wal";
-  const IngestOutcome legacy =
-      RunWorkload(IngestBackend::kThreaded, base / "legacy");
-  const IngestOutcome fast =
-      RunWorkload(IngestBackend::kEpoll, base / "fast");
+      std::filesystem::temp_directory_path() / "setsketch_served_identity";
+  std::filesystem::remove_all(base);
+  const std::filesystem::path live = base / "live";
+  const std::filesystem::path image = base / "image";
+  SketchServer::Options options = ServerOptions();
+  options.wal_dir = live.string();
+  options.wal_fsync = false;
+  const std::string site = "identity-site";
+  const std::vector<std::string> names = {"A", "B", "C"};
 
-  ASSERT_EQ(fast.stream_names, legacy.stream_names);
-  ASSERT_EQ(fast.serialized_banks.size(), legacy.serialized_banks.size());
-  for (size_t i = 0; i < fast.serialized_banks.size(); ++i) {
-    EXPECT_EQ(fast.serialized_banks[i], legacy.serialized_banks[i])
-        << "bank state differs for stream " << fast.stream_names[i];
+  // The in-process reference applies exactly the batches the client got
+  // ACKed; `pushed` keeps each batch's expected WAL payload by sequence.
+  SketchBank reference(
+      SketchFamily(options.params, options.copies, options.seed));
+  for (const std::string& name : names) reference.AddStream(name);
+  std::map<uint64_t, std::string> pushed;
+  std::vector<std::string> served;
+  {
+    SketchServer server(options);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    SketchClient::Options client_options;
+    client_options.port = server.port();
+    client_options.site_id = site;
+    auto client = SketchClient::Connect(client_options, &error);
+    ASSERT_NE(client, nullptr) << error;
+
+    Xoshiro256StarStar rng(kMasterSeed + 21);
+    for (int frame = 0; frame < 40; ++frame) {
+      UpdateBatch batch;
+      batch.stream_names = names;
+      const size_t count = 1 + rng.NextBelow(700);
+      for (size_t i = 0; i < count; ++i) {
+        batch.updates.push_back(
+            Update{static_cast<StreamId>(rng.NextBelow(3)),
+                   rng.Next() % 9999,
+                   rng.NextBelow(5) == 0 ? int64_t{-1} : int64_t{1}});
+      }
+      const uint64_t sequence = client->next_sequence();
+      const SketchClient::Status status = client->PushUpdatesWithRetry(batch);
+      ASSERT_TRUE(status.ok) << status.error;
+      pushed[sequence] = EncodePushUpdates(batch, site, sequence);
+      reference.ApplyBatch(names, batch.updates);
+    }
+    // Every ACKed record is in the live WAL now; this copy is the disk a
+    // crash would leave (no checkpoint yet), so restarting on it replays
+    // the whole tail.
+    std::filesystem::copy(live, image,
+                          std::filesystem::copy_options::recursive);
+    ASSERT_TRUE(client->Shutdown().ok);
+    server.Wait();
+    served = SerializeStreams(server.bank(), names);
   }
-  ASSERT_EQ(fast.wal_files.size(), legacy.wal_files.size());
-  for (const auto& [name, contents] : legacy.wal_files) {
-    const auto it = fast.wal_files.find(name);
-    ASSERT_NE(it, fast.wal_files.end()) << "missing WAL file " << name;
-    EXPECT_EQ(it->second, contents) << "WAL bytes differ in " << name;
+
+  // 1. The served bank is the in-process bank, sketch for sketch.
+  const std::vector<std::string> want = SerializeStreams(reference, names);
+  ASSERT_EQ(served.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(served[i], want[i]) << "stream " << names[i];
+  }
+
+  // 2. Each WAL record holds the pushed payload byte for byte.
+  std::map<uint64_t, std::string> logged;
+  WalReplayStats replay_stats;
+  std::string error;
+  ASSERT_TRUE(Wal::Replay(
+      image.string(), 0,
+      [&](const WalRecord& record) {
+        EXPECT_EQ(record.site_id, site);
+        logged[record.sequence] = record.payload;
+      },
+      &replay_stats, &error))
+      << error;
+  EXPECT_EQ(logged, pushed);
+
+  // 3. A restart on the crash image replays to the same bank.
+  options.wal_dir = image.string();
+  SketchServer recovered(options);
+  ASSERT_TRUE(recovered.Start(&error)) << error;
+  ASSERT_EQ(recovered.stats().recovered_batches, pushed.size());
+  recovered.Stop();
+  const std::vector<std::string> replayed =
+      SerializeStreams(recovered.bank(), names);
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(replayed[i], want[i]) << "stream " << names[i];
   }
   std::filesystem::remove_all(base);
 }
@@ -577,7 +676,7 @@ std::string RecvFrame(int fd) {
 }
 
 TEST(EpollIngestTest, ReassemblesFramesTornAcrossReads) {
-  SketchServer server(ServerOptions(IngestBackend::kEpoll));
+  SketchServer server(ServerOptions());
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   const int fd = ConnectTo(server.port());
@@ -606,7 +705,7 @@ TEST(EpollIngestTest, ReassemblesFramesTornAcrossReads) {
 }
 
 TEST(EpollIngestTest, ErrorBudgetClosesAbusiveConnection) {
-  SketchServer::Options options = ServerOptions(IngestBackend::kEpoll);
+  SketchServer::Options options = ServerOptions();
   options.max_connection_errors = 3;
   SketchServer server(options);
   std::string error;
@@ -622,16 +721,16 @@ TEST(EpollIngestTest, ErrorBudgetClosesAbusiveConnection) {
   }
   // Read until the server closes, then reassemble what it sent: three
   // per-frame errors, then TOO_MANY_ERRORS, then EOF.
-  FrameDecoder decoder;
+  FrameReader reader;
   char tmp[4096];
   while (true) {
     const ssize_t n = ::recv(fd, tmp, sizeof(tmp), 0);
     if (n <= 0) break;
-    decoder.Feed(tmp, static_cast<size_t>(n));
+    reader.Feed(std::string_view(tmp, static_cast<size_t>(n)));
   }
   std::vector<Frame> responses;
   Frame frame;
-  while (decoder.Next(&frame) == FrameDecoder::Status::kFrame) {
+  while (reader.Next(&frame) == FrameScanStatus::kFrame) {
     responses.push_back(frame);
   }
   ASSERT_EQ(responses.size(), 4u);
@@ -648,7 +747,7 @@ TEST(EpollIngestTest, ErrorBudgetClosesAbusiveConnection) {
 }
 
 TEST(EpollIngestTest, HeaderCorruptionPoisonsStream) {
-  SketchServer server(ServerOptions(IngestBackend::kEpoll));
+  SketchServer server(ServerOptions());
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   const int fd = ConnectTo(server.port());
@@ -669,7 +768,7 @@ TEST(EpollIngestTest, HeaderCorruptionPoisonsStream) {
 // --- TSan-targeted concurrency stress (see tools/check.sh) -------------
 
 TEST(IngestFastPathTsan, ConcurrentPushQueryShutdownOverEpoll) {
-  SketchServer::Options options = ServerOptions(IngestBackend::kEpoll);
+  SketchServer::Options options = ServerOptions();
   options.io_threads = 2;
   SketchServer server(options);
   std::string error;

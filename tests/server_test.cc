@@ -19,6 +19,7 @@
 #include "distributed/site.h"
 #include "expr/exact_evaluator.h"
 #include "expr/parser.h"
+#include "frame_reader.h"
 #include "hash/prng.h"
 #include "server/shard_queue.h"
 #include "server/sketch_client.h"
@@ -369,12 +370,12 @@ class RawConnection {
   bool ReadFrame(Frame* frame) {
     char buffer[4096];
     while (true) {
-      const FrameDecoder::Status status = decoder_.Next(frame);
-      if (status == FrameDecoder::Status::kFrame) return true;
-      if (status == FrameDecoder::Status::kError) return false;
+      const FrameScanStatus status = reader_.Next(frame);
+      if (status == FrameScanStatus::kFrame) return true;
+      if (status == FrameScanStatus::kError) return false;
       const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), 0);
       if (n <= 0) return false;
-      decoder_.Feed(buffer, static_cast<size_t>(n));
+      reader_.Feed(std::string_view(buffer, static_cast<size_t>(n)));
     }
   }
 
@@ -390,7 +391,7 @@ class RawConnection {
  private:
   int fd_ = -1;
   bool connected_ = false;
-  FrameDecoder decoder_;
+  FrameReader reader_;
 };
 
 TEST(SketchServerTest, MalformedPayloadKeepsConnectionUsable) {
@@ -586,6 +587,9 @@ TEST(SketchServerTest, BackendConflictRefusedWithoutSideEffects) {
     first.updates.push_back(Insert(0, static_cast<uint64_t>(e) * 7919 + 3));
   }
   ASSERT_TRUE(client->PushUpdatesWithRetry(first).ok);
+  // Apply is asynchronous: a QUERY waits for the shard queues to drain,
+  // so the count read after it covers every ACKed update.
+  ASSERT_TRUE(client->Query("X").ok);
   const uint64_t applied_before = server.stats().updates_applied;
 
   // A batch re-tagging X as set_sketch is refused wholesale — including
@@ -604,9 +608,10 @@ TEST(SketchServerTest, BackendConflictRefusedWithoutSideEffects) {
             std::string::npos)
       << refused.error;
 
-  // No trace: nothing applied, Y never registered, X still queryable.
-  EXPECT_EQ(server.stats().updates_applied, applied_before);
+  // No trace: Y never registered, nothing applied (the failed query
+  // drains first), X still queryable.
   EXPECT_FALSE(client->Query("Y").ok);
+  EXPECT_EQ(server.stats().updates_applied, applied_before);
   const QueryResultInfo x = client->Query("X");
   ASSERT_TRUE(x.ok) << x.error;
   EXPECT_LT(RelativeError(x.estimate, 1000.0), 0.2);

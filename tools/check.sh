@@ -4,14 +4,15 @@
 #   1. release   Release build + full test suite + bench smoke (the
 #                update-kernel, fault-tolerance, ingest-path and
 #                plan-cache JSON perf trajectories must validate; the
-#                ingest-path smoke also enforces the epoll-vs-legacy
-#                speedup floor by exit status).
+#                ingest-path smoke also enforces the served-vs-in-process
+#                applied-throughput floor by exit status).
 #   2. asan      AddressSanitizer build + full test suite (includes the
-#                epoll-backend integration tests).
+#                epoll-loop integration tests).
 #   3. tsan      ThreadSanitizer build + the concurrency-sensitive tests
 #                (race detection over the server, shard queues, WAL
-#                writer, parallel ingest, the epoll ingest loop and lazy
-#                slice publication).
+#                writer, parallel ingest, the epoll ingest loop, the
+#                fault-tolerance suite's idle sweeps and restarts, and
+#                lazy slice publication).
 #   4. ubsan    UndefinedBehaviorSanitizer build (-fno-sanitize-recover,
 #                so any UB fails the run) + full test suite.
 #   5. chaos     AddressSanitizer build + the fault-tolerance suite
@@ -104,9 +105,9 @@ stage_release() {
     "${prefix}-release/bench/bench_fault_tolerance" >/dev/null
   python3 tools/validate_bench_json.py "${ft_json}"
 
-  # Ingest-path smoke: also enforces the >= 3x fast-vs-legacy loopback
-  # ingest speedup floor, SETSKETCH_INGEST_FLOOR (the bench exits
-  # nonzero below it), so the epoll/zero-copy/SIMD win cannot rot.
+  # Ingest-path smoke: also enforces the served applied-throughput floor
+  # (a fraction of the in-process SketchBank::ApplyBatch rate,
+  # SETSKETCH_INGEST_FLOOR; the bench exits nonzero below it).
   echo "=== bench smoke (ingest-path JSON trajectory) ==="
   local ip_json="${prefix}-release/BENCH_ingest_path.smoke.json"
   SETSKETCH_BENCH_JSON="${ip_json}" SETSKETCH_BENCH_SCALE=0.05 \
@@ -142,7 +143,7 @@ stage_tsan() {
   # file — the gate requires the tree to be race-free as written.
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     build_and_test "${prefix}-tsan" \
-      "TsanConcurrencyTest|ShardQueueTest|SketchServerTest|ParallelIngest|IngestFastPathTsan|EpollIngestTest" \
+      "TsanConcurrencyTest|ShardQueueTest|SketchServerTest|ParallelIngest|IngestFastPathTsan|EpollIngestTest|FaultToleranceTest" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSETSKETCH_SANITIZE=thread
 }
 
@@ -189,11 +190,8 @@ stage_chaos() {
     return 1
   }
 
-  # First life runs the epoll fast path, the post-crash life the legacy
-  # threads backend: recovery across the pair proves the fast path wrote
-  # bit-identical WAL bytes (same batches, same dedup index).
   "${tool}" serve --port 0 --copies 32 --wal-dir "${wal}" \
-    --backend epoll > "${dir}/serve1.log" &
+    > "${dir}/serve1.log" &
   local server_pid=$!
   local port
   port="$(wait_for_port "${dir}/serve1.log")"
@@ -205,7 +203,7 @@ stage_chaos() {
   wait "${server_pid}" 2>/dev/null || true
 
   "${tool}" serve --port 0 --copies 32 --wal-dir "${wal}" \
-    --backend threads > "${dir}/serve2.log" &
+    > "${dir}/serve2.log" &
   server_pid=$!
   port="$(wait_for_port "${dir}/serve2.log")"
   # Recovery restored the dedup index too: re-running the exact same
@@ -273,19 +271,16 @@ stage_cluster() {
     return 1
   }
 
-  # Three WAL-backed shards on the epoll fast path, one fault-free
-  # reference server on the legacy threads backend: every bit-identity
-  # comparison below is therefore also a cross-backend equivalence check.
+  # Three WAL-backed shards and one fault-free reference server.
   local shard_pids=() shard_ports=()
   for i in 0 1 2; do
     "${tool}" serve --port 0 --copies 32 --wal-dir "${dir}/wal${i}" \
-      --backend epoll > "${dir}/shard${i}.log" &
+      > "${dir}/shard${i}.log" &
     shard_pids[i]=$!
     shard_ports[i]="$(wait_for_announce "${dir}/shard${i}.log" \
       'listening on')"
   done
-  "${tool}" serve --port 0 --copies 32 --backend threads \
-    > "${dir}/ref.log" &
+  "${tool}" serve --port 0 --copies 32 > "${dir}/ref.log" &
   local ref_pid=$!
   local ref_port
   ref_port="$(wait_for_announce "${dir}/ref.log" 'listening on')"
@@ -428,7 +423,7 @@ stage_cluster() {
   # federated answer never drifts from the fault-free reference —
   # before, during, and after the membership change.
   "${tool}" serve --port 0 --copies 32 --wal-dir "${dir}/wal3" \
-    --backend epoll > "${dir}/shard3.log" &
+    > "${dir}/shard3.log" &
   local shard3_pid=$!
   local shard3_port
   shard3_port="$(wait_for_announce "${dir}/shard3.log" 'listening on')"

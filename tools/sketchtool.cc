@@ -17,8 +17,7 @@
 //                       [--shards 2] [--queue-capacity 64]
 //                       [--wal-dir DIR] [--wal-shards 2] [--no-wal-fsync]
 //                       [--snapshot-bytes N] [--io-timeout-ms 30000]
-//                       [--idle-timeout-ms 0]
-//                       [--backend epoll|threads] [--io-threads 1]
+//                       [--idle-timeout-ms 0] [--io-threads 1]
 //                       [--read-chunk-bytes 262144] [--pin-shards]
 //                       [--backend-sketch two_level_hash|theta_kmv|
 //                        set_sketch] [--backend-size 4096]
@@ -29,11 +28,10 @@
 //                        server's config fingerprint: peers with a
 //                        different backend config are refused at hello,
 //                        exactly like mismatched stored coins.)
-//                       (epoll is the batched-read fast path: one io
-//                        thread multiplexes all connections and decodes
-//                        frames zero-copy; threads is the legacy
-//                        thread-per-connection loop. --pin-shards pins
-//                        shard workers and io threads to cpus)
+//                       (--io-threads epoll loops multiplex all
+//                        connections and decode frames zero-copy;
+//                        --pin-shards pins shard workers and io threads
+//                        to cpus)
 //                       (prints "listening on <addr>:<port>", runs until
 //                        `sketchtool shutdown`; with --wal-dir, accepted
 //                        batches are crash-safe and a restart pointing at
@@ -139,8 +137,7 @@ int Usage() {
                "           [--queue-capacity N] [--wal-dir DIR]\n"
                "           [--wal-shards N] [--no-wal-fsync]\n"
                "           [--snapshot-bytes N] [--io-timeout-ms N]\n"
-               "           [--idle-timeout-ms N]\n"
-               "           [--backend epoll|threads] [--io-threads N]\n"
+               "           [--idle-timeout-ms N] [--io-threads N]\n"
                "           [--read-chunk-bytes N] [--pin-shards]\n"
                "           [--backend-sketch NAME] [--backend-size N]\n"
                "  route    --shards H:P[,H:P..] [--port N] [--bind ADDR]\n"
@@ -237,12 +234,6 @@ int main(int argc, char** argv) {
         static_cast<int>(flags.GetInt("io-timeout-ms", 30000));
     options.idle_timeout_ms =
         static_cast<int>(flags.GetInt("idle-timeout-ms", 0));
-    const std::string backend = flags.GetString("backend", "epoll");
-    if (!ParseIngestBackend(backend, &options.backend)) {
-      std::cerr << "sketchtool serve: unknown --backend '" << backend
-                << "' (expected epoll or threads)\n";
-      return Usage();
-    }
     options.io_threads = static_cast<int>(flags.GetInt("io-threads", 1));
     options.read_chunk_bytes =
         static_cast<size_t>(flags.GetInt("read-chunk-bytes", 256 << 10));

@@ -11,9 +11,9 @@ configured to emit. Benches are keyed by the marker:
                     per-update/batched bank x r)
   fault_tolerance   bench_fault_tolerance (loopback ingest with the WAL
                     off / on without fsync / on with fsync)
-  ingest_path       bench_ingest_path (epoll/zero-copy/SIMD fast path
-                    vs the legacy thread-per-connection loop, wal
-                    off/nofsync/fsync, client batch-width sweep)
+  ingest_path       bench_ingest_path (served ingest timed until
+                    applied, wal off/nofsync/fsync, client batch-width
+                    sweep, and the in-process ApplyBatch ceiling)
   plan_cache        bench_plan_cache (repeated-query throughput: cold
                     direct/replan vs hot/equivalent cache hits, epoch
                     invalidation re-probe, served loopback QUERY path)
@@ -57,14 +57,12 @@ EXPECTED_BY_BENCH = {
         "LoopbackIngest/wal_fsync",
     ],
     "ingest_path": [
-        "IngestPath/legacy_wal_off",
-        "IngestPath/fast_wal_off",
-        "IngestPath/legacy_wal_nofsync",
-        "IngestPath/fast_wal_nofsync",
-        "IngestPath/legacy_wal_fsync",
-        "IngestPath/fast_wal_fsync",
-        "IngestPath/fast_batch_16384",
-        "IngestPath/fast_batch_65536",
+        "IngestPath/wal_off",
+        "IngestPath/wal_nofsync",
+        "IngestPath/wal_fsync",
+        "IngestPath/batch_16384",
+        "IngestPath/batch_65536",
+        "IngestPath/inprocess_apply",
     ],
     "plan_cache": [
         "PlanCacheQuery/cold_direct",
