@@ -128,7 +128,8 @@ ClusterRouter::ClusterRouter(const Options& options)
                    return names;
                  }(),
                  options.placement_seed, options.virtual_nodes),
-      plan_cache_(PlanCache::Options{options.witness, /*max_entries=*/1}) {
+      federated_(family_, options.backend_size),
+      plan_cache_(PlanCache::Options{options.witness}) {
   if (options_.replicas < 0) options_.replicas = 0;
   // Capacity for the initial membership plus every future ADD_SHARD is
   // reserved up front so shards_ never reallocates: lock-free readers
@@ -336,7 +337,7 @@ std::string ClusterRouter::HandleFrame(const FrameView& frame,
       return EncodeFrame(Opcode::kStatsResult, RenderStats());
     case Opcode::kExplain:
       return EncodeFrame(Opcode::kExplainResult,
-                         ExplainPlacement(std::string(frame.payload)));
+                         Explain(std::string(frame.payload)));
     case Opcode::kAddShard: {
       ShardAdminRequest request;
       std::string decode_error;
@@ -770,9 +771,8 @@ QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
     for (const std::string& name : shard_names) {
       SummaryPullRequest::Key key;
       key.name = name;
-      const auto it = summary_cache_.find(name);
-      if (it != summary_cache_.end() &&
-          it->second.shard_index == shard_index) {
+      const auto it = pull_keys_.find(name);
+      if (it != pull_keys_.end() && it->second.shard_index == shard_index) {
         key.bank_id = it->second.bank_id;
         key.epoch = it->second.epoch;
       }
@@ -796,12 +796,12 @@ QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
           result.error = "unknown stream '" + entry.name + "'";
           return result;
         case SummaryState::kUnchanged: {
-          const auto it = summary_cache_.find(entry.name);
-          if (it == summary_cache_.end() ||
+          const auto it = pull_keys_.find(entry.name);
+          if (it == pull_keys_.end() ||
               it->second.shard_index != shard_index) {
             result.error = "shard '" + shards_[shard_index]->shard.name +
                            "' reported an unchanged summary we never "
-                           "cached for stream '" +
+                           "pulled for stream '" +
                            entry.name + "'";
             return result;
           }
@@ -809,53 +809,23 @@ QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
           break;
         }
         case SummaryState::kFull: {
-          if (entry.backend != 0) {
-            // Backend-tagged summary: one DistinctSketch instead of the
-            // r-copy vector. The options gate is the backend analog of
-            // the foreign-hash-functions check (the bank derives its
-            // backend seed from the family master seed).
-            const BackendOptions expected{options_.backend_size,
-                                          options_.seed};
-            if (entry.backend_sketch == nullptr ||
-                !(entry.backend_sketch->options() == expected)) {
-              result.error = "stream '" + entry.name +
-                             "' summary uses a foreign backend "
-                             "configuration (size/seed)";
-              return result;
-            }
-            CachedSummary& cached = summary_cache_[entry.name];
-            cached.shard_index = shard_index;
-            cached.bank_id = entry.bank_id;
-            cached.epoch = entry.epoch;
-            cached.backend = entry.backend;
-            cached.sketches.clear();
-            cached.backend_sketch = entry.backend_sketch;
-            ++summary_streams_full_;
-            break;
-          }
-          if (static_cast<int>(entry.sketches.size()) != options_.copies) {
-            result.error = "stream '" + entry.name + "' summary carries " +
-                           std::to_string(entry.sketches.size()) +
-                           " copies, expected " +
-                           std::to_string(options_.copies);
+          // The bank refuses a wrong copy count, foreign coins, foreign
+          // backend options and a change of synopsis type.
+          const bool installed =
+              entry.backend != 0
+                  ? entry.backend_sketch != nullptr &&
+                        federated_.InstallBackendSketch(
+                            entry.name, entry.backend_sketch->Clone())
+                  : federated_.ReplaceStreamSketches(
+                        entry.name, std::move(entry.sketches));
+          if (!installed) {
+            result.error = "stream '" + entry.name +
+                           "' summary does not match this deployment's "
+                           "copies, coins or backend configuration";
             return result;
           }
-          for (int i = 0; i < options_.copies; ++i) {
-            if (!(entry.sketches[static_cast<size_t>(i)].seed() ==
-                  *family_.seed(i))) {
-              result.error = "stream '" + entry.name +
-                             "' copy " + std::to_string(i) +
-                             " uses foreign hash functions";
-              return result;
-            }
-          }
-          CachedSummary& cached = summary_cache_[entry.name];
-          cached.shard_index = shard_index;
-          cached.bank_id = entry.bank_id;
-          cached.epoch = entry.epoch;
-          cached.backend = 0;
-          cached.backend_sketch.reset();
-          cached.sketches = std::move(entry.sketches);
+          pull_keys_[entry.name] =
+              PullKey{shard_index, entry.bank_id, entry.epoch};
           ++summary_streams_full_;
           break;
         }
@@ -863,83 +833,17 @@ QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
     }
   }
 
-  // Backend routing mirrors the single-node PlanCache: an expression
-  // whose streams all use one alternative backend merges the pulled
-  // synopses through the backend's own algebra; mixing backends (or a
-  // backend stream with default streams) has no sound merge and is
-  // refused.
-  bool any_backend = false;
-  bool any_default = false;
-  for (const std::string& name : names) {
-    if (summary_cache_.at(name).backend != 0) {
-      any_backend = true;
-    } else {
-      any_default = true;
-    }
-  }
-  if (any_backend) {
-    if (any_default) {
-      result.error =
-          "mixed sketch backends in one expression; no cross-backend "
-          "merge exists";
-      return result;
-    }
-    const BackendEstimate estimate = EstimateWithBackend(
-        *parsed.expression,
-        [this](const std::string& name) -> const DistinctSketch* {
-          const auto it = summary_cache_.find(name);
-          return it == summary_cache_.end() ? nullptr
-                                            : it->second.backend_sketch.get();
-        });
-    if (!estimate.ok) {
-      result.error = estimate.error;
-      return result;
-    }
-    result.ok = true;
-    result.estimate = estimate.estimate;
-    // Same interval convention as PlanCache::BackendQuery: +/- 2 sigma of
-    // the backend's design-point relative standard error.
-    const double sigma =
-        summary_cache_.at(names.front())
-            .backend_sketch->TargetRelativeError() /
-        3.0 * estimate.estimate;
-    result.lo = std::max(0.0, estimate.estimate - 2.0 * sigma);
-    result.hi = estimate.estimate + 2.0 * sigma;
-    if (degraded_any) {
-      result.degraded = true;
-      ++degraded_answers_;
-    }
-    return result;
-  }
-
-  // One estimator kernel seam for the whole cluster: the federated view
-  // estimates exactly like a single-node summary query.
-  const size_t copies = static_cast<size_t>(options_.copies);
-  std::vector<SketchGroup> groups(copies);
-  for (size_t i = 0; i < copies; ++i) {
-    groups[i].reserve(names.size());
-    for (const std::string& name : names) {
-      groups[i].push_back(&summary_cache_.at(name).sketches[i]);
-    }
-  }
-  const PlanCache::Result direct =
-      plan_cache_.EstimateUncached(*parsed.expression, names, groups);
-  result.ok = direct.ok;
-  result.estimate = direct.estimate;
-  if (!direct.ok) {
-    result.error = "estimation failed (no valid witness observations)";
-    return result;
-  }
-  if (degraded_any) {
-    result.degraded = true;
+  QueryResultInfo answer =
+      PlannedQueryResult(*parsed.expression,
+                         plan_cache_.Query(*parsed.expression, federated_));
+  if (answer.ok && degraded_any) {
+    answer.degraded = true;
     ++degraded_answers_;
   }
-  result.lo = direct.interval.lo;
-  result.hi = direct.interval.hi;
-  return result;
+  return answer;
 }
 
-std::string ClusterRouter::ExplainPlacement(const std::string& text) const {
+std::string ClusterRouter::Explain(const std::string& text) const {
   // An expression reports every stream it touches; anything that fails to
   // parse is treated as one bare stream name (handy for scripts).
   std::vector<std::string> names;
@@ -966,6 +870,10 @@ std::string ClusterRouter::ExplainPlacement(const std::string& text) const {
     }
     const std::string read = ReadTarget(name);
     out << " read=" << (read.empty() ? "-" : read) << "\n";
+  }
+  if (parsed.ok()) {
+    MutexLock query_lock(&query_mutex_);
+    out << plan_cache_.Explain(*parsed.expression, federated_);
   }
   return out.str();
 }

@@ -10,8 +10,9 @@
 //                                     └─▶ replica shard  original (site,
 //                                                        sequence) kept)
 //   client ──QUERY──────────▶ router ──▶ PULL_SUMMARY per owning shard,
-//                                        merged through one estimator
-//                                        kernel seam (EstimateUncached)
+//                                        installed into the router's
+//                                        federated SketchBank and
+//                                        answered by PlanCache::Query
 //
 // Correctness story, in terms of the paper's model:
 //
@@ -20,10 +21,11 @@
 //     shards, and each shard's sketch vector is bit-identical to what a
 //     single-node server would hold for that stream (same stored coins,
 //     enforced by the PING hello handshake; linearity does the rest).
-//   * Federated queries therefore reduce to the single-node summary
-//     path: pull each stream's sketch vector from its owning shard and
-//     run the shared estimator kernel. tests/cluster_test.cc asserts the
-//     federated answer equals the fault-free single-node answer exactly.
+//   * Federated queries therefore reduce to the single-node answer path:
+//     pull each stream's sketch vector from its owning shard into one
+//     federated bank and answer through the same PlanCache a server
+//     uses. tests/cluster_test.cc asserts the federated answer equals
+//     the fault-free single-node answer exactly.
 //   * Fan-out forwards keep the ORIGINAL (site_id, sequence) idempotency
 //     header, so the shards' dedup windows keep exactly-once semantics
 //     end to end: a client re-pushing after failover is re-ACKed where
@@ -55,10 +57,11 @@
 // flags the answer degraded (QUERY_RESULT status bit 0x02) instead of
 // failing. The default `strict` policy preserves exactness.
 //
-// Summary reads are cached per stream keyed by the shard bank's
-// (bank_id, epoch) — the plan cache's invalidation contract — so hot
-// queries over unchanged streams skip re-serialization entirely
-// (SummaryState::kUnchanged is one byte on the wire).
+// Each pulled stream is kept in the federated bank with its pull key: the
+// shard it came from and that shard bank's (bank_id, epoch) — the plan
+// cache's invalidation contract. A hot query over unchanged streams skips
+// re-serialization (SummaryState::kUnchanged is one byte on the wire),
+// bumps no federated epoch, and so is answered from the plan memo.
 
 #ifndef SETSKETCH_CLUSTER_CLUSTER_ROUTER_H_
 #define SETSKETCH_CLUSTER_CLUSTER_ROUTER_H_
@@ -78,6 +81,7 @@
 
 #include "cluster/hash_ring.h"
 #include "core/set_difference_estimator.h"  // WitnessOptions
+#include "core/sketch_bank.h"
 #include "core/sketch_seed.h"
 #include "query/plan_cache.h"
 #include "server/protocol.h"
@@ -343,17 +347,14 @@ class ClusterRouter {
     bool notify_shutdown = false;
   };
 
-  /// Per-stream cached summary, keyed by the owning shard's bank
-  /// identity plus the stream's backend tag. Guarded by query_mutex_.
-  /// Default-backend streams cache the r-copy vector; backend streams
-  /// cache the shared DistinctSketch the codec decoded.
-  struct CachedSummary {
+  /// Where a stream in federated_ was pulled from: the shard, and that
+  /// shard bank's (bank_id, epoch) at the pull. Sent back with the next
+  /// pull of the stream from the same shard, so an unchanged stream
+  /// comes back as kUnchanged.
+  struct PullKey {
     size_t shard_index = 0;
     uint64_t bank_id = 0;
     uint64_t epoch = 0;
-    uint8_t backend = 0;
-    std::vector<TwoLevelHashSketch> sketches;
-    std::shared_ptr<const DistinctSketch> backend_sketch;
   };
 
   void AcceptLoop();
@@ -367,9 +368,11 @@ class ClusterRouter {
   /// Not const: fetches each healthy shard's STATS over its connection to
   /// fold the per-shard ingest counters into the report.
   std::string RenderStats();
-  /// Per-stream placement report for an expression (or a bare stream
-  /// name): "stream <name> targets=a,b read=r" lines.
-  std::string ExplainPlacement(const std::string& text) const;
+  /// EXPLAIN for an expression (or a bare stream name): per-stream
+  /// placement lines ("stream <name> targets=a,b read=r"), then the
+  /// planner's report over the federated bank as the last query left it.
+  std::string Explain(const std::string& text) const
+      SETSKETCH_EXCLUDES(query_mutex_);
 
   /// Dials + handshakes the shard's client if needed. Sets the refused
   /// bit on config mismatch; leaves healthy-bit transitions to callers
@@ -461,13 +464,16 @@ class ClusterRouter {
   std::unordered_set<std::string> in_doubt_
       SETSKETCH_GUARDED_BY(in_doubt_mutex_);
 
-  /// Serializes federated queries and guards the summary cache.
+  /// Serializes federated queries and guards the federated bank.
   /// Lock order: query_mutex_ before any ShardState::mutex (Answer pulls
   /// summaries through WithShard while serializing the query).
   mutable Mutex query_mutex_;
-  std::unordered_map<std::string, CachedSummary> summary_cache_
+  /// Every stream a query has pulled, installed through the bank's own
+  /// copy-count, coin and backend-option checks.
+  SketchBank federated_ SETSKETCH_GUARDED_BY(query_mutex_);
+  std::unordered_map<std::string, PullKey> pull_keys_
       SETSKETCH_GUARDED_BY(query_mutex_);
-  PlanCache plan_cache_;  ///< EstimateUncached seam only (no bank here).
+  PlanCache plan_cache_;
 
   int listen_fd_ = -1;
   int port_ = -1;

@@ -1,7 +1,6 @@
 #include "distributed/coordinator.h"
 
 #include "distributed/summary_codec.h"
-#include "expr/parser.h"
 
 namespace setsketch {
 
@@ -113,36 +112,6 @@ const std::vector<TwoLevelHashSketch>* Coordinator::Sketches(
   EnsureMerged();
   auto it = merged_.find(stream_name);
   return it == merged_.end() ? nullptr : &it->second;
-}
-
-Coordinator::Answer Coordinator::Estimate(
-    const std::string& expression_text, const WitnessOptions& options) const {
-  Answer answer;
-  ParseResult parsed = ParseExpression(expression_text);
-  if (!parsed.ok()) {
-    answer.expression = expression_text;
-    answer.error = parsed.error;
-    return answer;
-  }
-  answer.expression = parsed.expression->ToString();
-  const std::vector<std::string> names = parsed.expression->StreamNames();
-  std::vector<SketchGroup> groups(static_cast<size_t>(copies_));
-  for (const std::string& name : names) {
-    const auto* sketches = Sketches(name);
-    if (sketches == nullptr) {
-      answer.error = "unknown stream '" + name + "'";
-      return answer;
-    }
-    for (int i = 0; i < copies_; ++i) {
-      groups[static_cast<size_t>(i)].push_back(
-          &(*sketches)[static_cast<size_t>(i)]);
-    }
-  }
-  answer.detail =
-      EstimateSetExpression(*parsed.expression, names, groups, options);
-  answer.ok = answer.detail.ok;
-  answer.estimate = answer.detail.expression.estimate;
-  return answer;
 }
 
 }  // namespace setsketch

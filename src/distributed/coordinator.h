@@ -1,7 +1,9 @@
 // Central coordinator of the distributed-streams model: collects site
-// summaries, merges same-stream sketches by counter addition (valid because
-// 2-level hash sketches are linear), and answers set-expression cardinality
-// queries over the merged synopses.
+// summaries and merges same-stream sketches by counter addition (valid
+// because 2-level hash sketches are linear). Queries over the merged
+// synopses are answered like any other: install Sketches() into a
+// SketchBank and ask a PlanCache (the server builds such a view per
+// query; see SketchServer::SummaryViewLocked).
 
 #ifndef SETSKETCH_DISTRIBUTED_COORDINATOR_H_
 #define SETSKETCH_DISTRIBUTED_COORDINATOR_H_
@@ -11,13 +13,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/set_difference_estimator.h"  // WitnessOptions
-#include "core/set_expression_estimator.h"
 #include "core/two_level_hash_sketch.h"
 
 namespace setsketch {
 
-/// Collects and merges site summaries; answers expression queries.
+/// Collects and merges site summaries.
 class Coordinator {
  public:
   /// Must match the deployment's shared configuration; summaries whose
@@ -51,18 +51,6 @@ class Coordinator {
   /// you need to keep across ingests.
   const std::vector<TwoLevelHashSketch>* Sketches(
       const std::string& stream_name) const;
-
-  /// Answers a set-expression query (text form; see expr/parser.h) over
-  /// the merged synopses.
-  struct Answer {
-    std::string expression;
-    double estimate = 0.0;
-    bool ok = false;
-    std::string error;          ///< Parse/validation failure, if any.
-    ExpressionEstimate detail;
-  };
-  Answer Estimate(const std::string& expression_text,
-                  const WitnessOptions& options = {}) const;
 
   int copies() const { return copies_; }
 

@@ -58,8 +58,8 @@ inline constexpr uint32_t kSummaryBackendMagic = 0x534B534D;
 /// One stream's summary as moved across the network: the default
 /// backend's r-copy sketch vector (backend == 0, backend_sketch null) or
 /// a single tagged DistinctSketch synopsis (backend != 0, sketches
-/// empty). shared_ptr because the router's summary cache hands one
-/// decoded synopsis to concurrent queries.
+/// empty). shared_ptr so a decoded reply entry stays copyable; whoever
+/// keeps the synopsis installs a Clone() into its own bank.
 struct StreamSummary {
   uint8_t backend = 0;
   std::vector<TwoLevelHashSketch> sketches;

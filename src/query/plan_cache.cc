@@ -136,41 +136,10 @@ PlanCache::Result PlanCache::BackendQuery(const Expression& expr,
 
 PlanCache::Result PlanCache::Query(const Expression& expr,
                                    const SketchBank& bank) {
-  if (UsesBackendStreams(expr, bank)) return BackendQuery(expr, bank);
-  CanonicalPlan plan = Canonicalize(expr);
-  std::string canonical = plan.ToString();
-  if (ProvablyEmpty(expr)) return ExactEmptyResult(std::move(canonical));
-
-  MutexLock lock(&mutex_);
-  Entry* entry = FindOrCompileLocked(plan, canonical);
-  Entry scratch_entry;
-  if (entry == nullptr) {
-    // Structural-hash collision with a different canonical form (never
-    // observed in practice; SplitMix64-mixed 64-bit hashes). Answer
-    // correctly without caching.
-    ++stats_.misses;
-    scratch_entry.plan = std::move(plan);
-    scratch_entry.canonical = std::move(canonical);
-    entry = &scratch_entry;
-  } else {
-    if (FreshLocked(*entry, bank)) {
-      ++stats_.hits;
-      Result result = entry->result;
-      result.cache_hit = true;
-      return result;
-    }
-    if (entry->result_built) {
-      ++stats_.invalidations;
-    } else {
-      ++stats_.misses;
-    }
-  }
-
-  ++stats_.merge_builds;
+  Result hit;
   SnapshotRequest request;
-  std::swap(request.table, entry->table);
-  Probe(entry->plan.streams, bank, &request);
-  return EvaluateLocked(entry, std::move(request));
+  if (BeginQuery(expr, bank, &hit, &request)) return hit;
+  return FinishQuery(std::move(request));
 }
 
 bool PlanCache::BeginQuery(const Expression& expr, const SketchBank& bank,
@@ -182,16 +151,16 @@ bool PlanCache::BeginQuery(const Expression& expr, const SketchBank& bank,
     *hit = BackendQuery(expr, bank);
     return true;
   }
-  CanonicalPlan plan = Canonicalize(expr);
-  std::string canonical = plan.ToString();
+  request->plan = Canonicalize(expr);
+  request->canonical = request->plan.ToString();
   if (ProvablyEmpty(expr)) {
-    *hit = ExactEmptyResult(std::move(canonical));
+    *hit = ExactEmptyResult(std::move(request->canonical));
     return true;
   }
 
   {
     MutexLock lock(&mutex_);
-    Entry* entry = FindOrCompileLocked(plan, canonical);
+    Entry* entry = FindOrCompileLocked(request->plan, request->canonical);
     if (entry != nullptr && FreshLocked(*entry, bank)) {
       ++stats_.hits;
       *hit = entry->result;
@@ -211,19 +180,15 @@ bool PlanCache::BeginQuery(const Expression& expr, const SketchBank& bank,
   }
   // The probe reads the bank (quiesced by the caller) but no cache state,
   // so concurrent FinishQuery evaluations are not held up behind it.
-  Probe(plan.streams, bank, request);
+  Probe(request->plan.streams, bank, request);
   return false;
 }
 
-PlanCache::Result PlanCache::FinishQuery(const Expression& expr,
-                                         SnapshotRequest request) {
-  CanonicalPlan plan = Canonicalize(expr);
-  std::string canonical = plan.ToString();
-
+PlanCache::Result PlanCache::FinishQuery(SnapshotRequest request) {
   MutexLock lock(&mutex_);
   // The entry may have been evicted (or evaluated by a concurrent
   // FinishQuery) between the two phases; re-resolve it.
-  Entry* entry = FindOrCompileLocked(plan, canonical);
+  Entry* entry = FindOrCompileLocked(request.plan, request.canonical);
   if (entry != nullptr && entry->result_built &&
       entry->bank_id == request.bank_id &&
       entry->epochs.size() == request.epochs.size()) {
@@ -247,8 +212,8 @@ PlanCache::Result PlanCache::FinishQuery(const Expression& expr,
   if (entry == nullptr) {
     // Hash collision, or a newer-epoch memo to preserve: evaluate on a
     // scratch entry without touching the cache.
-    scratch_entry.plan = std::move(plan);
-    scratch_entry.canonical = std::move(canonical);
+    scratch_entry.plan = std::move(request.plan);
+    scratch_entry.canonical = std::move(request.canonical);
     entry = &scratch_entry;
   }
   return EvaluateLocked(entry, std::move(request));
@@ -354,35 +319,6 @@ PlanCache::Result PlanCache::EvaluateLocked(Entry* entry,
   entry->table = std::move(request.table);
   entry->result = result;
   entry->result_built = true;
-  return result;
-}
-
-PlanCache::Result PlanCache::EstimateUncached(
-    const Expression& expr, const std::vector<std::string>& stream_names,
-    const std::vector<SketchGroup>& groups) {
-  {
-    MutexLock lock(&mutex_);
-    ++stats_.bypasses;
-  }
-  Result result;
-  result.canonical = Canonicalize(expr).ToString();
-  if (ProvablyEmpty(expr)) {
-    result.ok = true;
-    result.estimate = 0.0;
-    result.detail.ok = true;
-    result.detail.expression.ok = true;
-    return result;
-  }
-  result.detail =
-      EstimateSetExpression(expr, stream_names, groups, options_.witness);
-  result.ok = result.detail.ok;
-  if (result.ok) {
-    result.estimate = result.detail.expression.estimate;
-    result.interval = WitnessInterval(result.detail.expression,
-                                      UnionInterval(result.detail.union_part));
-  } else {
-    result.error = "estimation failed";
-  }
   return result;
 }
 

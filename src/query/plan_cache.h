@@ -70,7 +70,6 @@ class PlanCache {
     /// Probe tables built, one per stale/cold answer (STATS consumers
     /// read it under this name).
     uint64_t merge_builds = 0;
-    uint64_t bypasses = 0;       ///< EstimateUncached calls.
     uint64_t backend_queries = 0;  ///< Routed to an alternative backend.
     uint64_t entries = 0;        ///< Current cached plans.
     /// Bytes of probe tables and witness scratch arenas held by entries.
@@ -91,16 +90,20 @@ class PlanCache {
   explicit PlanCache(const Options& options);
 
   /// Plans (or reuses the cached plan for) `expr` and answers it against
-  /// `bank`. Provably-empty expressions short-circuit to an exact 0.
+  /// `bank`: BeginQuery, then FinishQuery on a miss. Provably-empty
+  /// expressions short-circuit to an exact 0.
   Result Query(const Expression& expr, const SketchBank& bank);
 
   /// Parses `text` first; parse failures surface in Result::error.
   Result Query(const std::string& text, const SketchBank& bank);
 
   /// A BeginQuery miss: everything FinishQuery needs to evaluate without
-  /// the bank — the bank identity, the per-stream epochs (canonical,
-  /// sorted stream order) and the probe table, all taken at probe time.
+  /// the bank — the canonical plan and its text, the bank identity, the
+  /// per-stream epochs (canonical, sorted stream order) and the probe
+  /// table, all taken at probe time.
   struct SnapshotRequest {
+    CanonicalPlan plan;
+    std::string canonical;  ///< plan.ToString().
     uint64_t bank_id = 0;
     std::vector<uint64_t> epochs;
     ProbeTable table;
@@ -112,24 +115,17 @@ class PlanCache {
   /// otherwise stall PUSH admission for the duration of each estimate).
   ///
   /// BeginQuery runs under the caller's quiesced locks: on a fresh
-  /// memoized result it fills *hit and returns true; otherwise it builds
-  /// the plan's probe table from `bank` into *request and returns false.
-  /// The caller then releases its locks and calls FinishQuery, which
-  /// evaluates the table and installs the result under the probe's
-  /// epochs — unless a concurrent FinishQuery already installed a result
-  /// under newer epochs, in which case this probe's (still
-  /// point-in-time-correct) answer is returned without regressing the
-  /// newer memo.
+  /// memoized result (or a provably-empty or backend-routed expression)
+  /// it fills *hit and returns true; otherwise it builds the plan's probe
+  /// table from `bank` into *request and returns false. The caller then
+  /// releases its locks and calls FinishQuery, which evaluates the table
+  /// and installs the result under the probe's epochs — unless a
+  /// concurrent FinishQuery already installed a result under newer
+  /// epochs, in which case this probe's (still point-in-time-correct)
+  /// answer is returned without regressing the newer memo.
   bool BeginQuery(const Expression& expr, const SketchBank& bank,
                   Result* hit, SnapshotRequest* request);
-  Result FinishQuery(const Expression& expr, SnapshotRequest request);
-
-  /// Direct (uncached) estimation for callers whose sketch groups are not
-  /// a plain bank view — e.g. the server's coordinator-merged snapshot.
-  /// Counted in Stats::bypasses; never touches the cache.
-  Result EstimateUncached(const Expression& expr,
-                          const std::vector<std::string>& stream_names,
-                          const std::vector<SketchGroup>& groups);
+  Result FinishQuery(SnapshotRequest request);
 
   /// Human-readable EXPLAIN report: canonical plan, CSE sharing, probe
   /// table shape, and the cache/epoch state of the matching entry

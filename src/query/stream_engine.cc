@@ -49,7 +49,7 @@ StreamEngine::StreamEngine(const Options& options)
       bank_(SketchFamily(options.params, options.copies, options.seed),
             options.backend_size),
       plan_cache_(std::make_unique<PlanCache>(
-          PlanCache::Options{options.witness, /*max_entries=*/128})) {
+          PlanCache::Options{options.witness})) {
   if (options_.track_exact) {
     exact_ = std::make_unique<ExactSetStore>(0);
   }

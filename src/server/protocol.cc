@@ -447,6 +447,23 @@ bool DecodeQueryResult(const std::string& payload, QueryResultInfo* out) {
   return true;
 }
 
+QueryResultInfo PlannedQueryResult(const Expression& expr,
+                                   const PlanCache::Result& planned) {
+  QueryResultInfo result;
+  result.expression = expr.ToString();
+  result.ok = planned.ok;
+  result.estimate = planned.estimate;
+  if (!planned.ok) {
+    result.error = planned.error.empty()
+                       ? "estimation failed (no valid witness observations)"
+                       : planned.error;
+    return result;
+  }
+  result.lo = planned.interval.lo;
+  result.hi = planned.interval.hi;
+  return result;
+}
+
 std::string EncodeHello(const HelloInfo& hello, bool response) {
   // A default backend configuration stays on the version-1 layout so the
   // bytes (and cross-version interop) are unchanged; any backend use

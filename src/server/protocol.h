@@ -42,6 +42,7 @@
 #include "core/sketch_backend.h"
 #include "core/sketch_seed.h"
 #include "core/two_level_hash_sketch.h"
+#include "query/plan_cache.h"
 #include "stream/update.h"
 #include "util/thread_annotations.h"
 
@@ -237,6 +238,12 @@ struct QueryResultInfo {
 };
 std::string EncodeQueryResult(const QueryResultInfo& result);
 bool DecodeQueryResult(const std::string& payload, QueryResultInfo* out);
+
+/// The QUERY_RESULT of a planned answer to `expr` — the one conversion
+/// the server and the router share. A failed estimate without a message
+/// reads "estimation failed (no valid witness observations)".
+QueryResultInfo PlannedQueryResult(const Expression& expr,
+                                   const PlanCache::Result& planned);
 
 // ---------------------------------------------------------------------------
 // Cluster handshake. A hello rides inside PING/PONG payloads (version 1

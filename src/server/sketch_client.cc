@@ -251,6 +251,21 @@ SketchClient::Status SketchClient::PullSummaries(
   if (!DecodeSummaryResult(reply.payload, result, &decode_error)) {
     status.ok = false;
     status.error = "malformed SUMMARY_RESULT: " + decode_error;
+    return status;
+  }
+  // A reply must answer exactly the names asked for, in order: callers
+  // index the entries by name and install what they carry.
+  bool answers_request = result->streams.size() == request.streams.size();
+  for (size_t i = 0; answers_request && i < request.streams.size(); ++i) {
+    answers_request = result->streams[i].name == request.streams[i].name;
+  }
+  if (!answers_request) {
+    result->streams.clear();
+    status.ok = false;
+    status.code = WireError::kBadPayload;
+    status.error =
+        "SUMMARY_RESULT does not answer the request (entries must be the "
+        "requested streams, in order)";
   }
   return status;
 }

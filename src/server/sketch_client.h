@@ -110,9 +110,11 @@ class SketchClient {
   /// that the same as a refusal, since the peer cannot be config-checked.
   Status Hello(const HelloInfo& mine, HelloInfo* theirs);
 
-  /// Pulls per-stream summaries (the router's federation read path). The
-  /// reply's sketch vectors are decoded but NOT config-checked here; the
-  /// caller validates copy counts and coins against its own family.
+  /// Pulls per-stream summaries (the router's federation read path). A
+  /// reply whose entries are not exactly the requested names, in order,
+  /// fails with code kBadPayload and leaves *result empty. The sketch
+  /// vectors are decoded but NOT config-checked here; the caller's bank
+  /// refuses foreign copy counts, coins and backend options on install.
   Status PullSummaries(const SummaryPullRequest& request,
                        SummaryResult* result);
 

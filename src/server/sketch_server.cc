@@ -10,9 +10,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "core/confidence.h"
-#include "core/set_expression_estimator.h"
-#include "expr/analysis.h"
 #include "expr/parser.h"
 #include "query/stream_engine.h"
 #include "util/check.h"
@@ -47,7 +44,7 @@ SketchServer::SketchServer(const Options& options)
       bank_(SketchFamily(options.params, options.copies, options.seed),
             options.backend_size),
       coordinator_(options.params, options.copies, options.seed),
-      plan_cache_(PlanCache::Options{options.witness, /*max_entries=*/128}) {
+      plan_cache_(PlanCache::Options{options.witness}) {
   if (options_.shards < 1) options_.shards = 1;
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
 }
@@ -843,140 +840,103 @@ void SketchServer::WorkerLoop(int shard_index) {
   }
 }
 
+std::optional<SketchBank> SketchServer::SummaryViewLocked(
+    const Expression& expr, std::string* error) const {
+  const std::vector<std::string> names = expr.StreamNames();
+  bool any_summary = false;
+  for (const std::string& name : names) {
+    any_summary = any_summary || coordinator_.Sketches(name) != nullptr;
+  }
+  if (!any_summary) return std::nullopt;
+  // Counter linearity: a stream's view column is its directly pushed
+  // counters plus the site summaries' sum. Unknown names stay out of the
+  // view, so the planner reports them.
+  std::optional<SketchBank> view(std::in_place, bank_.family(),
+                                 options_.backend_size);
+  for (const std::string& name : names) {
+    const std::vector<TwoLevelHashSketch>* from_sites =
+        coordinator_.Sketches(name);
+    if (const DistinctSketch* backend = bank_.BackendSketch(name)) {
+      if (from_sites != nullptr) {
+        // Site summaries carry 2-level-hash copy vectors; there is no
+        // sound cross-backend merge.
+        *error = "stream '" + name +
+                 "' mixes a backend sketch with site summaries; no "
+                 "cross-backend merge exists";
+        return std::nullopt;
+      }
+      view->InstallBackendSketch(name, backend->Clone());
+    } else if (!bank_.HasStream(name)) {
+      if (from_sites != nullptr) view->AddStreamFromSketches(name, *from_sites);
+    } else {
+      std::vector<TwoLevelHashSketch> column = bank_.Sketches(name);
+      if (from_sites != nullptr) {
+        for (size_t i = 0; i < column.size(); ++i) {
+          column[i].Merge((*from_sites)[i]);
+        }
+      }
+      view->AddStreamFromSketches(name, std::move(column));
+    }
+  }
+  return view;
+}
+
 QueryResultInfo SketchServer::Answer(const std::string& expression_text) {
   ++queries_answered_;
-  QueryResultInfo result;
   ParseResult parsed = ParseExpression(expression_text);
   if (!parsed.ok()) {
+    QueryResultInfo result;
     result.error = parsed.error;
     return result;
   }
-  result.expression = parsed.expression->ToString();
-  if (ProvablyEmpty(*parsed.expression)) {
-    result.ok = true;  // Exactly zero for any data; no sampling needed.
-    return result;
-  }
-  const std::vector<std::string> names = parsed.expression->StreamNames();
+  const Expression& expr = *parsed.expression;
 
-  // Queries whose streams live wholly in the direct-ingest bank run the
-  // compiled-plan path: the memoized-answer check is cheap and happens
-  // under the quiesced locks; a cold/stale plan only builds its probe
-  // table there (occupancy and singleton bits, no counter copies), and
-  // the estimation runs after the locks are released.
-  // Streams carried by site summaries need a coordinator-merged snapshot
-  // per query; those copy the combined view out and estimate uncached.
-  const auto fill = [&result](const PlanCache::Result& planned) {
-    result.ok = planned.ok;
-    result.estimate = planned.estimate;
-    if (!planned.ok) {
-      result.error =
-          planned.error.empty()
-              ? "estimation failed (no valid witness observations)"
-              : planned.error;
-      return;
-    }
-    result.lo = planned.interval.lo;
-    result.hi = planned.interval.hi;
-  };
-  bool bank_only = false;
+  // Under the quiesced locks, a query over bank_ alone runs BeginQuery:
+  // the memo check and, on a miss, the probe table (occupancy and
+  // singleton bits, no counter copies). A query touching a site-summary
+  // stream copies its columns into a view bank instead. Either way the
+  // estimation runs after the locks are released.
+  PlanCache::Result planned;
   PlanCache::SnapshotRequest request;
-  std::vector<std::vector<TwoLevelHashSketch>> combined;
+  std::optional<SketchBank> view;
+  bool answered = false;
   {
     MutexLock push_lock(&push_mutex_);
     for (const auto& queue : queues_) queue->WaitDrained();
     MutexLock registry_lock(&registry_mutex_);
     MutexLock coordinator_lock(&coordinator_mutex_);
-    bool any_summaries = false;
-    bool any_backend = false;
-    for (const std::string& name : names) {
-      const bool in_bank = bank_.HasStream(name);
-      const std::vector<TwoLevelHashSketch>* from_sites =
-          coordinator_.Sketches(name);
-      if (!in_bank && from_sites == nullptr) {
-        result.error = "unknown stream '" + name + "'";
-        return result;
-      }
-      if (from_sites != nullptr) any_summaries = true;
-      if (in_bank &&
-          bank_.StreamBackend(name) != SketchBackendId::kTwoLevelHash) {
-        any_backend = true;
-      }
-    }
-    if (any_backend && any_summaries) {
-      // Site summaries carry 2-level-hash copy vectors; there is no sound
-      // cross-backend merge, so the combination is refused rather than
-      // silently estimated over mismatched synopses.
-      result.error =
-          "expression mixes backend-sketch streams with site-summary "
-          "streams; no cross-backend merge exists";
+    std::string error;
+    view = SummaryViewLocked(expr, &error);
+    if (!error.empty()) {
+      QueryResultInfo result;
+      result.error = std::move(error);
       return result;
     }
-    if (!any_summaries) {
-      PlanCache::Result hit;
-      if (plan_cache_.BeginQuery(*parsed.expression, bank_, &hit,
-                                 &request)) {
-        fill(hit);
-        return result;
-      }
-      // Cache miss or stale epochs: the probe table is built; finish
-      // outside the locks.
-      bank_only = true;
-    } else {
-      // Snapshot a combined view per stream: directly pushed counters
-      // plus site-summary counters merge by linearity. Copying under the
-      // quiesced locks keeps the (possibly slow) estimation outside
-      // them.
-      combined.reserve(names.size());
-      for (const std::string& name : names) {
-        const bool in_bank = bank_.HasStream(name);
-        const std::vector<TwoLevelHashSketch>* from_sites =
-            coordinator_.Sketches(name);
-        std::vector<TwoLevelHashSketch> sketches =
-            in_bank ? bank_.Sketches(name) : *from_sites;
-        if (in_bank && from_sites != nullptr) {
-          for (size_t i = 0; i < sketches.size(); ++i) {
-            sketches[i].Merge((*from_sites)[i]);
-          }
-        }
-        combined.push_back(std::move(sketches));
-      }
-    }
+    answered = !view.has_value() &&
+               plan_cache_.BeginQuery(expr, bank_, &planned, &request);
   }
-
-  if (bank_only) {
-    fill(plan_cache_.FinishQuery(*parsed.expression, std::move(request)));
-    return result;
+  if (!answered) {
+    planned = view.has_value() ? plan_cache_.Query(expr, *view)
+                               : plan_cache_.FinishQuery(std::move(request));
   }
-
-  const size_t copies = static_cast<size_t>(options_.copies);
-  std::vector<SketchGroup> groups(copies);
-  for (size_t i = 0; i < copies; ++i) {
-    groups[i].reserve(names.size());
-    for (size_t k = 0; k < names.size(); ++k) {
-      groups[i].push_back(&combined[k][i]);
-    }
-  }
-  const PlanCache::Result direct =
-      plan_cache_.EstimateUncached(*parsed.expression, names, groups);
-  result.ok = direct.ok;
-  result.estimate = direct.estimate;
-  if (!direct.ok) {
-    result.error = "estimation failed (no valid witness observations)";
-    return result;
-  }
-  result.lo = direct.interval.lo;
-  result.hi = direct.interval.hi;
-  return result;
+  return PlannedQueryResult(expr, planned);
 }
 
 std::string SketchServer::Explain(const std::string& expression_text) {
   const ParseResult parsed = ParseExpression(expression_text);
   if (!parsed.ok()) return "error: " + parsed.error + "\n";
-  // Same quiesce as Answer: the report reads bank membership and epochs.
+  // Same quiesce and view as Answer: the report reads stream membership
+  // and epochs.
   MutexLock push_lock(&push_mutex_);
   for (const auto& queue : queues_) queue->WaitDrained();
   MutexLock registry_lock(&registry_mutex_);
-  return plan_cache_.Explain(*parsed.expression, bank_);
+  MutexLock coordinator_lock(&coordinator_mutex_);
+  std::string error;
+  const std::optional<SketchBank> view =
+      SummaryViewLocked(*parsed.expression, &error);
+  if (!error.empty()) return "error: " + error + "\n";
+  return plan_cache_.Explain(*parsed.expression,
+                             view.has_value() ? *view : bank_);
 }
 
 std::string SketchServer::RenderStats() const {
@@ -1008,7 +968,6 @@ std::string SketchServer::RenderStats() const {
       << "plan_cache_misses " << s.plan_cache_misses << "\n"
       << "plan_cache_invalidations " << s.plan_cache_invalidations << "\n"
       << "plan_cache_merge_builds " << s.plan_cache_merge_builds << "\n"
-      << "plan_cache_bypasses " << s.plan_cache_bypasses << "\n"
       << "plan_cache_backend_queries " << s.plan_cache_backend_queries
       << "\n"
       << "plan_cache_entries " << s.plan_cache_entries << "\n"
@@ -1101,7 +1060,6 @@ SketchServer::StatsSnapshot SketchServer::stats() const {
   s.plan_cache_misses = plan.misses;
   s.plan_cache_invalidations = plan.invalidations;
   s.plan_cache_merge_builds = plan.merge_builds;
-  s.plan_cache_bypasses = plan.bypasses;
   s.plan_cache_backend_queries = plan.backend_queries;
   s.plan_cache_entries = plan.entries;
   s.plan_cache_memo_bytes = plan.memo_bytes;

@@ -24,9 +24,9 @@
 // acknowledged before workers exit.
 //
 // Site summaries (PUSH_SUMMARY) are merged idempotently through the
-// existing Coordinator; queries answer over the union of directly pushed
-// streams and summary-carried streams (same-name streams merge by counter
-// linearity).
+// existing Coordinator; a query touching a summary-carried stream answers
+// over a per-query view bank holding the directly pushed counters plus
+// the summaries' sum (same-name streams merge by counter linearity).
 //
 // Fault tolerance (all opt-in via Options):
 //
@@ -58,6 +58,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -206,7 +207,6 @@ class SketchServer : private EpollServerBackend::Handler {
     /// Probe tables built for stale/cold plans (STATS consumers read it
     /// under this name).
     uint64_t plan_cache_merge_builds = 0;
-    uint64_t plan_cache_bypasses = 0;   ///< Coordinator-merged queries.
     uint64_t plan_cache_backend_queries = 0;  ///< Backend-routed queries.
     uint64_t plan_cache_entries = 0;
     /// Bytes of probe tables and witness scratch held by cached plans.
@@ -237,11 +237,12 @@ class SketchServer : private EpollServerBackend::Handler {
   QueryResultInfo Answer(const std::string& expression_text)
       SETSKETCH_EXCLUDES(push_mutex_, registry_mutex_, coordinator_mutex_);
 
-  /// Renders the query planner's EXPLAIN report for a text expression:
-  /// canonical plan, CSE sharing, merge tasks and plan-cache state.
-  /// EXPLAIN frames route here; parse failures yield an "error: ..." line.
+  /// Renders the query planner's EXPLAIN report for a text expression
+  /// over the same bank or summary view Answer reads: canonical plan,
+  /// CSE sharing, probe table and plan-cache state. EXPLAIN frames route
+  /// here; parse failures yield an "error: ..." line.
   std::string Explain(const std::string& expression_text)
-      SETSKETCH_EXCLUDES(push_mutex_, registry_mutex_);
+      SETSKETCH_EXCLUDES(push_mutex_, registry_mutex_, coordinator_mutex_);
 
   /// Serves a cluster summary pull over the direct-ingest bank: per
   /// requested stream, kUnknown if the bank has no such stream, kUnchanged
@@ -316,6 +317,17 @@ class SketchServer : private EpollServerBackend::Handler {
   std::string HandlePushRepair(std::string_view payload,
                                Connection* connection);
   std::string RenderStats() const;
+
+  /// The bank a query over `expr` must read when any of its streams is
+  /// carried by a site summary: a view over bank_.family() whose columns
+  /// are bank_'s column plus the coordinator's sum (counter linearity).
+  /// nullopt when no stream of `expr` has a site summary — the query then
+  /// reads bank_ itself — or, with *error set, when a backend-sketch
+  /// stream also has site summaries (no cross-backend merge exists).
+  /// Answer and Explain share it, so both see the same streams.
+  std::optional<SketchBank> SummaryViewLocked(const Expression& expr,
+                                              std::string* error) const
+      SETSKETCH_REQUIRES(registry_mutex_, coordinator_mutex_);
 
   /// The one exactly-once admission path every PUSH_UPDATES takes:
   /// draining gate, dedup seen-check, all-or-nothing queue admission,
@@ -404,10 +416,11 @@ class SketchServer : private EpollServerBackend::Handler {
   mutable Mutex coordinator_mutex_;
   Coordinator coordinator_ SETSKETCH_GUARDED_BY(coordinator_mutex_);
 
-  // Query planner: QUERY frames whose streams live wholly in bank_
-  // compile into cached, epoch-invalidated plans here; queries touching
-  // coordinator-merged streams fall back to EstimateUncached (counted as
-  // bypasses). Internally synchronized; callers still quiesce ingest.
+  // Query planner: every QUERY is answered here, over bank_ or over the
+  // summary view SummaryViewLocked builds. Plans over bank_ are memoized
+  // under its epochs; a view is a fresh bank per query, so its answers
+  // never hit the memo. Internally synchronized; callers still quiesce
+  // ingest.
   PlanCache plan_cache_;
 
   // Ingest pipeline. push_mutex_ serializes the all-or-nothing enqueue

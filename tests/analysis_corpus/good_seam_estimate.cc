@@ -1,13 +1,13 @@
-// Good: the planner itself is exempt — its uncached strategy wraps the
-// direct estimator call, which is the whole point of the seam.
-// analyze-as: src/query/plan_cache.cc
+// Good: the estimator's own file is exempt — its bank overload wraps the
+// group overload, which is where the seam ends.
+// analyze-as: src/core/set_expression_estimator.cc
 // expect-clean
 
 #include "core/set_expression_estimator.h"
 
 namespace setsketch {
 
-double EstimateUncachedForTest(const SetExpression& expression,
+double EstimateOverBankForTest(const SetExpression& expression,
                                const SketchBank& bank,
                                const WitnessOptions& witness) {
   return EstimateSetExpression(expression, bank, witness);

@@ -5,18 +5,26 @@
 // reads over to the replica, restart on the WAL, re-push through the
 // dedup window, and verify the federated answer never drifts.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster_commands.h"
 #include "cluster/cluster_router.h"
 #include "core/sketch_backend.h"
+#include "frame_reader.h"
 #include "server/fault_injector.h"
 #include "server/sketch_client.h"
 #include "server/sketch_server.h"
@@ -122,6 +130,143 @@ void ExpectAnswersMatchReference(SketchClient& via_router,
     EXPECT_EQ(fed.hi, ref.hi) << expression;
   }
 }
+
+/// A loopback shard: relays each request frame to a real server and its
+/// reply back, passing SUMMARY_RESULT replies through a rewrite hook
+/// while one is set. Requests and replies alternate one to one, as on
+/// every router-to-shard connection.
+class RewritingProxy {
+ public:
+  using Rewrite = std::function<void(SummaryResult*)>;
+
+  explicit RewritingProxy(int upstream_port)
+      : upstream_port_(upstream_port) {}
+  ~RewritingProxy() { Stop(); }
+
+  bool Start() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr = Loopback(0);
+    socklen_t length = sizeof(addr);
+    if (listen_fd_ < 0 ||
+        ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+               sizeof(addr)) != 0 ||
+        ::listen(listen_fd_, 8) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                      &length) != 0) {
+      return false;
+    }
+    port_ = ntohs(addr.sin_port);
+    acceptor_ = std::thread([this] { AcceptLoop(); });
+    return true;
+  }
+
+  void Stop() {
+    if (listen_fd_ < 0) return;
+    ::shutdown(listen_fd_, SHUT_RDWR);
+    acceptor_.join();
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    {
+      MutexLock lock(&mutex_);
+      for (const int fd : fds_) ::shutdown(fd, SHUT_RDWR);
+    }
+    for (std::thread& relay : relays_) relay.join();
+    for (const int fd : fds_) ::close(fd);
+  }
+
+  int port() const { return port_; }
+
+  void SetRewrite(Rewrite rewrite) {
+    MutexLock lock(&mutex_);
+    rewrite_ = std::move(rewrite);
+  }
+
+ private:
+  static sockaddr_in Loopback(int port) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    return addr;
+  }
+
+  static bool ReadFrame(int fd, FrameReader* reader, Frame* frame) {
+    char buffer[4096];
+    for (;;) {
+      const FrameScanStatus status = reader->Next(frame);
+      if (status == FrameScanStatus::kFrame) return true;
+      if (status == FrameScanStatus::kError) return false;
+      const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+      if (n <= 0) return false;
+      reader->Feed(std::string_view(buffer, static_cast<size_t>(n)));
+    }
+  }
+
+  static bool SendFrame(int fd, const Frame& frame) {
+    const std::string bytes = EncodeFrame(frame.opcode, frame.payload);
+    for (size_t sent = 0; sent < bytes.size();) {
+      const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      sent += static_cast<size_t>(n);
+    }
+    return true;
+  }
+
+  void AcceptLoop() {
+    for (;;) {
+      const int client = ::accept(listen_fd_, nullptr, nullptr);
+      if (client < 0) return;
+      const int upstream = ::socket(AF_INET, SOCK_STREAM, 0);
+      const sockaddr_in addr = Loopback(upstream_port_);
+      MutexLock lock(&mutex_);
+      fds_.push_back(client);
+      fds_.push_back(upstream);
+      if (::connect(upstream, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof(addr)) != 0) {
+        ::shutdown(client, SHUT_RDWR);
+        continue;
+      }
+      relays_.emplace_back([this, client, upstream] {
+        Relay(client, upstream);
+      });
+    }
+  }
+
+  void Relay(int client, int upstream) {
+    FrameReader from_client;
+    FrameReader from_upstream;
+    Frame frame;
+    while (ReadFrame(client, &from_client, &frame) &&
+           SendFrame(upstream, frame) &&
+           ReadFrame(upstream, &from_upstream, &frame)) {
+      Rewrite rewrite;
+      {
+        MutexLock lock(&mutex_);
+        rewrite = rewrite_;
+      }
+      SummaryResult result;
+      std::string error;
+      if (rewrite && frame.opcode == Opcode::kSummaryResult &&
+          DecodeSummaryResult(frame.payload, &result, &error)) {
+        rewrite(&result);
+        frame.payload = EncodeSummaryResult(result);
+      }
+      if (!SendFrame(client, frame)) break;
+    }
+    ::shutdown(client, SHUT_RDWR);
+    ::shutdown(upstream, SHUT_RDWR);
+  }
+
+  const int upstream_port_;
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::thread acceptor_;
+  Mutex mutex_;
+  Rewrite rewrite_;
+  std::vector<int> fds_;
+  std::vector<std::thread> relays_;
+};
 
 // --- Hello handshake ----------------------------------------------------
 
@@ -303,6 +448,12 @@ TEST(ClusterRouterTest, FederatedAnswersMatchSingleNodeExactly) {
   EXPECT_GT(stats.summary_streams_unchanged, 0u);
   EXPECT_GT(stats.summary_streams_full, 0u);
   EXPECT_EQ(stats.failovers, 0u);
+  // Unchanged pulls bump no federated epoch, so the repeated expression
+  // was answered from the plan memo.
+  std::string report;
+  ASSERT_TRUE(via_router->Explain(kExpressions[0], &report).ok);
+  EXPECT_NE(report.find("stream A targets="), std::string::npos) << report;
+  EXPECT_NE(report.find("cache: HIT"), std::string::npos) << report;
 
   // Duplicate client push: deduped on every shard, ACKed as duplicate.
   auto replayer = MustConnect(router.port(), "fed");
@@ -316,6 +467,69 @@ TEST(ClusterRouterTest, FederatedAnswersMatchSingleNodeExactly) {
   s0.Stop();
   s1.Stop();
   s2.Stop();
+  reference.Stop();
+}
+
+TEST(ClusterRouterTest, SummaryReplyMustAnswerTheRequest) {
+  // A shard whose SUMMARY_RESULT omits a requested stream or names one
+  // that was not requested is refused with a typed error: the router
+  // installs nothing, stays up, and answers exactly once the shard does.
+  SketchServer shard(ShardOptions());
+  SketchServer reference(ShardOptions());
+  std::string error;
+  ASSERT_TRUE(shard.Start(&error)) << error;
+  ASSERT_TRUE(reference.Start(&error)) << error;
+  RewritingProxy proxy(shard.port());
+  ASSERT_TRUE(proxy.Start());
+
+  ClusterRouter::Options options = RouterOptions({});
+  options.shards = {ClusterShard{"s0", "127.0.0.1", proxy.port()}};
+  options.replicas = 0;
+  ClusterRouter router(options);
+  ASSERT_TRUE(router.Start(&error)) << error;
+  ASSERT_EQ(router.ProbeAll(), 1u);
+
+  auto via_router = MustConnect(router.port(), "lying-shard");
+  auto via_reference = MustConnect(reference.port(), "lying-shard");
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(via_router->PushUpdates(MakeBatch(i)).ok);
+    ASSERT_TRUE(via_reference->PushUpdates(MakeBatch(i)).ok);
+  }
+
+  const std::vector<RewritingProxy::Rewrite> lies = {
+      [](SummaryResult* reply) { reply->streams.pop_back(); },
+      [](SummaryResult* reply) { reply->streams.front().name = "Z"; },
+      [](SummaryResult* reply) {
+        reply->streams.push_back(reply->streams.front());
+        reply->streams.back().name = "Z";
+      },
+  };
+  for (size_t lie = 0; lie < lies.size(); ++lie) {
+    proxy.SetRewrite(lies[lie]);
+    ASSERT_EQ(router.ProbeAll(), 1u) << "lie " << lie;
+    const QueryResultInfo refused = via_router->Query("A | B");
+    EXPECT_FALSE(refused.ok) << "lie " << lie;
+    EXPECT_NE(refused.error.find("does not answer the request"),
+              std::string::npos)
+        << "lie " << lie << ": " << refused.error;
+  }
+
+  // Nothing reached the federated bank.
+  proxy.SetRewrite(nullptr);
+  std::string report;
+  ASSERT_TRUE(via_router->Explain("A | B | Z", &report).ok);
+  for (const char* name : {"A", "B", "Z"}) {
+    EXPECT_NE(report.find(std::string(" ") + name + " [unknown]"),
+              std::string::npos)
+        << report;
+  }
+
+  ASSERT_EQ(router.ProbeAll(), 1u);
+  ExpectAnswersMatchReference(*via_router, *via_reference);
+
+  router.Stop();
+  proxy.Stop();
+  shard.Stop();
   reference.Stop();
 }
 

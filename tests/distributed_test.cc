@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/sketch_bank.h"
 #include "distributed/coordinator.h"
 #include "distributed/site.h"
+#include "query/plan_cache.h"
 #include "stream/stream_generator.h"
 #include "util/stats.h"
 
@@ -21,6 +23,19 @@ SketchParams TestParams() {
 
 constexpr int kCopies = 128;
 constexpr uint64_t kMasterSeed = 20030609;  // Deployment-wide coins.
+
+/// Answers `text` over the coordinator's merged synopses the way every
+/// query path does: installed in a SketchBank, asked through a PlanCache.
+PlanCache::Result Answer(const Coordinator& coordinator,
+                         const std::string& text) {
+  SketchBank bank(SketchFamily(TestParams(), coordinator.copies(),
+                               kMasterSeed));
+  for (const std::string& name : coordinator.StreamNames()) {
+    EXPECT_TRUE(bank.AddStreamFromSketches(name, *coordinator.Sketches(name)));
+  }
+  PlanCache cache(PlanCache::Options{});
+  return cache.Query(text, bank);
+}
 
 TEST(SiteTest, IngestRequiresDeclaredStream) {
   Site site("s1", TestParams(), 4, kMasterSeed);
@@ -143,7 +158,7 @@ TEST(DistributedTest, EndToEndExpressionEstimate) {
   for (const Site& site : sites) {
     ASSERT_TRUE(coordinator.AddSiteSummary(site.EncodeSummary()).ok);
   }
-  const auto answer = coordinator.Estimate("(A - B) & C");
+  const auto answer = Answer(coordinator, "(A - B) & C");
   ASSERT_TRUE(answer.ok) << answer.error;
   const int64_t exact = static_cast<int64_t>(data.regions[5].size());
   EXPECT_LT(RelativeError(answer.estimate, static_cast<double>(exact)),
@@ -220,10 +235,10 @@ TEST(CoordinatorTest, FailedRetransmissionKeepsPriorSummary) {
 
 TEST(CoordinatorTest, EstimateErrorsAreInformative) {
   Coordinator coordinator(TestParams(), 4, kMasterSeed);
-  const auto bad_parse = coordinator.Estimate("A &");
+  const auto bad_parse = Answer(coordinator, "A &");
   EXPECT_FALSE(bad_parse.ok);
   EXPECT_NE(bad_parse.error.find("parse error"), std::string::npos);
-  const auto unknown = coordinator.Estimate("A & B");
+  const auto unknown = Answer(coordinator, "A & B");
   EXPECT_FALSE(unknown.ok);
   EXPECT_NE(unknown.error.find("unknown stream"), std::string::npos);
 }
@@ -347,7 +362,7 @@ TEST(DistributedTest, SitesCanCoverDisjointStreams) {
   Coordinator coordinator(TestParams(), 192, kMasterSeed);
   ASSERT_TRUE(coordinator.AddSiteSummary(s1.EncodeSummary()).ok);
   ASSERT_TRUE(coordinator.AddSiteSummary(s2.EncodeSummary()).ok);
-  const auto answer = coordinator.Estimate("A & B");
+  const auto answer = Answer(coordinator, "A & B");
   ASSERT_TRUE(answer.ok);
   EXPECT_LT(RelativeError(answer.estimate, 1000), 0.6);
 }

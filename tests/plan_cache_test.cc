@@ -400,8 +400,7 @@ TEST(ProbeTableTest, MismatchedSeedsAreATypedError) {
   PlanCache::Result hit;
   PlanCache::SnapshotRequest request;
   ASSERT_FALSE(cache.BeginQuery(*Parse("S0 & S1"), *bank, &hit, &request));
-  const PlanCache::Result finished =
-      cache.FinishQuery(*Parse("S0 & S1"), request);
+  const PlanCache::Result finished = cache.FinishQuery(request);
   EXPECT_FALSE(finished.ok);
   EXPECT_NE(finished.error.find("mismatched seeds"), std::string::npos)
       << finished.error;
@@ -464,7 +463,7 @@ TEST(PlanCacheTest, TwoPhaseQueryMatchesInlineAndInstallsTheMemo) {
   EXPECT_EQ(request.table.copies(), 32);
   EXPECT_TRUE(request.error.empty()) << request.error;
 
-  const PlanCache::Result finished = cache.FinishQuery(*expr, request);
+  const PlanCache::Result finished = cache.FinishQuery(request);
   ExpectBitIdentical(finished, direct, "two-phase cold");
   EXPECT_EQ(cache.stats().misses, 1u);
 
@@ -499,7 +498,7 @@ TEST(PlanCacheTest, StaleSnapshotAnswersItselfWithoutRegressingNewerMemo) {
   ASSERT_TRUE(newer.ok);
 
   // The stale snapshot still answers its own point in time...
-  const PlanCache::Result stale = cache.FinishQuery(*expr, request);
+  const PlanCache::Result stale = cache.FinishQuery(request);
   ExpectBitIdentical(stale, old_direct, "stale snapshot");
 
   // ...and the newer memo survives: the next query is a hit on it.
@@ -523,11 +522,11 @@ TEST(PlanCacheTest, SameEpochFinishReusesTheConcurrentlyInstalledAnswer) {
   ASSERT_FALSE(cache.BeginQuery(*expr, *bank, &hit, &first_request));
   ASSERT_FALSE(cache.BeginQuery(*expr, *bank, &hit, &second_request));
 
-  const PlanCache::Result first = cache.FinishQuery(*expr, first_request);
+  const PlanCache::Result first = cache.FinishQuery(first_request);
   ASSERT_TRUE(first.ok);
   EXPECT_FALSE(first.cache_hit);
   const uint64_t builds = cache.stats().merge_builds;
-  const PlanCache::Result second = cache.FinishQuery(*expr, second_request);
+  const PlanCache::Result second = cache.FinishQuery(second_request);
   ASSERT_TRUE(second.ok);
   EXPECT_TRUE(second.cache_hit);  // Reused, nothing rebuilt.
   EXPECT_EQ(cache.stats().merge_builds, builds);
@@ -585,23 +584,6 @@ TEST(PlanCacheTest, ProvablyEmptyQueriesShortCircuitToExactZero) {
   }
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().compiles, 0u);
-}
-
-TEST(PlanCacheTest, UncachedPathMatchesDirectAndCountsBypasses) {
-  VennPartitionGenerator gen(2, BinaryIntersectionProbs(0.5));
-  const auto bank = BankFromDataset(gen.Generate(1024, 111), 32, 111);
-  PlanCache cache(PlanCache::Options{});
-  const ExprPtr expr = Parse("S0 - S1");
-  const std::vector<std::string> names = {"S0", "S1"};
-  const std::vector<SketchGroup> groups = bank->Groups(names);
-  const PlanCache::Result bypass =
-      cache.EstimateUncached(*expr, names, groups);
-  const ExpressionEstimate direct =
-      EstimateSetExpression(*expr, names, groups);
-  ASSERT_TRUE(bypass.ok);
-  EXPECT_EQ(bypass.estimate, direct.expression.estimate);
-  EXPECT_EQ(cache.stats().bypasses, 1u);
-  EXPECT_EQ(cache.stats().entries, 0u);  // Bypasses never populate cache.
 }
 
 // --- Engine wiring -------------------------------------------------------

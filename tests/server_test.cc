@@ -16,11 +16,13 @@
 #include <thread>
 
 #include "core/sketch_backend.h"
+#include "core/sketch_bank.h"
 #include "distributed/site.h"
 #include "expr/exact_evaluator.h"
 #include "expr/parser.h"
 #include "frame_reader.h"
 #include "hash/prng.h"
+#include "query/plan_cache.h"
 #include "server/shard_queue.h"
 #include "server/sketch_client.h"
 #include "server/sketch_server.h"
@@ -321,6 +323,79 @@ TEST(SketchServerTest, QueryErrorsAndProvablyEmpty) {
   const QueryResultInfo empty = client->Query("A - A");
   EXPECT_TRUE(empty.ok) << empty.error;
   EXPECT_DOUBLE_EQ(empty.estimate, 0.0);
+}
+
+TEST(SketchServerTest, SiteSummaryExtendsPushedStreamByLinearity) {
+  // Direct pushes to `web` plus a site's summary of `web` answer exactly
+  // like one bank whose `web` column holds the summed counters.
+  constexpr int kCopies = 64;
+  SketchServer server(ServerOptions(kCopies));
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto client = MustConnect(server);
+  ASSERT_NE(client, nullptr);
+
+  SketchBank summed(SketchFamily(TestParams(), kCopies, kMasterSeed));
+  summed.AddStream("web");
+  summed.AddStream("api");
+  UpdateBatch batch;
+  batch.stream_names = {"web", "api"};
+  for (uint64_t e = 0; e < 3000; ++e) {
+    batch.updates.push_back(Update{0, e * 7919 + 1, 1});
+    if (e % 3 == 0) batch.updates.push_back(Update{1, e * 7919 + 1, 1});
+  }
+  ASSERT_TRUE(client->PushUpdatesWithRetry(batch).ok);
+  summed.ApplyBatch(batch.stream_names, batch.updates);
+
+  // The site overlaps the pushed elements and deletes some of them.
+  Site site("Site", TestParams(), kCopies, kMasterSeed);
+  site.ObserveStream("web");
+  for (uint64_t e = 2000; e < 5000; ++e) {
+    site.Ingest("web", e * 7919 + 1, e < 2200 ? -1 : 1);
+  }
+  ASSERT_TRUE(client->PushSummary(site.EncodeSummary()).ok);
+  std::vector<TwoLevelHashSketch>& column = *summed.MutableSketches("web");
+  for (int i = 0; i < kCopies; ++i) {
+    column[static_cast<size_t>(i)].Merge(
+        site.bank().Sketches("web")[static_cast<size_t>(i)]);
+  }
+
+  PlanCache cache(PlanCache::Options{server.options().witness});
+  for (const char* text : {"web", "web - api", "web & api", "web | api"}) {
+    const QueryResultInfo served = client->Query(text);
+    const PlanCache::Result expected = cache.Query(text, summed);
+    ASSERT_TRUE(expected.ok) << text << ": " << expected.error;
+    ASSERT_TRUE(served.ok) << text << ": " << served.error;
+    EXPECT_EQ(served.estimate, expected.estimate) << text;
+    EXPECT_EQ(served.lo, expected.interval.lo) << text;
+    EXPECT_EQ(served.hi, expected.interval.hi) << text;
+  }
+  server.Stop();
+}
+
+TEST(SketchServerTest, ExplainSeesSiteSummaryStreams) {
+  // EXPLAIN reads the same view QUERY answers from: a stream carried only
+  // by a site summary is known, a stream nobody sent is not.
+  SketchServer server(ServerOptions(/*copies=*/16));
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto client = MustConnect(server);
+  ASSERT_NE(client, nullptr);
+
+  Site site("s1", TestParams(), 16, kMasterSeed);
+  site.ObserveStream("C");
+  for (uint64_t e = 0; e < 100; ++e) site.Ingest("C", e * 31 + 7, 1);
+  ASSERT_TRUE(client->PushSummary(site.EncodeSummary()).ok);
+  ASSERT_TRUE(client->Query("C").ok);
+
+  std::string report;
+  ASSERT_TRUE(client->Explain("C", &report).ok);
+  EXPECT_NE(report.find("streams (1): C\n"), std::string::npos) << report;
+  EXPECT_EQ(report.find("[unknown]"), std::string::npos) << report;
+  ASSERT_TRUE(client->Explain("C | Nope", &report).ok);
+  EXPECT_NE(report.find("Nope [unknown]"), std::string::npos) << report;
+  EXPECT_EQ(report.find("C [unknown]"), std::string::npos) << report;
+  server.Stop();
 }
 
 TEST(SketchServerTest, DrainingServerRefusesNewPushes) {

@@ -22,9 +22,9 @@ Checks (check ids):
                       under src/server/ bypass durability and idempotency.
   seam-estimate       Query paths must go through query/plan_cache.h;
                       direct EstimateSetExpression calls in src/ are
-                      banned outside the estimator itself, the planner,
-                      and the distributed coordinator (which has no
-                      epochs to cache against). Supersedes the old
+                      banned outside the estimator itself (every answer
+                      path, the planner included, goes through
+                      PlanCache over a SketchBank). Supersedes the old
                       lint.py regex, which token-blindly matched inside
                       comments and strings.
   dcheck-side-effect  SETSKETCH_DCHECK compiles out of release builds;
@@ -106,12 +106,10 @@ INGEST_MUTATORS = (
 INGEST_SCOPE = "src/server/"
 INGEST_EXEMPT = {"src/server/sketch_server.cc"}
 
-# seam-estimate: mirrors the exemptions lint.py used to carry.
+# seam-estimate: only the estimator's own files may call it directly.
 ESTIMATOR_EXEMPT = {
     "src/core/set_expression_estimator.h",
     "src/core/set_expression_estimator.cc",
-    "src/query/plan_cache.cc",
-    "src/distributed/coordinator.cc",
 }
 
 # seam-backend: DistinctSketch estimation must flow through the kernel's
@@ -357,8 +355,8 @@ class Analysis:
                 self.add(
                     sf, lineno, "seam-estimate",
                     "direct EstimateSetExpression call: route queries "
-                    "through query/plan_cache.h (PlanCache::Query / "
-                    "EstimateUncached)")
+                    "through query/plan_cache.h (PlanCache::Query over "
+                    "a SketchBank)")
             if backend_scoped:
                 m = BACKEND_CALL_RE.search(line)
                 if m:
@@ -725,7 +723,8 @@ def libclang_seam_findings(build_dir, files, notices):
                 findings.append(Finding(
                     owner.virtual, loc.line, "seam-estimate",
                     "direct EstimateSetExpression call (AST): route "
-                    "queries through query/plan_cache.h"))
+                    "queries through query/plan_cache.h (PlanCache::Query "
+                    "over a SketchBank)"))
             if (name in INGEST_MUTATORS
                     and owner.virtual.startswith(INGEST_SCOPE)
                     and owner.virtual not in INGEST_EXEMPT):
