@@ -307,6 +307,12 @@ void ClusterRouter::HandleConnection(int fd) {
   --connections_active_;
 }
 
+HelloInfo ClusterRouter::OwnHello() const {
+  return MakeHello(kFeatureSummaryPull, options_.params, options_.copies,
+                   options_.seed, options_.default_backend,
+                   options_.backend_size);
+}
+
 std::string ClusterRouter::HandleFrame(const FrameView& frame,
                                        Connection* connection,
                                        bool* keep_open) {
@@ -316,15 +322,8 @@ std::string ClusterRouter::HandleFrame(const FrameView& frame,
       HelloInfo hello;
       if (DecodeHello(std::string(frame.payload), /*response=*/false,
                       &hello)) {
-        HelloInfo mine;
-        mine.features = kFeatureSummaryPull;
-        mine.params = options_.params;
-        mine.copies = options_.copies;
-        mine.seed = options_.seed;
-        mine.backend = static_cast<uint8_t>(options_.default_backend);
-        mine.backend_size = options_.backend_size;
         return EncodeFrame(Opcode::kPong,
-                           EncodeHello(mine, /*response=*/true));
+                           EncodeHello(OwnHello(), /*response=*/true));
       }
       return EncodeFrame(Opcode::kPong, frame.payload);
     }
@@ -419,13 +418,7 @@ bool ClusterRouter::EnsureClientLocked(ShardState* state) {
     if (state->client == nullptr) return false;
     // Handshake every fresh connection: the config gate must hold for
     // the shard process currently answering, not one that once did.
-    HelloInfo mine;
-    mine.features = kFeatureSummaryPull;
-    mine.params = options_.params;
-    mine.copies = options_.copies;
-    mine.seed = options_.seed;
-    mine.backend = static_cast<uint8_t>(options_.default_backend);
-    mine.backend_size = options_.backend_size;
+    const HelloInfo mine = OwnHello();
     HelloInfo theirs;
     const SketchClient::Status hello = state->client->Hello(mine, &theirs);
     if (!hello.ok) {
@@ -811,17 +804,12 @@ QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
         case SummaryState::kFull: {
           // The bank refuses a wrong copy count, foreign coins, foreign
           // backend options and a change of synopsis type.
-          const bool installed =
-              entry.backend != 0
-                  ? entry.backend_sketch != nullptr &&
-                        federated_.InstallBackendSketch(
-                            entry.name, entry.backend_sketch->Clone())
-                  : federated_.ReplaceStreamSketches(
-                        entry.name, std::move(entry.sketches));
-          if (!installed) {
+          std::string why;
+          if (!federated_.InstallSummary(entry.name, std::move(entry.summary),
+                                         &why)) {
             result.error = "stream '" + entry.name +
-                           "' summary does not match this deployment's "
-                           "copies, coins or backend configuration";
+                           "' summary does not match this deployment: " +
+                           why;
             return result;
           }
           pull_keys_[entry.name] =
@@ -1043,12 +1031,8 @@ bool ClusterRouter::PullStreamsFrom(size_t source_index,
       return false;
     }
     ++summary_streams_full_;
-    RepairInstall::StreamState stream_state;
-    stream_state.name = entry.name;
-    stream_state.backend = entry.backend;
-    stream_state.backend_sketch = std::move(entry.backend_sketch);
-    stream_state.sketches = std::move(entry.sketches);
-    install->streams.push_back(std::move(stream_state));
+    install->streams.push_back(RepairInstall::StreamState{
+        std::move(entry.name), std::move(entry.summary)});
   }
   return true;
 }
@@ -1273,13 +1257,7 @@ bool ClusterRouter::AddShard(const ClusterShard& shard_in,
   if (candidate == nullptr) {
     return fail("shard '" + shard.name + "' unreachable: " + dial_error);
   }
-  HelloInfo mine;
-  mine.features = kFeatureSummaryPull;
-  mine.params = options_.params;
-  mine.copies = options_.copies;
-  mine.seed = options_.seed;
-  mine.backend = static_cast<uint8_t>(options_.default_backend);
-  mine.backend_size = options_.backend_size;
+  const HelloInfo mine = OwnHello();
   HelloInfo theirs;
   const SketchClient::Status hello = candidate->Hello(mine, &theirs);
   if (!hello.ok) {

@@ -361,6 +361,9 @@ class ClusterRouter {
   void HandleConnection(int fd);
   void ProbeLoop();
 
+  /// This router's hello: PULL_SUMMARY support plus the deployment's
+  /// configuration, sent to shards and answered to hello PINGs.
+  HelloInfo OwnHello() const;
   std::string HandleFrame(const FrameView& frame, Connection* connection,
                           bool* keep_open);
   std::string HandlePushUpdates(std::string_view payload,

@@ -11,8 +11,9 @@
 //   * Alternative backends implement DistinctSketch: one linear,
 //     deletion-aware, mergeable synopsis per stream, self-describing on the
 //     wire (backend id + options + payload), created/parsed through the
-//     registry below so every layer (bank, WAL snapshots, SKSM summaries,
-//     the hello handshake) speaks backends by id, never by concrete class.
+//     registry below so every layer (bank, stream summaries and the
+//     snapshots that embed them, the hello handshake) speaks backends by
+//     id, never by concrete class.
 //
 // Estimation goes through exactly one seam: EstimateWithBackend resolves
 // an expression's leaves, checks backend homogeneity, and dispatches to

@@ -70,15 +70,6 @@ DistinctSketch* SketchBank::MutableBackendSketch(const std::string& name) {
   return it->second.get();
 }
 
-bool SketchBank::InstallBackendSketch(const std::string& name,
-                                      std::unique_ptr<DistinctSketch> sketch) {
-  if (sketch == nullptr || streams_.contains(name)) return false;
-  if (!(sketch->options() == backend_options_)) return false;
-  backend_streams_[name] = std::move(sketch);
-  ++epochs_[name];
-  return true;
-}
-
 size_t SketchBank::BackendStreamCount(SketchBackendId backend) const {
   if (backend == SketchBackendId::kTwoLevelHash) return streams_.size();
   size_t count = 0;
@@ -219,30 +210,62 @@ std::vector<TwoLevelHashSketch>* SketchBank::MutableSketches(
   return &it->second;
 }
 
-bool SketchBank::AddStreamFromSketches(
-    const std::string& name, std::vector<TwoLevelHashSketch> sketches) {
-  if (HasStream(name)) return false;
-  if (static_cast<int>(sketches.size()) != family_.size()) return false;
+StreamSummary SketchBank::Summary(const std::string& name) const {
+  StreamSummary summary;
+  if (const DistinctSketch* sketch = BackendSketch(name)) {
+    summary.backend = static_cast<uint8_t>(sketch->backend());
+    summary.backend_sketch = sketch->Clone();
+  } else {
+    summary.sketches = Sketches(name);
+  }
+  return summary;
+}
+
+bool SketchBank::CanInstallSummary(const std::string& name,
+                                   const StreamSummary& summary,
+                                   std::string* error) const {
+  const auto refuse = [error](std::string why) {
+    if (error != nullptr) *error = std::move(why);
+    return false;
+  };
+  if (HasStream(name) &&
+      StreamBackend(name) != static_cast<SketchBackendId>(summary.backend)) {
+    return refuse("already uses a different sketch backend");
+  }
+  if (summary.backend != 0) {
+    if (summary.backend_sketch == nullptr ||
+        summary.backend_sketch->backend() !=
+            static_cast<SketchBackendId>(summary.backend)) {
+      return refuse("carries no synopsis of its backend");
+    }
+    if (!(summary.backend_sketch->options() == backend_options_)) {
+      return refuse("uses a foreign backend configuration (size/seed)");
+    }
+    return true;
+  }
+  if (static_cast<int>(summary.sketches.size()) != family_.size()) {
+    return refuse("carries " + std::to_string(summary.sketches.size()) +
+                  " sketch copies, expected " +
+                  std::to_string(family_.size()));
+  }
   for (int i = 0; i < family_.size(); ++i) {
-    if (!(sketches[static_cast<size_t>(i)].seed() == *family_.seed(i))) {
-      return false;
+    if (!(summary.sketches[static_cast<size_t>(i)].seed() ==
+          *family_.seed(i))) {
+      return refuse("copy " + std::to_string(i) +
+                    " uses foreign hash functions");
     }
   }
-  streams_.emplace(name, std::move(sketches));
-  epochs_[name] = 1;
   return true;
 }
 
-bool SketchBank::ReplaceStreamSketches(
-    const std::string& name, std::vector<TwoLevelHashSketch> sketches) {
-  if (backend_streams_.contains(name)) return false;
-  if (static_cast<int>(sketches.size()) != family_.size()) return false;
-  for (int i = 0; i < family_.size(); ++i) {
-    if (!(sketches[static_cast<size_t>(i)].seed() == *family_.seed(i))) {
-      return false;
-    }
+bool SketchBank::InstallSummary(const std::string& name,
+                                StreamSummary summary, std::string* error) {
+  if (!CanInstallSummary(name, summary, error)) return false;
+  if (summary.backend != 0) {
+    backend_streams_[name] = summary.backend_sketch->Clone();
+  } else {
+    streams_[name] = std::move(summary.sketches);
   }
-  streams_[name] = std::move(sketches);
   ++epochs_[name];
   return true;
 }

@@ -9,6 +9,7 @@
 #ifndef SETSKETCH_CORE_SKETCH_BANK_H_
 #define SETSKETCH_CORE_SKETCH_BANK_H_
 
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -34,6 +35,18 @@ struct StreamBatch {
   std::vector<TwoLevelHashSketch>* column = nullptr;
   DistinctSketch* backend_sketch = nullptr;
   std::vector<ElementDelta> items;
+};
+
+/// One stream's synopsis as the unit that moves between banks — summary
+/// pulls, repair, snapshots, site summaries: the default backend's r
+/// aligned copies (backend == 0, backend_sketch null) or one
+/// alternative-backend DistinctSketch (backend != 0, sketches empty).
+/// distributed/summary_codec.h owns its byte layout. shared_ptr so a
+/// decoded entry stays copyable; InstallSummary clones it into the bank.
+struct StreamSummary {
+  uint8_t backend = 0;
+  std::vector<TwoLevelHashSketch> sketches;
+  std::shared_ptr<const DistinctSketch> backend_sketch;
 };
 
 /// r aligned sketch copies per named stream.
@@ -78,17 +91,6 @@ class SketchBank {
   /// Mutable access for ingest; bumps the stream's epoch like
   /// MutableSketches. nullptr for default-backend and unknown streams.
   DistinctSketch* MutableBackendSketch(const std::string& name);
-
-  /// Installs (add-or-replace) an alternative-backend stream from a
-  /// deserialized sketch (snapshot restore, anti-entropy repair). Refuses
-  /// null sketches, default-backend names, and options that disagree with
-  /// this bank's backend_options(). Bumps the epoch.
-  bool InstallBackendSketch(const std::string& name,
-                            std::unique_ptr<DistinctSketch> sketch);
-
-  /// True iff any stream uses an alternative backend (snapshot writers
-  /// key the format version off this).
-  bool HasBackendStreams() const { return !backend_streams_.empty(); }
 
   /// Number of streams tagged `backend` (STATS reporting).
   size_t BackendStreamCount(SketchBackendId backend) const;
@@ -142,20 +144,27 @@ class SketchBank {
   /// resize the vector.
   std::vector<TwoLevelHashSketch>* MutableSketches(const std::string& name);
 
-  /// Installs a stream from externally produced sketches (e.g. a
-  /// deserialized snapshot). The vector must hold exactly num_copies()
-  /// sketches whose seeds match this bank's family, in copy order;
-  /// returns false (and installs nothing) otherwise or if the stream
-  /// already exists.
-  bool AddStreamFromSketches(const std::string& name,
-                             std::vector<TwoLevelHashSketch> sketches);
+  /// Stream `name`'s synopsis (must exist): a copy of its r sketches, or
+  /// a clone of its DistinctSketch.
+  StreamSummary Summary(const std::string& name) const;
 
-  /// Installs externally produced sketches over a stream that may already
-  /// exist (anti-entropy repair), registering it if not. Validates like
-  /// AddStreamFromSketches; bumps the stream's epoch so every cache keyed
-  /// on (bank_id, epoch) notices the replacement.
-  bool ReplaceStreamSketches(const std::string& name,
-                             std::vector<TwoLevelHashSketch> sketches);
+  /// True iff InstallSummary(name, summary) would succeed. A
+  /// default-backend summary must carry exactly num_copies() sketches
+  /// whose seeds match this bank's family, in copy order; an
+  /// alternative-backend one must carry its synopsis under this bank's
+  /// backend_options(); neither may change an existing stream's backend.
+  /// On false, *error (when non-null) says why, phrased to follow
+  /// "stream '<name>' ".
+  bool CanInstallSummary(const std::string& name,
+                         const StreamSummary& summary,
+                         std::string* error) const;
+
+  /// Adds or replaces stream `name` with `summary` (snapshot restore,
+  /// repair, summary pulls, site-summary views). Refuses, installing
+  /// nothing, whatever CanInstallSummary refuses. Bumps the stream's
+  /// epoch, so every cache keyed on (bank_id, epoch) notices.
+  bool InstallSummary(const std::string& name, StreamSummary summary,
+                      std::string* error = nullptr);
 
   int num_copies() const { return family_.size(); }
   const SketchFamily& family() const { return family_; }

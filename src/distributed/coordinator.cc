@@ -1,61 +1,66 @@
 #include "distributed/coordinator.h"
 
+#include <unordered_set>
+
 #include "distributed/summary_codec.h"
+#include "util/varint.h"
 
 namespace setsketch {
 
 Coordinator::Coordinator(const SketchParams& params, int copies,
                          uint64_t master_seed)
-    : params_(params), copies_(copies), master_seed_(master_seed) {
-  const SketchFamily family(params, copies, master_seed);
-  expected_seeds_.reserve(static_cast<size_t>(copies));
-  for (int i = 0; i < copies; ++i) expected_seeds_.push_back(family.seed(i));
-}
+    : coins_(SketchFamily(params, copies, master_seed)) {}
 
 Coordinator::IngestResult Coordinator::AddSiteSummary(
     const std::string& bytes) {
   IngestResult result;
+  const auto fail = [&result](std::string message) {
+    result.error = std::move(message);
+    return result;
+  };
   size_t offset = 0;
-  uint32_t site_name_length = 0;
-  if (!SummaryReadU32(bytes, &offset, &site_name_length) ||
-      bytes.size() - offset < site_name_length) {
-    result.error = "truncated site name";
-    return result;
+  if (!ReadVarintString(bytes, &offset, kMaxSiteIdBytes, &result.site)) {
+    return fail("truncated or oversized site name");
   }
-  result.site = bytes.substr(offset, site_name_length);
-  offset += site_name_length;
-  uint32_t num_streams = 0;
-  if (!SummaryReadU32(bytes, &offset, &num_streams)) {
-    result.error = "truncated summary header";
-    return result;
+  if (result.site.empty()) return fail("empty site name");
+  uint64_t num_streams = 0;
+  if (!ReadVarint(bytes, &offset, &num_streams)) {
+    return fail("truncated summary header");
+  }
+  if (num_streams > bytes.size() - offset) {
+    return fail("stream count exceeds summary");
   }
   // Decode into a staging area first so a malformed summary merges nothing.
   std::vector<std::pair<std::string, std::vector<TwoLevelHashSketch>>>
       staged;
-  for (uint32_t s = 0; s < num_streams; ++s) {
-    uint32_t name_len = 0;
-    if (!SummaryReadU32(bytes, &offset, &name_len) ||
-        bytes.size() - offset < name_len) {
-      result.error = "truncated stream name";
-      return result;
+  std::unordered_set<std::string> seen;
+  for (uint64_t s = 0; s < num_streams; ++s) {
+    std::string name;
+    if (!ReadVarintString(bytes, &offset, kMaxStreamNameBytes, &name)) {
+      return fail("truncated or oversized stream name " + std::to_string(s));
     }
-    std::string name = bytes.substr(offset, name_len);
-    offset += name_len;
-    // The shared codec verifies the agreed coins (same seed identity per
-    // copy as our expectation) while it decodes.
-    std::vector<TwoLevelHashSketch> sketches;
-    std::string decode_error;
-    if (!DecodeSketchVector(bytes, &offset, copies_, &expected_seeds_,
-                            &sketches, &decode_error)) {
-      result.error = "stream '" + name + "' " + decode_error;
-      return result;
+    if (name.empty()) return fail("empty stream name");
+    if (!seen.insert(name).second) {
+      return fail("duplicate stream '" + name + "' in summary");
     }
-    staged.emplace_back(std::move(name), std::move(sketches));
+    StreamSummary summary;
+    std::string why;
+    if (!DecodeStreamSummary(bytes, &offset, &summary, &why)) {
+      return fail("stream '" + name + "' " + why);
+    }
+    if (summary.backend != 0) {
+      return fail("stream '" + name + "' is a " +
+                  SketchBackendName(
+                      static_cast<SketchBackendId>(summary.backend)) +
+                  " synopsis; site summaries carry 2-level hash copies");
+    }
+    // The agreed coins: the copy count and every copy's seed identity.
+    if (!coins_.CanInstallSummary(name, summary, &why)) {
+      return fail("stream '" + name + "' " + why);
+    }
+    staged.emplace_back(std::move(name), std::move(summary.sketches));
   }
-  if (offset != bytes.size()) {
-    result.error = "trailing bytes after summary";
-    return result;
-  }
+  if (offset != bytes.size()) return fail("trailing bytes after summary");
 
   // Install as this site's latest summary (replacing any earlier one) and
   // invalidate the cached global view.

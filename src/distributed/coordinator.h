@@ -13,7 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/two_level_hash_sketch.h"
+#include "core/sketch_bank.h"
 
 namespace setsketch {
 
@@ -37,7 +37,9 @@ class Coordinator {
   /// Decodes one Site::EncodeSummary() buffer. A summary *replaces* any
   /// earlier summary from the same site, so periodic retransmission of
   /// cumulative synopses is idempotent; different sites' summaries merge
-  /// by counter addition.
+  /// by counter addition. A summary with an empty, oversized or repeated
+  /// name, an alternative-backend stream, or copies that disagree with
+  /// the deployment's coins is refused whole: nothing merges.
   IngestResult AddSiteSummary(const std::string& bytes);
 
   /// Names of sites that have reported, unordered.
@@ -52,17 +54,14 @@ class Coordinator {
   const std::vector<TwoLevelHashSketch>* Sketches(
       const std::string& stream_name) const;
 
-  int copies() const { return copies_; }
+  int copies() const { return coins_.num_copies(); }
 
  private:
-  SketchParams params_;
-  int copies_;
-  uint64_t master_seed_;
   void EnsureMerged() const;
 
-  // Expected seed values per copy index, derived from the master seed —
-  // used to verify incoming sketches carry the agreed coins.
-  std::vector<std::shared_ptr<const SketchSeed>> expected_seeds_;
+  // An empty bank of the deployment's family: it checks every incoming
+  // stream's copy count and coins (SketchBank::CanInstallSummary).
+  SketchBank coins_;
   // Latest summary per site: stream name -> sketches.
   std::unordered_map<
       std::string,

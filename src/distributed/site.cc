@@ -1,6 +1,7 @@
 #include "distributed/site.h"
 
 #include "distributed/summary_codec.h"
+#include "util/varint.h"
 
 namespace setsketch {
 
@@ -20,20 +21,18 @@ bool Site::Ingest(const std::string& stream_name, uint64_t element,
   return true;
 }
 
-std::string Site::EncodeSummary(bool compact) const {
-  // Layout: site name (u32 length + bytes), u32 stream count, then per
-  // stream: u32 name length, name bytes, and the stream's sketch vector
+std::string Site::EncodeSummary() const {
+  // Layout: site name (varint length + bytes), varint stream count, then
+  // per stream its name (same form) and its synopsis
   // (distributed/summary_codec.h). The site name lets the coordinator
   // treat retransmissions as replacements (idempotent periodic
   // collection) instead of double-counting.
   std::string out;
-  SummaryAppendU32(&out, static_cast<uint32_t>(name_.size()));
-  out.append(name_);
-  SummaryAppendU32(&out, static_cast<uint32_t>(streams_.size()));
+  AppendVarintString(&out, name_);
+  AppendVarint(&out, streams_.size());
   for (const std::string& stream : streams_) {
-    SummaryAppendU32(&out, static_cast<uint32_t>(stream.size()));
-    out.append(stream);
-    EncodeSketchVector(bank_.Sketches(stream), compact, &out);
+    AppendVarintString(&out, stream);
+    EncodeStreamSummary(bank_, stream, &out);
   }
   return out;
 }

@@ -38,10 +38,11 @@ class Site {
               int64_t delta);
 
   /// Serializes this site's summary (all streams, all sketch copies) into
-  /// a byte buffer — the only thing that crosses the "network". The
-  /// default compact encoding (varint + zero-run-length) is typically
-  /// 5-20x smaller than the fixed-width one; both decode identically.
-  std::string EncodeSummary(bool compact = true) const;
+  /// a byte buffer — the only thing that crosses the "network". Each
+  /// stream travels in the one synopsis layout
+  /// (distributed/summary_codec.h), whose compact copies are typically
+  /// 5-20x smaller than the fixed-width sketch encoding.
+  std::string EncodeSummary() const;
 
   int64_t updates_processed() const { return updates_processed_; }
   const SketchBank& bank() const { return bank_; }

@@ -4,51 +4,68 @@
 
 namespace setsketch {
 
-void SummaryAppendU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
+namespace {
 
-bool SummaryReadU32(const std::string& data, size_t* offset, uint32_t* v) {
-  if (data.size() - *offset < sizeof(uint32_t)) return false;
-  std::memcpy(v, data.data() + *offset, sizeof(uint32_t));
-  *offset += sizeof(uint32_t);
-  return true;
-}
-
-void EncodeSketchVector(const std::vector<TwoLevelHashSketch>& sketches,
-                        bool compact, std::string* out) {
-  SummaryAppendU32(out, static_cast<uint32_t>(sketches.size()));
+void AppendCopies(const std::vector<TwoLevelHashSketch>& sketches,
+                  std::string* out) {
+  out->push_back(static_cast<char>(SketchBackendId::kTwoLevelHash));
+  const uint32_t copies = static_cast<uint32_t>(sketches.size());
+  out->append(reinterpret_cast<const char*>(&copies), sizeof(copies));
   for (const TwoLevelHashSketch& sketch : sketches) {
-    if (compact) {
-      sketch.SerializeCompactTo(out);
-    } else {
-      sketch.SerializeTo(out);
-    }
+    sketch.SerializeCompactTo(out);
   }
 }
 
-bool DecodeSketchVector(
-    const std::string& data, size_t* offset, int expected_copies,
-    const std::vector<std::shared_ptr<const SketchSeed>>* expected_seeds,
-    std::vector<TwoLevelHashSketch>* out, std::string* error) {
-  out->clear();
+}  // namespace
+
+void EncodeStreamSummary(const StreamSummary& summary, std::string* out) {
+  if (summary.backend != 0) {
+    summary.backend_sketch->SerializeTo(out);
+    return;
+  }
+  AppendCopies(summary.sketches, out);
+}
+
+void EncodeStreamSummary(const SketchBank& bank, const std::string& name,
+                         std::string* out) {
+  if (const DistinctSketch* sketch = bank.BackendSketch(name)) {
+    sketch->SerializeTo(out);
+    return;
+  }
+  AppendCopies(bank.Sketches(name), out);
+}
+
+bool DecodeStreamSummary(const std::string& data, size_t* offset,
+                         StreamSummary* out, std::string* error) {
+  *out = StreamSummary{};
+  if (*offset >= data.size()) {
+    *error = "truncated summary";
+    return false;
+  }
+  const uint8_t backend = static_cast<uint8_t>(data[*offset]);
+  if (backend != 0) {
+    std::unique_ptr<DistinctSketch> sketch =
+        DeserializeDistinctSketch(data, offset, error);
+    if (sketch == nullptr) return false;
+    out->backend = backend;
+    out->backend_sketch = std::move(sketch);
+    return true;
+  }
+  ++*offset;
   uint32_t copies = 0;
-  if (!SummaryReadU32(data, offset, &copies)) {
+  if (data.size() - *offset < sizeof(copies)) {
     *error = "truncated copy count";
     return false;
   }
-  if (expected_copies >= 0 &&
-      copies != static_cast<uint32_t>(expected_copies)) {
-    *error = "carries " + std::to_string(copies) + " copies, expected " +
-             std::to_string(expected_copies);
+  std::memcpy(&copies, data.data() + *offset, sizeof(copies));
+  *offset += sizeof(copies);
+  // Every copy costs at least one byte: refuse absurd counts before
+  // reserving for them.
+  if (copies > data.size() - *offset) {
+    *error = "copy count exceeds payload";
     return false;
   }
-  if (expected_seeds != nullptr && copies != expected_seeds->size()) {
-    *error = "carries " + std::to_string(copies) + " copies, expected " +
-             std::to_string(expected_seeds->size());
-    return false;
-  }
-  out->reserve(copies);
+  out->sketches.reserve(copies);
   for (uint32_t i = 0; i < copies; ++i) {
     std::unique_ptr<TwoLevelHashSketch> sketch =
         TwoLevelHashSketch::Deserialize(data, offset);
@@ -56,68 +73,8 @@ bool DecodeSketchVector(
       *error = "malformed sketch copy " + std::to_string(i);
       return false;
     }
-    if (expected_seeds != nullptr &&
-        !(sketch->seed() == *(*expected_seeds)[i])) {
-      *error = "copy " + std::to_string(i) + " uses foreign hash functions";
-      return false;
-    }
-    out->push_back(std::move(*sketch));
+    out->sketches.push_back(std::move(*sketch));
   }
-  return true;
-}
-
-void EncodeStreamSummary(const StreamSummary& summary, bool compact,
-                         std::string* out) {
-  if (summary.backend == 0) {
-    EncodeSketchVector(summary.sketches, compact, out);
-    return;
-  }
-  SummaryAppendU32(out, kSummaryBackendMagic);
-  out->push_back(static_cast<char>(summary.backend));
-  summary.backend_sketch->SerializeTo(out);
-}
-
-bool DecodeStreamSummary(
-    const std::string& data, size_t* offset, int expected_copies,
-    const std::vector<std::shared_ptr<const SketchSeed>>* expected_seeds,
-    const BackendOptions* expected_options, StreamSummary* out,
-    std::string* error) {
-  *out = StreamSummary{};
-  uint32_t head = 0;
-  size_t peek = *offset;
-  if (!SummaryReadU32(data, &peek, &head)) {
-    *error = "truncated summary";
-    return false;
-  }
-  if (head != kSummaryBackendMagic) {
-    return DecodeSketchVector(data, offset, expected_copies, expected_seeds,
-                              &out->sketches, error);
-  }
-  *offset = peek;
-  if (*offset >= data.size()) {
-    *error = "truncated backend tag";
-    return false;
-  }
-  const uint8_t backend = static_cast<uint8_t>(data[*offset]);
-  ++*offset;
-  if (!KnownSketchBackend(backend) || backend == 0) {
-    *error = "unknown sketch backend " + std::to_string(backend);
-    return false;
-  }
-  std::unique_ptr<DistinctSketch> sketch =
-      DeserializeDistinctSketch(data, offset, error);
-  if (sketch == nullptr) return false;
-  if (sketch->backend() != static_cast<SketchBackendId>(backend)) {
-    *error = "summary backend tag disagrees with its payload";
-    return false;
-  }
-  if (expected_options != nullptr &&
-      !(sketch->options() == *expected_options)) {
-    *error = "summary uses a foreign backend configuration (size/seed)";
-    return false;
-  }
-  out->backend = backend;
-  out->backend_sketch = std::move(sketch);
   return true;
 }
 

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <unordered_set>
 
 #include "core/estimator_config.h"
+#include "distributed/summary_codec.h"
 #include "expr/analysis.h"
 #include "expr/parser.h"
 #include "query/parallel_ingest.h"
@@ -12,8 +14,9 @@ namespace setsketch {
 
 namespace {
 
-constexpr uint32_t kSnapshotMagic = 0x53534E31;    // "SSN1" (all-default)
-constexpr uint32_t kSnapshotMagicV2 = 0x53534E32;  // "SSN2" (backend-tagged)
+constexpr uint32_t kSnapshotMagic = 0x534B534E;  // "SKSN"
+// Layout version; SSN1 and SSN2 files were versions 1 and 2.
+constexpr uint8_t kSnapshotVersion = 3;
 
 template <typename T>
 void AppendPod(std::string* out, T value) {
@@ -142,19 +145,11 @@ std::string EncodeEngineSnapshot(const StreamEngine::Options& options,
                                  const std::vector<std::string>& names,
                                  const SketchBank& bank,
                                  const std::vector<std::string>& query_texts) {
-  // A fully default configuration keeps the legacy SSN1 bytes (bit
-  // stability for existing checkpoints and the equivalence invariant);
-  // any backend involvement upgrades the header to SSN2.
-  const bool tagged =
-      options.default_backend != SketchBackendId::kTwoLevelHash ||
-      options.backend_size != BackendOptions{}.size ||
-      bank.HasBackendStreams();
   std::string out;
-  AppendPod(&out, tagged ? kSnapshotMagicV2 : kSnapshotMagic);
-  if (tagged) {
-    AppendPod(&out, static_cast<uint8_t>(options.default_backend));
-    AppendPod(&out, options.backend_size);
-  }
+  AppendPod(&out, kSnapshotMagic);
+  AppendPod(&out, kSnapshotVersion);
+  AppendPod(&out, static_cast<uint8_t>(options.default_backend));
+  AppendPod(&out, options.backend_size);
   const SketchParams& p = options.params;
   AppendPod(&out, static_cast<int32_t>(p.levels));
   AppendPod(&out, static_cast<int32_t>(p.num_second_level));
@@ -169,17 +164,7 @@ std::string EncodeEngineSnapshot(const StreamEngine::Options& options,
   AppendPod(&out, static_cast<uint32_t>(names.size()));
   for (const std::string& name : names) {
     AppendString(&out, name);
-    const DistinctSketch* backend_sketch = bank.BackendSketch(name);
-    if (tagged) {
-      AppendPod(&out, static_cast<uint8_t>(bank.StreamBackend(name)));
-    }
-    if (backend_sketch != nullptr) {
-      backend_sketch->SerializeTo(&out);
-      continue;
-    }
-    for (const TwoLevelHashSketch& sketch : bank.Sketches(name)) {
-      sketch.SerializeCompactTo(&out);
-    }
+    EncodeStreamSummary(bank, name, &out);
   }
   AppendPod(&out, static_cast<uint32_t>(query_texts.size()));
   for (const std::string& text : query_texts) {
@@ -188,27 +173,33 @@ std::string EncodeEngineSnapshot(const StreamEngine::Options& options,
   return out;
 }
 
-bool DecodeEngineSnapshot(const std::string& bytes, EngineSnapshotData* out) {
+bool DecodeEngineSnapshot(const std::string& bytes, EngineSnapshotData* out,
+                          std::string* error) {
   *out = EngineSnapshotData{};
+  const auto fail = [error](std::string message) {
+    *error = std::move(message);
+    return false;
+  };
   size_t offset = 0;
   uint32_t magic = 0;
-  if (!ReadPod(bytes, &offset, &magic) ||
-      (magic != kSnapshotMagic && magic != kSnapshotMagicV2)) {
-    return false;
+  uint8_t version = 0;
+  if (!ReadPod(bytes, &offset, &magic) || magic != kSnapshotMagic) {
+    return fail("not an engine snapshot (bad magic)");
   }
-  const bool tagged = magic == kSnapshotMagicV2;
+  if (!ReadPod(bytes, &offset, &version) || version != kSnapshotVersion) {
+    return fail("unsupported engine snapshot version " +
+                std::to_string(version));
+  }
   StreamEngine::Options& options = out->options;
-  if (tagged) {
-    uint8_t default_backend = 0;
-    if (!ReadPod(bytes, &offset, &default_backend) ||
-        !ReadPod(bytes, &offset, &options.backend_size) ||
-        !KnownSketchBackend(default_backend) ||
-        options.backend_size < kMinBackendSize ||
-        options.backend_size > kMaxBackendSize) {
-      return false;
-    }
-    options.default_backend = static_cast<SketchBackendId>(default_backend);
+  uint8_t default_backend = 0;
+  if (!ReadPod(bytes, &offset, &default_backend) ||
+      !ReadPod(bytes, &offset, &options.backend_size) ||
+      !KnownSketchBackend(default_backend) ||
+      options.backend_size < kMinBackendSize ||
+      options.backend_size > kMaxBackendSize) {
+    return fail("malformed snapshot backend configuration");
   }
+  options.default_backend = static_cast<SketchBackendId>(default_backend);
   int32_t levels = 0, s = 0, independence = 0, copies = 0;
   uint8_t kind = 0, pooled = 0;
   if (!ReadPod(bytes, &offset, &levels) || !ReadPod(bytes, &offset, &s) ||
@@ -219,7 +210,7 @@ bool DecodeEngineSnapshot(const std::string& bytes, EngineSnapshotData* out) {
       !ReadPod(bytes, &offset, &options.witness.epsilon) ||
       !ReadPod(bytes, &offset, &options.witness.beta) ||
       !ReadPod(bytes, &offset, &pooled)) {
-    return false;
+    return fail("truncated snapshot header");
   }
   options.params.levels = levels;
   options.params.num_second_level = s;
@@ -228,54 +219,44 @@ bool DecodeEngineSnapshot(const std::string& bytes, EngineSnapshotData* out) {
   options.copies = copies;
   options.witness.pool_all_levels = pooled != 0;
   options.track_exact = false;  // Ground truth is not part of a snapshot.
-  if (!options.params.Valid() || copies < 1) return false;
+  if (!options.params.Valid() || copies < 1) {
+    return fail("invalid sketch parameters");
+  }
 
   uint32_t num_streams = 0;
   if (!ReadPod(bytes, &offset, &out->updates_processed) ||
       !ReadPod(bytes, &offset, &num_streams)) {
-    return false;
+    return fail("truncated stream count");
   }
+  std::unordered_set<std::string> seen;
   for (uint32_t i = 0; i < num_streams; ++i) {
     std::string name;
-    if (!ReadString(bytes, &offset, &name)) return false;
-    uint8_t backend = 0;
-    if (tagged) {
-      if (!ReadPod(bytes, &offset, &backend) ||
-          !KnownSketchBackend(backend)) {
-        return false;
-      }
+    if (!ReadString(bytes, &offset, &name)) {
+      return fail("truncated stream name");
     }
-    std::vector<TwoLevelHashSketch> sketches;
-    std::unique_ptr<DistinctSketch> backend_sketch;
-    if (backend != 0) {
-      std::string error;
-      backend_sketch = DeserializeDistinctSketch(bytes, &offset, &error);
-      if (backend_sketch == nullptr ||
-          backend_sketch->backend() != static_cast<SketchBackendId>(backend)) {
-        return false;
-      }
-    } else {
-      sketches.reserve(static_cast<size_t>(copies));
-      for (int c = 0; c < copies; ++c) {
-        std::unique_ptr<TwoLevelHashSketch> sketch =
-            TwoLevelHashSketch::Deserialize(bytes, &offset);
-        if (!sketch) return false;
-        sketches.push_back(std::move(*sketch));
-      }
+    if (!seen.insert(name).second) {
+      return fail("stream '" + name + "' appears twice");
     }
-    out->stream_names.push_back(std::move(name));
-    out->sketches.push_back(std::move(sketches));
-    out->stream_backends.push_back(backend);
-    out->backend_sketches.push_back(std::move(backend_sketch));
+    StreamSummary summary;
+    std::string why;
+    if (!DecodeStreamSummary(bytes, &offset, &summary, &why)) {
+      return fail("stream '" + name + "' " + why);
+    }
+    out->streams.emplace_back(std::move(name), std::move(summary));
   }
   uint32_t num_queries = 0;
-  if (!ReadPod(bytes, &offset, &num_queries)) return false;
+  if (!ReadPod(bytes, &offset, &num_queries)) {
+    return fail("truncated query count");
+  }
   for (uint32_t i = 0; i < num_queries; ++i) {
     std::string text;
-    if (!ReadString(bytes, &offset, &text)) return false;
+    if (!ReadString(bytes, &offset, &text)) {
+      return fail("truncated query text");
+    }
     out->query_texts.push_back(std::move(text));
   }
-  return offset == bytes.size();
+  if (offset != bytes.size()) return fail("trailing bytes after snapshot");
+  return true;
 }
 
 std::string StreamEngine::SaveSnapshot() const {
@@ -291,40 +272,17 @@ std::string StreamEngine::SaveSnapshot() const {
 std::unique_ptr<StreamEngine> StreamEngine::LoadSnapshot(
     const std::string& bytes) {
   EngineSnapshotData data;
-  if (!DecodeEngineSnapshot(bytes, &data)) return nullptr;
+  std::string error;
+  if (!DecodeEngineSnapshot(bytes, &data, &error)) return nullptr;
   auto engine = std::make_unique<StreamEngine>(data.options);
-  const int copies = data.options.copies;
-  for (size_t i = 0; i < data.stream_names.size(); ++i) {
-    const std::string& name = data.stream_names[i];
-    std::vector<TwoLevelHashSketch>& sketches = data.sketches[i];
-    if (data.stream_backends[i] != 0) {
-      // Alternative backend: register the name under its tag, then swap
-      // the restored DistinctSketch in. InstallBackendSketch refuses
-      // options that disagree with this engine's derived coins.
-      engine->RegisterStreamWithBackend(
-          name, static_cast<SketchBackendId>(data.stream_backends[i]));
-      if (!engine->bank_.InstallBackendSketch(
-              name, std::move(data.backend_sketches[i]))) {
-        return nullptr;
-      }
-      continue;
+  for (auto& [name, summary] : data.streams) {
+    // The bank refuses copies or backend options that disagree with this
+    // engine's derived coins. Registering afterwards assigns the id and
+    // leaves the installed synopsis alone.
+    if (!engine->bank_.InstallSummary(name, std::move(summary))) {
+      return nullptr;
     }
-    // Register the name first (assigns the id) — explicitly under the
-    // default 2-level backend, since the engine's default_backend may
-    // differ from this stream's tag — then swap the restored counters in
-    // over the empty sketches.
-    engine->RegisterStreamWithBackend(name, SketchBackendId::kTwoLevelHash);
-    std::vector<TwoLevelHashSketch>* column =
-        engine->bank_.MutableSketches(name);
-    if (column == nullptr) return nullptr;
-    for (int c = 0; c < copies; ++c) {
-      if (!((*column)[static_cast<size_t>(c)].seed() ==
-            sketches[static_cast<size_t>(c)].seed())) {
-        return nullptr;  // Snapshot coins disagree with derived coins.
-      }
-      (*column)[static_cast<size_t>(c)] =
-          std::move(sketches[static_cast<size_t>(c)]);
-    }
+    engine->RegisterStream(name);
   }
   for (const std::string& text : data.query_texts) {
     if (!engine->RegisterQuery(text).ok()) return nullptr;

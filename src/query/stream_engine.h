@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/confidence.h"
@@ -189,43 +190,40 @@ class StreamEngine {
 
 // ---------------------------------------------------------------------------
 // Snapshot codec, exposed standalone so other synopsis holders (the sketch
-// server's crash-recovery checkpoints embed exactly this byte format) can
-// persist and restore without owning a StreamEngine.
+// server's crash-recovery checkpoints and sketchtool's bank files are
+// exactly this byte format) can persist and restore without owning a
+// StreamEngine.
 
 /// Decoded form of a snapshot: everything needed to rebuild a synopsis.
 struct EngineSnapshotData {
   StreamEngine::Options options;  // track_exact always false.
   int64_t updates_processed = 0;
-  std::vector<std::string> stream_names;  // Id order.
-  /// Per stream (parallel to stream_names), the r restored sketch copies
-  /// (empty for alternative-backend streams).
-  std::vector<std::vector<TwoLevelHashSketch>> sketches;
-  /// Per stream, its SketchBackendId tag (0 = default 2-level hash).
-  std::vector<uint8_t> stream_backends;
-  /// Per stream, the restored DistinctSketch for alternative backends
-  /// (nullptr for default-backend streams).
-  std::vector<std::unique_ptr<DistinctSketch>> backend_sketches;
+  /// Every stream's name and synopsis, in id order.
+  std::vector<std::pair<std::string, StreamSummary>> streams;
   std::vector<std::string> query_texts;
 };
 
-/// Serializes a synopsis: configuration, seed, every stream's sketches in
+/// Serializes a synopsis: configuration (the sketch parameters, copies,
+/// seed, default backend and backend size), every stream's synopsis in
 /// `names` order (each name must exist in `bank`), and query texts. The
-/// byte format is StreamEngine::SaveSnapshot's. A fully default
-/// configuration (2-level hash backend everywhere, default backend size)
-/// emits the legacy "SSN1" layout byte for byte; any backend use switches
-/// the header to "SSN2", which carries the default backend id + size and
-/// a per-stream backend tag — restorers refuse a mismatching backend
-/// configuration exactly like mismatching stored coins.
+/// byte format is StreamEngine::SaveSnapshot's: u32 magic "SKSN", u8
+/// version 3, the fixed-width configuration, then each stream as a
+/// u32-length name followed by its synopsis in the one per-stream
+/// layout (distributed/summary_codec.h). Restorers refuse a snapshot
+/// whose configuration disagrees with their own, exactly like
+/// mismatching stored coins.
 std::string EncodeEngineSnapshot(const StreamEngine::Options& options,
                                  int64_t updates_processed,
                                  const std::vector<std::string>& names,
                                  const SketchBank& bank,
                                  const std::vector<std::string>& query_texts);
 
-/// Parses EncodeEngineSnapshot bytes. False on malformed input; performs
-/// no seed-compatibility checks (restorers validate against their own
-/// derived coins when installing the sketches).
-bool DecodeEngineSnapshot(const std::string& bytes, EngineSnapshotData* out);
+/// Parses EncodeEngineSnapshot bytes. False with *error on malformed
+/// input, another magic or another version byte; performs no
+/// seed-compatibility checks (restorers validate against their own
+/// derived coins when installing the streams).
+bool DecodeEngineSnapshot(const std::string& bytes, EngineSnapshotData* out,
+                          std::string* error);
 
 }  // namespace setsketch
 

@@ -157,29 +157,21 @@ std::string EncodePushUpdates(const UpdateBatch& batch,
                               std::string_view site_id, uint64_t sequence) {
   SETSKETCH_CHECK(site_id.size() <= kMaxSiteIdBytes)
       << "site id of " << site_id.size() << " bytes exceeds the wire bound";
+  SETSKETCH_CHECK(batch.stream_backends.empty() ||
+                  batch.stream_backends.size() == batch.stream_names.size())
+      << "stream_backends must parallel stream_names";
   // Exact-size precompute + raw pointer writes: identical bytes to the
   // AppendVarint formulation, without a byte-at-a-time push_back on the
   // client's hot path (wide --batch-bytes batches re-encode per send).
   size_t size = VarintLen(site_id.size()) + site_id.size() +
                 VarintLen(sequence) + VarintLen(batch.stream_names.size());
   for (const std::string& name : batch.stream_names) {
-    size += VarintLen(name.size()) + name.size();
+    size += VarintLen(name.size()) + name.size() + 1;
   }
   size += VarintLen(batch.updates.size());
   for (const Update& u : batch.updates) {
     size += VarintLen(u.stream) + VarintLen(u.element) +
             VarintLen(ZigZagEncode(u.delta));
-  }
-  // Backend-tags section only when some tag is nonzero: an all-default
-  // batch keeps the legacy bytes (equivalence invariant + old peers).
-  bool tagged = false;
-  for (uint8_t tag : batch.stream_backends) tagged |= tag != 0;
-  if (tagged) {
-    SETSKETCH_CHECK(batch.stream_backends.size() ==
-                    batch.stream_names.size())
-        << "stream_backends must parallel stream_names when tagged";
-    size += VarintLen(batch.stream_names.size()) +
-            batch.stream_names.size();
   }
   std::string out;
   out.resize(size);
@@ -191,22 +183,19 @@ std::string EncodePushUpdates(const UpdateBatch& batch,
   }
   p = WriteVarint(p, sequence);
   p = WriteVarint(p, batch.stream_names.size());
-  for (const std::string& name : batch.stream_names) {
+  for (size_t i = 0; i < batch.stream_names.size(); ++i) {
+    const std::string& name = batch.stream_names[i];
     p = WriteVarint(p, name.size());
     std::memcpy(p, name.data(), name.size());
     p += name.size();
+    *p++ = static_cast<char>(
+        batch.stream_backends.empty() ? 0 : batch.stream_backends[i]);
   }
   p = WriteVarint(p, batch.updates.size());
   for (const Update& u : batch.updates) {
     p = WriteVarint(p, u.stream);
     p = WriteVarint(p, u.element);
     p = WriteVarint(p, ZigZagEncode(u.delta));
-  }
-  if (tagged) {
-    p = WriteVarint(p, batch.stream_backends.size());
-    for (uint8_t tag : batch.stream_backends) {
-      *p++ = static_cast<char>(tag);
-    }
   }
   SETSKETCH_DCHECK(p == out.data() + size)
       << "encoded size mismatch:" << (p - out.data()) << "vs" << size;
@@ -215,51 +204,11 @@ std::string EncodePushUpdates(const UpdateBatch& batch,
 
 namespace {
 
-/// Decodes the optional PUSH_UPDATES backend-tags section starting at
-/// *offset. `tags` was pre-sized to the name count.
-bool DecodeBackendTags(std::string_view payload, size_t* offset,
-                       const std::vector<std::string_view>& names,
-                       std::vector<uint8_t>* tags, std::string* error) {
-  const uint8_t* base = reinterpret_cast<const uint8_t*>(payload.data());
-  uint64_t tag_count = 0;
-  const size_t n =
-      DecodeVarint(base + *offset, base + payload.size(), &tag_count);
-  if (n == 0 || tag_count != names.size()) {
-    *error = "malformed backend-tag count";
-    return false;
-  }
-  *offset += n;
-  if (payload.size() - *offset < tag_count) {
-    *error = "truncated backend tags";
-    return false;
-  }
-  for (uint64_t i = 0; i < tag_count; ++i) {
-    const uint8_t tag = static_cast<uint8_t>(payload[(*offset)++]);
-    if (!KnownSketchBackend(tag)) {
-      *error = "unknown backend tag for stream '" +
-               std::string(names[static_cast<size_t>(i)]) + "'";
-      return false;
-    }
-    (*tags)[static_cast<size_t>(i)] = tag;
-  }
-  return true;
-}
-
-/// ReadVarint over a borrowed buffer (same accept/reject semantics).
-bool ReadVarintView(std::string_view data, size_t* offset, uint64_t* value) {
-  const uint8_t* base = reinterpret_cast<const uint8_t*>(data.data());
-  const size_t n =
-      DecodeVarint(base + *offset, base + data.size(), value);
-  if (n == 0) return false;
-  *offset += n;
-  return true;
-}
-
 /// ReadVarintString without the copy: *out borrows `data`'s bytes.
 bool ReadVarintStringView(std::string_view data, size_t* offset,
                           size_t max_bytes, std::string_view* out) {
   uint64_t length = 0;
-  if (!ReadVarintView(data, offset, &length)) return false;
+  if (!ReadVarint(data, offset, &length)) return false;
   if (length > max_bytes) return false;
   if (length > data.size() - *offset) return false;
   *out = data.substr(*offset, static_cast<size_t>(length));
@@ -280,12 +229,12 @@ bool DecodePushUpdates(std::string_view payload, UpdateBatchView* out,
     *error = "malformed site id";
     return false;
   }
-  if (!ReadVarintView(payload, &offset, &out->sequence)) {
+  if (!ReadVarint(payload, &offset, &out->sequence)) {
     *error = "truncated sequence number";
     return false;
   }
   uint64_t num_names = 0;
-  if (!ReadVarintView(payload, &offset, &num_names)) {
+  if (!ReadVarint(payload, &offset, &num_names)) {
     *error = "truncated stream-name count";
     return false;
   }
@@ -295,6 +244,7 @@ bool DecodePushUpdates(std::string_view payload, UpdateBatchView* out,
     return false;
   }
   out->stream_names.reserve(static_cast<size_t>(num_names));
+  out->stream_backends.reserve(static_cast<size_t>(num_names));
   std::unordered_set<std::string_view> seen_names;
   for (uint64_t i = 0; i < num_names; ++i) {
     std::string_view name;
@@ -314,10 +264,20 @@ bool DecodePushUpdates(std::string_view payload, UpdateBatchView* out,
       *error = "duplicate stream name '" + std::string(name) + "' in batch";
       return false;
     }
+    if (offset == payload.size()) {
+      *error = "truncated backend tag for stream '" + std::string(name) + "'";
+      return false;
+    }
+    const uint8_t backend = static_cast<uint8_t>(payload[offset++]);
+    if (!KnownSketchBackend(backend)) {
+      *error = "unknown backend tag for stream '" + std::string(name) + "'";
+      return false;
+    }
     out->stream_names.push_back(name);
+    out->stream_backends.push_back(backend);
   }
   uint64_t num_updates = 0;
-  if (!ReadVarintView(payload, &offset, &num_updates)) {
+  if (!ReadVarint(payload, &offset, &num_updates)) {
     *error = "truncated update count";
     return false;
   }
@@ -328,8 +288,8 @@ bool DecodePushUpdates(std::string_view payload, UpdateBatchView* out,
     return false;
   }
   out->updates.reserve(static_cast<size_t>(num_updates));
-  // Bulk-decode the triples in chunks: the SIMD run decoder amortizes
-  // the per-varint dispatch; validation and zigzag happen per chunk.
+  // Bulk-decode the triples in chunks: the run decoder amortizes the
+  // per-varint call; validation and zigzag happen per chunk.
   constexpr size_t kChunkTriples = 512;
   uint64_t values[3 * kChunkTriples];
   const uint8_t* base = reinterpret_cast<const uint8_t*>(payload.data());
@@ -363,17 +323,9 @@ bool DecodePushUpdates(std::string_view payload, UpdateBatchView* out,
     q += used;
     decoded += full;
   }
-  out->stream_backends.assign(static_cast<size_t>(num_names), 0);
   if (q != end) {
-    size_t tail = static_cast<size_t>(q - base);
-    if (!DecodeBackendTags(payload, &tail, out->stream_names,
-                           &out->stream_backends, error)) {
-      return false;
-    }
-    if (tail != payload.size()) {
-      *error = "trailing bytes after update batch";
-      return false;
-    }
+    *error = "trailing bytes after update batch";
+    return false;
   }
   return true;
 }
@@ -413,8 +365,7 @@ bool DecodeAck(const std::string& payload, AckInfo* out) {
 
 std::string EncodeQueryResult(const QueryResultInfo& result) {
   std::string out;
-  // Bit 0x01 = ok, bit 0x02 = degraded. A plain `byte != 0` truthiness
-  // test (all pre-repair decoders) still reads a degraded success as ok.
+  // Bit 0x01 = ok, bit 0x02 = degraded.
   out.push_back(result.ok ? static_cast<char>(result.degraded ? 3 : 1)
                           : 0);
   if (result.ok) {
@@ -464,15 +415,23 @@ QueryResultInfo PlannedQueryResult(const Expression& expr,
   return result;
 }
 
+HelloInfo MakeHello(uint8_t features, const SketchParams& params, int copies,
+                    uint64_t seed, SketchBackendId backend,
+                    uint32_t backend_size) {
+  HelloInfo hello;
+  hello.features = features;
+  hello.params = params;
+  hello.copies = copies;
+  hello.seed = seed;
+  hello.backend = static_cast<uint8_t>(backend);
+  hello.backend_size = backend_size;
+  return hello;
+}
+
 std::string EncodeHello(const HelloInfo& hello, bool response) {
-  // A default backend configuration stays on the version-1 layout so the
-  // bytes (and cross-version interop) are unchanged; any backend use
-  // upgrades the hello to version 2 with two extra varints.
-  const bool tagged = hello.backend != 0 || hello.backend_size != 4096;
   std::string out;
   AppendU32(&out, response ? kHelloResponseMagic : kHelloRequestMagic);
-  out.push_back(
-      static_cast<char>(tagged ? kHelloVersionBackend : kHelloVersion));
+  out.push_back(static_cast<char>(kHelloVersion));
   out.push_back(static_cast<char>(hello.features));
   AppendVarint(&out, static_cast<uint64_t>(hello.params.levels));
   AppendVarint(&out, static_cast<uint64_t>(hello.params.num_second_level));
@@ -480,53 +439,38 @@ std::string EncodeHello(const HelloInfo& hello, bool response) {
   AppendVarint(&out, static_cast<uint64_t>(hello.params.independence));
   AppendVarint(&out, static_cast<uint64_t>(hello.copies));
   AppendVarint(&out, hello.seed);
-  if (tagged) {
-    AppendVarint(&out, static_cast<uint64_t>(hello.backend));
-    AppendVarint(&out, static_cast<uint64_t>(hello.backend_size));
-  }
+  AppendVarint(&out, static_cast<uint64_t>(hello.backend));
+  AppendVarint(&out, static_cast<uint64_t>(hello.backend_size));
   return out;
 }
 
 bool DecodeHello(const std::string& payload, bool response, HelloInfo* out) {
   *out = HelloInfo{};
-  size_t offset = 0;
-  uint32_t magic = 0;
-  if (payload.size() < sizeof(uint32_t)) return false;
-  magic = ReadU32At(payload, 0);
-  offset = sizeof(uint32_t);
-  if (magic != (response ? kHelloResponseMagic : kHelloRequestMagic)) {
+  if (payload.size() < sizeof(uint32_t) + 2) return false;
+  if (ReadU32At(payload, 0) !=
+      (response ? kHelloResponseMagic : kHelloRequestMagic)) {
     return false;
   }
-  if (payload.size() - offset < 2) return false;
-  out->hello_version = static_cast<uint8_t>(payload[offset]);
-  out->features = static_cast<uint8_t>(payload[offset + 1]);
-  offset += 2;
+  if (static_cast<uint8_t>(payload[4]) != kHelloVersion) return false;
+  out->features = static_cast<uint8_t>(payload[5]);
+  size_t offset = sizeof(uint32_t) + 2;
   uint64_t levels = 0, second = 0, kind = 0, independence = 0, copies = 0;
+  uint64_t backend = 0, backend_size = 0;
   if (!ReadVarint(payload, &offset, &levels) ||
       !ReadVarint(payload, &offset, &second) ||
       !ReadVarint(payload, &offset, &kind) ||
       !ReadVarint(payload, &offset, &independence) ||
       !ReadVarint(payload, &offset, &copies) ||
-      !ReadVarint(payload, &offset, &out->seed)) {
+      !ReadVarint(payload, &offset, &out->seed) ||
+      !ReadVarint(payload, &offset, &backend) ||
+      !ReadVarint(payload, &offset, &backend_size) ||
+      offset != payload.size()) {
     return false;
   }
-  if (out->hello_version >= kHelloVersionBackend) {
-    uint64_t backend = 0, backend_size = 0;
-    if (!ReadVarint(payload, &offset, &backend) ||
-        !ReadVarint(payload, &offset, &backend_size)) {
-      return false;
-    }
-    if (backend > 255 || !KnownSketchBackend(static_cast<uint8_t>(backend)) ||
-        backend_size < kMinBackendSize || backend_size > kMaxBackendSize) {
-      return false;
-    }
-    out->backend = static_cast<uint8_t>(backend);
-    out->backend_size = static_cast<uint32_t>(backend_size);
-  }
-  if (offset != payload.size()) return false;
   // Bound the fields to sane configuration space before narrowing.
   if (levels > 4096 || second > 1u << 20 || kind > 1 || independence > 64 ||
-      copies > 1u << 16) {
+      copies > 1u << 16 || backend > kMaxSketchBackendId ||
+      backend_size < kMinBackendSize || backend_size > kMaxBackendSize) {
     return false;
   }
   out->params.levels = static_cast<int>(levels);
@@ -534,6 +478,8 @@ bool DecodeHello(const std::string& payload, bool response, HelloInfo* out) {
   out->params.first_level_kind = static_cast<FirstLevelKind>(kind);
   out->params.independence = static_cast<int>(independence);
   out->copies = static_cast<int>(copies);
+  out->backend = static_cast<uint8_t>(backend);
+  out->backend_size = static_cast<uint32_t>(backend_size);
   return true;
 }
 
@@ -599,13 +545,7 @@ std::string EncodeSummaryResult(const SummaryResult& result) {
     if (entry.state == SummaryState::kFull) {
       AppendVarint(&out, entry.bank_id);
       AppendVarint(&out, entry.epoch);
-      if (entry.backend != 0) {
-        SummaryAppendU32(&out, kSummaryBackendMagic);
-        out.push_back(static_cast<char>(entry.backend));
-        entry.backend_sketch->SerializeTo(&out);
-      } else {
-        EncodeSketchVector(entry.sketches, /*compact=*/true, &out);
-      }
+      EncodeStreamSummary(entry.summary, &out);
     }
   }
   return out;
@@ -648,21 +588,14 @@ bool DecodeSummaryResult(const std::string& payload, SummaryResult* out,
         *error = "truncated identity for stream '" + entry.name + "'";
         return false;
       }
+      // The caller checks the summary against its own copies, coins and
+      // backend options when it installs it.
       std::string decode_error;
-      StreamSummary summary;
-      // The caller verifies copy count, coins, and backend options
-      // against its own configuration; the codec only enforces
-      // well-formedness here.
-      if (!DecodeStreamSummary(payload, &offset, /*expected_copies=*/-1,
-                               /*expected_seeds=*/nullptr,
-                               /*expected_options=*/nullptr, &summary,
+      if (!DecodeStreamSummary(payload, &offset, &entry.summary,
                                &decode_error)) {
         *error = "stream '" + entry.name + "' " + decode_error;
         return false;
       }
-      entry.backend = summary.backend;
-      entry.sketches = std::move(summary.sketches);
-      entry.backend_sketch = std::move(summary.backend_sketch);
     }
     out->streams.push_back(std::move(entry));
   }
@@ -791,13 +724,7 @@ std::string EncodeRepairInstall(const RepairInstall& install) {
         << "stream name of " << stream.name.size()
         << " bytes exceeds the wire bound";
     AppendVarintString(&out, stream.name);
-    if (stream.backend != 0) {
-      SummaryAppendU32(&out, kSummaryBackendMagic);
-      out.push_back(static_cast<char>(stream.backend));
-      stream.backend_sketch->SerializeTo(&out);
-    } else {
-      EncodeSketchVector(stream.sketches, /*compact=*/true, &out);
-    }
+    EncodeStreamSummary(stream.summary, &out);
   }
   return out;
 }
@@ -839,21 +766,14 @@ bool DecodeRepairInstall(const std::string& payload, RepairInstall* out,
       *error = "empty stream name";
       return false;
     }
+    // The receiving server checks the summary against its own copies,
+    // coins and backend options before it installs anything.
     std::string decode_error;
-    StreamSummary summary;
-    // The receiving server verifies copy count, coins, and backend
-    // options against its own configuration; the codec only enforces
-    // well-formedness here.
-    if (!DecodeStreamSummary(payload, &offset, /*expected_copies=*/-1,
-                             /*expected_seeds=*/nullptr,
-                             /*expected_options=*/nullptr, &summary,
+    if (!DecodeStreamSummary(payload, &offset, &stream.summary,
                              &decode_error)) {
       *error = "stream '" + stream.name + "' " + decode_error;
       return false;
     }
-    stream.backend = summary.backend;
-    stream.sketches = std::move(summary.sketches);
-    stream.backend_sketch = std::move(summary.backend_sketch);
     out->streams.push_back(std::move(stream));
   }
   if (offset != payload.size()) {

@@ -5,7 +5,7 @@
 //   offset  size  field
 //   ------  ----  -----------------------------------------------------
 //        0     4  magic 0x534B4348 ("SKCH"), little-endian
-//        4     1  protocol version (currently 1)
+//        4     1  protocol version (kProtocolVersion; no other is read)
 //        5     1  opcode
 //        6     2  reserved, must be zero
 //        8     4  payload size in bytes, little-endian (<= 64 MiB)
@@ -41,7 +41,7 @@
 
 #include "core/sketch_backend.h"
 #include "core/sketch_seed.h"
-#include "core/two_level_hash_sketch.h"
+#include "distributed/summary_codec.h"
 #include "query/plan_cache.h"
 #include "stream/update.h"
 #include "util/thread_annotations.h"
@@ -49,13 +49,9 @@
 namespace setsketch {
 
 inline constexpr uint32_t kProtocolMagic = 0x534B4348u;  // "SKCH".
-inline constexpr uint8_t kProtocolVersion = 1;
+inline constexpr uint8_t kProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 12;
 inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
-/// Stream names on the wire are bounded to keep hostile payloads cheap.
-inline constexpr size_t kMaxStreamNameBytes = 256;
-/// Site identifiers (the idempotency key space) share the same bound.
-inline constexpr size_t kMaxSiteIdBytes = 256;
 
 /// Frame type. Requests are < 128, responses >= 128.
 enum class Opcode : uint8_t {
@@ -155,12 +151,10 @@ FrameScanStatus ScanFrame(std::string_view data, FrameView* view,
 /// `stream_names` (a batch-local id space; the server maps names to its
 /// own dense ids). Layout: idempotency header (site id as varint length +
 /// bytes, varint sequence), then varint #names, then each name as varint
-/// length + bytes; varint #updates, then each update as varint local
-/// stream index, varint element, varint zigzag(delta); then an OPTIONAL
-/// backend-tags section — varint tag count (must equal #names) followed
-/// by one SketchBackendId byte per name. The section is emitted only
-/// when some tag is nonzero, so default-backend batches keep the
-/// untagged layout (and untagged WAL records decode as all-default).
+/// length + bytes followed by its requested SketchBackendId byte (0 = no
+/// preference: the server's default backend); varint #updates, then each
+/// update as varint local stream index, varint element, varint
+/// zigzag(delta). Nothing follows the last update.
 ///
 /// The (site_id, sequence) pair is the exactly-once key: a client stamps
 /// every batch with its site id and a per-site monotone sequence, and the
@@ -173,8 +167,8 @@ struct UpdateBatch {
   std::vector<std::string> stream_names;
   std::vector<Update> updates;
   /// Requested backend per name (parallel to stream_names; decoders
-  /// always fill it, 0 = default). Encoders accept an empty vector as
-  /// "all default".
+  /// always fill it, 0 = no preference). Encoders accept an empty vector
+  /// as "all 0".
   std::vector<uint8_t> stream_backends;
 };
 std::string EncodePushUpdates(const UpdateBatch& batch);
@@ -194,11 +188,11 @@ struct UpdateBatchView {
   std::vector<Update> updates;
   std::vector<uint8_t> stream_backends;  ///< Parallel to stream_names.
 };
-/// Zero-copy, SIMD-assisted PUSH_UPDATES decoder — the one decoder the
-/// server, WAL replay and the router share. The update triples decode
-/// through DecodeVarintRun (util/varint_bulk.h), so hot batches skip the
-/// per-varint call overhead entirely; randomized fuzz tests pin it,
-/// error strings included, against a scalar ReadVarint reference.
+/// Zero-copy PUSH_UPDATES decoder — the one decoder the server, WAL
+/// replay and the router share. The update triples decode through
+/// DecodeVarintRun (util/varint_bulk.h) a chunk at a time; randomized
+/// fuzz tests pin it, error strings included, against a field-by-field
+/// ReadVarint reference.
 bool DecodePushUpdates(std::string_view payload, UpdateBatchView* out,
                        std::string* error);
 
@@ -226,7 +220,7 @@ bool DecodeAck(const std::string& payload, AckInfo* out);
 /// doubles (estimate, interval lo, interval hi) + rendered expression
 /// text; else the error message text. Bit 0x02 marks a degraded answer
 /// (the router's `--read-policy available` served it from a partial
-/// replica set); legacy decoders read the byte as a plain truthy ok.
+/// replica set).
 struct QueryResultInfo {
   bool ok = false;
   bool degraded = false;   ///< Answer may not reflect all shards.
@@ -246,23 +240,20 @@ QueryResultInfo PlannedQueryResult(const Expression& expr,
                                    const PlanCache::Result& planned);
 
 // ---------------------------------------------------------------------------
-// Cluster handshake. A hello rides inside PING/PONG payloads (version 1
-// servers that predate it simply echo the request, which a hello-aware
-// peer detects by the unchanged request magic), carrying the protocol
-// feature byte plus the sender's sketch configuration — the deployment's
-// "stored coins". A router refuses shards whose (params, copies, seed)
-// disagree with its own instead of silently merging incompatible coins.
+// Cluster handshake. A hello rides inside PING/PONG payloads, carrying
+// the protocol feature byte plus the sender's sketch configuration — the
+// deployment's "stored coins". A router refuses shards whose (params,
+// copies, seed, backend, backend size) disagree with its own instead of
+// silently merging incompatible coins. A PING whose payload is not a
+// hello (a plain liveness ping) is echoed verbatim.
 
 inline constexpr uint32_t kHelloRequestMagic = 0x534B4849u;   // "SKHI".
 inline constexpr uint32_t kHelloResponseMagic = 0x534B484Fu;  // "SKHO".
-/// Hello layout versions. Version 1 carries six configuration varints
-/// (levels, second-level count, kind, independence, copies, seed);
-/// version 2 appends the sketch backend id and backend size. Encoders
-/// emit version 1 whenever the backend fields are at their defaults, so
-/// default-configuration peers interoperate with pre-backend builds
-/// byte for byte; decoders accept both layouts.
-inline constexpr uint8_t kHelloVersion = 1;
-inline constexpr uint8_t kHelloVersionBackend = 2;
+/// Hello layout version: magic, version byte, feature byte, then eight
+/// varints (levels, second-level count, first-level kind, independence,
+/// copies, seed, backend id, backend size). Decoders refuse any other
+/// version byte.
+inline constexpr uint8_t kHelloVersion = 2;
 /// Feature bit: the peer serves PULL_SUMMARY (cluster federation).
 inline constexpr uint8_t kFeatureSummaryPull = 0x01;
 /// Feature bit: the peer serves PULL_REPAIR/PUSH_REPAIR (anti-entropy
@@ -270,13 +261,12 @@ inline constexpr uint8_t kFeatureSummaryPull = 0x01;
 inline constexpr uint8_t kFeatureRepair = 0x02;
 
 struct HelloInfo {
-  uint8_t hello_version = kHelloVersion;
   uint8_t features = 0;
   SketchParams params;
   int copies = 0;
   uint64_t seed = 0;
   /// Default sketch backend id (SketchBackendId; 0 = 2-level hash) and
-  /// its size knob. Version-1 hellos imply the defaults.
+  /// its size knob.
   uint8_t backend = 0;
   uint32_t backend_size = 4096;
 
@@ -290,11 +280,16 @@ struct HelloInfo {
            backend_size == other.backend_size;
   }
 };
+/// The hello a process built with this configuration sends and answers
+/// with (the server, the router and the router's shard dials share it).
+HelloInfo MakeHello(uint8_t features, const SketchParams& params, int copies,
+                    uint64_t seed, SketchBackendId backend,
+                    uint32_t backend_size);
 /// Encodes a hello as a PING (request) or PONG (response) payload.
 std::string EncodeHello(const HelloInfo& hello, bool response);
 /// Decodes a hello payload of the given direction. Returns false for
-/// anything else (including a legacy server's verbatim echo of the
-/// request payload when `response` is set — the magics differ).
+/// anything else: another version byte, or a verbatim echo of the
+/// request payload when `response` is set (the magics differ).
 bool DecodeHello(const std::string& payload, bool response, HelloInfo* out);
 
 // ---------------------------------------------------------------------------
@@ -324,24 +319,20 @@ bool DecodeSummaryPull(const std::string& payload, SummaryPullRequest* out,
 enum class SummaryState : uint8_t {
   kUnknown = 0,    ///< The shard does not hold this stream.
   kUnchanged = 1,  ///< Cached (bank_id, epoch) still current; no payload.
-  kFull = 2,       ///< Fresh identity + compact sketch vector follow.
+  kFull = 2,       ///< Fresh identity + the stream's synopsis follow.
 };
 
 /// SUMMARY_RESULT payload: varint #streams, then per stream the name
 /// (varint length + bytes) and a state byte; kFull entries append varint
-/// bank id, varint epoch and the stream's summary — the legacy compact
-/// sketch vector for default-backend streams, the tagged "SKSM" layout
-/// for alternative backends (distributed/summary_codec.h owns both).
+/// bank id, varint epoch and the stream's synopsis
+/// (distributed/summary_codec.h).
 struct SummaryResult {
   struct Entry {
     std::string name;
     SummaryState state = SummaryState::kUnknown;
     uint64_t bank_id = 0;
     uint64_t epoch = 0;
-    std::vector<TwoLevelHashSketch> sketches;  ///< kFull, default backend.
-    uint8_t backend = 0;                       ///< SketchBackendId tag.
-    /// kFull, alternative backends only.
-    std::shared_ptr<const DistinctSketch> backend_sketch;
+    StreamSummary summary;  ///< kFull only.
   };
   std::vector<Entry> streams;
 };
@@ -383,7 +374,7 @@ bool DecodeRepairManifest(const std::string& payload, RepairManifest* out,
 
 /// PUSH_REPAIR payload: u8 mode (0 = merge, 1 = replace), varint #sites
 /// + site windows as in REPAIR_STATE, varint #streams, then per stream
-/// the name and its compact sketch vector (distributed/summary_codec.h).
+/// the name and its synopsis (distributed/summary_codec.h).
 /// Answered with an ACK whose `accepted` counts installed streams.
 ///
 /// `replace_dedup` distinguishes the two users: crash repair REPLACES
@@ -397,11 +388,7 @@ struct RepairInstall {
   std::vector<RepairManifest::SiteWindow> sites;
   struct StreamState {
     std::string name;
-    std::vector<TwoLevelHashSketch> sketches;  ///< Default backend.
-    uint8_t backend = 0;                       ///< SketchBackendId tag.
-    /// Alternative backends only (the summary layouts are shared with
-    /// SUMMARY_RESULT; see distributed/summary_codec.h).
-    std::shared_ptr<const DistinctSketch> backend_sketch;
+    StreamSummary summary;
   };
   std::vector<StreamState> streams;
 };

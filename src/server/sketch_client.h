@@ -105,8 +105,8 @@ class SketchClient {
 
   /// Cluster handshake: sends `mine` as a hello-carrying PING and decodes
   /// the peer's configuration into *theirs. Fails (ok = false) when the
-  /// peer does not speak the handshake (a legacy server echoes the request
-  /// payload, which deliberately fails response decoding) — callers treat
+  /// reply is not a hello of this version (a peer that does not know the
+  /// request echoes it, which fails response decoding) — callers treat
   /// that the same as a refusal, since the peer cannot be config-checked.
   Status Hello(const HelloInfo& mine, HelloInfo* theirs);
 

@@ -13,7 +13,6 @@
 #include "expr/parser.h"
 #include "query/stream_engine.h"
 #include "util/check.h"
-#include "util/varint_bulk.h"
 
 namespace setsketch {
 
@@ -161,19 +160,17 @@ std::string SketchServer::HandleFrame(Opcode opcode, std::string_view payload,
   switch (opcode) {
     case Opcode::kPing: {
       // A hello-carrying ping gets this server's own configuration back
-      // (the cluster handshake); any other payload echoes as before, so
-      // plain liveness pings and legacy peers are unaffected.
+      // (the cluster handshake); any other payload echoes, so plain
+      // liveness pings are unaffected.
       HelloInfo hello;
       if (DecodeHello(std::string(payload), /*response=*/false, &hello)) {
-        HelloInfo mine;
-        mine.features = kFeatureSummaryPull | kFeatureRepair;
-        mine.params = options_.params;
-        mine.copies = options_.copies;
-        mine.seed = options_.seed;
-        mine.backend = static_cast<uint8_t>(options_.default_backend);
-        mine.backend_size = options_.backend_size;
-        return EncodeFrame(Opcode::kPong,
-                           EncodeHello(mine, /*response=*/true));
+        return EncodeFrame(
+            Opcode::kPong,
+            EncodeHello(MakeHello(kFeatureSummaryPull | kFeatureRepair,
+                                  options_.params, options_.copies,
+                                  options_.seed, options_.default_backend,
+                                  options_.backend_size),
+                        /*response=*/true));
       }
       return EncodeFrame(Opcode::kPong, payload);
     }
@@ -338,8 +335,8 @@ std::shared_ptr<IngestBatch> SketchServer::ResolveBatchLocked(
 std::string SketchServer::HandlePushUpdates(std::string_view payload,
                                             Connection* connection) {
   // Zero-copy decode: site id and stream names stay views into the
-  // connection arena, update triples decode through the SIMD varint
-  // runs. thread_local keeps the vectors' capacity warm across the io
+  // connection arena, update triples decode through bulk varint runs.
+  // thread_local keeps the vectors' capacity warm across the io
   // thread's frames.
   // Per-frame scratch: the stale views are fully overwritten by
   // DecodePushUpdates before any read. analyze-ok: arena-escape
@@ -490,17 +487,9 @@ SummaryResult SketchServer::PullSummaries(const SummaryPullRequest& request) {
       entry.state = SummaryState::kFull;
       entry.bank_id = bank_.bank_id();
       entry.epoch = bank_.StreamEpoch(key.name);
-      const SketchBackendId backend = bank_.StreamBackend(key.name);
-      if (backend == SketchBackendId::kTwoLevelHash) {
-        entry.sketches = bank_.Sketches(key.name);
-      } else {
-        // Backend streams move as one tagged DistinctSketch clone: the
-        // quiesce makes the clone a consistent post-ACK snapshot, and the
-        // clone keeps it immutable once the locks drop.
-        entry.backend = static_cast<uint8_t>(backend);
-        entry.backend_sketch = std::shared_ptr<const DistinctSketch>(
-            bank_.BackendSketch(key.name)->Clone());
-      }
+      // The quiesce makes the copy a consistent post-ACK snapshot, and
+      // the copy keeps it immutable once the locks drop.
+      entry.summary = bank_.Summary(key.name);
     }
     result.streams.push_back(std::move(entry));
   }
@@ -538,73 +527,21 @@ bool SketchServer::InstallRepair(const RepairInstall& install,
   for (const auto& queue : queues_) queue->WaitDrained();
   {
     MutexLock registry_lock(&registry_mutex_);
-    // Validate every carried vector before touching the bank: the
+    // Validate every carried summary before touching the bank: the
     // install must be all-or-nothing, or a half-applied repair could be
     // re-admitted as converged.
-    const SketchFamily& family = bank_.family();
     for (const RepairInstall::StreamState& stream : install.streams) {
-      if (stream.backend != 0) {
-        // Backend streams repair as one tagged DistinctSketch; it must
-        // match this server's backend configuration, and must not collide
-        // with an existing stream of a different synopsis type.
-        if (stream.backend_sketch == nullptr) {
-          *code = WireError::kBadPayload;
-          *error = "stream '" + stream.name +
-                   "' is backend-tagged but carries no synopsis";
-          return false;
-        }
-        if (!(stream.backend_sketch->options() == bank_.backend_options())) {
-          *code = WireError::kConfigMismatch;
-          *error = "stream '" + stream.name +
-                   "' uses a foreign backend configuration (size/seed)";
-          return false;
-        }
-        if (bank_.HasStream(stream.name) &&
-            bank_.StreamBackend(stream.name) !=
-                static_cast<SketchBackendId>(stream.backend)) {
-          *code = WireError::kConfigMismatch;
-          *error = "stream '" + stream.name +
-                   "' already uses a different sketch backend";
-          return false;
-        }
-        continue;
-      }
-      if (bank_.HasStream(stream.name) &&
-          bank_.StreamBackend(stream.name) != SketchBackendId::kTwoLevelHash) {
+      std::string why;
+      if (!bank_.CanInstallSummary(stream.name, stream.summary, &why)) {
         *code = WireError::kConfigMismatch;
-        *error = "stream '" + stream.name +
-                 "' already uses a different sketch backend";
+        *error = "stream '" + stream.name + "' " + why;
         return false;
-      }
-      if (static_cast<int>(stream.sketches.size()) != family.size()) {
-        *code = WireError::kConfigMismatch;
-        *error = "stream '" + stream.name + "' carries " +
-                 std::to_string(stream.sketches.size()) +
-                 " sketch copies, expected " + std::to_string(family.size());
-        return false;
-      }
-      for (int i = 0; i < family.size(); ++i) {
-        if (!(stream.sketches[static_cast<size_t>(i)].seed() ==
-              *family.seed(i))) {
-          *code = WireError::kConfigMismatch;
-          *error = "stream '" + stream.name +
-                   "' sketches disagree with this server's seeds";
-          return false;
-        }
       }
     }
     for (const RepairInstall::StreamState& stream : install.streams) {
-      if (stream.backend != 0) {
-        SETSKETCH_CHECK(bank_.InstallBackendSketch(
-            stream.name, stream.backend_sketch->Clone()))
-            << "validated repair synopsis failed to install for stream "
-            << stream.name;
-      } else {
-        SETSKETCH_CHECK(bank_.ReplaceStreamSketches(stream.name,
-                                                    stream.sketches))
-            << "validated repair sketches failed to install for stream"
-            << stream.name;
-      }
+      SETSKETCH_CHECK(bank_.InstallSummary(stream.name, stream.summary))
+          << "validated repair summary failed to install for stream "
+          << stream.name;
       if (!ids_.contains(stream.name)) {
         ids_.emplace(stream.name,
                      static_cast<StreamId>(names_by_id_.size()));
@@ -686,8 +623,10 @@ bool SketchServer::RecoverAndOpenWal(std::string* error) {
   }
   if (have_checkpoint) {
     EngineSnapshotData data;
-    if (!DecodeEngineSnapshot(checkpoint.engine_snapshot, &data)) {
-      return fail("checkpoint engine snapshot is malformed");
+    std::string snapshot_error;
+    if (!DecodeEngineSnapshot(checkpoint.engine_snapshot, &data,
+                              &snapshot_error)) {
+      return fail("checkpoint engine snapshot: " + snapshot_error);
     }
     const SketchParams& p = data.options.params;
     if (p.levels != options_.params.levels ||
@@ -707,22 +646,10 @@ bool SketchServer::RecoverAndOpenWal(std::string* error) {
           "configuration (backend/size); refusing to mix incompatible "
           "synopses");
     }
-    for (size_t i = 0; i < data.stream_names.size(); ++i) {
-      const std::string& name = data.stream_names[i];
-      const uint8_t tag =
-          i < data.stream_backends.size() ? data.stream_backends[i]
-                                          : uint8_t{0};
-      if (tag != 0) {
-        if (data.backend_sketches[i] == nullptr ||
-            !bank_.InstallBackendSketch(
-                name, std::move(data.backend_sketches[i]))) {
-          return fail("checkpoint synopsis for backend stream '" + name +
-                      "' is incompatible with this server's configuration");
-        }
-      } else if (!bank_.AddStreamFromSketches(name,
-                                              std::move(data.sketches[i]))) {
-        return fail("checkpoint sketches for stream '" + name +
-                    "' are incompatible with this server's seeds");
+    for (auto& [name, summary] : data.streams) {
+      std::string why;
+      if (!bank_.InstallSummary(name, std::move(summary), &why)) {
+        return fail("checkpoint stream '" + name + "' " + why);
       }
       ids_.emplace(name, static_cast<StreamId>(names_by_id_.size()));
       names_by_id_.push_back(name);
@@ -856,8 +783,15 @@ std::optional<SketchBank> SketchServer::SummaryViewLocked(
   for (const std::string& name : names) {
     const std::vector<TwoLevelHashSketch>* from_sites =
         coordinator_.Sketches(name);
-    if (const DistinctSketch* backend = bank_.BackendSketch(name)) {
+    if (!bank_.HasStream(name)) {
       if (from_sites != nullptr) {
+        view->InstallSummary(name, StreamSummary{0, *from_sites, nullptr});
+      }
+      continue;
+    }
+    StreamSummary summary = bank_.Summary(name);
+    if (from_sites != nullptr) {
+      if (summary.backend != 0) {
         // Site summaries carry 2-level-hash copy vectors; there is no
         // sound cross-backend merge.
         *error = "stream '" + name +
@@ -865,18 +799,11 @@ std::optional<SketchBank> SketchServer::SummaryViewLocked(
                  "cross-backend merge exists";
         return std::nullopt;
       }
-      view->InstallBackendSketch(name, backend->Clone());
-    } else if (!bank_.HasStream(name)) {
-      if (from_sites != nullptr) view->AddStreamFromSketches(name, *from_sites);
-    } else {
-      std::vector<TwoLevelHashSketch> column = bank_.Sketches(name);
-      if (from_sites != nullptr) {
-        for (size_t i = 0; i < column.size(); ++i) {
-          column[i].Merge((*from_sites)[i]);
-        }
+      for (size_t i = 0; i < summary.sketches.size(); ++i) {
+        summary.sketches[i].Merge((*from_sites)[i]);
       }
-      view->AddStreamFromSketches(name, std::move(column));
     }
+    view->InstallSummary(name, std::move(summary));
   }
   return view;
 }
@@ -984,7 +911,6 @@ std::string SketchServer::RenderStats() const {
       << "repair_installs " << s.repair_installs << "\n"
       << "uptime_ms " << s.uptime_ms << "\n"
       << "ingest_io_threads " << options_.io_threads << "\n"
-      << "ingest_simd_varint " << s.ingest_simd_varint << "\n"
       << "ingest_bytes_read " << s.ingest_bytes_read << "\n"
       << "ingest_read_calls " << s.ingest_read_calls << "\n"
       << "ingest_max_frames_per_read " << s.ingest_max_frames_per_read
@@ -1028,7 +954,6 @@ SketchServer::StatsSnapshot SketchServer::stats() const {
   s.ingest_read_calls = ingest_read_calls_.load();
   s.ingest_max_frames_per_read = ingest_max_frames_per_read_.load();
   s.ingest_arena_hwm_bytes = ingest_arena_hwm_bytes_.load();
-  s.ingest_simd_varint = VarintRunUsesSimd() ? 1 : 0;
   if (wal_ != nullptr) {
     s.wal_records = wal_->records_appended();
     s.wal_bytes = wal_->bytes_appended();

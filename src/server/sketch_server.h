@@ -226,7 +226,6 @@ class SketchServer : private EpollServerBackend::Handler {
     uint64_t ingest_read_calls = 0;  ///< recv() calls that returned data.
     uint64_t ingest_max_frames_per_read = 0;  ///< Peak read-batch occupancy.
     uint64_t ingest_arena_hwm_bytes = 0;  ///< Peak buffered unparsed bytes.
-    uint64_t ingest_simd_varint = 0;  ///< 1 iff bulk decode runs SIMD.
   };
   StatsSnapshot stats() const
       SETSKETCH_EXCLUDES(push_mutex_, registry_mutex_);

@@ -22,10 +22,10 @@ namespace setsketch {
 namespace {
 
 constexpr char kSegmentMagic[4] = {'S', 'K', 'W', 'L'};
-constexpr uint8_t kSegmentVersion = 1;
+constexpr uint8_t kSegmentVersion = 2;
 constexpr size_t kSegmentHeaderBytes = 5;
 constexpr char kCheckpointMagic[4] = {'S', 'K', 'C', 'P'};
-constexpr uint8_t kCheckpointVersion = 1;
+constexpr uint8_t kCheckpointVersion = 2;
 // A WAL body holds one frame payload plus a bounded key; anything larger
 // is corruption, not data.
 constexpr uint32_t kMaxRecordBodyBytes = (64u << 20) + 1024;
@@ -437,12 +437,19 @@ bool Wal::Replay(const std::string& dir, uint64_t checkpoint_generation,
                          std::istreambuf_iterator<char>());
     ++stats->segments_read;
     if (contents.size() < kSegmentHeaderBytes ||
-        contents.compare(0, 4, kSegmentMagic, 4) != 0 ||
-        static_cast<uint8_t>(contents[4]) != kSegmentVersion) {
+        contents.compare(0, 4, kSegmentMagic, 4) != 0) {
       // Not even a valid header: a crash during segment creation. Treat
       // as an empty (torn) segment rather than an environmental error.
       ++stats->torn_segments;
       continue;
+    }
+    const uint8_t version = static_cast<uint8_t>(contents[4]);
+    if (version != kSegmentVersion) {
+      // A complete header of another layout holds acknowledged batches
+      // this build cannot read: refuse rather than silently drop them.
+      *error = "wal segment " + path.string() + ": unsupported version " +
+               std::to_string(version);
+      return false;
     }
     size_t offset = kSegmentHeaderBytes;
     for (;;) {
@@ -547,7 +554,8 @@ bool ReadCheckpoint(const std::string& dir, Checkpoint* out,
     return false;
   }
   if (static_cast<uint8_t>(contents[4]) != kCheckpointVersion) {
-    *error = "checkpoint " + path.string() + ": unsupported version";
+    *error = "checkpoint " + path.string() + ": unsupported version " +
+             std::to_string(static_cast<uint8_t>(contents[4]));
     return false;
   }
   uint32_t body_length = 0, crc = 0;

@@ -16,7 +16,7 @@
 //   checkpoint                     latest durable snapshot (see below)
 //   checkpoint.tmp                 in-flight snapshot (atomic rename)
 //
-// Segment format: 4-byte magic "SKWL", u8 version; then records, each
+// Segment format: 4-byte magic "SKWL", u8 version (2); then records, each
 //
 //   u32 body_length | u32 crc32c(body) | body
 //   body = varint site-id length + bytes, varint sequence,
@@ -24,17 +24,20 @@
 //
 // A torn tail (partial record from a crash mid-append) or a CRC mismatch
 // ends replay of that segment at the last valid record; other segments
-// still replay. Generations make compaction crash-safe without byte
+// still replay. A segment too short for its header, or with another
+// magic, is torn too (a crash during segment creation); a complete header
+// with another version byte fails replay, because its records are
+// acknowledged batches this build cannot read. Generations make compaction crash-safe without byte
 // offsets: a checkpoint records the highest generation it covers, and
 // recovery replays only segments of *later* generations, so a crash
 // between checkpoint rename and segment deletion can never double-apply
 // (the stale segments are simply skipped, then deleted by the next
 // compaction).
 //
-// The checkpoint file is "SKCP", u8 version, u32 body_length, u32
+// The checkpoint file is "SKCP", u8 version (2), u32 body_length, u32
 // crc32c(body); body = varint covered generation, the encoded dedup
 // index, and an embedded engine snapshot (the SaveSnapshot byte format of
-// src/query/stream_engine.h). It is written to checkpoint.tmp, fsynced,
+// src/query/stream_engine.h). Another version byte is refused. It is written to checkpoint.tmp, fsynced,
 // renamed over checkpoint, and the directory fsynced — readers see either
 // the old or the new checkpoint, never a mix.
 
@@ -191,7 +194,9 @@ class Wal {
   /// Replays all segments with generation > checkpoint_generation in
   /// (generation, shard) order, invoking `apply` per valid record. Stops
   /// each segment at its first torn or CRC-failing record. False +
-  /// *error only on environmental failure (unreadable directory).
+  /// *error on environmental failure (unreadable directory) and on a
+  /// segment of another version ("wal segment <path>: unsupported
+  /// version N"); the server then refuses to start.
   static bool Replay(const std::string& dir, uint64_t checkpoint_generation,
                      const std::function<void(const WalRecord&)>& apply,
                      WalReplayStats* stats, std::string* error);

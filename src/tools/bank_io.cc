@@ -1,112 +1,44 @@
 #include "tools/bank_io.h"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "query/stream_engine.h"
+
 namespace setsketch {
 
-namespace {
-
-constexpr uint32_t kBankMagic = 0x53424E4B;  // "SBNK"
-
-template <typename T>
-void AppendPod(std::string* out, T value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(const std::string& data, size_t* offset, T* value) {
-  if (data.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
-}  // namespace
-
 std::string EncodeBank(const SketchBank& bank) {
-  std::string out;
-  AppendPod(&out, kBankMagic);
-  const SketchParams& p = bank.family().params();
-  AppendPod(&out, static_cast<int32_t>(p.levels));
-  AppendPod(&out, static_cast<int32_t>(p.num_second_level));
-  AppendPod(&out, static_cast<uint8_t>(p.first_level_kind));
-  AppendPod(&out, static_cast<int32_t>(p.independence));
-  AppendPod(&out, static_cast<int32_t>(bank.num_copies()));
-  AppendPod(&out, bank.family().master_seed());
+  StreamEngine::Options options;
+  options.params = bank.family().params();
+  options.copies = bank.num_copies();
+  options.seed = bank.family().master_seed();
+  options.backend_size = bank.backend_options().size;
   // Stable stream order makes encodings reproducible.
   std::vector<std::string> names = bank.StreamNames();
   std::sort(names.begin(), names.end());
-  AppendPod(&out, static_cast<uint32_t>(names.size()));
-  for (const std::string& name : names) {
-    AppendPod(&out, static_cast<uint32_t>(name.size()));
-    out.append(name);
-    for (const TwoLevelHashSketch& sketch : bank.Sketches(name)) {
-      sketch.SerializeCompactTo(&out);
-    }
-  }
-  return out;
+  return EncodeEngineSnapshot(options, /*updates_processed=*/0, names, bank,
+                              /*query_texts=*/{});
 }
 
 std::unique_ptr<SketchBank> DecodeBank(const std::string& bytes,
                                        std::string* error) {
-  auto fail = [&](const std::string& message) {
-    if (error != nullptr) *error = message;
+  std::string why;
+  EngineSnapshotData data;
+  if (!DecodeEngineSnapshot(bytes, &data, &why)) {
+    if (error != nullptr) *error = "not a sketch-bank file: " + why;
     return nullptr;
-  };
-  size_t offset = 0;
-  uint32_t magic = 0;
-  if (!ReadPod(bytes, &offset, &magic) || magic != kBankMagic) {
-    return fail("not a sketch-bank file (bad magic)");
   }
-  SketchParams params;
-  int32_t levels = 0, s = 0, independence = 0, copies = 0;
-  uint8_t kind = 0;
-  uint64_t master_seed = 0;
-  if (!ReadPod(bytes, &offset, &levels) || !ReadPod(bytes, &offset, &s) ||
-      !ReadPod(bytes, &offset, &kind) ||
-      !ReadPod(bytes, &offset, &independence) ||
-      !ReadPod(bytes, &offset, &copies) ||
-      !ReadPod(bytes, &offset, &master_seed)) {
-    return fail("truncated bank header");
-  }
-  params.levels = levels;
-  params.num_second_level = s;
-  params.first_level_kind = static_cast<FirstLevelKind>(kind);
-  params.independence = independence;
-  if (!params.Valid() || copies < 1) {
-    return fail("invalid sketch parameters");
-  }
+  const StreamEngine::Options& options = data.options;
   auto bank = std::make_unique<SketchBank>(
-      SketchFamily(params, copies, master_seed));
-  uint32_t num_streams = 0;
-  if (!ReadPod(bytes, &offset, &num_streams)) {
-    return fail("truncated stream count");
-  }
-  for (uint32_t i = 0; i < num_streams; ++i) {
-    uint32_t name_length = 0;
-    if (!ReadPod(bytes, &offset, &name_length) ||
-        bytes.size() - offset < name_length) {
-      return fail("truncated stream name");
-    }
-    std::string name = bytes.substr(offset, name_length);
-    offset += name_length;
-    std::vector<TwoLevelHashSketch> sketches;
-    sketches.reserve(static_cast<size_t>(copies));
-    for (int c = 0; c < copies; ++c) {
-      std::unique_ptr<TwoLevelHashSketch> sketch =
-          TwoLevelHashSketch::Deserialize(bytes, &offset);
-      if (!sketch) return fail("malformed sketch in stream '" + name + "'");
-      sketches.push_back(std::move(*sketch));
-    }
-    if (!bank->AddStreamFromSketches(name, std::move(sketches))) {
-      return fail("sketch coins disagree with bank header for stream '" +
-                  name + "'");
+      SketchFamily(options.params, options.copies, options.seed),
+      options.backend_size);
+  for (auto& [name, summary] : data.streams) {
+    if (!bank->InstallSummary(name, std::move(summary), &why)) {
+      if (error != nullptr) *error = "stream '" + name + "' " + why;
+      return nullptr;
     }
   }
-  if (offset != bytes.size()) return fail("trailing bytes in bank file");
   return bank;
 }
 

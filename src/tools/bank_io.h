@@ -1,6 +1,8 @@
-// Sketch-bank file format: persistent storage for a SketchBank (the full
-// r x streams synopsis matrix plus its configuration and master seed).
-// Used by the sketchtool CLI and by engine-external tooling; the format
+// Sketch-bank files: persistent storage for a SketchBank (the full r x
+// streams synopsis matrix plus its configuration and master seed). A
+// bank file is an engine snapshot (query/stream_engine.h) with no
+// queries, so it shares the snapshot's one layout and version check;
+// used by the sketchtool CLI and by engine-external tooling. The format
 // is self-describing, so a bank written by one process can be merged or
 // queried by another that only shares the file.
 
@@ -14,8 +16,8 @@
 
 namespace setsketch {
 
-/// Serializes a bank (params, copies, master seed, all streams' sketches
-/// in compact encoding) into a byte buffer.
+/// Serializes a bank (params, copies, master seed, backend size, every
+/// stream's synopsis in name order) into a byte buffer.
 std::string EncodeBank(const SketchBank& bank);
 
 /// Decodes EncodeBank bytes. On failure returns nullptr and, if `error`

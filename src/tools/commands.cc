@@ -140,14 +140,32 @@ CommandResult RunMerge(const std::vector<std::string>& input_paths,
   if (input_paths.size() < 2) {
     return Fail("merge needs at least two input banks");
   }
+  // Merging adds 2-level hash counters copy by copy; a bank holding an
+  // alternative-backend stream is refused whole.
   std::string error;
-  std::unique_ptr<SketchBank> merged = LoadBank(input_paths[0], &error);
-  if (!merged) return Fail(input_paths[0] + ": " + error);
+  const auto load = [&error](const std::string& path) {
+    std::unique_ptr<SketchBank> bank = LoadBank(path, &error);
+    if (bank == nullptr) {
+      error = path + ": " + error;
+      return bank;
+    }
+    for (const std::string& name : bank->StreamNames()) {
+      const SketchBackendId backend = bank->StreamBackend(name);
+      if (backend != SketchBackendId::kTwoLevelHash) {
+        error = path + ": stream '" + name + "' is a " +
+                SketchBackendName(backend) +
+                " synopsis; merge combines 2-level hash banks only";
+        return std::unique_ptr<SketchBank>();
+      }
+    }
+    return bank;
+  };
+  std::unique_ptr<SketchBank> merged = load(input_paths[0]);
+  if (!merged) return Fail(error);
 
   for (size_t i = 1; i < input_paths.size(); ++i) {
-    const std::unique_ptr<SketchBank> next =
-        LoadBank(input_paths[i], &error);
-    if (!next) return Fail(input_paths[i] + ": " + error);
+    const std::unique_ptr<SketchBank> next = load(input_paths[i]);
+    if (!next) return Fail(error);
     if (!(next->family().params() == merged->family().params()) ||
         next->num_copies() != merged->num_copies() ||
         next->family().master_seed() != merged->family().master_seed()) {

@@ -14,6 +14,8 @@
 #include <string>
 #include <string_view>
 
+#include "util/thread_annotations.h"
+
 namespace setsketch {
 
 /// Longest LEB128 encoding this codec accepts or emits for a uint64.
@@ -58,23 +60,37 @@ inline char* WriteVarint(char* p, uint64_t v) {
   return p;
 }
 
-/// Reads a varint at (*data)[*offset], advancing *offset. Returns false on
-/// truncation or overlong (> 10 byte) encodings.
-inline bool ReadVarint(std::string_view data, size_t* offset,
-                       uint64_t* value) {
+/// Decodes one LEB128 varint from [p, end). Returns the bytes consumed,
+/// or 0 on truncation or an overlong encoding: at most 10 bytes, the 10th
+/// contributes only bit 63 (its upper payload bits drop) and must not
+/// carry a continuation bit. The one varint decoder; ReadVarint and the
+/// bulk run decoder (util/varint_bulk.h) both call it.
+SETSKETCH_HOT_PATH inline size_t DecodeVarint(const uint8_t* p,
+                                              const uint8_t* end,
+                                              uint64_t* value) {
   uint64_t result = 0;
   int shift = 0;
-  while (*offset < data.size() && shift <= 63) {
-    const uint8_t byte = static_cast<uint8_t>(data[*offset]);
-    ++*offset;
+  const uint8_t* q = p;
+  while (q < end && shift <= 63) {
+    const uint8_t byte = *q++;
     result |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) {
       *value = result;
-      return true;
+      return static_cast<size_t>(q - p);
     }
     shift += 7;
   }
-  return false;
+  return 0;
+}
+
+/// Reads a varint at data[*offset], advancing *offset. Returns false on
+/// truncation or overlong (> 10 byte) encodings.
+inline bool ReadVarint(std::string_view data, size_t* offset,
+                       uint64_t* value) {
+  const uint8_t* base = reinterpret_cast<const uint8_t*>(data.data());
+  const size_t n = DecodeVarint(base + *offset, base + data.size(), value);
+  *offset += n;
+  return n != 0;
 }
 
 /// Appends a varint-length-prefixed string.

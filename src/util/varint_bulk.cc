@@ -1,33 +1,9 @@
 #include "util/varint_bulk.h"
 
-#include <cstring>
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
-
 namespace setsketch {
 
-size_t DecodeVarint(const uint8_t* p, const uint8_t* end, uint64_t* value) {
-  uint64_t result = 0;
-  int shift = 0;
-  const uint8_t* q = p;
-  while (q < end && shift <= 63) {
-    const uint8_t byte = *q++;
-    result |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      *value = result;
-      return static_cast<size_t>(q - p);
-    }
-    shift += 7;
-  }
-  return 0;
-}
-
-namespace {
-
-size_t DecodeVarintRunScalar(const uint8_t* p, const uint8_t* end,
-                             size_t count, uint64_t* out, size_t* consumed) {
+size_t DecodeVarintRun(const uint8_t* p, const uint8_t* end, size_t count,
+                       uint64_t* out, size_t* consumed) {
   const uint8_t* q = p;
   size_t i = 0;
   for (; i < count; ++i) {
@@ -45,103 +21,6 @@ size_t DecodeVarintRunScalar(const uint8_t* p, const uint8_t* end,
   }
   *consumed = static_cast<size_t>(q - p);
   return i;
-}
-
-#if defined(__x86_64__)
-
-/// Lane-scan decoder: one movemask per 16-byte window yields every
-/// continuation bit at once; within the window each varint is a tzcnt
-/// (length) plus a pext (value gather). Only decodes varints whose full
-/// 10-byte worst case is covered by known bytes (window start offset
-/// <= 6); the caller's scalar tail finishes the rest.
-__attribute__((target("bmi,bmi2")))
-size_t DecodeVarintRunBmi2(const uint8_t* p, const uint8_t* end,
-                           size_t count, uint64_t* out, size_t* consumed) {
-  constexpr uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
-  const uint8_t* q = p;
-  size_t i = 0;
-  while (i < count && end - q >= 16) {
-    const __m128i window =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
-    const uint32_t cont =
-        static_cast<uint32_t>(_mm_movemask_epi8(window));
-    uint32_t offset = 0;
-    while (i < count && offset <= 6) {
-      // 1-byte fast path: a clear continuation bit at `offset` means the
-      // byte is the whole value — skip the tzcnt/pext machinery. This is
-      // the common case by far (stream ids, ±1 deltas, small elements).
-      if (((cont >> offset) & 1u) == 0) {
-        out[i++] = q[offset];
-        ++offset;
-        continue;
-      }
-      // Bits >= 16 of ~cont are set, so tzcnt is always defined; with
-      // offset <= 6 at least 10 continuation bits are visible, enough to
-      // classify any legal varint.
-      const unsigned len =
-          static_cast<unsigned>(__builtin_ctz(~cont >> offset)) + 1;
-      if (len > 10) {
-        // Overlong (or still continuing past 10 bytes): ReadVarint
-        // rejects this; stop with q at the offending varint.
-        *consumed = static_cast<size_t>(q + offset - p);
-        return i;
-      }
-      uint64_t word = 0;
-      std::memcpy(&word, q + offset, sizeof(word));
-      uint64_t value;
-      if (len <= 8) {
-        const uint64_t mask =
-            len == 8 ? kLow7 : (kLow7 & ((1ull << (8 * len)) - 1));
-        value = _pext_u64(word, mask);
-      } else {
-        value = _pext_u64(word, kLow7) |
-                static_cast<uint64_t>(q[offset + 8] & 0x7F) << 56;
-        if (len == 10) {
-          // The 10th byte lands at shift 63: only its lowest bit fits in
-          // a uint64, the rest drop — exactly what ReadVarint computes.
-          value |= static_cast<uint64_t>(q[offset + 9] & 0x01) << 63;
-        }
-      }
-      out[i++] = value;
-      offset += len;
-    }
-    q += offset;
-  }
-  *consumed = static_cast<size_t>(q - p);
-  return i;
-}
-
-bool CpuHasBmi2() { return __builtin_cpu_supports("bmi2") != 0; }
-
-#else
-
-bool CpuHasBmi2() { return false; }
-
-#endif  // defined(__x86_64__)
-
-}  // namespace
-
-bool VarintRunUsesSimd() {
-  static const bool use_simd = CpuHasBmi2();
-  return use_simd;
-}
-
-size_t DecodeVarintRun(const uint8_t* p, const uint8_t* end, size_t count,
-                       uint64_t* out, size_t* consumed) {
-  size_t used = 0;
-  size_t done = 0;
-#if defined(__x86_64__)
-  if (VarintRunUsesSimd()) {
-    done = DecodeVarintRunBmi2(p, end, count, out, &used);
-  }
-#endif
-  // Scalar finishes the < 16-byte tail; after a SIMD-detected failure it
-  // decodes nothing and the failure position is preserved.
-  size_t tail_used = 0;
-  done += DecodeVarintRunScalar(p + used, end, count - done, out + done,
-                                &tail_used);
-  *consumed = used + tail_used;
-  return done;
 }
 
 }  // namespace setsketch

@@ -1,22 +1,14 @@
 // Bulk LEB128 decoding for the server's ingest fast path.
 //
-// PUSH_UPDATES payloads are long runs of varints (three per update), so
-// the per-call overhead of ReadVarint — bounds re-checks, byte-at-a-time
-// accumulation — dominates decode time. DecodeVarintRun amortizes it: an
-// SSE movemask turns 16 bytes of input into a continuation bitmap at
-// once, tzcnt finds each varint's length, and a BMI2 pext gathers the
-// 7-bit groups of up to 8 bytes in a single instruction. Single-byte
-// varints — the overwhelmingly common case in update triples — skip the
-// tzcnt/pext machinery entirely: a clear continuation bit means the byte
-// IS the value. Falls back to a pointer-based scalar loop on CPUs
-// without BMI2 (and for the tail of every buffer), with the same 1-byte
-// short-circuit.
-//
-// Accept/reject semantics are bit-for-bit those of ReadVarint
-// (util/varint.h): at most 10 bytes, the 10th byte contributes only bit
-// 63 (its upper payload bits are silently dropped) and must not carry a
-// continuation bit; truncated or longer encodings fail. The equivalence
-// is pinned by randomized fuzz tests against ReadVarint.
+// PUSH_UPDATES payloads are long runs of varints (three per update).
+// DecodeVarintRun decodes a run in one call: single-byte varints — the
+// overwhelmingly common case in update triples — short-circuit (a clear
+// continuation bit means the byte IS the value), and every longer one
+// goes through DecodeVarint (util/varint.h), so accept/reject semantics
+// are exactly ReadVarint's. Randomized fuzz tests pin the equivalence.
+// An SSE/BMI2 lane-scan variant measured no faster on the served ingest
+// path (DESIGN.md §3.5 records the pairs), so there is one scalar
+// decoder.
 
 #ifndef SETSKETCH_UTIL_VARINT_BULK_H_
 #define SETSKETCH_UTIL_VARINT_BULK_H_
@@ -25,14 +17,9 @@
 #include <cstdint>
 
 #include "util/thread_annotations.h"
+#include "util/varint.h"
 
 namespace setsketch {
-
-/// Decodes one LEB128 varint from [p, end). Returns the bytes consumed,
-/// or 0 on truncation / overlong encoding — exactly when ReadVarint
-/// returns false.
-size_t DecodeVarint(const uint8_t* p, const uint8_t* end,
-                    uint64_t* value) SETSKETCH_HOT_PATH;
 
 /// Decodes up to `count` consecutive varints from [p, end) into
 /// out[0..count). Returns the number decoded — `count` unless the input
@@ -42,10 +29,6 @@ size_t DecodeVarint(const uint8_t* p, const uint8_t* end,
 /// exact failure.
 size_t DecodeVarintRun(const uint8_t* p, const uint8_t* end, size_t count,
                        uint64_t* out, size_t* consumed) SETSKETCH_HOT_PATH;
-
-/// True iff DecodeVarintRun dispatches to the SSE/BMI2 lane-scan path on
-/// this CPU (stats/bench exposure; the result is the same either way).
-bool VarintRunUsesSimd();
 
 }  // namespace setsketch
 

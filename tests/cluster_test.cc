@@ -364,7 +364,7 @@ TEST(ClusterSummaryTest, PullHonorsEpochCache) {
   ASSERT_TRUE(client->PullSummaries(request, &cold).ok);
   ASSERT_EQ(cold.streams.size(), 2u);
   EXPECT_EQ(cold.streams[0].state, SummaryState::kFull);
-  EXPECT_EQ(cold.streams[0].sketches.size(),
+  EXPECT_EQ(cold.streams[0].summary.sketches.size(),
             static_cast<size_t>(kCopies));
   EXPECT_EQ(cold.streams[1].state, SummaryState::kUnknown);
 

@@ -7,9 +7,11 @@
 #include "core/sketch_bank.h"
 #include "distributed/coordinator.h"
 #include "distributed/site.h"
+#include "distributed/summary_codec.h"
 #include "query/plan_cache.h"
 #include "stream/stream_generator.h"
 #include "util/stats.h"
+#include "util/varint.h"
 
 namespace setsketch {
 namespace {
@@ -31,7 +33,8 @@ PlanCache::Result Answer(const Coordinator& coordinator,
   SketchBank bank(SketchFamily(TestParams(), coordinator.copies(),
                                kMasterSeed));
   for (const std::string& name : coordinator.StreamNames()) {
-    EXPECT_TRUE(bank.AddStreamFromSketches(name, *coordinator.Sketches(name)));
+    EXPECT_TRUE(bank.InstallSummary(
+        name, StreamSummary{0, *coordinator.Sketches(name), nullptr}));
   }
   PlanCache cache(PlanCache::Options{});
   return cache.Query(text, bank);
@@ -166,25 +169,117 @@ TEST(DistributedTest, EndToEndExpressionEstimate) {
 }
 
 TEST(SiteTest, CompactAndFixedSummariesDecodeIdentically) {
+  // The summary carries compact copies; they decode to exactly the
+  // counters the fixed-width sketch encoding round-trips, at well under
+  // half its size.
   Site site("s1", TestParams(), 16, kMasterSeed);
   site.ObserveStream("A");
   for (int e = 0; e < 500; ++e) {
     site.Ingest("A", static_cast<uint64_t>(e) * 31337 + 5, 1 + e % 2);
   }
-  const std::string compact = site.EncodeSummary(/*compact=*/true);
-  const std::string fixed = site.EncodeSummary(/*compact=*/false);
+  const std::string compact = site.EncodeSummary();
+  std::string fixed;
+  for (const TwoLevelHashSketch& sketch : site.bank().Sketches("A")) {
+    sketch.SerializeTo(&fixed);
+  }
   EXPECT_LT(compact.size() * 2, fixed.size());
 
-  Coordinator c1(TestParams(), 16, kMasterSeed);
-  Coordinator c2(TestParams(), 16, kMasterSeed);
-  ASSERT_TRUE(c1.AddSiteSummary(compact).ok);
-  ASSERT_TRUE(c2.AddSiteSummary(fixed).ok);
-  const auto* s1 = c1.Sketches("A");
-  const auto* s2 = c2.Sketches("A");
-  ASSERT_TRUE(s1 && s2);
-  for (size_t i = 0; i < s1->size(); ++i) {
-    EXPECT_TRUE((*s1)[i] == (*s2)[i]);
+  Coordinator coordinator(TestParams(), 16, kMasterSeed);
+  ASSERT_TRUE(coordinator.AddSiteSummary(compact).ok);
+  const auto* decoded = coordinator.Sketches("A");
+  ASSERT_NE(decoded, nullptr);
+  size_t offset = 0;
+  for (const TwoLevelHashSketch& sketch : *decoded) {
+    const std::unique_ptr<TwoLevelHashSketch> reference =
+        TwoLevelHashSketch::Deserialize(fixed, &offset);
+    ASSERT_NE(reference, nullptr);
+    EXPECT_TRUE(sketch == *reference);
   }
+  EXPECT_EQ(offset, fixed.size());
+}
+
+/// A PUSH_SUMMARY payload from `site` naming the given streams, each
+/// carrying one site's synopsis of stream "A" (so names are free).
+std::string CraftSummary(const std::string& site_name,
+                         const std::vector<std::string>& stream_names,
+                         const SketchBank& bank) {
+  std::string out;
+  AppendVarintString(&out, site_name);
+  AppendVarint(&out, stream_names.size());
+  for (const std::string& name : stream_names) {
+    AppendVarintString(&out, name);
+    EncodeStreamSummary(bank, "A", &out);
+  }
+  return out;
+}
+
+TEST(CoordinatorTest, OversizedNamesAreRefusedAndMergeNothing) {
+  Site site("s1", TestParams(), 4, kMasterSeed);
+  site.ObserveStream("A");
+  site.Ingest("A", 42, 1);
+  Coordinator coordinator(TestParams(), 4, kMasterSeed);
+  const std::string long_name(kMaxStreamNameBytes + 1, 'n');
+  const auto stream = coordinator.AddSiteSummary(
+      CraftSummary("s1", {long_name}, site.bank()));
+  EXPECT_FALSE(stream.ok);
+  EXPECT_NE(stream.error.find("stream name"), std::string::npos)
+      << stream.error;
+  const auto site_id = coordinator.AddSiteSummary(CraftSummary(
+      std::string(kMaxSiteIdBytes + 1, 's'), {"A"}, site.bank()));
+  EXPECT_FALSE(site_id.ok);
+  EXPECT_NE(site_id.error.find("site name"), std::string::npos)
+      << site_id.error;
+  // At the bound both are fine.
+  EXPECT_TRUE(coordinator
+                  .AddSiteSummary(CraftSummary(
+                      std::string(kMaxSiteIdBytes, 's'),
+                      {std::string(kMaxStreamNameBytes, 'n')}, site.bank()))
+                  .ok);
+  EXPECT_EQ(coordinator.SiteNames().size(), 1u);
+}
+
+TEST(CoordinatorTest, EmptyNamesAreRefused) {
+  Site site("s1", TestParams(), 4, kMasterSeed);
+  site.ObserveStream("A");
+  Coordinator coordinator(TestParams(), 4, kMasterSeed);
+  const auto empty_stream =
+      coordinator.AddSiteSummary(CraftSummary("s1", {""}, site.bank()));
+  EXPECT_FALSE(empty_stream.ok);
+  EXPECT_EQ(empty_stream.error, "empty stream name");
+  const auto empty_site =
+      coordinator.AddSiteSummary(CraftSummary("", {"A"}, site.bank()));
+  EXPECT_FALSE(empty_site.ok);
+  EXPECT_EQ(empty_site.error, "empty site name");
+  EXPECT_TRUE(coordinator.SiteNames().empty());
+  EXPECT_TRUE(coordinator.StreamNames().empty());
+}
+
+TEST(CoordinatorTest, DuplicateStreamIsRefusedWhole) {
+  Site site("s1", TestParams(), 4, kMasterSeed);
+  site.ObserveStream("A");
+  site.Ingest("A", 42, 1);
+  Coordinator coordinator(TestParams(), 4, kMasterSeed);
+  const auto result = coordinator.AddSiteSummary(
+      CraftSummary("s1", {"A", "B", "A"}, site.bank()));
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.streams_merged, 0);
+  EXPECT_NE(result.error.find("duplicate stream 'A'"), std::string::npos)
+      << result.error;
+  EXPECT_TRUE(coordinator.StreamNames().empty());
+}
+
+TEST(CoordinatorTest, AlternativeBackendStreamIsRefused) {
+  SketchBank bank(SketchFamily(TestParams(), 4, kMasterSeed));
+  bank.AddStreamWithBackend("A", SketchBackendId::kThetaKmv,
+                            bank.backend_options());
+  bank.Apply("A", 7, 1);
+  Coordinator coordinator(TestParams(), 4, kMasterSeed);
+  const auto result =
+      coordinator.AddSiteSummary(CraftSummary("s1", {"A"}, bank));
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("theta_kmv"), std::string::npos)
+      << result.error;
+  EXPECT_TRUE(coordinator.StreamNames().empty());
 }
 
 TEST(CoordinatorTest, RetransmissionReplacesInsteadOfDoubleCounting) {

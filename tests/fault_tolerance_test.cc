@@ -364,6 +364,46 @@ TEST(WalTest, CrcMismatchStopsOneSegmentOthersStillReplay) {
   EXPECT_TRUE(sequence_sum == 6u || sequence_sum == 7u) << sequence_sum;
 }
 
+TEST(WalTest, SegmentOfAnotherVersionRefusesReplayAndStart) {
+  // A complete segment header with another version byte holds
+  // acknowledged batches this build cannot read: replay must fail with a
+  // typed error instead of counting the segment torn and dropping them,
+  // and the server must refuse to start on it.
+  const std::filesystem::path dir = FreshDir("wal_version");
+  Wal::Options wal_options;
+  wal_options.dir = dir.string();
+  wal_options.shards = 1;
+  std::string error;
+  std::unique_ptr<Wal> wal = Wal::Open(wal_options, 0, &error);
+  ASSERT_NE(wal, nullptr) << error;
+  ASSERT_TRUE(
+      wal->Append("site-1", 1, EncodePushUpdates(MakeBatch(0, 50)), &error))
+      << error;
+  wal.reset();
+  const std::filesystem::path segment = FindSegment(dir, 0);
+  ASSERT_FALSE(segment.empty());
+  {
+    std::fstream file(segment,
+                      std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(4);  // The version byte follows the 4-byte magic.
+    file.put('\x01');
+  }
+
+  WalReplayStats stats;
+  EXPECT_FALSE(Wal::Replay(
+      dir.string(), 0, [](const WalRecord&) { ADD_FAILURE(); }, &stats,
+      &error));
+  EXPECT_EQ(error,
+            "wal segment " + segment.string() + ": unsupported version 1");
+  EXPECT_EQ(stats.torn_segments, 0u);
+
+  SketchServer server(WalServerOptions(dir.string()));
+  std::string start_error;
+  EXPECT_FALSE(server.Start(&start_error));
+  EXPECT_NE(start_error.find("unsupported version 1"), std::string::npos)
+      << start_error;
+}
+
 TEST(WalTest, RotationAndCompactionSkipCoveredGenerations) {
   const std::filesystem::path dir = FreshDir("wal_rotate");
   Wal::Options options;
@@ -1024,7 +1064,7 @@ TEST(FaultToleranceTest, BackendConfigMismatchRefusesCheckpoint) {
         SketchClient::Connect(client_options, &error);
     ASSERT_NE(client, nullptr) << error;
     ASSERT_TRUE(client->PushUpdatesWithRetry(MakeBatch(0, 300)).ok);
-    server.Stop();  // Graceful: compacts into an SSN2 checkpoint.
+    server.Stop();  // Graceful: compacts into a checkpoint.
     EXPECT_GE(server.stats().snapshots_written, 1u);
   }
 

@@ -3,8 +3,7 @@
 // protocol decode): the bulk varint decoder must agree byte-for-byte
 // with ReadVarint on random and hostile input; the zero-copy
 // PUSH_UPDATES decode must agree, down to the error strings, with a
-// scalar field-by-field reference of the wire layout (the untagged
-// layout plus its optional backend-tag section); ScanFrame over an arena
+// scalar field-by-field reference of the wire layout; ScanFrame over an arena
 // fed in arbitrary read chunks must see exactly the frames and errors of
 // a whole-buffer scan; and a served workload must leave a bank equal to
 // in-process SketchBank::ApplyBatch of the same batches, WAL records
@@ -205,8 +204,8 @@ UpdateBatch SampleBatch(Xoshiro256StarStar* rng) {
     batch.site_id.append(1 + rng->NextBelow(kMaxSiteIdBytes - 5), 's');
     batch.sequence = rng->Next();
   }
-  // A third of the corpus carries backend tags (the optional trailing
-  // PUSH section), so both decoders fuzz the tagged layout too.
+  // A third of the corpus carries explicit backend tags; the rest encodes
+  // an empty tag vector as all zeros.
   if (rng->NextBelow(3) == 0) {
     for (size_t i = 0; i < num_names; ++i) {
       batch.stream_backends.push_back(
@@ -218,7 +217,7 @@ UpdateBatch SampleBatch(Xoshiro256StarStar* rng) {
 
 /// Scalar reference for DecodePushUpdates: one ReadVarint per field,
 /// owned strings, and each check and error string spelled out in wire
-/// order — what the view decoder's borrowed names and SIMD triple runs
+/// order — what the view decoder's borrowed names and bulk triple runs
 /// must reproduce exactly.
 bool ReferenceDecode(std::string_view payload, UpdateBatch* out,
                      std::string* error) {
@@ -250,7 +249,15 @@ bool ReferenceDecode(std::string_view payload, UpdateBatch* out,
                   name) != out->stream_names.end()) {
       return fail("duplicate stream name '" + name + "' in batch");
     }
+    if (offset == payload.size()) {
+      return fail("truncated backend tag for stream '" + name + "'");
+    }
+    const uint8_t tag = static_cast<uint8_t>(payload[offset++]);
+    if (!KnownSketchBackend(tag)) {
+      return fail("unknown backend tag for stream '" + name + "'");
+    }
     out->stream_names.push_back(std::move(name));
+    out->stream_backends.push_back(tag);
   }
   uint64_t num_updates = 0;
   if (!ReadVarint(payload, &offset, &num_updates)) {
@@ -273,23 +280,6 @@ bool ReferenceDecode(std::string_view payload, UpdateBatch* out,
     }
     out->updates.push_back(Update{static_cast<StreamId>(stream), element,
                                   ZigZagDecode(zigzag_delta)});
-  }
-  out->stream_backends.assign(out->stream_names.size(), 0);
-  if (offset == payload.size()) return true;
-  uint64_t tag_count = 0;
-  if (!ReadVarint(payload, &offset, &tag_count) || tag_count != num_names) {
-    return fail("malformed backend-tag count");
-  }
-  if (payload.size() - offset < tag_count) {
-    return fail("truncated backend tags");
-  }
-  for (size_t i = 0; i < out->stream_names.size(); ++i) {
-    const uint8_t tag = static_cast<uint8_t>(payload[offset++]);
-    if (!KnownSketchBackend(tag)) {
-      return fail("unknown backend tag for stream '" + out->stream_names[i] +
-                  "'");
-    }
-    out->stream_backends[i] = tag;
   }
   if (offset != payload.size()) {
     return fail("trailing bytes after update batch");
@@ -324,7 +314,7 @@ void ExpectDecodersAgree(const std::string& payload) {
     EXPECT_EQ(view.updates[i].element, legacy.updates[i].element);
     EXPECT_EQ(view.updates[i].delta, legacy.updates[i].delta);
   }
-  // Tags are normalized to one per stream (0 = default).
+  // One tag per stream (0 = no preference).
   EXPECT_EQ(view.stream_backends, legacy.stream_backends);
   EXPECT_EQ(legacy.stream_backends.size(), legacy.stream_names.size());
 }

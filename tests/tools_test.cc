@@ -205,6 +205,38 @@ TEST_F(ToolsTest, MergeRejectsForeignCoins) {
   EXPECT_NE(merge.error.find("not combinable"), std::string::npos);
 }
 
+TEST_F(ToolsTest, MergeRefusesAlternativeBackendBanks) {
+  // A bank file is an engine snapshot, so it carries alternative-backend
+  // streams too; merge adds 2-level hash copies and refuses them.
+  SketchParams params;
+  params.levels = 16;
+  params.num_second_level = 8;
+  SketchBank bank(SketchFamily(params, 4, 7), 64);
+  bank.AddStream("A");
+  bank.AddStreamWithBackend("T", SketchBackendId::kThetaKmv,
+                            bank.backend_options());
+  for (uint64_t e = 1; e <= 100; ++e) {
+    bank.Apply("A", e, 1);
+    bank.Apply("T", e, 1);
+  }
+  const std::string bytes = EncodeBank(bank);
+  std::string error;
+  const std::unique_ptr<SketchBank> decoded = DecodeBank(bytes, &error);
+  ASSERT_NE(decoded, nullptr) << error;
+  ASSERT_NE(decoded->BackendSketch("T"), nullptr);
+  EXPECT_EQ(decoded->backend_options(), bank.backend_options());
+  EXPECT_EQ(EncodeBank(*decoded), bytes);
+
+  const std::string backend_bank = Track(TempPath("theta.bin"));
+  ASSERT_TRUE(WriteFileBytes(backend_bank, bytes, &error)) << error;
+  const CommandResult merge =
+      RunMerge({backend_bank, backend_bank}, Track(TempPath("m2.bin")));
+  EXPECT_FALSE(merge.ok);
+  EXPECT_NE(merge.error.find("stream 'T' is a theta_kmv synopsis"),
+            std::string::npos)
+      << merge.error;
+}
+
 TEST_F(ToolsTest, EstimateRejectsUnknownStreamAndBadExpression) {
   const std::string updates_path = Track(TempPath("u2.txt"));
   WriteUpdatesFile(updates_path, {Insert(0, 1), Insert(0, 2)});

@@ -18,8 +18,8 @@ Checks (check ids):
   seam-ingest         Sketch-bank mutation from server code must flow
                       through SketchServer::AdmitPush (the WAL + dedup +
                       epoch seam). Direct MutableSketches / ApplyBatch /
-                      AddStream / AddStreamFromSketches calls elsewhere
-                      under src/server/ bypass durability and idempotency.
+                      AddStream / InstallSummary calls elsewhere under
+                      src/server/ bypass durability and idempotency.
   seam-estimate       Query paths must go through query/plan_cache.h;
                       direct EstimateSetExpression calls in src/ are
                       banned outside the estimator itself (every answer
@@ -27,6 +27,13 @@ Checks (check ids):
                       PlanCache over a SketchBank). Supersedes the old
                       lint.py regex, which token-blindly matched inside
                       comments and strings.
+  seam-codec          A stream's synopsis has one byte layout, owned by
+                      distributed/summary_codec.cc. In src/, only that
+                      file and each sketch's own files may call
+                      SerializeCompactTo, TwoLevelHashSketch::Deserialize,
+                      DistinctSketch::SerializeTo or
+                      DeserializeDistinctSketch; any other caller lays
+                      out a second encoding of the same unit.
   dcheck-side-effect  SETSKETCH_DCHECK compiles out of release builds;
                       a condition with a side effect (++/--/assignment)
                       silently changes program behavior between build
@@ -88,6 +95,7 @@ CHECK_IDS = (
     "seam-ingest",
     "seam-estimate",
     "seam-backend",
+    "seam-codec",
     "dcheck-side-effect",
     "lock-order",
     "hotpath-alloc",
@@ -100,7 +108,7 @@ VIEW_TYPES = ("FrameView", "UpdateBatchView")
 INGEST_MUTATORS = (
     "MutableSketches",
     "ApplyBatch",
-    "AddStreamFromSketches",
+    "InstallSummary",
     "AddStream",
 )
 INGEST_SCOPE = "src/server/"
@@ -126,6 +134,15 @@ BACKEND_EXEMPT = {
     "src/core/set_sketch.h",
     "src/core/set_sketch.cc",
 }
+
+# seam-codec: only the summary codec and the sketches' own files may call
+# a sketch's serializers; everything else encodes a stream's synopsis
+# through EncodeStreamSummary / DecodeStreamSummary.
+CODEC_EXEMPT = {
+    "src/distributed/summary_codec.cc",
+    "src/core/two_level_hash_sketch.h",
+    "src/core/two_level_hash_sketch.cc",
+} | BACKEND_EXEMPT
 
 # hotpath-alloc signals: unconditional allocation / blocking calls. Cold
 # error-path string building (std::to_string, operator+) is intentionally
@@ -165,6 +182,10 @@ SIDE_EFFECT_RE = re.compile(
     r"\+\+|--|(?:\+|-|\*|/|%|&|\||\^|<<|>>)=(?!=)|"
     r"(?<![=!<>+\-*/%&|^])=(?![=])"
 )
+CODEC_CALL_RE = re.compile(
+    r"(?:(?:\.|->)\s*(SerializeTo|SerializeCompactTo)|"
+    r"(?<![\w:])(TwoLevelHashSketch::Deserialize|DeserializeDistinctSketch))"
+    r"\s*\(")
 ESTIMATE_CALL_RE = re.compile(r"(?<![\w:.])EstimateSetExpression\s*\(")
 BACKEND_CALL_RE = re.compile(
     r"(?:\.|->)\s*(EstimateDistinct|EstimateExpression)\s*\(")
@@ -348,7 +369,9 @@ class Analysis:
                          and sf.virtual not in INGEST_EXEMPT)
         estimate_scoped = in_src and sf.virtual not in ESTIMATOR_EXEMPT
         backend_scoped = in_src and sf.virtual not in BACKEND_EXEMPT
-        if not (ingest_scoped or estimate_scoped or backend_scoped):
+        codec_scoped = in_src and sf.virtual not in CODEC_EXEMPT
+        if not (ingest_scoped or estimate_scoped or backend_scoped
+                or codec_scoped):
             return
         for lineno, line in enumerate(sf.lines, start=1):
             if estimate_scoped and ESTIMATE_CALL_RE.search(line):
@@ -367,6 +390,15 @@ class Analysis:
                         "EstimateWithBackend (core/sketch_backend.h), "
                         "which validates leaves, options, and backend "
                         "homogeneity")
+            if codec_scoped:
+                m = CODEC_CALL_RE.search(line)
+                if m:
+                    self.add(
+                        sf, lineno, "seam-codec",
+                        f"direct {m.group(1) or m.group(2)} call: a "
+                        "stream's synopsis is laid out only by "
+                        "distributed/summary_codec.h "
+                        "(EncodeStreamSummary / DecodeStreamSummary)")
             if ingest_scoped:
                 m = INGEST_CALL_RE.search(line)
                 if m:
