@@ -55,48 +55,6 @@ class ExclusiveGate {
   RwGate* gate_;
 };
 
-/// Router-side view of a per-site dedup window (mirrors DedupWindow in
-/// server/wal.h: bit i of `bits` marks sequence (high - i) as recorded;
-/// older bits age by shifting left).
-struct Window {
-  uint64_t high = 0;
-  uint64_t bits = 0;
-};
-
-void MergeWindowInto(Window* w, uint64_t high, uint64_t bits) {
-  if (high == 0) return;
-  if (w->high == 0) {
-    w->high = high;
-    w->bits = bits;
-    return;
-  }
-  if (high > w->high) {
-    const uint64_t shift = high - w->high;
-    w->bits = (shift >= 64 ? 0 : w->bits << shift) | bits;
-    w->high = high;
-  } else {
-    const uint64_t shift = w->high - high;
-    w->bits |= shift >= 64 ? 0 : bits << shift;
-  }
-}
-
-/// True when `have` already records every sequence `want` records.
-/// Sequences older than have.high - 63 are conservatively treated as
-/// seen, matching DedupWindow::Seen.
-bool WindowCovers(const Window& have, const Window& want) {
-  if (want.high == 0) return true;
-  if (have.high < want.high) return false;
-  for (int i = 0; i < 64; ++i) {
-    if (((want.bits >> i) & 1) == 0) continue;
-    const uint64_t sequence = want.high - static_cast<uint64_t>(i);
-    if (sequence == 0) continue;
-    const uint64_t age = have.high - sequence;
-    if (age >= 64) continue;
-    if (((have.bits >> age) & 1) == 0) return false;
-  }
-  return true;
-}
-
 std::string InDoubtKey(std::string_view site, uint64_t sequence) {
   return std::string(site) + '#' + std::to_string(sequence);
 }
@@ -113,7 +71,8 @@ ClusterRouter::ShardState::ShardState(const ClusterShard& shard_in,
 
 ClusterRouter::ClusterRouter(const Options& options)
     : options_(options),
-      family_(options.params, options.copies, options.seed),
+      coins_(SketchFamily(options.params, options.copies, options.seed),
+             options.backend_size),
       placement_(options.static_placement ? Placement::Mode::kStatic
                                           : Placement::Mode::kRing,
                  [&options] {
@@ -128,7 +87,7 @@ ClusterRouter::ClusterRouter(const Options& options)
                    return names;
                  }(),
                  options.placement_seed, options.virtual_nodes),
-      federated_(family_, options.backend_size),
+      federated_(coins_.family(), options.backend_size),
       plan_cache_(PlanCache::Options{options.witness}) {
   if (options_.replicas < 0) options_.replicas = 0;
   // Capacity for the initial membership plus every future ADD_SHARD is
@@ -774,8 +733,8 @@ QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
     SummaryResult pulled;
     ++summary_pulls_;
     const SketchClient::Status status = WithShard(
-        shard_index, [&request, &pulled](SketchClient& client) {
-          return client.PullSummaries(request, &pulled);
+        shard_index, [this, &request, &pulled](SketchClient& client) {
+          return client.PullSummaries(request, &coins_, &pulled);
         });
     if (!status.ok) {
       result.error = "shard '" +
@@ -802,8 +761,9 @@ QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
           break;
         }
         case SummaryState::kFull: {
-          // The bank refuses a wrong copy count, foreign coins, foreign
-          // backend options and a change of synopsis type.
+          // The pull already refused a wrong copy count, foreign coins and
+          // foreign backend options; the bank refuses a change of
+          // synopsis type.
           std::string why;
           if (!federated_.InstallSummary(entry.name, std::move(entry.summary),
                                          &why)) {
@@ -1012,8 +972,8 @@ bool ClusterRouter::PullStreamsFrom(size_t source_index,
   SummaryResult pulled;
   ++summary_pulls_;
   const SketchClient::Status status = WithShard(
-      source_index, [&request, &pulled](SketchClient& client) {
-        return client.PullSummaries(request, &pulled);
+      source_index, [this, &request, &pulled](SketchClient& client) {
+        return client.PullSummaries(request, &coins_, &pulled);
       });
   if (!status.ok) {
     if (error != nullptr) {
@@ -1071,10 +1031,8 @@ bool ClusterRouter::RepairShardLocked(size_t target_index,
   for (const RepairManifest::StreamInfo& info : target_manifest.streams) {
     target_has.insert(info.name);
   }
-  std::map<std::string, Window> target_windows;
-  for (const RepairManifest::SiteWindow& sw : target_manifest.sites) {
-    MergeWindowInto(&target_windows[sw.site_id], sw.high, sw.bits);
-  }
+  DedupIndex target_windows;
+  FoldSiteWindows(target_manifest.sites, &target_windows);
 
   // Sources: every healthy, complete (non-stale) peer.
   const size_t n = num_shards_.load();
@@ -1095,19 +1053,13 @@ bool ClusterRouter::RepairShardLocked(size_t target_index,
     sources.emplace(i, std::move(manifest));
   }
 
-  std::map<std::string, Window> source_windows;
+  DedupIndex source_windows;
   for (const auto& [index, manifest] : sources) {
-    for (const RepairManifest::SiteWindow& sw : manifest.sites) {
-      MergeWindowInto(&source_windows[sw.site_id], sw.high, sw.bits);
-    }
+    FoldSiteWindows(manifest.sites, &source_windows);
   }
-  bool dedup_behind = false;
-  for (const auto& [site, window] : source_windows) {
-    if (!WindowCovers(target_windows[site], window)) {
-      dedup_behind = true;
-      break;
-    }
-  }
+  std::string behind_site;
+  const bool dedup_behind =
+      !target_windows.Covers(source_windows, &behind_site);
 
   // Divergent streams placed on the target. When the dedup watermarks
   // are behind, every placed stream is suspect (the missed batches could
@@ -1149,13 +1101,7 @@ bool ClusterRouter::RepairShardLocked(size_t target_index,
     // may cover batches the snapshot install clobbers, and keeping them
     // would drop a client retry forever.
     install.replace_dedup = true;
-    for (const auto& [site, window] : source_windows) {
-      RepairManifest::SiteWindow sw;
-      sw.site_id = site;
-      sw.high = window.high;
-      sw.bits = window.bits;
-      install.sites.push_back(std::move(sw));
-    }
+    install.sites = SiteWindows(source_windows);
     for (const auto& [source_index, streams] : moves_by_source) {
       std::string pull_error;
       if (!PullStreamsFrom(source_index, streams, &install, &pull_error)) {
@@ -1185,14 +1131,11 @@ bool ClusterRouter::RepairShardLocked(size_t target_index,
         return fail("stream '" + name + "' missing after install");
       }
     }
-    std::map<std::string, Window> after_windows;
-    for (const RepairManifest::SiteWindow& sw : after.sites) {
-      MergeWindowInto(&after_windows[sw.site_id], sw.high, sw.bits);
-    }
-    for (const auto& [site, window] : source_windows) {
-      if (!WindowCovers(after_windows[site], window)) {
-        return fail("site '" + site + "' watermark did not converge");
-      }
+    DedupIndex after_windows;
+    FoldSiteWindows(after.sites, &after_windows);
+    std::string stuck_site;
+    if (!after_windows.Covers(source_windows, &stuck_site)) {
+      return fail("site '" + stuck_site + "' watermark did not converge");
     }
   }
 
@@ -1409,7 +1352,7 @@ bool ClusterRouter::AddShard(const ClusterShard& shard_in,
     }
     RepairInstall install;
     install.replace_dedup = false;  // Migration MERGES dedup watermarks.
-    std::map<std::string, Window> merged;
+    DedupIndex merged;
     for (const auto& [source, streams] : by_source) {
       std::string pull_error;
       if (!PullStreamsFrom(source, streams, &install, &pull_error)) {
@@ -1417,18 +1360,10 @@ bool ClusterRouter::AddShard(const ClusterShard& shard_in,
       }
       const auto it = manifests.find(source);
       if (it != manifests.end()) {
-        for (const RepairManifest::SiteWindow& sw : it->second.sites) {
-          MergeWindowInto(&merged[sw.site_id], sw.high, sw.bits);
-        }
+        FoldSiteWindows(it->second.sites, &merged);
       }
     }
-    for (const auto& [site, window] : merged) {
-      RepairManifest::SiteWindow sw;
-      sw.site_id = site;
-      sw.high = window.high;
-      sw.bits = window.bits;
-      install.sites.push_back(std::move(sw));
-    }
+    install.sites = SiteWindows(merged);
     const SketchClient::Status pushed = WithShard(
         new_index, [&install](SketchClient& client) {
           return client.PushRepair(install);
@@ -1574,7 +1509,7 @@ bool ClusterRouter::DrainShard(const std::string& name_in,
     for (const auto& [destination, by_source] : gains) {
       RepairInstall install;
       install.replace_dedup = false;  // Migration MERGES dedup watermarks.
-      std::map<std::string, Window> merged;
+      DedupIndex merged;
       for (const auto& [source, streams] : by_source) {
         std::string pull_error;
         if (!PullStreamsFrom(source, streams, &install, &pull_error)) {
@@ -1582,18 +1517,10 @@ bool ClusterRouter::DrainShard(const std::string& name_in,
         }
         const auto it = manifests.find(source);
         if (it != manifests.end()) {
-          for (const RepairManifest::SiteWindow& sw : it->second.sites) {
-            MergeWindowInto(&merged[sw.site_id], sw.high, sw.bits);
-          }
+          FoldSiteWindows(it->second.sites, &merged);
         }
       }
-      for (const auto& [site, window] : merged) {
-        RepairManifest::SiteWindow sw;
-        sw.site_id = site;
-        sw.high = window.high;
-        sw.bits = window.bits;
-        install.sites.push_back(std::move(sw));
-      }
+      install.sites = SiteWindows(merged);
       const SketchClient::Status pushed = WithShard(
           destination, [&install](SketchClient& client) {
             return client.PushRepair(install);

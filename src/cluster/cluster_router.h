@@ -426,7 +426,11 @@ class ClusterRouter {
   void ClearInDoubt(std::string_view site, uint64_t sequence);
 
   Options options_;
-  SketchFamily family_;
+  /// An empty bank of the deployment's configuration. It is never
+  /// mutated, so no lock guards it: every pulled synopsis is decoded
+  /// against it (SketchClient::PullSummaries), whichever lock the puller
+  /// holds. federated_ shares its family.
+  const SketchBank coins_;
 
   /// Guards the mutable placement: ring membership, the name -> index
   /// map, and the dual-write overlay. Lock order: query_mutex_ or

@@ -45,7 +45,8 @@ std::unique_ptr<DistinctSketch> CreateDistinctSketch(
 }
 
 std::unique_ptr<DistinctSketch> DeserializeDistinctSketch(
-    const std::string& data, size_t* offset, std::string* error) {
+    const std::string& data, size_t* offset, const BackendOptions* expected,
+    std::string* error) {
   if (*offset >= data.size()) {
     *error = "truncated sketch backend tag";
     return nullptr;
@@ -69,6 +70,10 @@ std::unique_ptr<DistinctSketch> DeserializeDistinctSketch(
     return nullptr;
   }
   options.size = static_cast<uint32_t>(size);
+  if (expected != nullptr && !(options == *expected)) {
+    *error = "uses a foreign backend configuration (size/seed)";
+    return nullptr;
+  }
   switch (static_cast<SketchBackendId>(tag)) {
     case SketchBackendId::kThetaKmv:
       return ThetaKmvSketch::DeserializePayload(data, offset, options, error);

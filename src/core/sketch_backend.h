@@ -156,9 +156,13 @@ std::unique_ptr<DistinctSketch> CreateDistinctSketch(
 
 /// Decodes a tagged DistinctSketch encoding starting at (*data)[*offset],
 /// advancing *offset past it. Returns nullptr with *error on malformed
-/// input or an unknown backend tag.
+/// input or an unknown backend tag. A receiver passes its own options as
+/// `expected`: an encoding declaring another size or seed is then refused
+/// before its payload is allocated. With nullptr the declared options
+/// size the allocation (callers that inspect, not install).
 std::unique_ptr<DistinctSketch> DeserializeDistinctSketch(
-    const std::string& data, size_t* offset, std::string* error);
+    const std::string& data, size_t* offset, const BackendOptions* expected,
+    std::string* error);
 
 // ---------------------------------------------------------------------------
 // The estimation seam.

@@ -224,36 +224,10 @@ StreamSummary SketchBank::Summary(const std::string& name) const {
 bool SketchBank::CanInstallSummary(const std::string& name,
                                    const StreamSummary& summary,
                                    std::string* error) const {
-  const auto refuse = [error](std::string why) {
-    if (error != nullptr) *error = std::move(why);
-    return false;
-  };
   if (HasStream(name) &&
       StreamBackend(name) != static_cast<SketchBackendId>(summary.backend)) {
-    return refuse("already uses a different sketch backend");
-  }
-  if (summary.backend != 0) {
-    if (summary.backend_sketch == nullptr ||
-        summary.backend_sketch->backend() !=
-            static_cast<SketchBackendId>(summary.backend)) {
-      return refuse("carries no synopsis of its backend");
-    }
-    if (!(summary.backend_sketch->options() == backend_options_)) {
-      return refuse("uses a foreign backend configuration (size/seed)");
-    }
-    return true;
-  }
-  if (static_cast<int>(summary.sketches.size()) != family_.size()) {
-    return refuse("carries " + std::to_string(summary.sketches.size()) +
-                  " sketch copies, expected " +
-                  std::to_string(family_.size()));
-  }
-  for (int i = 0; i < family_.size(); ++i) {
-    if (!(summary.sketches[static_cast<size_t>(i)].seed() ==
-          *family_.seed(i))) {
-      return refuse("copy " + std::to_string(i) +
-                    " uses foreign hash functions");
-    }
+    if (error != nullptr) *error = "already uses a different sketch backend";
+    return false;
   }
   return true;
 }

@@ -148,13 +148,12 @@ class SketchBank {
   /// a clone of its DistinctSketch.
   StreamSummary Summary(const std::string& name) const;
 
-  /// True iff InstallSummary(name, summary) would succeed. A
-  /// default-backend summary must carry exactly num_copies() sketches
-  /// whose seeds match this bank's family, in copy order; an
-  /// alternative-backend one must carry its synopsis under this bank's
-  /// backend_options(); neither may change an existing stream's backend.
-  /// On false, *error (when non-null) says why, phrased to follow
-  /// "stream '<name>' ".
+  /// True iff InstallSummary(name, summary) would succeed: it must not
+  /// change an existing stream's backend. The summary's shape (copy
+  /// count, coins, backend options) is this bank's by construction — it
+  /// was taken from a bank of this configuration or decoded for this one
+  /// (DecodeStreamSummary). On false, *error (when non-null) says why,
+  /// phrased to follow "stream '<name>' ".
   bool CanInstallSummary(const std::string& name,
                          const StreamSummary& summary,
                          std::string* error) const;

@@ -82,6 +82,10 @@ struct SketchParams {
   bool Valid() const;
 };
 
+/// Largest copy count r a decoder accepts from a header (hello handshake,
+/// snapshot): bounds the family it builds before anything else is read.
+inline constexpr int kMaxCopies = 1 << 16;
+
 /// One bundle of hash functions: h plus g_1..g_s.
 class SketchSeed {
  public:

@@ -122,7 +122,10 @@ std::unique_ptr<ThetaKmvSketch> ThetaKmvSketch::DeserializePayload(
     *error = "truncated theta sketch header";
     return nullptr;
   }
-  if (theta == 0 || num_entries > 4 * static_cast<uint64_t>(options.size)) {
+  // Every entry costs at least two bytes, so the remaining payload bounds
+  // the reservation below.
+  if (theta == 0 || num_entries > 4 * static_cast<uint64_t>(options.size) ||
+      num_entries > (data.size() - *offset) / 2) {
     *error = "theta sketch header out of bounds";
     return nullptr;
   }

@@ -8,12 +8,13 @@
 // model this repo reproduces:
 //
 //   * deletion awareness — each sampled hash carries the element's *net*
-//     frequency (src/baselines/counting_kmv_sketch.h pioneered this for
-//     the baseline suite): a delete decrements and a zero net count drops
-//     the hash from the sample. Unlike the sampling baselines the paper
-//     attacks, deletes of sampled elements are handled exactly; theta
-//     never needs to rise, so the estimator stays unbiased under storms
-//     of deletions (the shootout in bench/bench_backends.cc pins this).
+//     frequency (the counting-KMV idea): a delete decrements and a zero
+//     net count drops the hash from the sample. Unlike the sampling
+//     synopses the paper attacks, deletes of sampled elements are handled
+//     exactly; theta never rises, so the estimator stays unbiased under
+//     storms of deletions (bench/bench_backends.cc pins this), though
+//     transients that forced theta down leave a smaller sample when they
+//     go (the sample-size column of bench/bench_deletions.cc).
 //     Sketch *state* is insert-history dependent — theta is monotone in
 //     inserts seen — so unlike the strictly linear backends, two theta
 //     sketches of the same net multiset may differ while estimating

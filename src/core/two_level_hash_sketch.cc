@@ -280,6 +280,14 @@ void TwoLevelHashSketch::SerializeCompactTo(std::string* out) const {
 
 std::unique_ptr<TwoLevelHashSketch> TwoLevelHashSketch::Deserialize(
     const std::string& data, size_t* offset) {
+  std::string error;
+  return Deserialize(data, offset, nullptr, &error);
+}
+
+std::unique_ptr<TwoLevelHashSketch> TwoLevelHashSketch::Deserialize(
+    const std::string& data, size_t* offset,
+    const std::shared_ptr<const SketchSeed>& expected, std::string* error) {
+  *error = "malformed";
   uint32_t magic = 0;
   if (!ReadPod(data, offset, &magic) ||
       (magic != kMagic && magic != kMagicCompact)) {
@@ -299,13 +307,22 @@ std::unique_ptr<TwoLevelHashSketch> TwoLevelHashSketch::Deserialize(
   params.num_second_level = s;
   params.first_level_kind = static_cast<FirstLevelKind>(kind);
   params.independence = independence;
-  if (!params.Valid()) return nullptr;
-  if (params.first_level_kind != FirstLevelKind::kMix64 &&
-      params.first_level_kind != FirstLevelKind::kKWisePoly) {
-    return nullptr;
+  std::shared_ptr<const SketchSeed> seed = expected;
+  if (seed != nullptr) {
+    // The receiver's own coins bound the allocation below.
+    if (!(params == seed->params()) || seed_value != seed->seed_value()) {
+      *error = "uses foreign hash functions";
+      return nullptr;
+    }
+  } else {
+    if (!params.Valid()) return nullptr;
+    if (params.first_level_kind != FirstLevelKind::kMix64 &&
+        params.first_level_kind != FirstLevelKind::kKWisePoly) {
+      return nullptr;
+    }
+    seed = std::make_shared<const SketchSeed>(params, seed_value);
   }
-  auto sketch = std::make_unique<TwoLevelHashSketch>(
-      std::make_shared<const SketchSeed>(params, seed_value));
+  auto sketch = std::make_unique<TwoLevelHashSketch>(std::move(seed));
   if (magic == kMagic) {
     for (int64_t& c : sketch->counters_) {
       if (!ReadPod(data, offset, &c)) return nullptr;

@@ -110,6 +110,15 @@ class TwoLevelHashSketch {
   static std::unique_ptr<TwoLevelHashSketch> Deserialize(
       const std::string& data, size_t* offset);
 
+  /// Same, for a receiver that knows the seed this copy must carry: a
+  /// header declaring other params or another seed value is refused
+  /// before any counter is allocated, and the decoded sketch shares
+  /// `expected`. On nullptr, *error says whether the copy was malformed
+  /// or foreign.
+  static std::unique_ptr<TwoLevelHashSketch> Deserialize(
+      const std::string& data, size_t* offset,
+      const std::shared_ptr<const SketchSeed>& expected, std::string* error);
+
   /// Two sketches are equal iff they share seed identity and all counters.
   friend bool operator==(const TwoLevelHashSketch& a,
                          const TwoLevelHashSketch& b);

@@ -45,7 +45,8 @@ Coordinator::IngestResult Coordinator::AddSiteSummary(
     }
     StreamSummary summary;
     std::string why;
-    if (!DecodeStreamSummary(bytes, &offset, &summary, &why)) {
+    // The agreed coins: the copy count and every copy's seed identity.
+    if (!DecodeStreamSummary(bytes, &offset, &coins_, &summary, &why)) {
       return fail("stream '" + name + "' " + why);
     }
     if (summary.backend != 0) {
@@ -53,10 +54,6 @@ Coordinator::IngestResult Coordinator::AddSiteSummary(
                   SketchBackendName(
                       static_cast<SketchBackendId>(summary.backend)) +
                   " synopsis; site summaries carry 2-level hash copies");
-    }
-    // The agreed coins: the copy count and every copy's seed identity.
-    if (!coins_.CanInstallSummary(name, summary, &why)) {
-      return fail("stream '" + name + "' " + why);
     }
     staged.emplace_back(std::move(name), std::move(summary.sketches));
   }

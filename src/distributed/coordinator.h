@@ -59,8 +59,8 @@ class Coordinator {
  private:
   void EnsureMerged() const;
 
-  // An empty bank of the deployment's family: it checks every incoming
-  // stream's copy count and coins (SketchBank::CanInstallSummary).
+  // An empty bank of the deployment's family: every incoming stream is
+  // decoded against its copy count and coins (DecodeStreamSummary).
   SketchBank coins_;
   // Latest summary per site: stream name -> sketches.
   std::unordered_map<

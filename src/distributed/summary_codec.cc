@@ -36,7 +36,8 @@ void EncodeStreamSummary(const SketchBank& bank, const std::string& name,
 }
 
 bool DecodeStreamSummary(const std::string& data, size_t* offset,
-                         StreamSummary* out, std::string* error) {
+                         const SketchBank* receiver, StreamSummary* out,
+                         std::string* error) {
   *out = StreamSummary{};
   if (*offset >= data.size()) {
     *error = "truncated summary";
@@ -44,8 +45,9 @@ bool DecodeStreamSummary(const std::string& data, size_t* offset,
   }
   const uint8_t backend = static_cast<uint8_t>(data[*offset]);
   if (backend != 0) {
-    std::unique_ptr<DistinctSketch> sketch =
-        DeserializeDistinctSketch(data, offset, error);
+    std::unique_ptr<DistinctSketch> sketch = DeserializeDistinctSketch(
+        data, offset,
+        receiver != nullptr ? &receiver->backend_options() : nullptr, error);
     if (sketch == nullptr) return false;
     out->backend = backend;
     out->backend_sketch = std::move(sketch);
@@ -59,6 +61,13 @@ bool DecodeStreamSummary(const std::string& data, size_t* offset,
   }
   std::memcpy(&copies, data.data() + *offset, sizeof(copies));
   *offset += sizeof(copies);
+  if (receiver != nullptr &&
+      copies != static_cast<uint32_t>(receiver->num_copies())) {
+    *error = "carries " + std::to_string(copies) +
+             " sketch copies, expected " +
+             std::to_string(receiver->num_copies());
+    return false;
+  }
   // Every copy costs at least one byte: refuse absurd counts before
   // reserving for them.
   if (copies > data.size() - *offset) {
@@ -67,10 +76,15 @@ bool DecodeStreamSummary(const std::string& data, size_t* offset,
   }
   out->sketches.reserve(copies);
   for (uint32_t i = 0; i < copies; ++i) {
+    std::string why;
     std::unique_ptr<TwoLevelHashSketch> sketch =
-        TwoLevelHashSketch::Deserialize(data, offset);
+        TwoLevelHashSketch::Deserialize(
+            data, offset,
+            receiver != nullptr ? receiver->family().seed(static_cast<int>(i))
+                                : nullptr,
+            &why);
     if (!sketch) {
-      *error = "malformed sketch copy " + std::to_string(i);
+      *error = "copy " + std::to_string(i) + " " + why;
       return false;
     }
     out->sketches.push_back(std::move(*sketch));

@@ -13,9 +13,10 @@
 //   other  the DistinctSketch's own tagged encoding
 //          (DistinctSketch::SerializeTo), which begins with that byte
 //
-// The codec only checks well-formedness; whoever installs a decoded
-// summary checks it against its own copies, coins and backend options
-// (SketchBank::CanInstallSummary).
+// A receiver decodes against its own bank: the copy count, every copy's
+// params and seed, and a backend synopsis's size and seed must be the
+// receiver's before anything is allocated, so a few hostile bytes cannot
+// declare a gigabyte-sized synopsis.
 
 #ifndef SETSKETCH_DISTRIBUTED_SUMMARY_CODEC_H_
 #define SETSKETCH_DISTRIBUTED_SUMMARY_CODEC_H_
@@ -40,11 +41,16 @@ void EncodeStreamSummary(const StreamSummary& summary, std::string* out);
 void EncodeStreamSummary(const SketchBank& bank, const std::string& name,
                          std::string* out);
 
-/// Decodes one summary at data[*offset], advancing *offset past it. On
-/// failure returns false with *error describing the problem and leaves
-/// *offset unspecified.
+/// Decodes one summary at data[*offset] for `receiver`, the bank it will
+/// be installed in, advancing *offset past it. Refuses a summary whose
+/// copy count, copy coins or backend options are not receiver's (the
+/// decoded copies share receiver's seeds). With a null receiver the
+/// declared shape sizes the allocation: only for callers that inspect
+/// rather than install (tests, benchmarks). On failure returns false with
+/// *error describing the problem and leaves *offset unspecified.
 bool DecodeStreamSummary(const std::string& data, size_t* offset,
-                         StreamSummary* out, std::string* error);
+                         const SketchBank* receiver, StreamSummary* out,
+                         std::string* error);
 
 }  // namespace setsketch
 

@@ -219,9 +219,12 @@ bool DecodeEngineSnapshot(const std::string& bytes, EngineSnapshotData* out,
   options.copies = copies;
   options.witness.pool_all_levels = pooled != 0;
   options.track_exact = false;  // Ground truth is not part of a snapshot.
-  if (!options.params.Valid() || copies < 1) {
+  if (!options.params.Valid() || copies < 1 || copies > kMaxCopies) {
     return fail("invalid sketch parameters");
   }
+  // Every stream is decoded for the configuration the header declares.
+  const SketchBank shape(SketchFamily(options.params, copies, options.seed),
+                         options.backend_size);
 
   uint32_t num_streams = 0;
   if (!ReadPod(bytes, &offset, &out->updates_processed) ||
@@ -239,7 +242,7 @@ bool DecodeEngineSnapshot(const std::string& bytes, EngineSnapshotData* out,
     }
     StreamSummary summary;
     std::string why;
-    if (!DecodeStreamSummary(bytes, &offset, &summary, &why)) {
+    if (!DecodeStreamSummary(bytes, &offset, &shape, &summary, &why)) {
       return fail("stream '" + name + "' " + why);
     }
     out->streams.emplace_back(std::move(name), std::move(summary));
@@ -276,8 +279,8 @@ std::unique_ptr<StreamEngine> StreamEngine::LoadSnapshot(
   if (!DecodeEngineSnapshot(bytes, &data, &error)) return nullptr;
   auto engine = std::make_unique<StreamEngine>(data.options);
   for (auto& [name, summary] : data.streams) {
-    // The bank refuses copies or backend options that disagree with this
-    // engine's derived coins. Registering afterwards assigns the id and
+    // Decoding matched every synopsis to the header's configuration,
+    // which this engine adopts. Registering afterwards assigns the id and
     // leaves the installed synopsis alone.
     if (!engine->bank_.InstallSummary(name, std::move(summary))) {
       return nullptr;

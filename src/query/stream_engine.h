@@ -219,9 +219,9 @@ std::string EncodeEngineSnapshot(const StreamEngine::Options& options,
                                  const std::vector<std::string>& query_texts);
 
 /// Parses EncodeEngineSnapshot bytes. False with *error on malformed
-/// input, another magic or another version byte; performs no
-/// seed-compatibility checks (restorers validate against their own
-/// derived coins when installing the streams).
+/// input, another magic or another version byte, or a stream whose
+/// synopsis does not match the header's configuration. Restorers compare
+/// that configuration with their own.
 bool DecodeEngineSnapshot(const std::string& bytes, EngineSnapshotData* out,
                           std::string* error);
 

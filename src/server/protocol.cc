@@ -469,7 +469,8 @@ bool DecodeHello(const std::string& payload, bool response, HelloInfo* out) {
   }
   // Bound the fields to sane configuration space before narrowing.
   if (levels > 4096 || second > 1u << 20 || kind > 1 || independence > 64 ||
-      copies > 1u << 16 || backend > kMaxSketchBackendId ||
+      copies > static_cast<uint64_t>(kMaxCopies) ||
+      backend > kMaxSketchBackendId ||
       backend_size < kMinBackendSize || backend_size > kMaxBackendSize) {
     return false;
   }
@@ -551,7 +552,8 @@ std::string EncodeSummaryResult(const SummaryResult& result) {
   return out;
 }
 
-bool DecodeSummaryResult(const std::string& payload, SummaryResult* out,
+bool DecodeSummaryResult(const std::string& payload,
+                         const SketchBank* receiver, SummaryResult* out,
                          std::string* error) {
   out->streams.clear();
   size_t offset = 0;
@@ -588,10 +590,8 @@ bool DecodeSummaryResult(const std::string& payload, SummaryResult* out,
         *error = "truncated identity for stream '" + entry.name + "'";
         return false;
       }
-      // The caller checks the summary against its own copies, coins and
-      // backend options when it installs it.
       std::string decode_error;
-      if (!DecodeStreamSummary(payload, &offset, &entry.summary,
+      if (!DecodeStreamSummary(payload, &offset, receiver, &entry.summary,
                                &decode_error)) {
         *error = "stream '" + entry.name + "' " + decode_error;
         return false;
@@ -604,6 +604,11 @@ bool DecodeSummaryResult(const std::string& payload, SummaryResult* out,
     return false;
   }
   return true;
+}
+
+bool DecodeSummaryResult(const std::string& payload, SummaryResult* out,
+                         std::string* error) {
+  return DecodeSummaryResult(payload, nullptr, out, error);
 }
 
 namespace {
@@ -657,6 +662,23 @@ bool ReadSiteWindows(const std::string& payload, size_t* offset,
 }
 
 }  // namespace
+
+std::vector<RepairManifest::SiteWindow> SiteWindows(const DedupIndex& index) {
+  std::vector<RepairManifest::SiteWindow> sites;
+  index.ForEachWindow(
+      [&sites](std::string_view site_id, uint64_t high, uint64_t bits) {
+        sites.push_back(
+            RepairManifest::SiteWindow{std::string(site_id), high, bits});
+      });
+  return sites;
+}
+
+void FoldSiteWindows(const std::vector<RepairManifest::SiteWindow>& sites,
+                     DedupIndex* index) {
+  for (const RepairManifest::SiteWindow& site : sites) {
+    index->MergeWindow(site.site_id, site.high, site.bits);
+  }
+}
 
 std::string EncodeRepairManifest(const RepairManifest& manifest) {
   std::string out;
@@ -729,7 +751,8 @@ std::string EncodeRepairInstall(const RepairInstall& install) {
   return out;
 }
 
-bool DecodeRepairInstall(const std::string& payload, RepairInstall* out,
+bool DecodeRepairInstall(const std::string& payload,
+                         const SketchBank& receiver, RepairInstall* out,
                          std::string* error) {
   out->sites.clear();
   out->streams.clear();
@@ -766,10 +789,8 @@ bool DecodeRepairInstall(const std::string& payload, RepairInstall* out,
       *error = "empty stream name";
       return false;
     }
-    // The receiving server checks the summary against its own copies,
-    // coins and backend options before it installs anything.
     std::string decode_error;
-    if (!DecodeStreamSummary(payload, &offset, &stream.summary,
+    if (!DecodeStreamSummary(payload, &offset, &receiver, &stream.summary,
                              &decode_error)) {
       *error = "stream '" + stream.name + "' " + decode_error;
       return false;

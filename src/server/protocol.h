@@ -43,6 +43,7 @@
 #include "core/sketch_seed.h"
 #include "distributed/summary_codec.h"
 #include "query/plan_cache.h"
+#include "server/wal.h"
 #include "stream/update.h"
 #include "util/thread_annotations.h"
 
@@ -337,6 +338,13 @@ struct SummaryResult {
   std::vector<Entry> streams;
 };
 std::string EncodeSummaryResult(const SummaryResult& result);
+/// Decodes for `receiver`, the bank the entries will be installed in:
+/// each synopsis must have its copy count, coins and backend options
+/// (DecodeStreamSummary; a null receiver decodes declared shapes).
+bool DecodeSummaryResult(const std::string& payload,
+                         const SketchBank* receiver, SummaryResult* out,
+                         std::string* error);
+/// DecodeSummaryResult with a null receiver.
 bool DecodeSummaryResult(const std::string& payload, SummaryResult* out,
                          std::string* error);
 
@@ -368,6 +376,11 @@ struct RepairManifest {
   std::vector<StreamInfo> streams;
   std::vector<SiteWindow> sites;
 };
+/// `index`'s windows as manifest site windows, in site order.
+std::vector<RepairManifest::SiteWindow> SiteWindows(const DedupIndex& index);
+/// Folds site windows into `index` (DedupIndex::MergeWindow).
+void FoldSiteWindows(const std::vector<RepairManifest::SiteWindow>& sites,
+                     DedupIndex* index);
 std::string EncodeRepairManifest(const RepairManifest& manifest);
 bool DecodeRepairManifest(const std::string& payload, RepairManifest* out,
                           std::string* error);
@@ -393,7 +406,10 @@ struct RepairInstall {
   std::vector<StreamState> streams;
 };
 std::string EncodeRepairInstall(const RepairInstall& install);
-bool DecodeRepairInstall(const std::string& payload, RepairInstall* out,
+/// Decodes for `receiver`, the bank the repair installs into: each
+/// synopsis must have its copy count, coins and backend options.
+bool DecodeRepairInstall(const std::string& payload,
+                         const SketchBank& receiver, RepairInstall* out,
                          std::string* error);
 
 // ---------------------------------------------------------------------------

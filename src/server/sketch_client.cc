@@ -237,6 +237,12 @@ SketchClient::Status SketchClient::Hello(const HelloInfo& mine,
 
 SketchClient::Status SketchClient::PullSummaries(
     const SummaryPullRequest& request, SummaryResult* result) {
+  return PullSummaries(request, nullptr, result);
+}
+
+SketchClient::Status SketchClient::PullSummaries(
+    const SummaryPullRequest& request, const SketchBank* receiver,
+    SummaryResult* result) {
   Frame reply;
   Status status =
       RoundTrip(Opcode::kPullSummary, EncodeSummaryPull(request), &reply);
@@ -248,8 +254,10 @@ SketchClient::Status SketchClient::PullSummaries(
     return status;
   }
   std::string decode_error;
-  if (!DecodeSummaryResult(reply.payload, result, &decode_error)) {
+  if (!DecodeSummaryResult(reply.payload, receiver, result, &decode_error)) {
+    result->streams.clear();
     status.ok = false;
+    status.code = WireError::kBadPayload;
     status.error = "malformed SUMMARY_RESULT: " + decode_error;
     return status;
   }

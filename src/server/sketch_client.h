@@ -110,11 +110,19 @@ class SketchClient {
   /// that the same as a refusal, since the peer cannot be config-checked.
   Status Hello(const HelloInfo& mine, HelloInfo* theirs);
 
-  /// Pulls per-stream summaries (the router's federation read path). A
-  /// reply whose entries are not exactly the requested names, in order,
-  /// fails with code kBadPayload and leaves *result empty. The sketch
-  /// vectors are decoded but NOT config-checked here; the caller's bank
-  /// refuses foreign copy counts, coins and backend options on install.
+  /// Pulls per-stream summaries (the router's federation read path),
+  /// decoded for `receiver`, the bank they will be installed in: a
+  /// synopsis with another copy count, other coins or other backend
+  /// options fails the pull before it allocates anything. A reply that
+  /// does not decode, or whose entries are not exactly the requested
+  /// names, in order, fails with code kBadPayload and leaves *result
+  /// empty.
+  /// A null receiver decodes declared shapes: only for callers that
+  /// inspect rather than install (tests, benchmarks).
+  Status PullSummaries(const SummaryPullRequest& request,
+                       const SketchBank* receiver, SummaryResult* result);
+
+  /// PullSummaries with a null receiver.
   Status PullSummaries(const SummaryPullRequest& request,
                        SummaryResult* result);
 

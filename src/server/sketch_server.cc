@@ -511,11 +511,7 @@ RepairManifest SketchServer::PullRepairManifest() {
           name, bank_.bank_id(), bank_.StreamEpoch(name)});
     }
   }
-  dedup_.ForEachWindow(
-      [&manifest](std::string_view site_id, uint64_t high, uint64_t bits) {
-        manifest.sites.push_back(
-            RepairManifest::SiteWindow{std::string(site_id), high, bits});
-      });
+  manifest.sites = SiteWindows(dedup_);
   return manifest;
 }
 
@@ -555,9 +551,7 @@ bool SketchServer::InstallRepair(const RepairInstall& install,
   // Migration merges instead — the destination's windows cover batches
   // it really holds.
   if (install.replace_dedup) dedup_.Clear();
-  for (const RepairManifest::SiteWindow& site : install.sites) {
-    dedup_.MergeWindow(site.site_id, site.high, site.bits);
-  }
+  FoldSiteWindows(install.sites, &dedup_);
   if (wal_ != nullptr && !CheckpointNowLocked()) {
     // Without a covering checkpoint a post-repair crash would recover the
     // pre-repair WAL tail; refuse so the router keeps the shard stale.
@@ -574,7 +568,15 @@ std::string SketchServer::HandlePushRepair(std::string_view payload,
                                            Connection* connection) {
   RepairInstall install;
   std::string error;
-  if (!DecodeRepairInstall(std::string(payload), &install, &error)) {
+  bool decoded = false;
+  {
+    // Decoded for this bank: a synopsis of another shape is refused
+    // before it allocates anything.
+    MutexLock lock(&registry_mutex_);
+    decoded = DecodeRepairInstall(std::string(payload), bank_, &install,
+                                  &error);
+  }
+  if (!decoded) {
     ++connection->errors;
     ++protocol_errors_;
     return ErrorFrame(WireError::kBadPayload, error);

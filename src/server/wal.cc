@@ -155,6 +155,17 @@ void DedupWindow::Merge(uint64_t high, uint64_t bits) {
   }
 }
 
+bool DedupWindow::Covers(const DedupWindow& want) const {
+  if (want.high_ == 0) return true;
+  if (high_ < want.high_) return false;
+  for (uint64_t age = 0; age < 64 && age < want.high_; ++age) {
+    if (((want.bits_ >> age) & 1u) != 0 && !Seen(want.high_ - age)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool DedupIndex::Seen(std::string_view site_id, uint64_t sequence) const {
   const auto it = windows_.find(site_id);
   return it != windows_.end() && it->second.Seen(sequence);
@@ -191,6 +202,18 @@ void DedupIndex::ForEachWindow(
   for (const auto& [site, window] : windows_) {
     fn(site, window.high(), window.bits());
   }
+}
+
+bool DedupIndex::Covers(const DedupIndex& want,
+                        std::string* uncovered_site) const {
+  for (const auto& [site, window] : want.windows_) {
+    const auto it = windows_.find(site);
+    if (!(it == windows_.end() ? DedupWindow{} : it->second).Covers(window)) {
+      *uncovered_site = site;
+      return false;
+    }
+  }
+  return true;
 }
 
 void DedupIndex::MergeWindow(std::string_view site_id, uint64_t high,

@@ -84,6 +84,11 @@ class DedupWindow {
   /// conservatism). Used by repair/migration watermark transfer.
   void Merge(uint64_t high, uint64_t bits);
 
+  /// True iff Seen() holds for every sequence `want` recorded: this
+  /// window's high-water mark is not behind want's, and each of want's
+  /// sequences is recorded here or has fallen below this window.
+  bool Covers(const DedupWindow& want) const;
+
  private:
   uint64_t high_ = 0;  // Highest recorded sequence; 0 = none yet.
   uint64_t bits_ = 0;  // Bit i set => sequence high_ - i recorded.
@@ -118,6 +123,11 @@ class DedupIndex {
   /// Folds one site's transferred window in, creating it if absent
   /// (repair/migration watermark install).
   void MergeWindow(std::string_view site_id, uint64_t high, uint64_t bits);
+
+  /// True iff, for every site in `want`, this index's window (empty when
+  /// absent) Covers want's. On false, *uncovered_site names the first
+  /// such site in key order.
+  bool Covers(const DedupIndex& want, std::string* uncovered_site) const;
 
   /// Drops every window. Crash repair installs a replacement set: the
   /// stale shard's own windows may cover batches the snapshot install

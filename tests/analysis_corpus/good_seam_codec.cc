@@ -13,8 +13,9 @@ void AppendStream(const SketchBank& bank, const std::string& name,
 }
 
 bool ReadStream(const std::string& data, size_t* offset,
-                StreamSummary* summary, std::string* error) {
-  return DecodeStreamSummary(data, offset, summary, error);
+                const SketchBank& receiver, StreamSummary* summary,
+                std::string* error) {
+  return DecodeStreamSummary(data, offset, &receiver, summary, error);
 }
 
 }  // namespace setsketch

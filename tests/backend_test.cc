@@ -165,7 +165,8 @@ TEST(BackendSketchTest, SerializeRoundTripsAndIsCanonical) {
     sketch->SerializeTo(&bytes);
     size_t offset = 0;
     std::string error;
-    auto restored = DeserializeDistinctSketch(bytes, &offset, &error);
+    auto restored =
+        DeserializeDistinctSketch(bytes, &offset, nullptr, &error);
     ASSERT_NE(restored, nullptr) << error;
     EXPECT_EQ(offset, bytes.size());
     EXPECT_TRUE(restored->Equals(*sketch));
@@ -191,7 +192,8 @@ TEST(BackendSketchTest, DeserializeRejectsMutatedEncodings) {
       std::string truncated = bytes.substr(0, cut);
       size_t offset = 0;
       std::string error;
-      auto decoded = DeserializeDistinctSketch(truncated, &offset, &error);
+      auto decoded =
+          DeserializeDistinctSketch(truncated, &offset, nullptr, &error);
       // Truncation may still decode if the cut lands past the payload's
       // self-delimited end — impossible here because we cut strictly
       // inside, so every decode must fail.
@@ -202,7 +204,8 @@ TEST(BackendSketchTest, DeserializeRejectsMutatedEncodings) {
       mutated[rng() % mutated.size()] = static_cast<char>(rng());
       size_t offset = 0;
       std::string error;
-      auto decoded = DeserializeDistinctSketch(mutated, &offset, &error);
+      auto decoded =
+          DeserializeDistinctSketch(mutated, &offset, nullptr, &error);
       if (decoded != nullptr) {
         EXPECT_LE(offset, mutated.size());
         std::string reencoded;

@@ -1,15 +1,23 @@
-// Tests for the prior-work baselines: Flajolet-Martin, KMV / bottom-k,
-// min-wise signatures, and the exact distinct counter — including the
-// deletion failure modes the paper motivates 2-level hash sketches with.
+// Tests for the prior-work baselines: Flajolet-Martin, min-wise
+// signatures, and the KMV family — including the deletion failure modes
+// the paper motivates 2-level hash sketches with.
+//
+// The KMV family is one sketch. Dasgupta et al.'s theta framework shows
+// that KMV (bottom-k), counting KMV and adaptive sampling (the BJKST
+// scheme) differ only in how the threshold theta falls, so the
+// KmvSketchTest, CountingKmvTest and BjkstTest suites below exercise
+// ThetaKmvSketch in each of those roles, estimating through
+// EstimateWithBackend like every caller.
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
-#include "baselines/exact_distinct.h"
 #include "baselines/fm_sketch.h"
-#include "baselines/kmv_sketch.h"
 #include "baselines/minwise_sketch.h"
+#include "core/theta_sketch.h"
+#include "expr/parser.h"
 #include "util/stats.h"
 
 namespace setsketch {
@@ -68,78 +76,231 @@ TEST(FmSketchTest, SizeBytesIsTiny) {
 }
 
 // ---------------------------------------------------------------------------
-// KMV
+// KMV family (ThetaKmvSketch)
+
+/// Estimates `text` over theta sketches named A and B.
+double Estimate(const std::string& text, const ThetaKmvSketch& a,
+                const ThetaKmvSketch& b) {
+  const ParseResult parsed = ParseExpression(text);
+  const BackendEstimate estimate = EstimateWithBackend(
+      *parsed.expression,
+      [&a, &b](const std::string& name) -> const DistinctSketch* {
+        return name == "A" ? &a : &b;
+      });
+  EXPECT_TRUE(estimate.ok) << estimate.error;
+  return estimate.estimate;
+}
+
+double Estimate(const ThetaKmvSketch& a) { return Estimate("A", a, a); }
 
 TEST(KmvSketchTest, EstimatesDistinctCount) {
-  KmvSketch kmv(256, 1);
+  ThetaKmvSketch kmv(BackendOptions{256, 1});
   const int n = 20000;
   for (int e = 0; e < n; ++e) {
-    kmv.Insert(static_cast<uint64_t>(e) * 48271 + 11);
+    kmv.Update(static_cast<uint64_t>(e) * 48271 + 11, 1);
   }
-  EXPECT_LT(RelativeError(kmv.EstimateDistinct(), n), 0.2);
+  EXPECT_LT(kmv.theta(), ThetaKmvSketch::kThetaMax);
+  EXPECT_LT(RelativeError(Estimate(kmv), n), 0.2);
 }
 
 TEST(KmvSketchTest, ExactBelowK) {
-  KmvSketch kmv(64, 3);
-  for (int e = 0; e < 40; ++e) kmv.Insert(static_cast<uint64_t>(e));
-  EXPECT_DOUBLE_EQ(kmv.EstimateDistinct(), 40.0);
-  // Duplicates don't change it.
-  for (int e = 0; e < 40; ++e) kmv.Insert(static_cast<uint64_t>(e));
-  EXPECT_DOUBLE_EQ(kmv.EstimateDistinct(), 40.0);
+  ThetaKmvSketch kmv(BackendOptions{64, 3});
+  for (int e = 0; e < 40; ++e) kmv.Update(static_cast<uint64_t>(e), 1);
+  EXPECT_DOUBLE_EQ(Estimate(kmv), 40.0);
+  // Duplicates raise net counts, not the distinct count.
+  for (int e = 0; e < 40; ++e) kmv.Update(static_cast<uint64_t>(e), 1);
+  EXPECT_DOUBLE_EQ(Estimate(kmv), 40.0);
 }
 
 TEST(KmvSketchTest, UnionAndIntersectionInsertOnly) {
-  KmvSketch a(512, 5), b(512, 5);
+  ThetaKmvSketch a(BackendOptions{512, 5}), b(BackendOptions{512, 5});
   const int n = 8192;
   // 25% overlap.
   for (int e = 0; e < n; ++e) {
     const uint64_t elem = static_cast<uint64_t>(e) * 2654435761u + 3;
-    a.Insert(elem);
-    if (e < n / 4) b.Insert(elem);
+    a.Update(elem, 1);
+    if (e < n / 4) b.Update(elem, 1);
   }
   for (int e = 0; e < 3 * n / 4; ++e) {
-    b.Insert(static_cast<uint64_t>(e) * 16807 + (1ULL << 50));
+    b.Update(static_cast<uint64_t>(e) * 16807 + (1ULL << 50), 1);
   }
-  // |A u B| = n + 3n/4, |A n B| = n/4.
-  EXPECT_LT(RelativeError(KmvSketch::EstimateUnion(a, b), 1.75 * n), 0.2);
-  EXPECT_LT(
-      RelativeError(KmvSketch::EstimateIntersection(a, b), 0.25 * n),
-      0.35);
-  EXPECT_LT(RelativeError(KmvSketch::EstimateDifference(a, b), 0.75 * n),
-            0.3);
+  // |A u B| = n + 3n/4, |A n B| = n/4, |A - B| = 3n/4.
+  EXPECT_LT(RelativeError(Estimate("A | B", a, b), 1.75 * n), 0.2);
+  EXPECT_LT(RelativeError(Estimate("A & B", a, b), 0.25 * n), 0.35);
+  EXPECT_LT(RelativeError(Estimate("A - B", a, b), 0.75 * n), 0.3);
 }
 
 TEST(KmvSketchTest, DeletionDepletesSample) {
-  KmvSketch kmv(32, 7);
-  // Insert 32 elements: all sampled.
-  std::vector<uint64_t> elements;
+  ThetaKmvSketch kmv(BackendOptions{32, 7});
+  // 32 elements with k = 32: all sampled, theta never fell.
   for (int e = 0; e < 32; ++e) {
-    elements.push_back(static_cast<uint64_t>(e) * 7919 + 1);
-    kmv.Insert(elements.back());
+    kmv.Update(static_cast<uint64_t>(e) * 7919 + 1, 1);
   }
-  EXPECT_FALSE(kmv.depleted());
-  EXPECT_TRUE(kmv.Delete(elements[0]));  // Sampled: eviction.
-  EXPECT_TRUE(kmv.depleted());
-  EXPECT_EQ(kmv.depletions(), 1);
+  ASSERT_EQ(kmv.SampleSize(), 32u);
+  kmv.Update(1, -1);  // Element 0: sampled, so its hash leaves.
+  EXPECT_EQ(kmv.SampleSize(), 31u);
+  EXPECT_EQ(kmv.theta(), ThetaKmvSketch::kThetaMax);
+  EXPECT_DOUBLE_EQ(Estimate(kmv), 31.0);
 }
 
-TEST(KmvSketchTest, MassDeletionBiasesEstimate) {
-  // Insert n, then delete all but n/16. A correct synopsis would estimate
-  // n/16; the depleted KMV keeps k non-deleted minima it can't backfill,
-  // so the estimate is biased (usually high). We just document that the
-  // sketch *knows* it was depleted.
-  KmvSketch kmv(256, 9);
+// ---------------------------------------------------------------------------
+// Counting KMV: net frequencies per sampled hash.
+
+TEST(CountingKmvTest, EstimatesDistinctCount) {
+  // Net counts above one are frequencies, not extra distinct elements.
+  ThetaKmvSketch kmv(BackendOptions{256, 1});
+  const int n = 20000;
+  for (int e = 0; e < n; ++e) {
+    kmv.Update(static_cast<uint64_t>(e) * 48271 + 11, 2);
+  }
+  EXPECT_LT(RelativeError(Estimate(kmv), n), 0.2);
+}
+
+TEST(CountingKmvTest, SurvivesMultisetChurn) {
+  // Insert every element 3x, delete 2x: net distinct count unchanged, and
+  // no sampled hash is lost (its net count never reaches zero).
+  ThetaKmvSketch kmv(BackendOptions{256, 3});
+  const int n = 10000;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (int e = 0; e < n; ++e) {
+      kmv.Update(static_cast<uint64_t>(e) * 7919 + 1, 1);
+    }
+  }
+  const size_t sample_before = kmv.SampleSize();
+  for (int rep = 0; rep < 2; ++rep) {
+    for (int e = 0; e < n; ++e) {
+      kmv.Update(static_cast<uint64_t>(e) * 7919 + 1, -1);
+    }
+  }
+  EXPECT_EQ(kmv.SampleSize(), sample_before);
+  EXPECT_LT(RelativeError(Estimate(kmv), n), 0.2);
+}
+
+TEST(CountingKmvTest, ZeroEvictionOnFullDeletion) {
+  ThetaKmvSketch kmv(BackendOptions{64, 5});
+  for (int e = 0; e < 32; ++e) kmv.Update(static_cast<uint64_t>(e), 2);
+  for (int e = 0; e < 16; ++e) kmv.Update(static_cast<uint64_t>(e), -2);
+  // A hash leaves the sample exactly when its net count reaches zero.
+  EXPECT_EQ(kmv.SampleSize(), 16u);
+  EXPECT_DOUBLE_EQ(Estimate(kmv), 16.0);  // Theta never fell: exact.
+}
+
+TEST(CountingKmvTest, TransientChurnStillDepletes) {
+  // Transients that force theta down and then leave empty the sample
+  // below k: theta does not rise again, so the real elements keep only
+  // the few slots below the lowered threshold. The estimate stays
+  // unbiased; its sample is what churn costs.
+  ThetaKmvSketch kmv(BackendOptions{128, 7});
+  const int n = 4096;
+  for (int e = 0; e < n; ++e) {
+    kmv.Update(static_cast<uint64_t>(e) * 104729 + 3, 1);
+  }
+  ASSERT_GE(kmv.SampleSize(), 128u);
+  const int transients = 4 * n;
+  for (int t = 0; t < transients; ++t) {
+    kmv.Update((static_cast<uint64_t>(t) + 1) * 6364136223846793005ULL, 1);
+  }
+  const uint64_t theta = kmv.theta();
+  for (int t = 0; t < transients; ++t) {
+    kmv.Update((static_cast<uint64_t>(t) + 1) * 6364136223846793005ULL, -1);
+  }
+  EXPECT_EQ(kmv.theta(), theta);
+  EXPECT_LT(kmv.SampleSize(), 128u);
+  EXPECT_LT(RelativeError(Estimate(kmv), n), 0.5);
+}
+
+TEST(CountingKmvTest, IntersectionInsertOnly) {
+  ThetaKmvSketch a(BackendOptions{512, 9}), b(BackendOptions{512, 9});
   const int n = 8192;
-  std::vector<uint64_t> elements;
   for (int e = 0; e < n; ++e) {
-    elements.push_back(static_cast<uint64_t>(e) * 104729 + 5);
-    kmv.Insert(elements.back());
+    const uint64_t elem = static_cast<uint64_t>(e) * 2654435761ULL + 7;
+    a.Update(elem, 1);
+    if (e < n / 4) b.Update(elem, 1);
   }
+  for (int e = 0; e < 3 * n / 4; ++e) {
+    b.Update(static_cast<uint64_t>(e) * 16807 + (1ULL << 50), 1);
+  }
+  EXPECT_LT(RelativeError(Estimate("A | B", a, b), 1.75 * n), 0.2);
+  EXPECT_LT(RelativeError(Estimate("A & B", a, b), n / 4.0), 0.35);
+}
+
+TEST(CountingKmvTest, DeleteOfUnsampledElementIsNoOp) {
+  ThetaKmvSketch kmv(BackendOptions{16, 11});
+  for (int e = 0; e < 100; ++e) kmv.Update(static_cast<uint64_t>(e), 1);
+  ASSERT_LT(kmv.theta(), ThetaKmvSketch::kThetaMax);
+  // A never-inserted element whose hash falls at or above theta.
+  uint64_t unsampled = 9999999;
+  while (BackendHash64(unsampled, 11) < kmv.theta()) ++unsampled;
+  const ThetaKmvSketch before = kmv;
+  kmv.Update(unsampled, -1);
+  EXPECT_TRUE(kmv.Equals(before));
+  EXPECT_DOUBLE_EQ(Estimate(kmv), Estimate(before));
+}
+
+// ---------------------------------------------------------------------------
+// Adaptive sampling (BJKST): theta falls as the stream outgrows the
+// sample, and sketches whose thresholds differ still merge.
+
+TEST(BjkstTest, EstimatesDistinctCount) {
+  ThetaKmvSketch bjkst(BackendOptions{1024, 1});
+  const int n = 50000;
   for (int e = 0; e < n; ++e) {
-    if (e % 16 != 0) kmv.Delete(elements[static_cast<size_t>(e)]);
+    bjkst.Update(static_cast<uint64_t>(e) * 2654435761ULL, 1);
   }
-  EXPECT_TRUE(kmv.depleted());
-  EXPECT_GT(kmv.depletions(), 200);
+  EXPECT_LT(bjkst.theta(), ThetaKmvSketch::kThetaMax);  // Sampling kicked in.
+  EXPECT_LT(RelativeError(Estimate(bjkst), n), 0.15);
+}
+
+TEST(BjkstTest, ExactWhileBelowCapacity) {
+  ThetaKmvSketch bjkst(BackendOptions{256, 3});
+  for (int e = 0; e < 100; ++e) bjkst.Update(static_cast<uint64_t>(e), 1);
+  EXPECT_EQ(bjkst.theta(), ThetaKmvSketch::kThetaMax);
+  EXPECT_DOUBLE_EQ(Estimate(bjkst), 100.0);
+  // Duplicates are free.
+  for (int e = 0; e < 100; ++e) bjkst.Update(static_cast<uint64_t>(e), 1);
+  EXPECT_DOUBLE_EQ(Estimate(bjkst), 100.0);
+}
+
+TEST(BjkstTest, MergeEstimatesUnion) {
+  ThetaKmvSketch a(BackendOptions{512, 7}), b(BackendOptions{512, 7});
+  const int n = 20000;
+  for (int e = 0; e < n; ++e) {
+    a.Update(static_cast<uint64_t>(e) * 104729, 1);
+    b.Update(static_cast<uint64_t>(e + n / 2) * 104729, 1);  // 50% overlap.
+  }
+  ASSERT_TRUE(a.Merge(b));
+  EXPECT_LT(RelativeError(Estimate(a), 1.5 * n), 0.2);
+}
+
+TEST(BjkstTest, MergeRejectsMismatch) {
+  ThetaKmvSketch a(BackendOptions{64, 1}), b(BackendOptions{64, 2}),
+      c(BackendOptions{128, 1});
+  EXPECT_FALSE(a.Merge(b));  // Different coins.
+  EXPECT_FALSE(a.Merge(c));  // Different k.
+}
+
+TEST(BjkstTest, MergeAcrossDifferentLevels) {
+  ThetaKmvSketch small(BackendOptions{64, 9}), large(BackendOptions{64, 9});
+  for (int e = 0; e < 30; ++e) {
+    small.Update(static_cast<uint64_t>(e) * 31337, 1);
+  }
+  for (int e = 0; e < 30000; ++e) {
+    large.Update(static_cast<uint64_t>(e) * 7919, 1);
+  }
+  ASSERT_LT(large.theta(), small.theta());
+  ASSERT_TRUE(small.Merge(large));
+  EXPECT_EQ(small.theta(), large.theta());
+  // Union ~ 30030; small's contribution is negligible.
+  EXPECT_LT(RelativeError(Estimate(small), 30030), 0.35);
+}
+
+TEST(BjkstTest, SizeStaysBounded) {
+  ThetaKmvSketch bjkst(BackendOptions{128, 11});
+  for (int e = 0; e < 100000; ++e) {
+    bjkst.Update(static_cast<uint64_t>(e) * 48271 + 5, 1);
+  }
+  EXPECT_LE(bjkst.SampleSize(), 2u * 128u);  // Shrink trims at 2k.
+  EXPECT_LE(bjkst.MemoryBytes(), sizeof(ThetaKmvSketch) + 2u * 128u * 48u);
 }
 
 // ---------------------------------------------------------------------------
@@ -201,38 +362,17 @@ TEST(MinwiseSketchTest, EmptySketchJaccardIsZero) {
   EXPECT_DOUBLE_EQ(MinwiseSketch::EstimateJaccard(a, b), 0.0);
 }
 
-// ---------------------------------------------------------------------------
-// Exact distinct
-
-TEST(ExactDistinctTest, TracksNetFrequencies) {
-  ExactDistinct exact;
-  EXPECT_TRUE(exact.Update(1, 2));
-  EXPECT_TRUE(exact.Update(2, 1));
-  EXPECT_EQ(exact.Distinct(), 2);
-  EXPECT_TRUE(exact.Update(1, -1));
-  EXPECT_EQ(exact.Distinct(), 2);
-  EXPECT_TRUE(exact.Update(1, -1));
-  EXPECT_EQ(exact.Distinct(), 1);
-  EXPECT_EQ(exact.Frequency(1), 0);
-  EXPECT_FALSE(exact.Update(1, -1));  // Illegal.
-}
-
-// The punchline comparison: under pure churn (insert+delete), the 2-level
-// hash sketch is exact-equivalent while KMV depletes. Verified indirectly
-// here by the depletion counters; the full head-to-head lives in
-// bench_deletions.
+// The punchline comparison: deleting everything empties the theta
+// sample, and only new data can rebuild it; the full head-to-head with
+// the 2-level hash sketch lives in bench_deletions.
 TEST(BaselineContrastTest, ChurnDepletesKmvOnly) {
-  KmvSketch kmv(64, 11);
-  for (int e = 0; e < 64; ++e) {
-    kmv.Insert(static_cast<uint64_t>(e));
-  }
-  for (int e = 0; e < 64; ++e) {
-    kmv.Delete(static_cast<uint64_t>(e));
-  }
-  EXPECT_EQ(kmv.depletions(), 64);
-  EXPECT_DOUBLE_EQ(kmv.EstimateDistinct(), 0.0);  // Sample is gone...
-  kmv.Insert(9999);  // ...and the sketch can only rebuild from new data.
-  EXPECT_DOUBLE_EQ(kmv.EstimateDistinct(), 1.0);
+  ThetaKmvSketch kmv(BackendOptions{64, 11});
+  for (int e = 0; e < 64; ++e) kmv.Update(static_cast<uint64_t>(e), 1);
+  for (int e = 0; e < 64; ++e) kmv.Update(static_cast<uint64_t>(e), -1);
+  EXPECT_TRUE(kmv.Empty());
+  EXPECT_DOUBLE_EQ(Estimate(kmv), 0.0);  // Sample is gone...
+  kmv.Update(9999, 1);  // ...and the sketch can only rebuild from new data.
+  EXPECT_DOUBLE_EQ(Estimate(kmv), 1.0);
 }
 
 }  // namespace

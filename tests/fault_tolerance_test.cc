@@ -166,6 +166,47 @@ TEST(DedupWindowTest, RestoreReinstatesPersistedState) {
   EXPECT_TRUE(restored.Seen(9));
 }
 
+TEST(DedupWindowTest, CoversEverySequenceTheWantedWindowRecorded) {
+  DedupWindow have;
+  have.Record(100);
+  have.Record(100 - 63);  // Oldest tracked slot (age 63).
+  DedupWindow want;
+  EXPECT_TRUE(have.Covers(want));  // An empty want is always covered.
+  want.Record(100 - 63);
+  EXPECT_TRUE(have.Covers(want));  // Age 63 recorded on both sides.
+  want.Record(100 - 62);
+  EXPECT_FALSE(have.Covers(want));  // Age 62 missing here.
+  have.Record(100 - 62);
+  EXPECT_TRUE(have.Covers(want));
+
+  // Age 64 has fallen below have's window: conservatively seen, so a
+  // want that recorded it is covered without a tracked bit.
+  DedupWindow old;
+  old.Record(100 - 64);
+  EXPECT_TRUE(have.Covers(old));
+
+  // A want whose high-water mark is ahead is never covered.
+  DedupWindow ahead;
+  ahead.Record(101);
+  EXPECT_FALSE(have.Covers(ahead));
+  have.Merge(ahead.high(), ahead.bits());
+  EXPECT_TRUE(have.Covers(ahead));
+  EXPECT_TRUE(have.Covers(want));  // Merging kept the older bits.
+}
+
+TEST(DedupIndexTest, CoversNamesTheFirstSiteBehind) {
+  DedupIndex have, want;
+  std::string behind;
+  EXPECT_TRUE(have.Covers(want, &behind));
+  want.Record("a", 3);
+  want.Record("b", 5);
+  have.Record("a", 3);
+  EXPECT_FALSE(have.Covers(want, &behind));  // No window for "b" here.
+  EXPECT_EQ(behind, "b");
+  have.MergeWindow("b", 5, 1);
+  EXPECT_TRUE(have.Covers(want, &behind));
+}
+
 TEST(DedupIndexTest, EncodeDecodeRoundTrip) {
   DedupIndex index;
   index.Record("site-a", 1);

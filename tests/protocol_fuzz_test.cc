@@ -703,7 +703,8 @@ TEST(SummaryCodecFuzzTest, TaggedSummariesRoundTripAcrossBackends) {
       size_t offset = 0;
       StreamSummary decoded;
       std::string error;
-      ASSERT_TRUE(DecodeStreamSummary(encoded, &offset, &decoded, &error))
+      ASSERT_TRUE(
+          DecodeStreamSummary(encoded, &offset, &home, &decoded, &error))
           << error;
       EXPECT_EQ(offset, encoded.size());
       ASSERT_EQ(decoded.backend, summary.backend);
@@ -717,8 +718,10 @@ TEST(SummaryCodecFuzzTest, TaggedSummariesRoundTripAcrossBackends) {
       EXPECT_TRUE(decoded.backend_sketch->Equals(*summary.backend_sketch));
 
       // Foreign backend options are refused like foreign stored coins.
-      EXPECT_TRUE(home.CanInstallSummary("S", decoded, &error)) << error;
-      EXPECT_FALSE(foreign.CanInstallSummary("S", decoded, &error));
+      offset = 0;
+      StreamSummary refused;
+      EXPECT_FALSE(
+          DecodeStreamSummary(encoded, &offset, &foreign, &refused, &error));
       EXPECT_NE(error.find("foreign backend configuration"),
                 std::string::npos);
 
@@ -727,7 +730,7 @@ TEST(SummaryCodecFuzzTest, TaggedSummariesRoundTripAcrossBackends) {
         offset = 0;
         StreamSummary trunc;
         EXPECT_FALSE(DecodeStreamSummary(encoded.substr(0, cut), &offset,
-                                         &trunc, &error));
+                                         &home, &trunc, &error));
       }
     }
   }
@@ -735,6 +738,10 @@ TEST(SummaryCodecFuzzTest, TaggedSummariesRoundTripAcrossBackends) {
 
 TEST(SummaryCodecFuzzTest, TaggedSummarySurvivesRandomByteSoup) {
   Xoshiro256StarStar rng(0x50C5);
+  SketchParams params;
+  params.levels = 16;
+  params.num_second_level = 8;
+  const SketchBank receiver(SketchFamily(params, 1, 42), 512);
   for (int round = 0; round < 1000; ++round) {
     // Half the soup leads with backend 0 (the copy-vector branch), half
     // with a random byte (the tagged-sketch branch and unknown ids).
@@ -747,10 +754,23 @@ TEST(SummaryCodecFuzzTest, TaggedSummarySurvivesRandomByteSoup) {
     size_t offset = 0;
     StreamSummary decoded;
     std::string error;
-    if (!DecodeStreamSummary(data, &offset, &decoded, &error)) {
+    if (!DecodeStreamSummary(data, &offset, nullptr, &decoded, &error)) {
       EXPECT_FALSE(error.empty());
     } else {
       EXPECT_LE(offset, data.size());
+    }
+    // A receiver's decode refuses, or accepts only its own shape.
+    offset = 0;
+    if (DecodeStreamSummary(data, &offset, &receiver, &decoded, &error)) {
+      EXPECT_LE(offset, data.size());
+      if (decoded.backend == 0) {
+        EXPECT_EQ(decoded.sketches.size(), 1u);
+      } else {
+        EXPECT_TRUE(decoded.backend_sketch->options() ==
+                    receiver.backend_options());
+      }
+    } else {
+      EXPECT_FALSE(error.empty());
     }
   }
 }

@@ -6,13 +6,17 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <thread>
 
 #include "core/sketch_backend.h"
@@ -29,6 +33,7 @@
 #include "stream/exact_set_store.h"
 #include "stream/stream_generator.h"
 #include "util/stats.h"
+#include "util/varint.h"
 
 namespace setsketch {
 namespace {
@@ -501,6 +506,181 @@ TEST(SketchServerTest, MalformedPayloadKeepsConnectionUsable) {
 
   EXPECT_GE(server.stats().protocol_errors, 2u);
   server.Stop();
+}
+
+// --- Hostile synopses -----------------------------------------------------
+//
+// A few bytes can declare an enormous synopsis. Every receiver decodes a
+// synopsis for its own configuration, so both payloads below are refused
+// with a typed error before anything is allocated. Each case runs in a
+// child process that caps its own address space at 1 GiB, so a receiver
+// that allocated what the payload declares dies there instead of taxing
+// the machine. Sanitizer builds reserve huge shadow mappings and run the
+// child uncapped (their allocators refuse the 8 GiB request themselves).
+
+/// A default-backend summary of one all-zero copy declaring levels 64 and
+/// s = 2^24: 36 bytes that describe 8 GiB of counters.
+std::string HugeTwoLevelSummary() {
+  SketchParams params;
+  params.levels = 64;
+  params.num_second_level = 1;
+  std::string copy;
+  TwoLevelHashSketch(std::make_shared<const SketchSeed>(params, 7))
+      .SerializeCompactTo(&copy);
+  // Header: u32 magic, i32 levels, i32 s, u8 kind, i32 independence,
+  // u64 seed; then one zero run over every cell.
+  const int32_t s = 1 << 24;
+  std::memcpy(&copy[8], &s, sizeof(s));
+  copy.resize(25);
+  AppendVarint(&copy, 0);
+  AppendVarint(&copy, uint64_t{64} << 24);
+  std::string summary(1, '\0');  // Backend 0, then a u32 copy count.
+  const uint32_t copies = 1;
+  summary.append(reinterpret_cast<const char*>(&copies), sizeof(copies));
+  return summary + copy;
+}
+
+/// A set_sketch summary declaring 2^22 all-zero registers: a dozen bytes
+/// that describe 1 GiB of counters.
+std::string HugeSetSketchSummary() {
+  std::string summary(1, static_cast<char>(SketchBackendId::kSetSketch));
+  AppendVarint(&summary, kMaxBackendSize);
+  AppendVarint(&summary, 1);  // Seed.
+  AppendVarint(&summary, 0);  // One zero run over every cell.
+  AppendVarint(&summary, uint64_t{kMaxBackendSize} * 64);
+  return summary;
+}
+
+const std::vector<std::string>& HostileSummaries() {
+  static const std::vector<std::string> summaries = {HugeTwoLevelSummary(),
+                                                     HugeSetSketchSummary()};
+  return summaries;
+}
+
+/// Runs `body` in a forked child capped at 1 GiB of address space and
+/// expects it to exit cleanly with no failed expectation.
+void ExpectCleanInCappedChild(const std::function<void()>& body) {
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+#ifndef SETSKETCH_SANITIZE_BUILD
+    const rlim_t cap = rlim_t{1} << 30;
+    const rlimit limit{cap, cap};
+    ::setrlimit(RLIMIT_AS, &limit);
+#endif
+    body();
+    std::_Exit(::testing::Test::HasFailure() ? 1 : 0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "child wait status " << status;
+}
+
+/// Sends one frame and expects an ERROR frame carrying `code`.
+void ExpectErrorReply(RawConnection* raw, Opcode opcode,
+                      const std::string& payload, WireError code) {
+  ASSERT_TRUE(raw->Send(EncodeFrame(opcode, payload)));
+  Frame reply;
+  ASSERT_TRUE(raw->ReadFrame(&reply));
+  ASSERT_EQ(reply.opcode, Opcode::kError);
+  ErrorInfo info;
+  ASSERT_TRUE(DecodeError(reply.payload, &info));
+  EXPECT_EQ(info.code, code) << info.message;
+}
+
+TEST(HostileSynopsisTest, PushSummaryAndPushRepairRefuseBeforeAllocating) {
+  ExpectCleanInCappedChild([] {
+    // One copy, so the two-level payload's copy count passes and its
+    // declared shape is what gets refused.
+    SketchServer server(ServerOptions(/*copies=*/1));
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    RawConnection raw(server.port());
+    ASSERT_TRUE(raw.connected());
+    for (const std::string& hostile : HostileSummaries()) {
+      std::string push_summary;  // Site name, one stream.
+      AppendVarintString(&push_summary, "site");
+      AppendVarint(&push_summary, 1);
+      AppendVarintString(&push_summary, "S");
+      ExpectErrorReply(&raw, Opcode::kPushSummary, push_summary + hostile,
+                       WireError::kRejectedSummary);
+      std::string push_repair(1, '\1');  // Replace mode, no site windows.
+      AppendVarint(&push_repair, 0);
+      AppendVarint(&push_repair, 1);
+      AppendVarintString(&push_repair, "S");
+      ExpectErrorReply(&raw, Opcode::kPushRepair, push_repair + hostile,
+                       WireError::kBadPayload);
+    }
+    // The server still serves.
+    ASSERT_TRUE(raw.Send(EncodeFrame(Opcode::kPing, "alive")));
+    Frame reply;
+    ASSERT_TRUE(raw.ReadFrame(&reply));
+    EXPECT_EQ(reply.opcode, Opcode::kPong);
+    server.Stop();
+  });
+}
+
+TEST(HostileSynopsisTest, SummaryResultIsRefusedBeforeAllocating) {
+  for (const std::string& hostile : HostileSummaries()) {
+    ExpectCleanInCappedChild([&hostile] {
+      // A fake shard answering the pull with one full, hostile entry.
+      const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+      socklen_t len = sizeof(addr);
+      ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), len),
+                0);
+      ASSERT_EQ(::listen(listen_fd, 1), 0);
+      ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                              &len),
+                0);
+      std::string result;
+      AppendVarint(&result, 1);
+      AppendVarintString(&result, "S");
+      result.push_back(static_cast<char>(SummaryState::kFull));
+      AppendVarint(&result, 1);  // Bank id.
+      AppendVarint(&result, 1);  // Epoch.
+      result += hostile;
+      std::thread shard([listen_fd, &result] {
+        const int fd = ::accept(listen_fd, nullptr, nullptr);
+        if (fd < 0) return;
+        FrameReader reader;
+        Frame frame;
+        char buffer[4096];
+        while (reader.Next(&frame) != FrameScanStatus::kFrame) {
+          const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+          if (n <= 0) break;
+          reader.Feed(std::string_view(buffer, static_cast<size_t>(n)));
+        }
+        const std::string reply = EncodeFrame(Opcode::kSummaryResult, result);
+        ::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+        ::close(fd);
+      });
+
+      // The router's receiver: one copy, the default backend options.
+      const SketchBank receiver(SketchFamily(TestParams(), 1, kMasterSeed));
+      std::string error;
+      auto client =
+          SketchClient::Connect("127.0.0.1", ntohs(addr.sin_port), &error);
+      if (client == nullptr) {
+        ADD_FAILURE() << error;
+        ::shutdown(listen_fd, SHUT_RDWR);  // Unblocks the shard's accept.
+      } else {
+        SummaryPullRequest request;
+        request.streams.push_back({"S", 0, 0});
+        SummaryResult pulled;
+        const SketchClient::Status status =
+            client->PullSummaries(request, &receiver, &pulled);
+        EXPECT_FALSE(status.ok);
+        EXPECT_EQ(status.code, WireError::kBadPayload) << status.error;
+        EXPECT_TRUE(pulled.streams.empty());
+      }
+      shard.join();
+      ::close(listen_fd);
+    });
+  }
 }
 
 TEST(SketchServerTest, HeaderCorruptionClosesConnectionWithErrorFrame) {

@@ -81,6 +81,19 @@ TEST(ExactSetStoreTest, IllegalDeletionRejected) {
   EXPECT_FALSE(store.Apply(Delete(0, 99)));    // Never inserted.
 }
 
+TEST(ExactSetStoreTest, TracksNetFrequencies) {
+  ExactSetStore store(1);
+  EXPECT_TRUE(store.Apply(Insert(0, 1, 2)));
+  EXPECT_TRUE(store.Apply(Insert(0, 2)));
+  EXPECT_EQ(store.DistinctCount(0), 2);
+  EXPECT_TRUE(store.Apply(Delete(0, 1)));
+  EXPECT_EQ(store.DistinctCount(0), 2);  // Net frequency 1: still present.
+  EXPECT_TRUE(store.Apply(Delete(0, 1)));
+  EXPECT_EQ(store.DistinctCount(0), 1);
+  EXPECT_EQ(store.NetFrequency(0, 1), 0);
+  EXPECT_FALSE(store.Apply(Delete(0, 1)));  // Would go negative.
+}
+
 TEST(ExactSetStoreTest, UnknownStreamRejected) {
   ExactSetStore store(1);
   EXPECT_FALSE(store.Apply(Insert(3, 5)));

@@ -2,10 +2,12 @@
 # Full pre-merge correctness gate, eight stages:
 #
 #   1. release   Release build + full test suite + bench smoke (the
-#                update-kernel, fault-tolerance, ingest-path and
-#                plan-cache JSON perf trajectories must validate; the
+#                update-kernel, fault-tolerance, ingest-path, plan-cache
+#                and backends JSON perf trajectories must validate; the
 #                ingest-path smoke also enforces the served-vs-in-process
-#                applied-throughput floor by exit status).
+#                applied-throughput floor, the backends smoke the
+#                deletion-storm contract, and the DELETE smoke the flat
+#                2LHS error under churn, by exit status).
 #   2. asan      AddressSanitizer build + full test suite (includes the
 #                epoll-loop integration tests).
 #   3. tsan      ThreadSanitizer build + the concurrency-sensitive tests
@@ -124,13 +126,21 @@ stage_release() {
   python3 tools/validate_bench_json.py "${pc_json}"
 
   # Backend-shootout smoke: also enforces the deletion-storm contract
-  # (real backends within 3x their target error, the insert-only
-  # sampling baseline diverging; the bench exits nonzero otherwise).
+  # (served backends within 3x their target error, the theta baseline
+  # that never sees the storm diverging; the bench exits nonzero
+  # otherwise).
   echo "=== bench smoke (backends JSON trajectory) ==="
   local bk_json="${prefix}-release/BENCH_backends.smoke.json"
   SETSKETCH_BENCH_JSON="${bk_json}" SETSKETCH_BENCH_SCALE=0.1 \
     "${prefix}-release/bench/bench_backends" >/dev/null
   python3 tools/validate_bench_json.py "${bk_json}"
+
+  # DELETE smoke: the bench exits nonzero unless, within each churn
+  # sweep, the 2-level hash sketch error is identical at every churn
+  # level (the churned sketches are bit-identical to the churn-free ones).
+  echo "=== bench smoke (DELETE shape gate) ==="
+  (cd "${prefix}-release" && SETSKETCH_BENCH_SCALE=0.05 \
+    SETSKETCH_BENCH_TRIALS=2 ./bench/bench_deletions >/dev/null)
 }
 
 stage_asan() {

@@ -85,7 +85,7 @@ EXPECTED_BY_BENCH = {
         f"{stage}/{backend}"
         for stage in ("BackendIngest", "BackendEstimate", "DeletionStorm")
         for backend in ("two_level", "theta_kmv", "set_sketch",
-                        "kmv_baseline")
+                        "set_sketch_782", "kmv_baseline")
     ],
 }
 
