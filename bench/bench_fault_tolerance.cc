@@ -3,7 +3,9 @@
 // logging cost), and on with fsync (the full crash-safe ACK path). All
 // three modes push identical batches through PushUpdatesWithRetry with an
 // idempotency site id, so the comparison isolates the WAL, not protocol
-// differences.
+// differences. Each mode is timed from the first push until a barrier
+// QUERY returns: the query drains every shard queue, so the time covers
+// every update applied and visible, not only ACKed.
 //
 // Emits a JSON perf trajectory (BENCH_fault_tolerance.json, or the path
 // in SETSKETCH_BENCH_JSON) validated by tools/validate_bench_json.py.
@@ -125,7 +127,14 @@ int main() {
         return 1;
       }
     }
+    // A barrier QUERY drains every shard queue, so the clock stops when
+    // the last update is applied and visible, not at its ACK.
+    const QueryResultInfo barrier = client->Query("A | B");
     const double seconds = watch.Seconds();
+    if (!barrier.ok) {
+      std::cerr << "barrier query failed: " << barrier.error << "\n";
+      return 1;
+    }
     client->Shutdown();
     server.Wait();
     const SketchServer::StatsSnapshot stats = server.stats();

@@ -3,15 +3,17 @@
 // bank, comparing
 //   cold_direct        direct EstimateSetExpression per query (no planner),
 //                      timed interleaved with invalidate_requery,
-//   cold_replan        a fresh PlanCache per query (compile + probe +
-//                      eval),
-//   hot_hit            one PlanCache, identical query text every time,
+//   cold_replan        a fresh PlanCache per query (parse + compile +
+//                      probe + eval),
+//   hot_hit            one PlanCache, identical query text every time
+//                      (one text-memo lookup, no parse or compile),
 //   equivalent_hit     one PlanCache, alternating commuted spellings,
 //   invalidate_requery one update before each query (epoch invalidation
 //                      forces one probe-table build, the plan itself is
 //                      reused; the update is not timed),
 //   served_hot         the full loopback server QUERY path, hot cache,
-// and printing the server's plan_cache_* STATS counters afterwards. Two
+// and printing the server's plan_cache_* STATS counters afterwards. The
+// planned rows take the query text, as every front door does. Two
 // claims are asserted here, not just reported, through the exit status:
 // repeated identical/equivalent queries run >= 5x faster than the cold
 // path, and a re-query after ingest costs at most 1.25x the direct
@@ -106,8 +108,7 @@ int main() {
   }
 
   const ParseResult parsed = ParseExpression(query_text);
-  const ParseResult parsed_equivalent = ParseExpression(equivalent_text);
-  if (!parsed.ok() || !parsed_equivalent.ok()) {
+  if (!parsed.ok()) {
     std::cerr << "parse failed\n";
     return 1;
   }
@@ -132,8 +133,7 @@ int main() {
     Stopwatch watch;
     for (int64_t i = 0; i < cold_queries; ++i) {
       PlanCache fresh(cache_options);
-      const PlanCache::Result result =
-          fresh.Query(*parsed.expression, bank);
+      const PlanCache::Result result = fresh.Query(query_text, bank);
       if (!result.ok) {
         std::cerr << "cold_replan query failed: " << result.error << "\n";
         return 1;
@@ -144,14 +144,14 @@ int main() {
 
   // --- hot_hit / equivalent_hit / invalidate_requery: one shared cache. -
   PlanCache cache(cache_options);
-  if (!cache.Query(*parsed.expression, bank).ok) {
+  if (!cache.Query(query_text, bank).ok) {
     std::cerr << "warm-up query failed\n";
     return 1;
   }
   {
     Stopwatch watch;
     for (int64_t i = 0; i < hot_queries; ++i) {
-      const PlanCache::Result result = cache.Query(*parsed.expression, bank);
+      const PlanCache::Result result = cache.Query(query_text, bank);
       if (!result.ok || !result.cache_hit) {
         std::cerr << "hot query missed the cache\n";
         return 1;
@@ -162,9 +162,8 @@ int main() {
   {
     Stopwatch watch;
     for (int64_t i = 0; i < hot_queries; ++i) {
-      const Expression& expr = (i & 1) != 0 ? *parsed_equivalent.expression
-                                            : *parsed.expression;
-      const PlanCache::Result result = cache.Query(expr, bank);
+      const std::string& text = (i & 1) != 0 ? equivalent_text : query_text;
+      const PlanCache::Result result = cache.Query(text, bank);
       if (!result.ok || !result.cache_hit) {
         std::cerr << "equivalent query missed the cache\n";
         return 1;
@@ -192,8 +191,7 @@ int main() {
                           .expression.estimate;
           direct_seconds += watch.Seconds();
         } else {
-          const PlanCache::Result result =
-              cache.Query(*parsed.expression, bank);
+          const PlanCache::Result result = cache.Query(query_text, bank);
           requery_seconds += watch.Seconds();
           if (!result.ok || result.cache_hit) {
             std::cerr << "invalidated query unexpectedly hit\n";

@@ -13,7 +13,6 @@
 #include <sstream>
 #include <string_view>
 
-#include "expr/analysis.h"
 #include "expr/parser.h"
 #include "server/fault_injector.h"
 #include "server/ingest_arena.h"
@@ -687,17 +686,19 @@ std::string ClusterRouter::HandlePushUpdates(std::string_view payload,
 QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
   ++queries_answered_;
   QueryResultInfo result;
-  ParseResult parsed = ParseExpression(expression_text);
-  if (!parsed.ok()) {
-    result.error = parsed.error;
+  // The text memo hands back the parse, stream list and emptiness verdict;
+  // a repeated text compiles nothing.
+  const PlanCache::Compiled query = plan_cache_.Compile(expression_text);
+  if (!query->ok()) {
+    result.error = query->error;
     return result;
   }
-  result.expression = parsed.expression->ToString();
-  if (ProvablyEmpty(*parsed.expression)) {
+  result.expression = query->display;
+  if (query->provably_empty) {
     result.ok = true;  // Exactly zero for any data (single-node parity).
     return result;
   }
-  const std::vector<std::string> names = parsed.expression->StreamNames();
+  const std::vector<std::string>& names = query->streams;
 
   MutexLock query_lock(&query_mutex_);
   // Route every stream to its current read target, then pull summaries
@@ -782,8 +783,7 @@ QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
   }
 
   QueryResultInfo answer =
-      PlannedQueryResult(*parsed.expression,
-                         plan_cache_.Query(*parsed.expression, federated_));
+      PlannedQueryResult(*query, plan_cache_.Query(*query, federated_));
   if (answer.ok && degraded_any) {
     answer.degraded = true;
     ++degraded_answers_;

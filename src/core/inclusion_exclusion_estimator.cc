@@ -70,9 +70,12 @@ InclusionExclusionEstimate EstimateByInclusionExclusion(
     }
   }
 
-  // Sum the regions belonging to E.
+  // Sum the regions belonging to E (n <= 16 is within the enumeration
+  // bound).
+  const VennRegions regions = ResultRegions(expr, names);
+  if (!regions.ok()) return result;
   double total = 0.0;
-  for (uint32_t region : ResultRegions(expr, names)) {
+  for (uint32_t region : regions.masks) {
     total += m[region];
   }
   result.raw = total;

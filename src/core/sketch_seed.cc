@@ -9,7 +9,14 @@ namespace setsketch {
 
 bool SketchParams::Valid() const {
   if (levels < 1 || levels > 64) return false;
-  if (num_second_level < 1) return false;
+  if (num_second_level < 1 || num_second_level > kMaxSecondLevel) {
+    return false;
+  }
+  if (first_level_kind != FirstLevelKind::kMix64 &&
+      first_level_kind != FirstLevelKind::kKWisePoly) {
+    return false;
+  }
+  if (independence > kMaxIndependence) return false;
   if (first_level_kind == FirstLevelKind::kKWisePoly && independence < 2) {
     return false;
   }

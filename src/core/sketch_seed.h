@@ -78,13 +78,30 @@ struct SketchParams {
   friend bool operator==(const SketchParams& a,
                          const SketchParams& b) = default;
 
-  /// True iff the configuration is usable (levels in [1,64], s >= 1, ...).
+  /// True iff the configuration is usable: levels in [1, 64], s in
+  /// [1, kMaxSecondLevel], a known first-level kind, and independence in
+  /// [2, kMaxIndependence] for the polynomial family (at most
+  /// kMaxIndependence for kMix64, which ignores it). Every decoder checks
+  /// it before building a family from a header, so these bounds are also
+  /// what a hostile header can make a receiver allocate.
   bool Valid() const;
 };
 
 /// Largest copy count r a decoder accepts from a header (hello handshake,
 /// snapshot): bounds the family it builds before anything else is read.
 inline constexpr int kMaxCopies = 1 << 16;
+
+/// Largest s SketchParams::Valid accepts. The paper fixes s = 32, and
+/// Lemma 3.1's false-singleton rate 2^-s is negligible long before the
+/// bit-sliced second-level evaluation ends at s = 64; the bound leaves
+/// room for the scalar path above it while capping what a header can
+/// make a receiver allocate (a copy holds levels x 2s int64 counters, at
+/// most 128 KiB here).
+inline constexpr int kMaxSecondLevel = 128;
+
+/// Largest t-wise independence SketchParams::Valid accepts (Section 3.6
+/// needs Theta(log 1/eps)).
+inline constexpr int kMaxIndependence = 64;
 
 /// One bundle of hash functions: h plus g_1..g_s.
 class SketchSeed {

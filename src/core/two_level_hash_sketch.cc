@@ -316,10 +316,6 @@ std::unique_ptr<TwoLevelHashSketch> TwoLevelHashSketch::Deserialize(
     }
   } else {
     if (!params.Valid()) return nullptr;
-    if (params.first_level_kind != FirstLevelKind::kMix64 &&
-        params.first_level_kind != FirstLevelKind::kKWisePoly) {
-      return nullptr;
-    }
     seed = std::make_shared<const SketchSeed>(params, seed_value);
   }
   auto sketch = std::make_unique<TwoLevelHashSketch>(std::move(seed));

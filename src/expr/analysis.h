@@ -12,6 +12,7 @@
 #ifndef SETSKETCH_EXPR_ANALYSIS_H_
 #define SETSKETCH_EXPR_ANALYSIS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,30 +36,48 @@ bool StructurallyEqual(const Expression& a, const Expression& b);
 /// rewrite preserves semantics for all inputs.
 ExprPtr Simplify(const ExprPtr& expr);
 
+/// Largest number of distinct streams the emptiness, subset and
+/// equivalence checks enumerate (2^16 Venn regions, 1024 words of 64).
+/// Above it they answer "not provable": deciding emptiness of a
+/// union/intersection/difference formula is NP-complete in general, and
+/// every caller treats a "true" as an optimization or a proof, never as
+/// a requirement.
+inline constexpr size_t kMaxEnumeratedStreams = 16;
+
+/// Largest stream order ResultRegions enumerates (2^20 regions).
+inline constexpr size_t kMaxRegionStreams = 20;
+
 /// True iff `expr` denotes the empty set for every possible stream
-/// contents (decided exactly by evaluating all 2^n Venn regions;
-/// practical for expressions over up to ~20 streams).
+/// contents, decided exactly by evaluating all 2^n Venn regions when it
+/// names at most kMaxEnumeratedStreams streams; false above that.
 bool ProvablyEmpty(const Expression& expr);
 
-/// True iff the two expressions are semantically equivalent (agree on
-/// every Venn region of their combined stream set).
+/// True iff the two expressions agree on every Venn region of their
+/// combined stream set (at most kMaxEnumeratedStreams streams; false
+/// above that).
 bool SemanticallyEqual(const Expression& a, const Expression& b);
 
 /// True iff a's result is contained in b's result for every possible
-/// stream contents (every Venn region in a is in b).
+/// stream contents (every Venn region in a is in b; at most
+/// kMaxEnumeratedStreams combined streams, false above that).
 bool ProvablySubset(const Expression& a, const Expression& b);
 
-/// Evaluates whether a Venn region belongs to E. `stream_order` assigns
-/// bit i of `mask` to stream_order[i]; names absent from the mask are
-/// treated as "not a member". The empty region (mask 0) is never in E.
-bool RegionInResult(const Expression& expr,
-                    const std::vector<std::string>& stream_order,
-                    uint32_t mask);
+/// The Venn regions of an expression's result.
+struct VennRegions {
+  /// Region bitmasks in E, ascending: bit i of a mask means "member of
+  /// stream_order[i]". The empty region (mask 0) is never in E.
+  std::vector<uint32_t> masks;
+  /// Set (and `masks` empty) when the order names more than
+  /// kMaxRegionStreams streams.
+  std::string error;
+  bool ok() const { return error.empty(); }
+};
 
 /// All region bitmasks (over stream_order, 1 .. 2^n - 1) that belong to
-/// E — the exact counterpart of PartitionedDataset::CountWhere.
-std::vector<uint32_t> ResultRegions(
-    const Expression& expr, const std::vector<std::string>& stream_order);
+/// E — the exact counterpart of PartitionedDataset::CountWhere. Names of
+/// `expr` absent from the order are treated as empty streams.
+VennRegions ResultRegions(const Expression& expr,
+                          const std::vector<std::string>& stream_order);
 
 }  // namespace setsketch
 

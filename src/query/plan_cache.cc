@@ -49,24 +49,74 @@ PlanCache::Options Sanitize(PlanCache::Options options) {
 
 }  // namespace
 
+std::shared_ptr<const CompiledQuery> CompileQuery(ExprPtr expression) {
+  auto query = std::make_shared<CompiledQuery>();
+  query->display = expression->ToString();
+  query->streams = expression->StreamNames();
+  query->plan = Canonicalize(*expression);
+  query->canonical = query->plan.ToString();
+  query->provably_empty = ProvablyEmpty(*expression);
+  query->expression = std::move(expression);
+  return query;
+}
+
+std::shared_ptr<const CompiledQuery> CompileQuery(const std::string& text) {
+  ParseResult parsed = ParseExpression(text);
+  if (!parsed.ok()) {
+    auto query = std::make_shared<CompiledQuery>();
+    query->error = std::move(parsed.error);
+    return query;
+  }
+  return CompileQuery(std::move(parsed.expression));
+}
+
 PlanCache::PlanCache(const Options& options) : options_(Sanitize(options)) {}
+
+PlanCache::Compiled PlanCache::Compile(const std::string& text) {
+  {
+    MutexLock lock(&mutex_);
+    const auto it = texts_.find(text);
+    if (it != texts_.end()) {
+      it->second.last_used = ++tick_;
+      return it->second.compiled;
+    }
+  }
+  // Parse, canonicalize and the emptiness check run unlocked, so a cold
+  // text never holds up other queries' hits. Two threads compiling one
+  // new text both do the work; the first to land is remembered.
+  Compiled compiled = CompileQuery(text);
+  MutexLock lock(&mutex_);
+  TextEntry& slot = texts_[text];
+  if (slot.compiled == nullptr) slot.compiled = compiled;
+  slot.last_used = ++tick_;
+  EvictIfNeededLocked();
+  return compiled;
+}
 
 PlanCache::Result PlanCache::Query(const std::string& text,
                                    const SketchBank& bank) {
-  const ParseResult parsed = ParseExpression(text);
-  if (!parsed.ok()) {
+  const Compiled query = Compile(text);
+  if (!query->ok()) {
     Result result;
-    result.error = parsed.error;
+    result.error = query->error;
     return result;
   }
-  return Query(*parsed.expression, bank);
+  return Query(*query, bank);
+}
+
+PlanCache::Result PlanCache::Query(const Expression& expr,
+                                   const SketchBank& bank) {
+  // Aliasing constructor with no owner: the compilation borrows `expr`,
+  // and nothing this call leaves behind keeps it (plan entries copy the
+  // plan and its text only).
+  return Query(*CompileQuery(ExprPtr(ExprPtr(), &expr)), bank);
 }
 
 namespace {
 
 // Algebraically empty expressions (A - A, ...) are answered exactly,
 // with no sketch access and no cache entry: the estimate is 0 for every
-// possible stream contents. Mirrors StreamEngine's historical shortcut.
+// possible stream contents.
 PlanCache::Result ExactEmptyResult(std::string canonical) {
   PlanCache::Result result;
   result.ok = true;
@@ -80,9 +130,9 @@ PlanCache::Result ExactEmptyResult(std::string canonical) {
 
 }  // namespace
 
-bool PlanCache::UsesBackendStreams(const Expression& expr,
+bool PlanCache::UsesBackendStreams(const std::vector<std::string>& streams,
                                    const SketchBank& bank) {
-  for (const std::string& name : expr.StreamNames()) {
+  for (const std::string& name : streams) {
     if (bank.StreamBackend(name) != SketchBackendId::kTwoLevelHash) {
       return true;
     }
@@ -90,13 +140,22 @@ bool PlanCache::UsesBackendStreams(const Expression& expr,
   return false;
 }
 
-PlanCache::Result PlanCache::BackendQuery(const Expression& expr,
+bool PlanCache::AnswerProvablyEmpty(const CompiledQuery& query,
+                                    const SketchBank& bank, Result* result) {
+  if (!query.provably_empty || UsesBackendStreams(query.streams, bank)) {
+    return false;
+  }
+  *result = ExactEmptyResult(query.canonical);
+  return true;
+}
+
+PlanCache::Result PlanCache::BackendQuery(const CompiledQuery& query,
                                           const SketchBank& bank) {
   Result result;
-  result.canonical = Canonicalize(expr).ToString();
+  result.canonical = query.canonical;
   // Homogeneity first, so a two-level stream mixed into a backend query
   // reports "mixed backends" rather than a confusing lookup miss.
-  for (const std::string& name : expr.StreamNames()) {
+  for (const std::string& name : query.streams) {
     if (!bank.HasStream(name)) {
       result.error = "unknown stream in expression";
       return result;
@@ -108,7 +167,8 @@ PlanCache::Result PlanCache::BackendQuery(const Expression& expr,
     }
   }
   const BackendEstimate estimate = EstimateWithBackend(
-      expr, [&bank](const std::string& name) -> const DistinctSketch* {
+      *query.expression,
+      [&bank](const std::string& name) -> const DistinctSketch* {
         return bank.BackendSketch(name);
       });
   {
@@ -124,7 +184,7 @@ PlanCache::Result PlanCache::BackendQuery(const Expression& expr,
   // The backends carry a design-point relative standard error rather than
   // a witness-count interval; report +/- 2 sigma around the estimate.
   const DistinctSketch* representative =
-      bank.BackendSketch(expr.StreamNames().front());
+      bank.BackendSketch(query.streams.front());
   const double sigma =
       representative->TargetRelativeError() / 3.0 * estimate.estimate;
   result.interval.lo = std::max(0.0, estimate.estimate - 2.0 * sigma);
@@ -134,33 +194,28 @@ PlanCache::Result PlanCache::BackendQuery(const Expression& expr,
   return result;
 }
 
-PlanCache::Result PlanCache::Query(const Expression& expr,
+PlanCache::Result PlanCache::Query(const CompiledQuery& query,
                                    const SketchBank& bank) {
   Result hit;
   SnapshotRequest request;
-  if (BeginQuery(expr, bank, &hit, &request)) return hit;
+  if (BeginQuery(query, bank, &hit, &request)) return hit;
   return FinishQuery(std::move(request));
 }
 
-bool PlanCache::BeginQuery(const Expression& expr, const SketchBank& bank,
+bool PlanCache::BeginQuery(const CompiledQuery& query, const SketchBank& bank,
                            Result* hit, SnapshotRequest* request) {
-  if (UsesBackendStreams(expr, bank)) {
+  if (AnswerProvablyEmpty(query, bank, hit)) return true;
+  if (UsesBackendStreams(query.streams, bank)) {
     // Backend-routed queries evaluate inline: the synopsis is a few KB
     // and the algebra is O(sample), so there is no cold evaluation worth
     // moving outside the caller's ingest locks.
-    *hit = BackendQuery(expr, bank);
-    return true;
-  }
-  request->plan = Canonicalize(expr);
-  request->canonical = request->plan.ToString();
-  if (ProvablyEmpty(expr)) {
-    *hit = ExactEmptyResult(std::move(request->canonical));
+    *hit = BackendQuery(query, bank);
     return true;
   }
 
   {
     MutexLock lock(&mutex_);
-    Entry* entry = FindOrCompileLocked(request->plan, request->canonical);
+    Entry* entry = FindOrCompileLocked(query.plan, query.canonical);
     if (entry != nullptr && FreshLocked(*entry, bank)) {
       ++stats_.hits;
       *hit = entry->result;
@@ -178,6 +233,8 @@ bool PlanCache::BeginQuery(const Expression& expr, const SketchBank& bank,
     // Borrow the entry's table storage; FinishQuery hands it back.
     if (entry != nullptr) std::swap(request->table, entry->table);
   }
+  request->plan = query.plan;
+  request->canonical = query.canonical;
   // The probe reads the bank (quiesced by the caller) but no cache state,
   // so concurrent FinishQuery evaluations are not held up behind it.
   Probe(request->plan.streams, bank, request);
@@ -344,7 +401,7 @@ std::string PlanCache::Explain(const Expression& expr,
     if (bank.StreamEpoch(name) == 0) out << " [unknown]";
   }
   out << "\n";
-  if (UsesBackendStreams(expr, bank)) {
+  if (UsesBackendStreams(plan.streams, bank)) {
     SketchBackendId backend = SketchBackendId::kTwoLevelHash;
     for (const std::string& name : plan.streams) {
       if (bank.StreamBackend(name) != SketchBackendId::kTwoLevelHash) {
@@ -425,6 +482,7 @@ PlanCache::Stats PlanCache::stats() const {
 void PlanCache::Clear() {
   MutexLock lock(&mutex_);
   entries_.clear();
+  texts_.clear();
 }
 
 void PlanCache::EvictIfNeededLocked() {
@@ -433,8 +491,20 @@ void PlanCache::EvictIfNeededLocked() {
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
       if (it->second.last_used < victim->second.last_used) victim = it;
     }
+    const uint64_t key = victim->first;
     entries_.erase(victim);
     ++stats_.evictions;
+    std::erase_if(texts_, [key](const auto& text) {
+      const CompiledQuery& query = *text.second.compiled;
+      return query.ok() && query.plan.hash() == key;
+    });
+  }
+  while (texts_.size() > options_.max_entries) {
+    auto victim = texts_.begin();
+    for (auto it = texts_.begin(); it != texts_.end(); ++it) {
+      if (it->second.last_used < victim->second.last_used) victim = it;
+    }
+    texts_.erase(victim);
   }
 }
 

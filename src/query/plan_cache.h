@@ -1,14 +1,17 @@
 // Compiled, epoch-invalidated query plans for set-expression estimation
 // (DESIGN.md section 3.3).
 //
-// Every query is canonicalized (expr/canonical.h) and compiled once into a
-// cached plan keyed by its structural hash, so "A | (B & C)" and
-// "(C & B) | A" share one entry. A plan holds the canonical DAG, a
-// reusable scratch arena for witness evaluation, and the fully memoized
-// answer. Validity is governed by SketchBank's per-stream ingest epochs
-// plus its process-unique bank id: a repeated query over an unchanged
-// bank is answered from the memo with no sketch access at all. A recovered
-// / reloaded bank always carries a fresh bank id, so stale plans can never
+// Every query text is compiled once (CompiledQuery: the parsed tree, the
+// canonical plan of expr/canonical.h with its text and hash, the stream
+// list, the provably-empty verdict and the display string) and kept in a
+// text memo, so a repeated text is one hash lookup. Plans are cached
+// under their structural hash, so "A | (B & C)" and "(C & B) | A" share
+// one entry. A plan holds the canonical DAG, a reusable scratch arena
+// for witness evaluation, and the fully memoized answer. Validity is
+// governed by SketchBank's per-stream ingest epochs plus its
+// process-unique bank id: a repeated query over an unchanged bank is
+// answered from the memo with no sketch access at all. A recovered /
+// reloaded bank always carries a fresh bank id, so stale plans can never
 // answer for it.
 //
 // A stale or cold plan is answered from a ProbeTable
@@ -50,13 +53,36 @@
 
 namespace setsketch {
 
+/// The data-independent compilation of one query: everything a QUERY
+/// derives from its text alone. Immutable once built and shared, so a
+/// caller may keep using it after releasing the cache (or after the
+/// cache evicted it).
+struct CompiledQuery {
+  std::string error;        ///< Parse error; every other field is empty.
+  ExprPtr expression;       ///< The parsed tree.
+  std::string display;      ///< expression->ToString(), what answers carry.
+  /// expression->StreamNames(): distinct, in first-occurrence order.
+  std::vector<std::string> streams;
+  CanonicalPlan plan;       ///< Canonicalize(*expression).
+  std::string canonical;    ///< plan.ToString(), the entry collision guard.
+  bool provably_empty = false;  ///< ProvablyEmpty(*expression).
+
+  bool ok() const { return expression != nullptr; }
+};
+
+/// Compiles a parsed tree (non-null).
+std::shared_ptr<const CompiledQuery> CompileQuery(ExprPtr expression);
+/// Parses and compiles `text`; a parse failure lands in `error`.
+std::shared_ptr<const CompiledQuery> CompileQuery(const std::string& text);
+
 /// Compiles, caches, and answers set-expression queries over a SketchBank.
 class PlanCache {
  public:
   struct Options {
     /// Witness-estimator tuning shared by every plan.
     WitnessOptions witness;
-    /// Maximum cached plans; least-recently-used entries are evicted.
+    /// Maximum cached plans, and separately maximum remembered texts;
+    /// least-recently-used ones are evicted.
     size_t max_entries = 128;
   };
 
@@ -65,7 +91,9 @@ class PlanCache {
     uint64_t hits = 0;           ///< Answered from the memoized result.
     uint64_t misses = 0;         ///< No cached plan: compile + evaluate.
     uint64_t invalidations = 0;  ///< Cached plan, stale epochs: re-evaluate.
-    uint64_t compiles = 0;       ///< Canonical plans built.
+    /// Plan entries built (a text that compiles to a cached plan, or
+    /// is answered without one, builds none).
+    uint64_t compiles = 0;
     uint64_t evictions = 0;      ///< LRU evictions.
     /// Probe tables built, one per stale/cold answer (STATS consumers
     /// read it under this name).
@@ -87,15 +115,37 @@ class PlanCache {
     std::string error;         ///< Parse / unknown-stream error, if any.
   };
 
+  using Compiled = std::shared_ptr<const CompiledQuery>;
+
   explicit PlanCache(const Options& options);
 
-  /// Plans (or reuses the cached plan for) `expr` and answers it against
+  /// The compilation of `text`, from the text memo when the exact text
+  /// was compiled before (one hash lookup), else compiled now — outside
+  /// the cache's mutex — and remembered. The memo holds at most
+  /// max_entries texts, least-recently-used first out, and evicting a
+  /// plan drops the texts that compiled to it. Parse failures are
+  /// remembered too (CompiledQuery::error).
+  Compiled Compile(const std::string& text);
+
+  /// Plans (or reuses the cached plan for) `query` and answers it against
   /// `bank`: BeginQuery, then FinishQuery on a miss. Provably-empty
   /// expressions short-circuit to an exact 0.
+  Result Query(const CompiledQuery& query, const SketchBank& bank);
+
+  /// Compile(text), then Query; parse failures surface in Result::error.
+  Result Query(const std::string& text, const SketchBank& bank);
+
+  /// Compiles `expr` without the text memo (the tree is borrowed for
+  /// this call only), then Query.
   Result Query(const Expression& expr, const SketchBank& bank);
 
-  /// Parses `text` first; parse failures surface in Result::error.
-  Result Query(const std::string& text, const SketchBank& bank);
+  /// True, with *result an exact 0, when `query` is provably empty and
+  /// none of its streams is registered in `bank` under an alternative
+  /// backend (whose own algebra answers such queries). Reads only the
+  /// bank's stream registry, no counters, so a caller need not quiesce
+  /// ingest for it.
+  static bool AnswerProvablyEmpty(const CompiledQuery& query,
+                                  const SketchBank& bank, Result* result);
 
   /// A BeginQuery miss: everything FinishQuery needs to evaluate without
   /// the bank — the canonical plan and its text, the bank identity, the
@@ -123,7 +173,7 @@ class PlanCache {
   /// concurrent FinishQuery already installed a result under newer
   /// epochs, in which case this probe's (still point-in-time-correct)
   /// answer is returned without regressing the newer memo.
-  bool BeginQuery(const Expression& expr, const SketchBank& bank,
+  bool BeginQuery(const CompiledQuery& query, const SketchBank& bank,
                   Result* hit, SnapshotRequest* request);
   Result FinishQuery(SnapshotRequest request);
 
@@ -135,7 +185,8 @@ class PlanCache {
 
   Stats stats() const;
 
-  /// Drops every cached plan (counters are retained).
+  /// Drops every cached plan and remembered text (counters are
+  /// retained).
   void Clear();
 
  private:
@@ -153,14 +204,20 @@ class PlanCache {
     uint64_t last_used = 0;           ///< LRU tick.
   };
 
-  /// True iff any stream of `expr` is registered under an alternative
-  /// sketch backend in `bank` — such queries route around the memo
-  /// machinery (DistinctSketch synopses are tiny; there is no r-copy
-  /// probe worth memoizing) straight to the backend's expression algebra.
-  static bool UsesBackendStreams(const Expression& expr,
+  /// A remembered text (see Compile).
+  struct TextEntry {
+    Compiled compiled;
+    uint64_t last_used = 0;           ///< LRU tick, shared with entries.
+  };
+
+  /// True iff any of `streams` is registered under an alternative sketch
+  /// backend in `bank` — such queries route around the memo machinery
+  /// (DistinctSketch synopses are tiny; there is no r-copy probe worth
+  /// memoizing) straight to the backend's expression algebra.
+  static bool UsesBackendStreams(const std::vector<std::string>& streams,
                                  const SketchBank& bank);
   /// Evaluates a backend-routed query (see UsesBackendStreams).
-  Result BackendQuery(const Expression& expr, const SketchBank& bank)
+  Result BackendQuery(const CompiledQuery& query, const SketchBank& bank)
       SETSKETCH_EXCLUDES(mutex_);
 
   Entry* FindOrCompileLocked(const CanonicalPlan& plan,
@@ -174,11 +231,15 @@ class PlanCache {
   /// memoized result keyed by the request's (bank_id, epochs).
   Result EvaluateLocked(Entry* entry, SnapshotRequest request)
       SETSKETCH_REQUIRES(mutex_);
+  /// Evicts least-recently-used plans (with their texts) and texts
+  /// beyond max_entries.
   void EvictIfNeededLocked() SETSKETCH_REQUIRES(mutex_);
 
   const Options options_;
   mutable Mutex mutex_;
   std::unordered_map<uint64_t, Entry> entries_ SETSKETCH_GUARDED_BY(mutex_);
+  std::unordered_map<std::string, TextEntry> texts_
+      SETSKETCH_GUARDED_BY(mutex_);
   Stats stats_ SETSKETCH_GUARDED_BY(mutex_);
   uint64_t tick_ SETSKETCH_GUARDED_BY(mutex_) = 0;
 };

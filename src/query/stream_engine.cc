@@ -7,7 +7,6 @@
 #include "core/estimator_config.h"
 #include "distributed/summary_codec.h"
 #include "expr/analysis.h"
-#include "expr/parser.h"
 #include "query/parallel_ingest.h"
 
 namespace setsketch {
@@ -82,26 +81,28 @@ std::optional<StreamId> StreamEngine::IdOf(const std::string& name) const {
 
 StreamEngine::QueryHandle StreamEngine::RegisterQuery(
     const std::string& text) {
-  ParseResult parsed = ParseExpression(text);
-  if (!parsed.ok()) {
-    QueryHandle handle;
-    handle.error = parsed.error;
-    return handle;
-  }
-  return RegisterQuery(std::move(parsed.expression));
+  return RegisterCompiled(plan_cache_->Compile(text));
 }
 
 StreamEngine::QueryHandle StreamEngine::RegisterQuery(ExprPtr expression) {
-  QueryHandle handle;
   if (!expression) {
+    QueryHandle handle;
     handle.error = "null expression";
     return handle;
   }
-  for (const std::string& name : expression->StreamNames()) {
-    RegisterStream(name);
+  return RegisterCompiled(CompileQuery(std::move(expression)));
+}
+
+StreamEngine::QueryHandle StreamEngine::RegisterCompiled(
+    PlanCache::Compiled query) {
+  QueryHandle handle;
+  if (!query->ok()) {
+    handle.error = query->error;
+    return handle;
   }
+  for (const std::string& name : query->streams) RegisterStream(name);
   handle.id = static_cast<int>(queries_.size());
-  queries_.push_back(std::move(expression));
+  queries_.push_back(std::move(query));
   return handle;
 }
 
@@ -265,8 +266,8 @@ bool DecodeEngineSnapshot(const std::string& bytes, EngineSnapshotData* out,
 std::string StreamEngine::SaveSnapshot() const {
   std::vector<std::string> query_texts;
   query_texts.reserve(queries_.size());
-  for (const ExprPtr& query : queries_) {
-    query_texts.push_back(query->ToString());
+  for (const PlanCache::Compiled& query : queries_) {
+    query_texts.push_back(query->display);
   }
   return EncodeEngineSnapshot(options_, updates_processed_, names_, bank_,
                               query_texts);
@@ -295,14 +296,14 @@ std::unique_ptr<StreamEngine> StreamEngine::LoadSnapshot(
 }
 
 StreamEngine::Answer StreamEngine::AnswerExpression(
-    const Expression& expr) const {
+    const CompiledQuery& query) const {
   Answer answer;
-  answer.expression = expr.ToString();
-  // Compiled path: canonicalize, reuse the cached plan's memoized answer
-  // when this bank's stream epochs are unchanged, otherwise re-answer
-  // from a fresh probe table over the live bank. Bit-identical to direct
-  // estimation (the provably-empty shortcut lives inside the cache too).
-  const PlanCache::Result planned = plan_cache_->Query(expr, bank_);
+  answer.expression = query.display;
+  // Compiled path: reuse the cached plan's memoized answer when this
+  // bank's stream epochs are unchanged, otherwise re-answer from a fresh
+  // probe table over the live bank. Bit-identical to direct estimation
+  // (the provably-empty shortcut lives inside the cache too).
+  const PlanCache::Result planned = plan_cache_->Query(query, bank_);
   answer.ok = planned.ok;
   answer.estimate = planned.estimate;
   answer.interval = planned.interval;
@@ -312,7 +313,7 @@ StreamEngine::Answer StreamEngine::AnswerExpression(
     for (size_t i = 0; i < names_.size(); ++i) {
       name_map.emplace(names_[i], static_cast<StreamId>(i));
     }
-    answer.exact = ExactCardinality(expr, *exact_, name_map);
+    answer.exact = ExactCardinality(*query.expression, *exact_, name_map);
   }
   return answer;
 }
@@ -332,13 +333,13 @@ StreamEngine::Explanation StreamEngine::ExplainQuery(int query_id) const {
     explanation.report = "invalid query id";
     return explanation;
   }
-  const ExprPtr& expr = queries_[static_cast<size_t>(query_id)];
+  const CompiledQuery& query = *queries_[static_cast<size_t>(query_id)];
   explanation.ok = true;
-  explanation.expression = expr->ToString();
-  const ExprPtr simplified = Simplify(expr);
+  explanation.expression = query.display;
+  const ExprPtr simplified = Simplify(query.expression);
   explanation.simplified = simplified ? simplified->ToString() : "{}";
-  explanation.provably_empty = ProvablyEmpty(*expr);
-  explanation.streams = expr->StreamNames();
+  explanation.provably_empty = query.provably_empty;
+  explanation.streams = query.streams;
 
   std::string report = "query: " + explanation.expression + "\n";
   if (explanation.simplified != explanation.expression) {
@@ -387,7 +388,7 @@ StreamEngine::Explanation StreamEngine::ExplainQuery(int query_id) const {
   // Planner view: canonical form, CSE sharing, merge tasks and the plan
   // cache's epoch state for this query.
   report += "-- planner --\n";
-  report += plan_cache_->Explain(*expr, bank_);
+  report += plan_cache_->Explain(*query.expression, bank_);
   explanation.report = std::move(report);
   return explanation;
 }
@@ -402,20 +403,20 @@ std::vector<StreamEngine::Answer> StreamEngine::AnswerAll() const {
 }
 
 StreamEngine::Answer StreamEngine::EstimateNow(const std::string& text) const {
-  ParseResult parsed = ParseExpression(text);
-  if (!parsed.ok()) {
+  const PlanCache::Compiled query = plan_cache_->Compile(text);
+  if (!query->ok()) {
     Answer answer;
     answer.expression = text;
     return answer;
   }
-  for (const std::string& name : parsed.expression->StreamNames()) {
+  for (const std::string& name : query->streams) {
     if (!ids_.contains(name)) {
       Answer answer;
-      answer.expression = parsed.expression->ToString();
+      answer.expression = query->display;
       return answer;  // Unknown stream: not ok.
     }
   }
-  return AnswerExpression(*parsed.expression);
+  return AnswerExpression(*query);
 }
 
 }  // namespace setsketch

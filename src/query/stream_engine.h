@@ -172,7 +172,8 @@ class StreamEngine {
   const SketchBank& bank() const { return bank_; }
 
  private:
-  Answer AnswerExpression(const Expression& expr) const;
+  Answer AnswerExpression(const CompiledQuery& query) const;
+  QueryHandle RegisterCompiled(PlanCache::Compiled query);
 
   Options options_;
   SketchBank bank_;
@@ -183,7 +184,7 @@ class StreamEngine {
   std::unique_ptr<PlanCache> plan_cache_;
   std::vector<std::string> names_;  // Id -> name.
   std::unordered_map<std::string, StreamId> ids_;
-  std::vector<ExprPtr> queries_;
+  std::vector<PlanCache::Compiled> queries_;  // Compiled at registration.
   int64_t updates_processed_ = 0;
   std::unique_ptr<ExactSetStore> exact_;  // Null unless track_exact.
 };

@@ -398,10 +398,10 @@ bool DecodeQueryResult(const std::string& payload, QueryResultInfo* out) {
   return true;
 }
 
-QueryResultInfo PlannedQueryResult(const Expression& expr,
+QueryResultInfo PlannedQueryResult(const CompiledQuery& query,
                                    const PlanCache::Result& planned) {
   QueryResultInfo result;
-  result.expression = expr.ToString();
+  result.expression = query.display;
   result.ok = planned.ok;
   result.estimate = planned.estimate;
   if (!planned.ok) {
@@ -468,7 +468,8 @@ bool DecodeHello(const std::string& payload, bool response, HelloInfo* out) {
     return false;
   }
   // Bound the fields to sane configuration space before narrowing.
-  if (levels > 4096 || second > 1u << 20 || kind > 1 || independence > 64 ||
+  if (levels > 4096 || second > static_cast<uint64_t>(kMaxSecondLevel) ||
+      kind > 1 || independence > static_cast<uint64_t>(kMaxIndependence) ||
       copies > static_cast<uint64_t>(kMaxCopies) ||
       backend > kMaxSketchBackendId ||
       backend_size < kMinBackendSize || backend_size > kMaxBackendSize) {

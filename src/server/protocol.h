@@ -234,10 +234,11 @@ struct QueryResultInfo {
 std::string EncodeQueryResult(const QueryResultInfo& result);
 bool DecodeQueryResult(const std::string& payload, QueryResultInfo* out);
 
-/// The QUERY_RESULT of a planned answer to `expr` — the one conversion
-/// the server and the router share. A failed estimate without a message
-/// reads "estimation failed (no valid witness observations)".
-QueryResultInfo PlannedQueryResult(const Expression& expr,
+/// The QUERY_RESULT of a planned answer to `query` — the one conversion
+/// the server and the router share; `expression` is the compiled
+/// display string. A failed estimate without a message reads
+/// "estimation failed (no valid witness observations)".
+QueryResultInfo PlannedQueryResult(const CompiledQuery& query,
                                    const PlanCache::Result& planned);
 
 // ---------------------------------------------------------------------------

@@ -770,8 +770,7 @@ void SketchServer::WorkerLoop(int shard_index) {
 }
 
 std::optional<SketchBank> SketchServer::SummaryViewLocked(
-    const Expression& expr, std::string* error) const {
-  const std::vector<std::string> names = expr.StreamNames();
+    const std::vector<std::string>& names, std::string* error) const {
   bool any_summary = false;
   for (const std::string& name : names) {
     any_summary = any_summary || coordinator_.Sketches(name) != nullptr;
@@ -812,43 +811,50 @@ std::optional<SketchBank> SketchServer::SummaryViewLocked(
 
 QueryResultInfo SketchServer::Answer(const std::string& expression_text) {
   ++queries_answered_;
-  ParseResult parsed = ParseExpression(expression_text);
-  if (!parsed.ok()) {
+  // Compiled before any ingest lock: a repeated text is one lookup in the
+  // plan cache's text memo (parse, canonical plan, streams, emptiness).
+  const PlanCache::Compiled query = plan_cache_.Compile(expression_text);
+  if (!query->ok()) {
     QueryResultInfo result;
-    result.error = parsed.error;
+    result.error = query->error;
     return result;
   }
-  const Expression& expr = *parsed.expression;
 
+  PlanCache::Result planned;
+  bool answered = false;
+  if (query->provably_empty) {
+    // Exactly 0 for any data: the backend tags are all it reads, so
+    // ingest keeps flowing.
+    MutexLock registry_lock(&registry_mutex_);
+    answered = PlanCache::AnswerProvablyEmpty(*query, bank_, &planned);
+  }
   // Under the quiesced locks, a query over bank_ alone runs BeginQuery:
   // the memo check and, on a miss, the probe table (occupancy and
   // singleton bits, no counter copies). A query touching a site-summary
   // stream copies its columns into a view bank instead. Either way the
   // estimation runs after the locks are released.
-  PlanCache::Result planned;
   PlanCache::SnapshotRequest request;
   std::optional<SketchBank> view;
-  bool answered = false;
-  {
+  if (!answered) {
     MutexLock push_lock(&push_mutex_);
     for (const auto& queue : queues_) queue->WaitDrained();
     MutexLock registry_lock(&registry_mutex_);
     MutexLock coordinator_lock(&coordinator_mutex_);
     std::string error;
-    view = SummaryViewLocked(expr, &error);
+    view = SummaryViewLocked(query->streams, &error);
     if (!error.empty()) {
       QueryResultInfo result;
       result.error = std::move(error);
       return result;
     }
     answered = !view.has_value() &&
-               plan_cache_.BeginQuery(expr, bank_, &planned, &request);
+               plan_cache_.BeginQuery(*query, bank_, &planned, &request);
   }
   if (!answered) {
-    planned = view.has_value() ? plan_cache_.Query(expr, *view)
+    planned = view.has_value() ? plan_cache_.Query(*query, *view)
                                : plan_cache_.FinishQuery(std::move(request));
   }
-  return PlannedQueryResult(expr, planned);
+  return PlannedQueryResult(*query, planned);
 }
 
 std::string SketchServer::Explain(const std::string& expression_text) {
@@ -862,7 +868,7 @@ std::string SketchServer::Explain(const std::string& expression_text) {
   MutexLock coordinator_lock(&coordinator_mutex_);
   std::string error;
   const std::optional<SketchBank> view =
-      SummaryViewLocked(*parsed.expression, &error);
+      SummaryViewLocked(parsed.expression->StreamNames(), &error);
   if (!error.empty()) return "error: " + error + "\n";
   return plan_cache_.Explain(*parsed.expression,
                              view.has_value() ? *view : bank_);

@@ -317,15 +317,15 @@ class SketchServer : private EpollServerBackend::Handler {
                                Connection* connection);
   std::string RenderStats() const;
 
-  /// The bank a query over `expr` must read when any of its streams is
+  /// The bank a query over stream `names` must read when any of them is
   /// carried by a site summary: a view over bank_.family() whose columns
   /// are bank_'s column plus the coordinator's sum (counter linearity).
-  /// nullopt when no stream of `expr` has a site summary — the query then
-  /// reads bank_ itself — or, with *error set, when a backend-sketch
-  /// stream also has site summaries (no cross-backend merge exists).
-  /// Answer and Explain share it, so both see the same streams.
-  std::optional<SketchBank> SummaryViewLocked(const Expression& expr,
-                                              std::string* error) const
+  /// nullopt when none has a site summary — the query then reads bank_
+  /// itself — or, with *error set, when a backend-sketch stream also has
+  /// site summaries (no cross-backend merge exists). Answer and Explain
+  /// share it, so both see the same streams.
+  std::optional<SketchBank> SummaryViewLocked(
+      const std::vector<std::string>& names, std::string* error) const
       SETSKETCH_REQUIRES(registry_mutex_, coordinator_mutex_);
 
   /// The one exactly-once admission path every PUSH_UPDATES takes:
@@ -415,11 +415,12 @@ class SketchServer : private EpollServerBackend::Handler {
   mutable Mutex coordinator_mutex_;
   Coordinator coordinator_ SETSKETCH_GUARDED_BY(coordinator_mutex_);
 
-  // Query planner: every QUERY is answered here, over bank_ or over the
+  // Query planner: every QUERY text is compiled through its text memo
+  // before any ingest lock, then answered here, over bank_ or over the
   // summary view SummaryViewLocked builds. Plans over bank_ are memoized
   // under its epochs; a view is a fresh bank per query, so its answers
   // never hit the memo. Internally synchronized; callers still quiesce
-  // ingest.
+  // ingest for anything that reads counters.
   PlanCache plan_cache_;
 
   // Ingest pipeline. push_mutex_ serializes the all-or-nothing enqueue

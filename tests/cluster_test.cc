@@ -470,6 +470,56 @@ TEST(ClusterRouterTest, FederatedAnswersMatchSingleNodeExactly) {
   reference.Stop();
 }
 
+TEST(ClusterRouterTest, RepeatedQueryTextMatchesSingleNodeEveryTime) {
+  SketchServer s0(ShardOptions());
+  SketchServer s1(ShardOptions());
+  SketchServer reference(ShardOptions());
+  std::string error;
+  ASSERT_TRUE(s0.Start(&error)) << error;
+  ASSERT_TRUE(s1.Start(&error)) << error;
+  ASSERT_TRUE(reference.Start(&error)) << error;
+  ClusterRouter router(RouterOptions({&s0, &s1}));
+  ASSERT_TRUE(router.Start(&error)) << error;
+  ASSERT_EQ(router.ProbeAll(), 2u);
+  auto via_router = MustConnect(router.port(), "memo");
+  auto via_reference = MustConnect(reference.port(), "memo");
+
+  // Seen first while its streams do not exist anywhere: the router's
+  // compiled text keeps no data-dependent verdict.
+  const std::string text = "(A | B) - C";
+  EXPECT_FALSE(via_router->Query(text).ok);
+
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(via_router->PushUpdates(MakeBatch(i)).ok);
+    ASSERT_TRUE(via_reference->PushUpdates(MakeBatch(i)).ok);
+  }
+  for (int round = 0; round < 3; ++round) {
+    const QueryResultInfo fed = via_router->Query(text);
+    const QueryResultInfo ref = via_reference->Query(text);
+    ASSERT_TRUE(fed.ok) << fed.error;
+    ASSERT_TRUE(ref.ok) << ref.error;
+    EXPECT_EQ(fed.estimate, ref.estimate) << "round " << round;
+    EXPECT_EQ(fed.lo, ref.lo) << "round " << round;
+    EXPECT_EQ(fed.hi, ref.hi) << "round " << round;
+    EXPECT_EQ(fed.expression, ref.expression) << "round " << round;
+  }
+  std::string report;
+  ASSERT_TRUE(via_router->Explain(text, &report).ok);
+  EXPECT_NE(report.find("cache: HIT"), std::string::npos) << report;
+
+  // A provably-empty text answers exactly 0, the same each time.
+  for (int round = 0; round < 2; ++round) {
+    const QueryResultInfo empty = via_router->Query("(A & B) - A");
+    ASSERT_TRUE(empty.ok) << empty.error;
+    EXPECT_EQ(empty.estimate, 0.0);
+    EXPECT_EQ(empty.expression, "((A & B) - A)");
+  }
+  router.Stop();
+  s0.Stop();
+  s1.Stop();
+  reference.Stop();
+}
+
 TEST(ClusterRouterTest, SummaryReplyMustAnswerTheRequest) {
   // A shard whose SUMMARY_RESULT omits a requested stream or names one
   // that was not requested is refused with a typed error: the router

@@ -399,7 +399,8 @@ TEST(ProbeTableTest, MismatchedSeedsAreATypedError) {
   // The two-phase path reports the same error from FinishQuery.
   PlanCache::Result hit;
   PlanCache::SnapshotRequest request;
-  ASSERT_FALSE(cache.BeginQuery(*Parse("S0 & S1"), *bank, &hit, &request));
+  ASSERT_FALSE(cache.BeginQuery(*CompileQuery(Parse("S0 & S1")), *bank, &hit,
+                                &request));
   const PlanCache::Result finished = cache.FinishQuery(request);
   EXPECT_FALSE(finished.ok);
   EXPECT_NE(finished.error.find("mismatched seeds"), std::string::npos)
@@ -457,7 +458,8 @@ TEST(PlanCacheTest, TwoPhaseQueryMatchesInlineAndInstallsTheMemo) {
 
   PlanCache::Result hit;
   PlanCache::SnapshotRequest request;
-  ASSERT_FALSE(cache.BeginQuery(*expr, *bank, &hit, &request));
+  ASSERT_FALSE(
+      cache.BeginQuery(*CompileQuery(expr), *bank, &hit, &request));
   EXPECT_EQ(request.bank_id, bank->bank_id());
   ASSERT_EQ(request.epochs.size(), 3u);
   EXPECT_EQ(request.table.copies(), 32);
@@ -469,11 +471,11 @@ TEST(PlanCacheTest, TwoPhaseQueryMatchesInlineAndInstallsTheMemo) {
 
   // The finished result is installed: the next Begin is a pure hit, and
   // an equivalent spelling shares it.
-  ASSERT_TRUE(cache.BeginQuery(*expr, *bank, &hit, &request));
+  ASSERT_TRUE(cache.BeginQuery(*CompileQuery(expr), *bank, &hit, &request));
   ExpectBitIdentical(hit, direct, "two-phase hot");
   EXPECT_TRUE(hit.cache_hit);
-  ASSERT_TRUE(cache.BeginQuery(*Parse("(S2 & S1) | S0"), *bank, &hit,
-                               &request));
+  ASSERT_TRUE(cache.BeginQuery(*CompileQuery(Parse("(S2 & S1) | S0")), *bank,
+                               &hit, &request));
   EXPECT_EQ(cache.stats().hits, 2u);
 }
 
@@ -490,7 +492,8 @@ TEST(PlanCacheTest, StaleSnapshotAnswersItselfWithoutRegressingNewerMemo) {
 
   PlanCache::Result hit;
   PlanCache::SnapshotRequest request;
-  ASSERT_FALSE(cache.BeginQuery(*expr, *bank, &hit, &request));
+  ASSERT_FALSE(
+      cache.BeginQuery(*CompileQuery(expr), *bank, &hit, &request));
 
   // Ingest + inline evaluation land first (newer epochs).
   for (uint64_t e = 0; e < 512; ++e) bank->Apply("S0", 1u << 20 | e, 1);
@@ -519,8 +522,9 @@ TEST(PlanCacheTest, SameEpochFinishReusesTheConcurrentlyInstalledAnswer) {
 
   PlanCache::Result hit;
   PlanCache::SnapshotRequest first_request, second_request;
-  ASSERT_FALSE(cache.BeginQuery(*expr, *bank, &hit, &first_request));
-  ASSERT_FALSE(cache.BeginQuery(*expr, *bank, &hit, &second_request));
+  const PlanCache::Compiled query = CompileQuery(expr);
+  ASSERT_FALSE(cache.BeginQuery(*query, *bank, &hit, &first_request));
+  ASSERT_FALSE(cache.BeginQuery(*query, *bank, &hit, &second_request));
 
   const PlanCache::Result first = cache.FinishQuery(first_request);
   ASSERT_TRUE(first.ok);
@@ -584,6 +588,155 @@ TEST(PlanCacheTest, ProvablyEmptyQueriesShortCircuitToExactZero) {
   }
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().compiles, 0u);
+}
+
+// --- Text memo -----------------------------------------------------------
+
+TEST(PlanCacheTextMemoTest, RepeatedTextCompilesOnceAndHits) {
+  VennPartitionGenerator gen(3, UniformRegionProbs(3));
+  const auto bank = BankFromDataset(gen.Generate(1024, 131), 32, 131);
+  PlanCache cache(PlanCache::Options{});
+  const std::string text = "(S0 - S1) | S2";
+
+  const PlanCache::Compiled compiled = cache.Compile(text);
+  ASSERT_TRUE(compiled->ok()) << compiled->error;
+  EXPECT_EQ(compiled->display, "((S0 - S1) | S2)");
+  EXPECT_EQ(compiled->streams, (std::vector<std::string>{"S0", "S1", "S2"}));
+  EXPECT_FALSE(compiled->provably_empty);
+
+  const PlanCache::Result cold = cache.Query(text, *bank);
+  ASSERT_TRUE(cold.ok) << cold.error;
+  EXPECT_FALSE(cold.cache_hit);
+  const PlanCache::Result hot = cache.Query(text, *bank);
+  EXPECT_TRUE(hot.cache_hit);
+  ExpectBitIdentical(hot, EstimateSetExpression(*Parse(text), *bank), text);
+  // One compilation served all three calls.
+  EXPECT_EQ(cache.Compile(text), compiled);
+  EXPECT_EQ(cache.stats().compiles, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(PlanCacheTextMemoTest, EquivalentTextsShareAnEntryButKeepTheirDisplay) {
+  VennPartitionGenerator gen(3, UniformRegionProbs(3));
+  const auto bank = BankFromDataset(gen.Generate(1024, 137), 32, 137);
+  PlanCache cache(PlanCache::Options{});
+
+  const PlanCache::Compiled a = cache.Compile("S0 | (S1 & S2)");
+  const PlanCache::Compiled b = cache.Compile("(S2 & S1) | S0");
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a->canonical, b->canonical);
+  EXPECT_EQ(a->display, "(S0 | (S1 & S2))");
+  EXPECT_EQ(b->display, "((S2 & S1) | S0)");
+  EXPECT_EQ(b->streams, (std::vector<std::string>{"S2", "S1", "S0"}));
+
+  const PlanCache::Result first = cache.Query(*a, *bank);
+  const PlanCache::Result second = cache.Query(*b, *bank);
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(second.estimate, first.estimate);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().compiles, 1u);
+}
+
+TEST(PlanCacheTextMemoTest, EpochBumpTurnsTheNextHitIntoAReprobe) {
+  VennPartitionGenerator gen(3, UniformRegionProbs(3));
+  auto bank = BankFromDataset(gen.Generate(1024, 139), 32, 139);
+  PlanCache cache(PlanCache::Options{});
+  const std::string text = "S0 & (S1 | S2)";
+  ASSERT_TRUE(cache.Query(text, *bank).ok);
+  ASSERT_TRUE(cache.Query(text, *bank).cache_hit);
+
+  bank->Apply("S2", 4242u, 1);
+  const PlanCache::Result reprobed = cache.Query(text, *bank);
+  EXPECT_FALSE(reprobed.cache_hit);
+  ExpectBitIdentical(reprobed, EstimateSetExpression(*Parse(text), *bank),
+                     "after S2 ingest");
+  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.stats().merge_builds, 2u);
+  EXPECT_TRUE(cache.Query(text, *bank).cache_hit);
+}
+
+TEST(PlanCacheTextMemoTest, UnknownStreamAnswersOnceTheStreamExists) {
+  VennPartitionGenerator gen(2, BinaryIntersectionProbs(0.5));
+  const auto bank = BankFromDataset(gen.Generate(512, 149), 16, 149);
+  PlanCache cache(PlanCache::Options{});
+  const std::string text = "S0 - Later";
+  const PlanCache::Result unknown = cache.Query(text, *bank);
+  EXPECT_FALSE(unknown.ok);
+  EXPECT_EQ(unknown.error, "unknown stream in expression");
+
+  // The memo holds only the text's compilation; the unknown stream is
+  // checked per query.
+  bank->AddStream("Later");
+  bank->Apply("Later", 7u, 1);
+  const PlanCache::Result answered = cache.Query(text, *bank);
+  ASSERT_TRUE(answered.ok) << answered.error;
+  ExpectBitIdentical(answered, EstimateSetExpression(*Parse(text), *bank),
+                     text);
+  EXPECT_EQ(cache.stats().compiles, 1u);
+}
+
+TEST(PlanCacheTextMemoTest, StreamCreatedUnderABackendLaterRoutesToIt) {
+  SketchBank bank(SketchFamily(TestParams(), 16, 151), /*backend_size=*/512);
+  PlanCache cache(PlanCache::Options{});
+  const std::string text = "T | U";
+  EXPECT_FALSE(cache.Query(text, bank).ok);  // Neither stream exists yet.
+
+  ASSERT_TRUE(bank.AddStreamWithBackend("T", SketchBackendId::kThetaKmv,
+                                        bank.backend_options()));
+  ASSERT_TRUE(bank.AddStreamWithBackend("U", SketchBackendId::kThetaKmv,
+                                        bank.backend_options()));
+  for (uint64_t e = 0; e < 300; ++e) {
+    bank.MutableBackendSketch(e % 2 == 0 ? "T" : "U")->Update(e, 1);
+  }
+  const PlanCache::Result routed = cache.Query(text, bank);
+  ASSERT_TRUE(routed.ok) << routed.error;
+  EXPECT_EQ(routed.estimate, 300.0);  // Below k: theta counts exactly.
+  EXPECT_EQ(cache.stats().backend_queries, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+}
+
+TEST(PlanCacheTextMemoTest, EvictionDropsTheTextsWithTheirEntry) {
+  VennPartitionGenerator gen(3, UniformRegionProbs(3));
+  const auto bank = BankFromDataset(gen.Generate(512, 157), 16, 157);
+  PlanCache::Options options;
+  options.max_entries = 3;
+  PlanCache cache(options);
+
+  // Two spellings of one plan, then three plans compiled outside the
+  // text memo: the first plan's entry is evicted, and both of its texts
+  // go with it although the texts bound still had room.
+  const PlanCache::Compiled a = cache.Compile("S0 | S1");
+  const PlanCache::Compiled b = cache.Compile("S1 | S0");
+  ASSERT_TRUE(cache.Query(*a, *bank).ok);
+  ASSERT_TRUE(cache.Query(*b, *bank).cache_hit);
+  for (const std::string text : {"S0 & S1", "S0 - S2", "S2 - S1"}) {
+    ASSERT_TRUE(cache.Query(*Parse(text), *bank).ok) << text;
+  }
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_NE(cache.Compile("S0 | S1"), a);
+  EXPECT_NE(cache.Compile("S1 | S0"), b);
+
+  // The texts bound holds on its own: provably-empty texts build no
+  // entry, and each new one pushes out the least recently used text.
+  const PlanCache::Compiled kept = cache.Compile("S0 & S1");
+  for (const std::string text : {"S0 - S0", "S1 - S1", "S2 - S2"}) {
+    EXPECT_TRUE(cache.Query(text, *bank).ok) << text;
+  }
+  EXPECT_NE(cache.Compile("S0 & S1"), kept);
+  EXPECT_EQ(cache.stats().entries, 3u);
+}
+
+TEST(PlanCacheTextMemoTest, ParseFailuresAreRememberedWithoutAnEntry) {
+  SketchBank bank(SketchFamily(TestParams(), 8, 163));
+  PlanCache cache(PlanCache::Options{});
+  const PlanCache::Compiled bad = cache.Compile("(S0 &");
+  EXPECT_FALSE(bad->ok());
+  EXPECT_NE(bad->error.find("position"), std::string::npos) << bad->error;
+  EXPECT_EQ(cache.Compile("(S0 &"), bad);
+  EXPECT_EQ(cache.Query("(S0 &", bank).error, bad->error);
+  EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 // --- Engine wiring -------------------------------------------------------
@@ -692,7 +845,7 @@ TEST(PlanCacheTest, BackendQueriesRouteAroundTheMemoAndCountStats) {
   // The two-phase protocol answers backend queries entirely in phase 1.
   PlanCache::Result hit;
   PlanCache::SnapshotRequest request;
-  EXPECT_TRUE(cache.BeginQuery(*expr, bank, &hit, &request));
+  EXPECT_TRUE(cache.BeginQuery(*CompileQuery(expr), bank, &hit, &request));
   ASSERT_TRUE(hit.ok);
   EXPECT_DOUBLE_EQ(hit.estimate, first.estimate);
   EXPECT_EQ(cache.stats().backend_queries, 3u);

@@ -70,7 +70,7 @@ TEST_P(RandomExpressionTest, EstimateWithinEnvelopeOfExact) {
   // Ground truth via region masks (cross-checks generator + analysis).
   const std::vector<std::string> order = DatasetStreamNames(num_streams);
   int64_t exact = 0;
-  for (uint32_t region : ResultRegions(*expr, order)) {
+  for (uint32_t region : ResultRegions(*expr, order).masks) {
     exact += static_cast<int64_t>(data.regions[region].size());
   }
 
@@ -116,7 +116,7 @@ TEST_P(SemanticsCrossCheckTest, ExactEvaluatorMatchesRegionCount) {
   }
 
   int64_t by_regions = 0;
-  for (uint32_t region : ResultRegions(*expr, order)) {
+  for (uint32_t region : ResultRegions(*expr, order).masks) {
     by_regions += static_cast<int64_t>(data.regions[region].size());
   }
   EXPECT_EQ(ExactCardinality(*expr, store, names), by_regions)

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "capped_child.h"
+#include "query/stream_engine.h"
 #include "stream/stream_generator.h"
 #include "stream/stream_io.h"
 #include "tools/bank_io.h"
@@ -64,6 +68,39 @@ TEST_F(ToolsTest, BankEncodeDecodeRoundTrip) {
     const auto& b = decoded->Sketches(name);
     for (size_t i = 0; i < a.size(); ++i) EXPECT_TRUE(a[i] == b[i]);
   }
+}
+
+TEST_F(ToolsTest, OversizedHeaderIsRefusedBeforeAllocating) {
+  // A bank file with no streams is its 68-byte header. Declaring
+  // s = 2^28 second-level functions describes a 4 GiB hash family per
+  // copy; every header decoder (bank file, engine snapshot, server
+  // checkpoint) must refuse it before building anything.
+  SketchBank empty(SketchFamily(SketchParams{}, 2, 1));
+  std::string bytes = EncodeBank(empty);
+  ASSERT_EQ(bytes.size(), 68u);
+  // u32 magic, u8 version, u8 backend, u32 backend size, i32 levels, then
+  // i32 s.
+  constexpr size_t kSecondLevelOffset = 14;
+  int32_t s = 0;
+  std::memcpy(&s, &bytes[kSecondLevelOffset], sizeof(s));
+  ASSERT_EQ(s, SketchParams{}.num_second_level);
+  s = int32_t{1} << 28;
+  std::memcpy(&bytes[kSecondLevelOffset], &s, sizeof(s));
+  const std::string path = Track(TempPath("hostile_header.bank"));
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  ExpectCleanInCappedChild([&bytes, &path] {
+    const CommandResult info = RunInfo(path);
+    EXPECT_FALSE(info.ok);
+    EXPECT_NE(info.error.find("invalid sketch parameters"),
+              std::string::npos)
+        << info.error;
+    std::string error;
+    EXPECT_EQ(DecodeBank(bytes, &error), nullptr);
+    EXPECT_EQ(StreamEngine::LoadSnapshot(bytes), nullptr);
+  });
 }
 
 TEST_F(ToolsTest, BankDecodeRejectsGarbage) {
