@@ -10,6 +10,8 @@
 #include <cerrno>
 #include <cstring>
 #include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string_view>
 
@@ -386,8 +388,10 @@ bool ClusterRouter::EnsureClientLocked(ShardState* state) {
       state->client.reset();
       return false;
     }
+    // Any shard may become a transfer's source or destination.
+    constexpr uint8_t kNeeded = kFeatureSummaryPull | kFeatureRepair;
     if (!mine.ConfigMatches(theirs) ||
-        (theirs.features & kFeatureSummaryPull) == 0) {
+        (theirs.features & kNeeded) != kNeeded) {
       state->Set(kShardRefused);
       state->client.reset();
       return false;
@@ -450,16 +454,9 @@ bool ClusterRouter::ProbeLocked(ShardState* state) {
   return false;
 }
 
-std::vector<size_t> ClusterRouter::TargetIndices(std::string_view stream,
-                                                 bool for_write) const {
-  MutexLock lock(&placement_mutex_);
-  if (for_write) {
-    // An active migration dual-writes the moved streams to the union of
-    // old and new targets until the ring flips.
-    const auto it = write_overlay_.find(stream);
-    if (it != write_overlay_.end()) return it->second;
-  }
-  const std::vector<std::string> names = placement_.Targets(
+std::vector<size_t> ClusterRouter::PlacedIndices(
+    const Placement& placement, std::string_view stream) const {
+  const std::vector<std::string> names = placement.Targets(
       stream, static_cast<size_t>(options_.replicas) + 1);
   std::vector<size_t> indices;
   indices.reserve(names.size());
@@ -467,6 +464,12 @@ std::vector<size_t> ClusterRouter::TargetIndices(std::string_view stream,
     indices.push_back(shard_index_by_name_.at(name));
   }
   return indices;
+}
+
+std::vector<size_t> ClusterRouter::TargetIndices(
+    std::string_view stream) const {
+  MutexLock lock(&placement_mutex_);
+  return PlacedIndices(placement_, stream);
 }
 
 std::vector<std::string> ClusterRouter::WriteTargets(
@@ -480,8 +483,7 @@ int ClusterRouter::ReadTargetIndex(const std::string& stream,
                                    bool* failover, bool* degraded) const {
   if (failover != nullptr) *failover = false;
   if (degraded != nullptr) *degraded = false;
-  const std::vector<size_t> targets =
-      TargetIndices(stream, /*for_write=*/false);
+  const std::vector<size_t> targets = TargetIndices(stream);
   for (size_t k = 0; k < targets.size(); ++k) {
     const uint32_t health = shards_[targets[k]]->health.load();
     if ((health & (kShardRefused | kShardRemoved | kShardStale)) != 0) {
@@ -530,28 +532,6 @@ void ClusterRouter::ClearInDoubt(std::string_view site,
   if (drained) in_doubt_cv_.notify_all();
 }
 
-bool ClusterRouter::WaitInDoubtDrained(std::string* error) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.transfer_quiesce_timeout_ms);
-  MutexLock lock(&in_doubt_mutex_);
-  while (!in_doubt_.empty()) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      if (error != nullptr) {
-        *error = std::to_string(in_doubt_.size()) +
-                 " in-doubt write(s) still awaiting client retry";
-      }
-      return false;
-    }
-    in_doubt_cv_.wait_for(
-        in_doubt_mutex_,
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                              now));
-  }
-  return true;
-}
-
 std::string ClusterRouter::HandlePushUpdates(std::string_view payload,
                                              Connection* connection) {
   UpdateBatchView batch;
@@ -584,8 +564,7 @@ std::string ClusterRouter::HandlePushUpdates(std::string_view payload,
       batch.stream_names.size());
   for (size_t k = 0; k < batch.stream_names.size(); ++k) {
     const std::string_view name = batch.stream_names[k];
-    const std::vector<size_t> placed =
-        TargetIndices(name, /*for_write=*/true);
+    const std::vector<size_t> placed = TargetIndices(name);
     for (const size_t shard_index : placed) {
       ShardState& state = *shards_[shard_index];
       const uint32_t health = state.health.load();
@@ -932,71 +911,6 @@ bool ClusterRouter::RepairShard(const std::string& name,
   return RepairShardLocked(index, error);
 }
 
-bool ClusterRouter::PullAllManifests(
-    size_t optional_index, std::unordered_map<size_t, RepairManifest>* out,
-    std::string* error) {
-  const size_t n = num_shards_.load();
-  for (size_t i = 0; i < n; ++i) {
-    ShardState* state = shards_[i].get();
-    if (state->Has(kShardRemoved) || state->Has(kShardRefused)) continue;
-    RepairManifest manifest;
-    const SketchClient::Status status = WithShard(
-        i, [&manifest](SketchClient& client) {
-          return client.PullRepair(&manifest);
-        });
-    if (!status.ok) {
-      if (i == optional_index) continue;  // A drain target may be dead.
-      if (error != nullptr) {
-        *error = "shard '" + state->shard.name +
-                 "' manifest pull failed: " + status.error;
-      }
-      return false;
-    }
-    out->emplace(i, std::move(manifest));
-  }
-  return true;
-}
-
-bool ClusterRouter::PullStreamsFrom(size_t source_index,
-                                    const std::vector<std::string>& streams,
-                                    RepairInstall* install,
-                                    std::string* error) {
-  if (streams.empty()) return true;
-  SummaryPullRequest request;
-  request.streams.reserve(streams.size());
-  for (const std::string& name : streams) {
-    SummaryPullRequest::Key key;
-    key.name = name;  // No cached epoch: force a full summary.
-    request.streams.push_back(std::move(key));
-  }
-  SummaryResult pulled;
-  ++summary_pulls_;
-  const SketchClient::Status status = WithShard(
-      source_index, [this, &request, &pulled](SketchClient& client) {
-        return client.PullSummaries(request, &coins_, &pulled);
-      });
-  if (!status.ok) {
-    if (error != nullptr) {
-      *error = "shard '" + shards_[source_index]->shard.name +
-               "' transfer pull failed: " + status.error;
-    }
-    return false;
-  }
-  for (SummaryResult::Entry& entry : pulled.streams) {
-    if (entry.state != SummaryState::kFull) {
-      if (error != nullptr) {
-        *error = "shard '" + shards_[source_index]->shard.name +
-                 "' no longer holds stream '" + entry.name + "'";
-      }
-      return false;
-    }
-    ++summary_streams_full_;
-    install->streams.push_back(RepairInstall::StreamState{
-        std::move(entry.name), std::move(entry.summary)});
-  }
-  return true;
-}
-
 bool ClusterRouter::RepairShardLocked(size_t target_index,
                                       std::string* error) {
   auto fail = [&](const std::string& what) {
@@ -1009,139 +923,228 @@ bool ClusterRouter::RepairShardLocked(size_t target_index,
   ShardState* state = shards_[target_index].get();
   if (state->Has(kShardRefused)) return fail("refused (CONFIG_MISMATCH)");
   if (state->Has(kShardRemoved)) return fail("removed from membership");
-
-  // Probe first (immediate semantics): repair only runs against a shard
-  // that is answering again.
-  ++probes_;
-  const SketchClient::Status ping = WithShard(
-      target_index, [](SketchClient& client) { return client.Ping(); });
-  if (!ping.ok) return fail("unreachable: " + ping.error);
   if (!state->Has(kShardStale)) return true;  // Nothing to repair.
 
-  // Diff: the target's manifest against every healthy replica's.
-  RepairManifest target_manifest;
+  // A repair is the transfer with the placement unchanged; it dials every
+  // member, this shard included, before anything moves.
+  std::unique_ptr<Placement> current;
   {
-    const SketchClient::Status status = WithShard(
-        target_index, [&target_manifest](SketchClient& client) {
-          return client.PullRepair(&target_manifest);
-        });
-    if (!status.ok) return fail("PULL_REPAIR failed: " + status.error);
+    MutexLock lock(&placement_mutex_);
+    current = std::make_unique<Placement>(placement_);
   }
-  std::unordered_set<std::string> target_has;
-  for (const RepairManifest::StreamInfo& info : target_manifest.streams) {
-    target_has.insert(info.name);
+  std::string why;
+  if (!TransferLocked(*current, nullptr, &why)) return fail(why);
+  if (state->Has(kShardStale)) {
+    return fail("a placed stream has no complete source");
   }
-  DedupIndex target_windows;
-  FoldSiteWindows(target_manifest.sites, &target_windows);
+  return true;
+}
 
-  // Sources: every healthy, complete (non-stale) peer.
+bool ClusterRouter::TransferLocked(const Placement& next,
+                                   uint64_t* streams_moved,
+                                   std::string* error) {
+  auto fail = [&](const std::string& what) {
+    if (error != nullptr) *error = what;
+    return false;
+  };
+
+  // Every member the next placement keeps must answer: one that does not
+  // may hold the only copy of a stream no other manifest names, which a
+  // flip would orphan and a repair would re-admit a shard without. Only a
+  // shard the next placement drops may be dead (its streams are read
+  // from replicas). Members are dialled before the gate is taken, so a
+  // dead one fails the transfer without stalling pushes.
   const size_t n = num_shards_.load();
-  std::unordered_map<size_t, RepairManifest> sources;
+  const auto member = [this](size_t i) {
+    return !shards_[i]->Has(kShardRefused) && !shards_[i]->Has(kShardRemoved);
+  };
+  const auto leaving = [this, &next](size_t i) {
+    return std::find(next.nodes().begin(), next.nodes().end(),
+                     shards_[i]->shard.name) == next.nodes().end();
+  };
   for (size_t i = 0; i < n; ++i) {
-    if (i == target_index) continue;
-    const uint32_t health = shards_[i]->health.load();
-    if ((health & (kShardRefused | kShardRemoved | kShardStale)) != 0) {
-      continue;
+    if (!member(i) || leaving(i)) continue;
+    const SketchClient::Status ping =
+        WithShard(i, [](SketchClient& client) { return client.Ping(); });
+    if (!ping.ok) {
+      return fail("shard '" + shards_[i]->shard.name +
+                  "' unreachable: " + ping.error);
     }
-    if ((health & kShardHealthy) == 0) continue;
+  }
+
+  // Quiesce: wait out in-doubt pushes with the gate open (their retries
+  // need it), then hold it until the flip. The in-doubt set only changes
+  // under a shared hold, so it is re-checked once the gate is ours.
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::milliseconds(options_.transfer_quiesce_timeout_ms);
+  std::optional<ExclusiveGate> gate;
+  while (!gate) {
+    {
+      MutexLock lock(&in_doubt_mutex_);
+      while (!in_doubt_.empty()) {
+        if (in_doubt_cv_.wait_until(in_doubt_mutex_, deadline) ==
+                std::cv_status::timeout &&
+            !in_doubt_.empty()) {
+          return fail(std::to_string(in_doubt_.size()) +
+                      " in-doubt write(s) still awaiting client retry");
+        }
+      }
+    }
+    gate.emplace(&write_gate_);
+    MutexLock lock(&in_doubt_mutex_);
+    if (!in_doubt_.empty()) gate.reset();
+  }
+
+  // Every member's manifest, read under the gate: no stream can be born
+  // between this read and the flip.
+  std::unordered_map<size_t, RepairManifest> manifests;
+  std::unordered_map<size_t, std::unordered_set<std::string>> holds;
+  std::set<std::string> streams;
+  for (size_t i = 0; i < n; ++i) {
+    if (!member(i)) continue;
     RepairManifest manifest;
     const SketchClient::Status status = WithShard(
         i, [&manifest](SketchClient& client) {
           return client.PullRepair(&manifest);
         });
-    if (!status.ok) continue;  // WithShard already marked it unhealthy.
-    sources.emplace(i, std::move(manifest));
-  }
-
-  DedupIndex source_windows;
-  for (const auto& [index, manifest] : sources) {
-    FoldSiteWindows(manifest.sites, &source_windows);
-  }
-  std::string behind_site;
-  const bool dedup_behind =
-      !target_windows.Covers(source_windows, &behind_site);
-
-  // Divergent streams placed on the target. When the dedup watermarks
-  // are behind, every placed stream is suspect (the missed batches could
-  // have touched any of them); otherwise only streams the target does
-  // not hold at all.
-  std::map<size_t, std::vector<std::string>> moves_by_source;
-  std::vector<std::string> moved_streams;
-  std::unordered_set<std::string> seen;
-  for (const auto& [source_index, manifest] : sources) {
+    if (!status.ok) {
+      if (leaving(i)) continue;
+      return fail("shard '" + shards_[i]->shard.name +
+                  "' manifest pull failed: " + status.error);
+    }
     for (const RepairManifest::StreamInfo& info : manifest.streams) {
-      if (!seen.insert(info.name).second) continue;
-      const std::vector<size_t> placed =
-          TargetIndices(info.name, /*for_write=*/false);
-      if (std::find(placed.begin(), placed.end(), target_index) ==
-          placed.end()) {
-        continue;
-      }
-      if (!dedup_behind && target_has.contains(info.name)) continue;
-      moves_by_source[source_index].push_back(info.name);
-      moved_streams.push_back(info.name);
+      holds[i].insert(info.name);
+      streams.insert(info.name);
     }
+    manifests.emplace(i, std::move(manifest));
   }
 
-  if (moved_streams.empty() && !dedup_behind) {
-    // Already converged (WAL replay + client retries caught it up, or
-    // nothing was ever placed here).
-    state->ClearBit(kShardStale);
-    ++readmissions_;
-    return true;
-  }
-
-  // Quiesce: drain in-doubt retries, then take the write gate so the
-  // snapshot cannot interleave with a fan-out.
-  if (!WaitInDoubtDrained(error)) return false;
+  // Diff: destination -> source -> streams. A shard holds a stream
+  // completely when it is placed for it now, is not stale and holds it;
+  // the first such shard in placement order is the stream's one source.
+  // `incomplete` collects placed shards left without a stream nobody
+  // holds completely; they stay (or become) stale.
+  std::map<size_t, std::map<size_t, std::vector<std::string>>> plan;
+  std::unordered_set<size_t> incomplete;
   {
-    ExclusiveGate gate(&write_gate_);
-    RepairInstall install;
-    // Crash repair REPLACES the target's dedup index: its own windows
-    // may cover batches the snapshot install clobbers, and keeping them
-    // would drop a client retry forever.
-    install.replace_dedup = true;
-    install.sites = SiteWindows(source_windows);
-    for (const auto& [source_index, streams] : moves_by_source) {
-      std::string pull_error;
-      if (!PullStreamsFrom(source_index, streams, &install, &pull_error)) {
-        return fail(pull_error);
+    MutexLock lock(&placement_mutex_);
+    for (const std::string& stream : streams) {
+      const std::vector<size_t> now = PlacedIndices(placement_, stream);
+      const auto complete = [&](size_t i) {
+        return std::find(now.begin(), now.end(), i) != now.end() &&
+               !shards_[i]->Has(kShardStale) && holds[i].contains(stream);
+      };
+      const auto source = std::find_if(now.begin(), now.end(), complete);
+      for (const size_t destination : PlacedIndices(next, stream)) {
+        if (complete(destination)) continue;
+        if (source != now.end()) {
+          plan[destination][*source].push_back(stream);
+        } else if (std::find(now.begin(), now.end(), destination) ==
+                   now.end()) {
+          return fail("shard '" + shards_[destination]->shard.name +
+                      "' cannot receive stream '" + stream +
+                      "': no complete source");
+        } else if (!holds[destination].contains(stream)) {
+          // Nothing fresher exists than a copy a shard holds itself.
+          incomplete.insert(destination);
+        }
       }
     }
+  }
+
+  // Install, then verify against a re-pulled manifest.
+  std::unordered_set<std::string> moved;
+  for (const auto& [destination, by_source] : plan) {
+    const std::string& name = shards_[destination]->shard.name;
+    RepairInstall install;
+    // A stale (or joining) shard's state is what the install replaces,
+    // so are its windows: they may cover batches the install clobbers,
+    // and keeping them would drop a client retry forever. A complete
+    // member's windows cover batches it really holds, so it merges.
+    install.replace_dedup = shards_[destination]->Has(kShardStale);
+    DedupIndex windows;
+    for (const auto& [source, names] : by_source) {
+      FoldSiteWindows(manifests.at(source).sites, &windows);
+      SummaryPullRequest request;
+      for (const std::string& stream : names) {
+        request.streams.push_back(SummaryPullRequest::Key{stream, 0, 0});
+      }
+      SummaryResult pulled;
+      ++summary_pulls_;
+      const SketchClient::Status status = WithShard(
+          source, [this, &request, &pulled](SketchClient& client) {
+            return client.PullSummaries(request, &coins_, &pulled);
+          });
+      if (!status.ok) {
+        return fail("shard '" + shards_[source]->shard.name +
+                    "' transfer pull failed: " + status.error);
+      }
+      for (SummaryResult::Entry& entry : pulled.streams) {
+        if (entry.state != SummaryState::kFull) {
+          return fail("shard '" + shards_[source]->shard.name +
+                      "' no longer holds stream '" + entry.name + "'");
+        }
+        ++summary_streams_full_;
+        moved.insert(entry.name);
+        install.streams.push_back(RepairInstall::StreamState{
+            std::move(entry.name), std::move(entry.summary)});
+      }
+    }
+    install.sites = SiteWindows(windows);
     const SketchClient::Status pushed = WithShard(
-        target_index, [&install](SketchClient& client) {
+        destination, [&install](SketchClient& client) {
           return client.PushRepair(install);
         });
-    if (!pushed.ok) return fail("PUSH_REPAIR failed: " + pushed.error);
+    if (!pushed.ok) {
+      return fail("PUSH_REPAIR to shard '" + name +
+                  "' failed: " + pushed.error);
+    }
+    ++repairs_;
 
-    // Verify convergence against a re-pulled manifest before letting the
-    // shard back into the read path.
     RepairManifest after;
     const SketchClient::Status verify = WithShard(
-        target_index, [&after](SketchClient& client) {
-          return client.PullRepair(&after);
-        });
-    if (!verify.ok) return fail("verification pull failed: " + verify.error);
+        destination,
+        [&after](SketchClient& client) { return client.PullRepair(&after); });
+    if (!verify.ok) {
+      return fail("verification pull from shard '" + name +
+                  "' failed: " + verify.error);
+    }
     std::unordered_set<std::string> after_has;
     for (const RepairManifest::StreamInfo& info : after.streams) {
       after_has.insert(info.name);
     }
-    for (const std::string& name : moved_streams) {
-      if (!after_has.contains(name)) {
-        return fail("stream '" + name + "' missing after install");
+    for (const RepairInstall::StreamState& stream : install.streams) {
+      if (!after_has.contains(stream.name)) {
+        return fail("stream '" + stream.name +
+                    "' missing on shard '" + name + "' after install");
       }
     }
     DedupIndex after_windows;
     FoldSiteWindows(after.sites, &after_windows);
     std::string stuck_site;
-    if (!after_windows.Covers(source_windows, &stuck_site)) {
-      return fail("site '" + stuck_site + "' watermark did not converge");
+    if (!after_windows.Covers(windows, &stuck_site)) {
+      return fail("site '" + stuck_site + "' watermark did not converge on "
+                  "shard '" + name + "'");
     }
   }
 
-  ++repairs_;
-  state->ClearBit(kShardStale);
-  ++readmissions_;
+  // Flip, and re-admit every stale shard the transfer completed, before
+  // the gate is released.
+  {
+    MutexLock lock(&placement_mutex_);
+    placement_ = next;
+  }
+  for (const auto& [index, manifest] : manifests) {
+    ShardState* state = shards_[index].get();
+    if (incomplete.contains(index)) {
+      state->Set(kShardStale);
+    } else if (state->Has(kShardStale)) {
+      state->ClearBit(kShardStale);
+      ++readmissions_;
+    }
+  }
+  if (streams_moved != nullptr) *streams_moved = moved.size();
   return true;
 }
 
@@ -1158,7 +1161,7 @@ bool ClusterRouter::AddShard(const ClusterShard& shard_in,
   if (shard.name.empty()) {
     shard.name = shard.host + ":" + std::to_string(shard.port);
   }
-  std::unique_ptr<Placement> snapshot;
+  std::unique_ptr<Placement> next;
   {
     MutexLock lock(&placement_mutex_);
     if (placement_.mode() != Placement::Mode::kRing) {
@@ -1169,8 +1172,9 @@ bool ClusterRouter::AddShard(const ClusterShard& shard_in,
     if (shard_index_by_name_.contains(shard.name)) {
       return fail("shard '" + shard.name + "' is already a member");
     }
-    snapshot = std::make_unique<Placement>(placement_);
+    next = std::make_unique<Placement>(placement_);
   }
+  next->AddNode(shard.name);
   // Tombstone reuse: a drained slot is revived in place (same ShardState
   // object, so lock-free readers keep a valid pointer) instead of
   // appending, so repeated add/drain cycles never grow the shard index
@@ -1186,106 +1190,28 @@ bool ClusterRouter::AddShard(const ClusterShard& shard_in,
     return fail("shard capacity exhausted (raise max_dynamic_shards)");
   }
 
-  // Vet the candidate BEFORE announcing it: dial, handshake, config
-  // gate, and the repair feature bit the migration install needs.
-  SketchClient::Options client_options;
-  client_options.host = shard.host;
-  client_options.port = shard.port;
-  client_options.connect_timeout_ms = options_.shard_connect_timeout_ms;
-  client_options.io_timeout_ms = options_.shard_io_timeout_ms;
-  client_options.fault_injector = options_.shard_fault_injector;
-  std::string dial_error;
-  std::unique_ptr<SketchClient> candidate =
-      SketchClient::Connect(client_options, &dial_error);
-  if (candidate == nullptr) {
-    return fail("shard '" + shard.name + "' unreachable: " + dial_error);
-  }
-  const HelloInfo mine = OwnHello();
-  HelloInfo theirs;
-  const SketchClient::Status hello = candidate->Hello(mine, &theirs);
-  if (!hello.ok) {
-    return fail("shard '" + shard.name +
-                "' handshake failed: " + hello.error);
-  }
-  if (!mine.ConfigMatches(theirs) ||
-      (theirs.features & kFeatureSummaryPull) == 0) {
-    return fail("shard '" + shard.name +
-                "' refused: CONFIG_MISMATCH against the deployment's "
-                "stored coins");
-  }
-  if ((theirs.features & kFeatureRepair) == 0) {
-    return fail("shard '" + shard.name +
-                "' does not support PUSH_REPAIR (migration install)");
-  }
-
-  // Discover every known stream so the moved ring segment is explicit.
-  std::unordered_map<size_t, RepairManifest> manifests;
-  if (!PullAllManifests(SIZE_MAX, &manifests, error)) return false;
-
-  // Simulate the post-add ring: only streams whose target set gains the
-  // new shard move; everything else stays put (consistent hashing).
-  Placement next = *snapshot;
-  next.AddNode(shard.name);
-  const size_t want = static_cast<size_t>(options_.replicas) + 1;
-  const size_t new_index =
-      reuse_index != SIZE_MAX ? reuse_index : num_shards_.load();
-
-  struct Move {
-    std::string stream;
-    size_t source;
-  };
-  std::vector<Move> moves;
-  std::unordered_map<std::string, std::vector<size_t>> overlay;
-  std::unordered_set<std::string> seen;
-  std::unordered_map<std::string, size_t> index_by_name;
+  // Vet the candidate on a slot of its own BEFORE announcing it: dial,
+  // handshake and the config gate.
+  auto candidate = std::make_unique<ShardState>(
+      shard, options_.probe_backoff_initial_ms,
+      options_.probe_backoff_cap_ms);
   {
-    MutexLock lock(&placement_mutex_);
-    index_by_name = shard_index_by_name_;
-  }
-  index_by_name.emplace(shard.name, new_index);
-  for (const auto& [manifest_index, manifest] : manifests) {
-    for (const RepairManifest::StreamInfo& info : manifest.streams) {
-      if (!seen.insert(info.name).second) continue;
-      const std::vector<std::string> new_names =
-          next.Targets(info.name, want);
-      if (std::find(new_names.begin(), new_names.end(), shard.name) ==
-          new_names.end()) {
-        continue;
-      }
-      const std::vector<std::string> old_names =
-          snapshot->Targets(info.name, want);
-      size_t source = SIZE_MAX;
-      for (const std::string& name : old_names) {
-        const size_t index = index_by_name.at(name);
-        const uint32_t health = shards_[index]->health.load();
-        if ((health & kShardHealthy) != 0 &&
-            (health & (kShardStale | kShardRefused | kShardRemoved)) ==
-                0) {
-          source = index;
-          break;
-        }
-      }
-      if (source == SIZE_MAX) {
-        return fail("stream '" + info.name +
-                    "' has no healthy source replica to migrate from");
-      }
-      moves.push_back(Move{info.name, source});
-      std::vector<size_t> union_targets;
-      for (const std::string& name : old_names) {
-        union_targets.push_back(index_by_name.at(name));
-      }
-      for (const std::string& name : new_names) {
-        const size_t index = index_by_name.at(name);
-        if (std::find(union_targets.begin(), union_targets.end(), index) ==
-            union_targets.end()) {
-          union_targets.push_back(index);
-        }
-      }
-      overlay.emplace(info.name, std::move(union_targets));
+    MutexLock lock(&candidate->mutex);
+    if (!EnsureClientLocked(candidate.get())) {
+      return fail("shard '" + shard.name + "' " +
+                  (candidate->Has(kShardRefused)
+                       ? "refused: CONFIG_MISMATCH against the "
+                         "deployment's stored coins"
+                       : "unreachable"));
     }
   }
 
-  // Announce the shard (routable by index, but not yet on the ring).
+  // Announce the shard: routable by index but off the ring, and stale, so
+  // the transfer fills every stream the next ring places on it and
+  // replaces whatever an earlier membership left there.
+  candidate->Set(kShardStale);
+  const size_t new_index =
+      reuse_index != SIZE_MAX ? reuse_index : num_shards_.load();
   if (reuse_index != SIZE_MAX) {
     // Revive the tombstoned slot in place. The slot has been removed
     // since its drain, so no push/query path is using its client; probe
@@ -1294,96 +1220,33 @@ bool ClusterRouter::AddShard(const ClusterShard& shard_in,
     ShardState* revived = shards_[new_index].get();
     {
       MutexLock lock(&revived->mutex);
+      MutexLock candidate_lock(&candidate->mutex);
       revived->shard = shard;
-      revived->client = std::move(candidate);
+      revived->client = std::move(candidate->client);
     }
     revived->failures.store(0);
     revived->probe_failures = 0;
     revived->next_probe_at = {};
-    revived->probe_backoff =
-        Backoff(options_.probe_backoff_initial_ms,
-                options_.probe_backoff_cap_ms,
-                Backoff::DeriveSeed(kProbeBackoffSalt, shard.name,
-                                    shard.port));
-    revived->health.store(kShardHealthy);
+    revived->probe_backoff = candidate->probe_backoff;
+    revived->health.store(candidate->health.load());
   } else {
-    auto state = std::make_unique<ShardState>(
-        shard, options_.probe_backoff_initial_ms,
-        options_.probe_backoff_cap_ms);
-    {
-      MutexLock lock(&state->mutex);
-      state->client = std::move(candidate);
-    }
-    shards_.push_back(std::move(state));
+    shards_.push_back(std::move(candidate));
   }
   {
     MutexLock lock(&placement_mutex_);
     shard_index_by_name_.emplace(shard.name, new_index);
-    for (const auto& [stream, targets] : overlay) {
-      write_overlay_[stream] = targets;
-    }
   }
   if (reuse_index == SIZE_MAX) num_shards_.store(new_index + 1);
 
-  auto abort_admission = [&](const std::string& what) {
+  std::string why;
+  if (!TransferLocked(*next, streams_moved, &why)) {
     {
       MutexLock lock(&placement_mutex_);
-      for (const auto& [stream, targets] : overlay) {
-        write_overlay_.erase(stream);
-      }
       shard_index_by_name_.erase(shard.name);
     }
     shards_[new_index]->health.store(kShardRemoved);
-    return fail("migration to shard '" + shard.name + "' failed: " + what);
-  };
-
-  // Snapshot transfer under the exclusive gate; dual-write (overlay)
-  // keeps old and new targets in lockstep from gate release until the
-  // ring flips.
-  if (!moves.empty()) {
-    std::string quiesce_error;
-    if (!WaitInDoubtDrained(&quiesce_error)) {
-      return abort_admission(quiesce_error);
-    }
-    ExclusiveGate gate(&write_gate_);
-    std::map<size_t, std::vector<std::string>> by_source;
-    for (const Move& move : moves) {
-      by_source[move.source].push_back(move.stream);
-    }
-    RepairInstall install;
-    install.replace_dedup = false;  // Migration MERGES dedup watermarks.
-    DedupIndex merged;
-    for (const auto& [source, streams] : by_source) {
-      std::string pull_error;
-      if (!PullStreamsFrom(source, streams, &install, &pull_error)) {
-        return abort_admission(pull_error);
-      }
-      const auto it = manifests.find(source);
-      if (it != manifests.end()) {
-        FoldSiteWindows(it->second.sites, &merged);
-      }
-    }
-    install.sites = SiteWindows(merged);
-    const SketchClient::Status pushed = WithShard(
-        new_index, [&install](SketchClient& client) {
-          return client.PushRepair(install);
-        });
-    if (!pushed.ok) {
-      return abort_admission("PUSH_REPAIR failed: " + pushed.error);
-    }
-    ++repairs_;
+    return fail("migration to shard '" + shard.name + "' failed: " + why);
   }
-
-  // Flip the ring and retire the overlay. Anything pushed between the
-  // gate release above and this flip went to BOTH old and new targets.
-  {
-    MutexLock lock(&placement_mutex_);
-    placement_.AddNode(shard.name);
-    for (const auto& [stream, targets] : overlay) {
-      write_overlay_.erase(stream);
-    }
-  }
-  if (streams_moved != nullptr) *streams_moved = moves.size();
   return true;
 }
 
@@ -1397,8 +1260,7 @@ bool ClusterRouter::DrainShard(const std::string& name_in,
   MutexLock admin(&membership_mutex_);
 
   size_t drain_index = SIZE_MAX;
-  std::unique_ptr<Placement> snapshot;
-  std::unordered_map<std::string, size_t> index_by_name;
+  std::unique_ptr<Placement> next;
   {
     MutexLock lock(&placement_mutex_);
     if (placement_.mode() != Placement::Mode::kRing) {
@@ -1414,137 +1276,22 @@ bool ClusterRouter::DrainShard(const std::string& name_in,
     if (placement_.nodes().size() < 2) {
       return fail("cannot drain the last shard");
     }
-    snapshot = std::make_unique<Placement>(placement_);
-    index_by_name = shard_index_by_name_;
+    next = std::make_unique<Placement>(placement_);
   }
-  if (shards_[drain_index]->Has(kShardRemoved)) {
-    return fail("shard '" + name_in + "' is already removed");
+  next->RemoveNode(name_in);
+
+  // The drained shard may be dead: its streams still live on replicas,
+  // which the transfer reads like any other source.
+  std::string why;
+  if (!TransferLocked(*next, streams_moved, &why)) {
+    return fail("drain of shard '" + name_in + "' failed: " + why);
   }
-
-  // Discover every known stream. The drain target itself may be dead —
-  // its streams still live on replicas; every OTHER shard must answer.
-  std::unordered_map<size_t, RepairManifest> manifests;
-  if (!PullAllManifests(drain_index, &manifests, error)) return false;
-
-  Placement next = *snapshot;
-  next.RemoveNode(name_in);
-  const size_t want = static_cast<size_t>(options_.replicas) + 1;
-
-  // gains: destination shard -> (source shard -> streams to copy).
-  std::map<size_t, std::map<size_t, std::vector<std::string>>> gains;
-  std::unordered_map<std::string, std::vector<size_t>> overlay;
-  std::unordered_set<std::string> seen;
-  size_t moved_count = 0;
-  for (const auto& [manifest_index, manifest] : manifests) {
-    for (const RepairManifest::StreamInfo& info : manifest.streams) {
-      if (!seen.insert(info.name).second) continue;
-      const std::vector<std::string> old_names =
-          snapshot->Targets(info.name, want);
-      if (std::find(old_names.begin(), old_names.end(), name_in) ==
-          old_names.end()) {
-        continue;  // Removing a ring node only moves its own segment.
-      }
-      const std::vector<std::string> new_names =
-          next.Targets(info.name, want);
-      size_t source = SIZE_MAX;
-      for (const std::string& name : old_names) {
-        const size_t index = index_by_name.at(name);
-        const uint32_t health = shards_[index]->health.load();
-        if ((health & kShardHealthy) != 0 &&
-            (health & (kShardStale | kShardRefused | kShardRemoved)) ==
-                0) {
-          source = index;
-          break;
-        }
-      }
-      if (source == SIZE_MAX) {
-        return fail("stream '" + info.name +
-                    "' has no healthy source replica to migrate from");
-      }
-      bool gained_any = false;
-      for (const std::string& name : new_names) {
-        if (std::find(old_names.begin(), old_names.end(), name) !=
-            old_names.end()) {
-          continue;
-        }
-        gains[index_by_name.at(name)][source].push_back(info.name);
-        gained_any = true;
-      }
-      if (gained_any) ++moved_count;
-      std::vector<size_t> union_targets;
-      for (const std::string& name : old_names) {
-        union_targets.push_back(index_by_name.at(name));
-      }
-      for (const std::string& name : new_names) {
-        const size_t index = index_by_name.at(name);
-        if (std::find(union_targets.begin(), union_targets.end(), index) ==
-            union_targets.end()) {
-          union_targets.push_back(index);
-        }
-      }
-      overlay.emplace(info.name, std::move(union_targets));
-    }
-  }
-
+  // Off the ring since the flip; tombstone the slot.
   {
     MutexLock lock(&placement_mutex_);
-    for (const auto& [stream, targets] : overlay) {
-      write_overlay_[stream] = targets;
-    }
-  }
-  auto abort_drain = [&](const std::string& what) {
-    MutexLock lock(&placement_mutex_);
-    for (const auto& [stream, targets] : overlay) {
-      write_overlay_.erase(stream);
-    }
-    return fail("drain of shard '" + name_in + "' failed: " + what);
-  };
-
-  if (!gains.empty()) {
-    std::string quiesce_error;
-    if (!WaitInDoubtDrained(&quiesce_error)) {
-      return abort_drain(quiesce_error);
-    }
-    ExclusiveGate gate(&write_gate_);
-    for (const auto& [destination, by_source] : gains) {
-      RepairInstall install;
-      install.replace_dedup = false;  // Migration MERGES dedup watermarks.
-      DedupIndex merged;
-      for (const auto& [source, streams] : by_source) {
-        std::string pull_error;
-        if (!PullStreamsFrom(source, streams, &install, &pull_error)) {
-          return abort_drain(pull_error);
-        }
-        const auto it = manifests.find(source);
-        if (it != manifests.end()) {
-          FoldSiteWindows(it->second.sites, &merged);
-        }
-      }
-      install.sites = SiteWindows(merged);
-      const SketchClient::Status pushed = WithShard(
-          destination, [&install](SketchClient& client) {
-            return client.PushRepair(install);
-          });
-      if (!pushed.ok) {
-        return abort_drain("PUSH_REPAIR to shard '" +
-                           shards_[destination]->shard.name +
-                           "' failed: " + pushed.error);
-      }
-      ++repairs_;
-    }
-  }
-
-  // Flip the ring, retire the overlay, tombstone the drained slot.
-  {
-    MutexLock lock(&placement_mutex_);
-    placement_.RemoveNode(name_in);
-    for (const auto& [stream, targets] : overlay) {
-      write_overlay_.erase(stream);
-    }
     shard_index_by_name_.erase(name_in);
   }
   shards_[drain_index]->Set(kShardRemoved);
-  if (streams_moved != nullptr) *streams_moved = moved_count;
   return true;
 }
 

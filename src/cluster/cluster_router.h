@@ -34,23 +34,25 @@
 //     leave the read path; reads fail over to the next placed replica
 //     (which, having ACKed every batch, is complete).
 //
-// Self-healing (anti-entropy catch-up): a stale shard that answers a
-// probe again is repaired IN PLACE, with no router restart. The repair
-// worker pulls repair manifests (stream identities + per-site dedup
-// watermarks) from the target and from every healthy replica, transfers
-// the divergent streams' sketch vectors over the PULL_SUMMARY path,
-// installs them with PUSH_REPAIR (replacing the target's dedup index with
-// the sources' merged watermarks so client retries stay exactly-once),
-// verifies convergence against a re-pulled manifest, and only then clears
-// the stale bit. Transfers run under an exclusive write gate so the
-// snapshot is consistent; in-doubt (site, sequence) pairs from partial
-// fan-outs are drained first.
-//
-// Online membership: ADD_SHARD / DRAIN_SHARD mutate the consistent-hash
-// ring live. Only the moved ring segment's streams migrate; while a
-// migration is in flight the router dual-writes moved streams to the
-// union of old and new targets, then flips the ring and drops the
-// overlay, so no window exists where either side misses a write.
+// Membership is repair. One state transfer serves anti-entropy repair,
+// ADD_SHARD and DRAIN_SHARD: given the current placement and the next one
+// (the same ring for a repair, the ring plus or minus one node for a
+// membership change), it waits out in-doubt pushes, takes the write gate
+// exclusively, pulls every member's repair manifest (stream identities
+// + per-site dedup watermarks), and computes what each shard must receive:
+// the streams the next placement gives it that it does not already hold
+// completely, or all its placed streams when it is stale (a joining shard
+// enters stale). Each stream comes from one complete source over the
+// PULL_SUMMARY path and is installed with PUSH_REPAIR; a stale shard's
+// dedup windows are replaced by the sources' (its own may cover batches
+// the install clobbers), a complete member merges them. Every install is
+// verified against a re-pulled manifest, then the placement flips and the
+// stale bits clear, all before the gate is released — so no push can land
+// between the manifest read and the flip, and no write is missed. Every
+// member the next placement keeps must answer, or the transfer fails: a
+// silent one may hold the only copy of a stream no other manifest names.
+// Only the shard a drain removes may be dead. A stale shard that answers a
+// probe again is repaired in place this way, with no router restart.
 //
 // Degraded reads: with `--read-policy available` the router answers from
 // the best reachable replica even when every placed copy is stale, and
@@ -70,7 +72,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -237,17 +238,17 @@ class ClusterRouter {
   /// number of healthy shards.
   size_t ProbeAll();
 
-  /// Anti-entropy catch-up for one shard (by placement name): diff its
-  /// repair manifest against the healthy replicas, transfer divergent
-  /// streams, verify convergence, clear the stale bit. Returns false
-  /// (with *error) when the shard is unreachable, refused, removed, a
-  /// transfer fails, or convergence cannot be verified — the shard then
-  /// stays stale and out of the read path.
+  /// Anti-entropy catch-up for one stale shard (by placement name): the
+  /// state transfer with the placement unchanged, which also fills every
+  /// other stale member. A shard that is not stale has nothing to repair.
+  /// Returns false (with *error) when the shard is refused or removed, a
+  /// member does not answer, a transfer fails, or convergence cannot be
+  /// verified — the shard then stays stale and out of the read path.
   bool RepairShard(const std::string& name, std::string* error = nullptr);
 
-  /// Online membership: joins `shard` to the hash ring, migrating only
-  /// the streams whose placement now includes it (dual-write during the
-  /// transition). *streams_moved receives the migrated stream count.
+  /// Online membership: joins `shard` to the hash ring, transferring only
+  /// the streams whose placement now includes it before the ring flips.
+  /// *streams_moved receives the transferred stream count.
   /// Reuses a tombstoned (drained) slot when one exists, so repeated
   /// add/drain cycles never grow the shard index vector.
   bool AddShard(const ClusterShard& shard, uint64_t* streams_moved,
@@ -391,11 +392,14 @@ class ClusterRouter {
   /// caller applies flap damping).
   bool ProbeLocked(ShardState* state) SETSKETCH_REQUIRES(state->mutex);
 
-  /// Placement target indices (owner first) for a stream. When
-  /// `for_write`, an active dual-write overlay entry overrides the ring.
-  std::vector<size_t> TargetIndices(std::string_view stream,
-                                    bool for_write) const
+  /// Placement target indices (owner first) for a stream.
+  std::vector<size_t> TargetIndices(std::string_view stream) const
       SETSKETCH_EXCLUDES(placement_mutex_);
+  /// `stream`'s target indices under `placement`; every target must be in
+  /// shard_index_by_name_.
+  std::vector<size_t> PlacedIndices(const Placement& placement,
+                                    std::string_view stream) const
+      SETSKETCH_REQUIRES(placement_mutex_);
   /// First placed shard eligible for reads; -1 if none. Sets *failover
   /// when the pick is not the owner, *degraded when kAvailable fell
   /// back to a stale replica.
@@ -407,21 +411,16 @@ class ClusterRouter {
   /// repair and membership change end to end.
   bool RepairShardLocked(size_t target_index, std::string* error)
       SETSKETCH_REQUIRES(membership_mutex_);
-  /// Pulls the repair manifest of every non-removed shard (optionally
-  /// skipping `skip_index`); fails if any is unreachable. Returns
-  /// manifests by shard index.
-  bool PullAllManifests(size_t skip_index,
-                        std::unordered_map<size_t, RepairManifest>* out,
-                        std::string* error)
-      SETSKETCH_REQUIRES(membership_mutex_);
-  /// Pulls full sketch vectors for `streams` from `source_index` and
-  /// appends them to install->streams.
-  bool PullStreamsFrom(size_t source_index,
-                       const std::vector<std::string>& streams,
-                       RepairInstall* install, std::string* error);
-  /// Waits (bounded) for the in-doubt (site, sequence) set to drain.
-  bool WaitInDoubtDrained(std::string* error)
-      SETSKETCH_EXCLUDES(in_doubt_mutex_);
+  /// The one state transfer (see the header comment): makes every live
+  /// shard hold what `next` places on it, then installs `next` as the
+  /// placement and re-admits the stale shards it completed. Fails, with
+  /// nothing flipped, when a member `next` keeps does not answer or a
+  /// shard that `next` gives a stream cannot receive it. *streams_moved (optional) receives the number of
+  /// distinct streams installed anywhere.
+  bool TransferLocked(const Placement& next, uint64_t* streams_moved,
+                      std::string* error)
+      SETSKETCH_REQUIRES(membership_mutex_)
+          SETSKETCH_EXCLUDES(in_doubt_mutex_);
   void RecordInDoubt(std::string_view site, uint64_t sequence);
   void ClearInDoubt(std::string_view site, uint64_t sequence);
 
@@ -432,19 +431,12 @@ class ClusterRouter {
   /// holds. federated_ shares its family.
   const SketchBank coins_;
 
-  /// Guards the mutable placement: ring membership, the name -> index
-  /// map, and the dual-write overlay. Lock order: query_mutex_ or
-  /// membership_mutex_ before placement_mutex_; placement_mutex_ before
-  /// nothing (leaf).
+  /// Guards the mutable placement: ring membership and the name -> index
+  /// map. Lock order: query_mutex_ or membership_mutex_ before
+  /// placement_mutex_; placement_mutex_ before nothing (leaf).
   mutable Mutex placement_mutex_;
   Placement placement_ SETSKETCH_GUARDED_BY(placement_mutex_);
   std::unordered_map<std::string, size_t> shard_index_by_name_
-      SETSKETCH_GUARDED_BY(placement_mutex_);
-  /// Dual-write overlay: stream -> union of old + new target indices,
-  /// active while a migration is between snapshot and ring flip.
-  /// Ordered with a transparent comparator so pushes look streams up by
-  /// the view the decoder handed them.
-  std::map<std::string, std::vector<size_t>, std::less<>> write_overlay_
       SETSKETCH_GUARDED_BY(placement_mutex_);
 
   /// shards_ only grows (ADD_SHARD appends or revives a tombstoned slot
@@ -464,8 +456,10 @@ class ClusterRouter {
 
   /// In-doubt idempotency keys: (site, sequence) pairs that were
   /// partially fanned out (some shard applied, then RETRY_LATER went
-  /// back to the client). Transfers wait for these to drain so their
-  /// snapshots never race a retry.
+  /// back to the client). Transfers wait for these to drain because dedup
+  /// windows are per site, not per stream: a destination that merged the
+  /// windows of two sources disagreeing on one such pair would dedupe the
+  /// client's retry and lose the half the other source never applied.
   mutable Mutex in_doubt_mutex_;
   CondVar in_doubt_cv_;
   std::unordered_set<std::string> in_doubt_

@@ -46,7 +46,8 @@ Coordinator::IngestResult Coordinator::AddSiteSummary(
     StreamSummary summary;
     std::string why;
     // The agreed coins: the copy count and every copy's seed identity.
-    if (!DecodeStreamSummary(bytes, &offset, &coins_, &summary, &why)) {
+    if (!DecodeStreamSummary(bytes, &offset, &coins_,
+                             /*counter_budget=*/nullptr, &summary, &why)) {
       return fail("stream '" + name + "' " + why);
     }
     if (summary.backend != 0) {

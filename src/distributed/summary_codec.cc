@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "util/check.h"
+
 namespace setsketch {
 
 namespace {
@@ -36,8 +38,9 @@ void EncodeStreamSummary(const SketchBank& bank, const std::string& name,
 }
 
 bool DecodeStreamSummary(const std::string& data, size_t* offset,
-                         const SketchBank* receiver, StreamSummary* out,
-                         std::string* error) {
+                         const SketchBank* receiver, uint64_t* counter_budget,
+                         StreamSummary* out, std::string* error) {
+  SETSKETCH_CHECK(counter_budget == nullptr || receiver != nullptr);
   *out = StreamSummary{};
   if (*offset >= data.size()) {
     *error = "truncated summary";
@@ -73,6 +76,20 @@ bool DecodeStreamSummary(const std::string& data, size_t* offset,
   if (copies > data.size() - *offset) {
     *error = "copy count exceeds payload";
     return false;
+  }
+  if (counter_budget != nullptr) {
+    const SketchParams& params = receiver->family().params();
+    const uint64_t counter_bytes =
+        uint64_t{copies} * static_cast<uint64_t>(params.levels) * 2 *
+        static_cast<uint64_t>(params.num_second_level) * sizeof(int64_t);
+    if (counter_bytes > *counter_budget) {
+      *error = "needs " + std::to_string(counter_bytes >> 20) +
+               " MiB of sketch counters, over the " +
+               std::to_string(*counter_budget >> 20) +
+               " MiB this decode has left";
+      return false;
+    }
+    *counter_budget -= counter_bytes;
   }
   out->sketches.reserve(copies);
   for (uint32_t i = 0; i < copies; ++i) {

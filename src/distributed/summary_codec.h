@@ -22,6 +22,7 @@
 #define SETSKETCH_DISTRIBUTED_SUMMARY_CODEC_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "core/sketch_bank.h"
@@ -32,6 +33,15 @@ namespace setsketch {
 /// server protocol) are bounded to keep hostile payloads cheap.
 inline constexpr size_t kMaxStreamNameBytes = 256;
 inline constexpr size_t kMaxSiteIdBytes = 256;
+
+/// The counter budget of one decode of a file anyone may hand the
+/// program: a sketchtool bank file, or a snapshot given to
+/// StreamEngine::LoadSnapshot by default. A two-level copy holds levels x
+/// 2s int64 counters however few bytes encode it (one zero run), so
+/// per-field bounds alone let 1 MB of file declare 4 GiB. 128 MiB is 42
+/// streams at the default shape (128 copies, levels 48, s 32) and over
+/// ten times every bank the tests, benches and examples write.
+inline constexpr uint64_t kMaxDecodedCounterBytes = uint64_t{128} << 20;
 
 /// Appends `summary`.
 void EncodeStreamSummary(const StreamSummary& summary, std::string* out);
@@ -46,11 +56,15 @@ void EncodeStreamSummary(const SketchBank& bank, const std::string& name,
 /// copy count, copy coins or backend options are not receiver's (the
 /// decoded copies share receiver's seeds). With a null receiver the
 /// declared shape sizes the allocation: only for callers that inspect
-/// rather than install (tests, benchmarks). On failure returns false with
-/// *error describing the problem and leaves *offset unspecified.
+/// rather than install (tests, benchmarks). A non-null `counter_budget`
+/// (which needs a receiver) is the counter bytes the caller will still
+/// build for this input: a two-level summary's copies x levels x 2s x 8
+/// bytes are charged to it before any copy is built, and a summary that
+/// does not fit is refused. On failure returns false with *error
+/// describing the problem and leaves *offset unspecified.
 bool DecodeStreamSummary(const std::string& data, size_t* offset,
-                         const SketchBank* receiver, StreamSummary* out,
-                         std::string* error);
+                         const SketchBank* receiver, uint64_t* counter_budget,
+                         StreamSummary* out, std::string* error);
 
 }  // namespace setsketch
 

@@ -174,8 +174,8 @@ std::string EncodeEngineSnapshot(const StreamEngine::Options& options,
   return out;
 }
 
-bool DecodeEngineSnapshot(const std::string& bytes, EngineSnapshotData* out,
-                          std::string* error) {
+bool DecodeEngineSnapshot(const std::string& bytes, uint64_t counter_budget,
+                          EngineSnapshotData* out, std::string* error) {
   *out = EngineSnapshotData{};
   const auto fail = [error](std::string message) {
     *error = std::move(message);
@@ -243,7 +243,8 @@ bool DecodeEngineSnapshot(const std::string& bytes, EngineSnapshotData* out,
     }
     StreamSummary summary;
     std::string why;
-    if (!DecodeStreamSummary(bytes, &offset, &shape, &summary, &why)) {
+    if (!DecodeStreamSummary(bytes, &offset, &shape, &counter_budget,
+                             &summary, &why)) {
       return fail("stream '" + name + "' " + why);
     }
     out->streams.emplace_back(std::move(name), std::move(summary));
@@ -274,10 +275,12 @@ std::string StreamEngine::SaveSnapshot() const {
 }
 
 std::unique_ptr<StreamEngine> StreamEngine::LoadSnapshot(
-    const std::string& bytes) {
+    const std::string& bytes, uint64_t counter_budget) {
   EngineSnapshotData data;
   std::string error;
-  if (!DecodeEngineSnapshot(bytes, &data, &error)) return nullptr;
+  if (!DecodeEngineSnapshot(bytes, counter_budget, &data, &error)) {
+    return nullptr;
+  }
   auto engine = std::make_unique<StreamEngine>(data.options);
   for (auto& [name, summary] : data.streams) {
     // Decoding matched every synopsis to the header's configuration,

@@ -9,6 +9,7 @@
 #ifndef SETSKETCH_QUERY_STREAM_ENGINE_H_
 #define SETSKETCH_QUERY_STREAM_ENGINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -20,6 +21,7 @@
 #include "core/set_difference_estimator.h"  // WitnessOptions
 #include "core/set_expression_estimator.h"
 #include "core/sketch_bank.h"
+#include "distributed/summary_codec.h"
 #include "expr/exact_evaluator.h"
 #include "expr/expression.h"
 #include "query/plan_cache.h"
@@ -112,8 +114,13 @@ class StreamEngine {
 
   /// Restores an engine from SaveSnapshot bytes. The restored engine has
   /// track_exact = false (ground truth is not part of a synopsis
-  /// snapshot). Returns nullptr on malformed input.
-  static std::unique_ptr<StreamEngine> LoadSnapshot(const std::string& bytes);
+  /// snapshot). Returns nullptr on malformed input, or when the streams
+  /// would build more than `counter_budget` bytes of sketch counters
+  /// (DecodeStreamSummary); a caller restoring its own larger engine
+  /// passes a larger budget.
+  static std::unique_ptr<StreamEngine> LoadSnapshot(
+      const std::string& bytes,
+      uint64_t counter_budget = kMaxDecodedCounterBytes);
 
   /// A point-in-time answer to one continuous query.
   struct Answer {
@@ -220,11 +227,13 @@ std::string EncodeEngineSnapshot(const StreamEngine::Options& options,
                                  const std::vector<std::string>& query_texts);
 
 /// Parses EncodeEngineSnapshot bytes. False with *error on malformed
-/// input, another magic or another version byte, or a stream whose
-/// synopsis does not match the header's configuration. Restorers compare
-/// that configuration with their own.
-bool DecodeEngineSnapshot(const std::string& bytes, EngineSnapshotData* out,
-                          std::string* error);
+/// input, another magic or another version byte, a stream whose synopsis
+/// does not match the header's configuration, or streams that would build
+/// more than `counter_budget` bytes of sketch counters
+/// (DecodeStreamSummary). Restorers compare that configuration with
+/// their own.
+bool DecodeEngineSnapshot(const std::string& bytes, uint64_t counter_budget,
+                          EngineSnapshotData* out, std::string* error);
 
 }  // namespace setsketch
 

@@ -592,7 +592,8 @@ bool DecodeSummaryResult(const std::string& payload,
         return false;
       }
       std::string decode_error;
-      if (!DecodeStreamSummary(payload, &offset, receiver, &entry.summary,
+      if (!DecodeStreamSummary(payload, &offset, receiver,
+                               /*counter_budget=*/nullptr, &entry.summary,
                                &decode_error)) {
         *error = "stream '" + entry.name + "' " + decode_error;
         return false;
@@ -791,7 +792,8 @@ bool DecodeRepairInstall(const std::string& payload,
       return false;
     }
     std::string decode_error;
-    if (!DecodeStreamSummary(payload, &offset, &receiver, &stream.summary,
+    if (!DecodeStreamSummary(payload, &offset, &receiver,
+                             /*counter_budget=*/nullptr, &stream.summary,
                              &decode_error)) {
       *error = "stream '" + stream.name + "' " + decode_error;
       return false;

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "expr/parser.h"
@@ -626,7 +627,10 @@ bool SketchServer::RecoverAndOpenWal(std::string* error) {
   if (have_checkpoint) {
     EngineSnapshotData data;
     std::string snapshot_error;
-    if (!DecodeEngineSnapshot(checkpoint.engine_snapshot, &data,
+    // No counter budget: this server wrote the CRC-checked file from a
+    // bank it held, and a bank of any size must come back.
+    if (!DecodeEngineSnapshot(checkpoint.engine_snapshot,
+                              std::numeric_limits<uint64_t>::max(), &data,
                               &snapshot_error)) {
       return fail("checkpoint engine snapshot: " + snapshot_error);
     }

@@ -25,7 +25,7 @@ std::unique_ptr<SketchBank> DecodeBank(const std::string& bytes,
                                        std::string* error) {
   std::string why;
   EngineSnapshotData data;
-  if (!DecodeEngineSnapshot(bytes, &data, &why)) {
+  if (!DecodeEngineSnapshot(bytes, kMaxDecodedCounterBytes, &data, &why)) {
     if (error != nullptr) *error = "not a sketch-bank file: " + why;
     return nullptr;
   }

@@ -1,12 +1,14 @@
 #include "tools/commands.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
 #include "core/confidence.h"
 #include "core/set_expression_estimator.h"
 #include "core/set_union_estimator.h"
+#include "distributed/summary_codec.h"
 #include "expr/parser.h"
 #include "query/plan_cache.h"
 #include "stream/stream_io.h"
@@ -28,6 +30,21 @@ std::unique_ptr<SketchBank> LoadBank(const std::string& path,
   std::string bytes;
   if (!ReadFileBytes(path, &bytes, error)) return nullptr;
   return DecodeBank(bytes, error);
+}
+
+/// Empty when `streams` streams of `copies` copies shaped by `params` fit
+/// a bank file (DecodeBank reads it back); otherwise why they do not.
+std::string OverBankFileBudget(size_t streams, const SketchParams& params,
+                               int copies) {
+  const uint64_t stream_bytes =
+      static_cast<uint64_t>(copies) * static_cast<uint64_t>(params.levels) *
+      2 * static_cast<uint64_t>(params.num_second_level) * sizeof(int64_t);
+  if (streams <= kMaxDecodedCounterBytes / stream_bytes) return {};
+  return std::to_string(streams) + " streams of " +
+         std::to_string(stream_bytes >> 10) +
+         " KiB of sketch counters each exceed the " +
+         std::to_string(kMaxDecodedCounterBytes >> 20) +
+         " MiB a bank file holds";
 }
 
 std::string DescribeParams(const SketchBank& bank) {
@@ -77,6 +94,12 @@ CommandResult RunBuild(const BuildSpec& spec) {
     name += std::to_string(i);
     names.push_back(std::move(name));
   }
+
+  // Refused before anything is built: sketchtool writes only banks it
+  // can read back.
+  const std::string over =
+      OverBankFileBudget(names.size(), spec.params, spec.copies);
+  if (!over.empty()) return Fail(over);
 
   SketchBank bank(SketchFamily(spec.params, spec.copies, spec.seed));
   for (const std::string& name : names) bank.AddStream(name);
@@ -187,6 +210,10 @@ CommandResult RunMerge(const std::vector<std::string>& input_paths,
       }
     }
   }
+  const std::string over =
+      OverBankFileBudget(merged->StreamNames().size(),
+                         merged->family().params(), merged->num_copies());
+  if (!over.empty()) return Fail(over);
   if (!WriteFileBytes(output_path, EncodeBank(*merged), &error)) {
     return Fail(error);
   }

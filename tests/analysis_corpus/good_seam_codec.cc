@@ -15,7 +15,8 @@ void AppendStream(const SketchBank& bank, const std::string& name,
 bool ReadStream(const std::string& data, size_t* offset,
                 const SketchBank& receiver, StreamSummary* summary,
                 std::string* error) {
-  return DecodeStreamSummary(data, offset, &receiver, summary, error);
+  return DecodeStreamSummary(data, offset, &receiver,
+                             /*counter_budget=*/nullptr, summary, error);
 }
 
 }  // namespace setsketch

@@ -12,17 +12,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_commands.h"
 #include "cluster/cluster_router.h"
+#include "cluster/hash_ring.h"
 #include "core/sketch_backend.h"
 #include "frame_reader.h"
 #include "server/fault_injector.h"
@@ -133,8 +138,10 @@ void ExpectAnswersMatchReference(SketchClient& via_router,
 
 /// A loopback shard: relays each request frame to a real server and its
 /// reply back, passing SUMMARY_RESULT replies through a rewrite hook
-/// while one is set. Requests and replies alternate one to one, as on
-/// every router-to-shard connection.
+/// while one is set. It can also hold one REPAIR_STATE reply (the answer
+/// to PULL_REPAIR) until released, and bounce one PUSH_UPDATES with
+/// RETRY_LATER without forwarding it. Requests and replies alternate one
+/// to one, as on every router-to-shard connection.
 class RewritingProxy {
  public:
   using Rewrite = std::function<void(SummaryResult*)>;
@@ -162,6 +169,7 @@ class RewritingProxy {
 
   void Stop() {
     if (listen_fd_ < 0) return;
+    Release();
     ::shutdown(listen_fd_, SHUT_RDWR);
     acceptor_.join();
     ::close(listen_fd_);
@@ -179,6 +187,40 @@ class RewritingProxy {
   void SetRewrite(Rewrite rewrite) {
     MutexLock lock(&mutex_);
     rewrite_ = std::move(rewrite);
+  }
+
+  /// Answers the next PUSH_UPDATES with RETRY_LATER, as a shard pushing
+  /// back would; the shard never sees the batch.
+  void BounceNextPush() {
+    MutexLock lock(&mutex_);
+    bounce_push_ = true;
+  }
+
+  /// Holds the next REPAIR_STATE reply until Release().
+  void HoldNextRepairState() {
+    MutexLock lock(&mutex_);
+    hold_armed_ = true;
+  }
+
+  /// True once a REPAIR_STATE reply is being held.
+  bool WaitUntilHeld(std::chrono::milliseconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    MutexLock lock(&mutex_);
+    while (!holding_) {
+      if (cv_.wait_until(mutex_, deadline) == std::cv_status::timeout) {
+        return holding_;
+      }
+    }
+    return true;
+  }
+
+  void Release() {
+    {
+      MutexLock lock(&mutex_);
+      hold_armed_ = false;
+      holding_ = false;
+    }
+    cv_.notify_all();
   }
 
  private:
@@ -237,12 +279,29 @@ class RewritingProxy {
     FrameReader from_client;
     FrameReader from_upstream;
     Frame frame;
-    while (ReadFrame(client, &from_client, &frame) &&
-           SendFrame(upstream, frame) &&
-           ReadFrame(upstream, &from_upstream, &frame)) {
+    while (ReadFrame(client, &from_client, &frame)) {
+      bool bounce = false;
+      if (frame.opcode == Opcode::kPushUpdates) {
+        MutexLock lock(&mutex_);
+        bounce = std::exchange(bounce_push_, false);
+      }
+      if (bounce) {
+        if (!SendFrame(client, Frame{Opcode::kRetryLater, ""})) break;
+        continue;
+      }
+      if (!SendFrame(upstream, frame) ||
+          !ReadFrame(upstream, &from_upstream, &frame)) {
+        break;
+      }
       Rewrite rewrite;
       {
         MutexLock lock(&mutex_);
+        if (frame.opcode == Opcode::kRepairState && hold_armed_) {
+          hold_armed_ = false;
+          holding_ = true;
+          cv_.notify_all();
+          while (holding_) cv_.wait(mutex_);
+        }
         rewrite = rewrite_;
       }
       SummaryResult result;
@@ -263,7 +322,11 @@ class RewritingProxy {
   int port_ = 0;
   std::thread acceptor_;
   Mutex mutex_;
+  CondVar cv_;
   Rewrite rewrite_;
+  bool bounce_push_ = false;
+  bool hold_armed_ = false;
+  bool holding_ = false;
   std::vector<int> fds_;
   std::vector<std::thread> relays_;
 };
@@ -809,6 +872,66 @@ TEST(ClusterSelfHealingTest, SameRouterRepairsAndReadmitsCrashedShard) {
   reference.Stop();
 }
 
+TEST(ClusterSelfHealingTest, RepairRefillsAShardThatOnlyLooksCaughtUp) {
+  // An anonymous push (no site, no sequence) that reaches only the
+  // replica of a dead shard leaves no trace in any dedup window. After a
+  // WAL restart the shard's manifest looks caught up (every placed
+  // stream present, windows covering its peer's), yet it misses that
+  // batch: repair must still refill it before it serves reads again.
+  const std::filesystem::path dir = FreshDir("cluster_looks_caught_up");
+  std::vector<std::unique_ptr<SketchServer>> shards;
+  for (int i = 0; i < 2; ++i) {
+    shards.push_back(std::make_unique<SketchServer>(
+        ShardOptions((dir / ("wal" + std::to_string(i))).string())));
+    std::string error;
+    ASSERT_TRUE(shards.back()->Start(&error)) << error;
+  }
+  SketchServer reference(ShardOptions());
+  std::string error;
+  ASSERT_TRUE(reference.Start(&error)) << error;
+  ClusterRouter::Options options =
+      RouterOptions({shards[0].get(), shards[1].get()});
+  options.auto_repair = false;  // The explicit repair below is the one.
+  ClusterRouter router(options);
+  ASSERT_TRUE(router.Start(&error)) << error;
+  ASSERT_EQ(router.ProbeAll(), 2u);
+
+  auto via_router = MustConnect(router.port(), "looks");
+  auto via_reference = MustConnect(reference.port(), "looks");
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(via_router->PushUpdatesWithRetry(MakeBatch(i)).ok);
+    ASSERT_TRUE(via_reference->PushUpdates(MakeBatch(i)).ok);
+  }
+
+  // Kill the owner of "A" and let the router see it, so the anonymous
+  // push skips it (marking it stale) and lands once, on the replica.
+  const std::string owner = router.WriteTargets("A")[0];
+  const size_t owner_index = owner == "s0" ? 0 : 1;
+  const int owner_port = shards[owner_index]->port();
+  shards[owner_index]->Stop();
+  ASSERT_EQ(router.ProbeAll(), 1u);
+  auto anonymous = MustConnect(router.port());
+  ASSERT_TRUE(anonymous->PushUpdates(MakeBatch(3)).ok);
+  auto anonymous_reference = MustConnect(reference.port());
+  ASSERT_TRUE(anonymous_reference->PushUpdates(MakeBatch(3)).ok);
+  ASSERT_EQ(router.stats().stale_shards, 1u);
+
+  SketchServer::Options recovered_options =
+      ShardOptions((dir / ("wal" + std::to_string(owner_index))).string());
+  recovered_options.port = owner_port;
+  shards[owner_index] = std::make_unique<SketchServer>(recovered_options);
+  ASSERT_TRUE(shards[owner_index]->Start(&error)) << error;
+  ASSERT_EQ(router.ProbeAll(), 2u);
+  ASSERT_TRUE(router.RepairShard(owner, &error)) << error;
+  EXPECT_EQ(router.stats().stale_shards, 0u);
+  EXPECT_EQ(router.ReadTarget("A"), owner);
+  ExpectAnswersMatchReference(*via_router, *via_reference);
+
+  router.Stop();
+  for (const auto& shard : shards) shard->Stop();
+  reference.Stop();
+}
+
 // --- Read policies over a healthy-but-stale shard -----------------------
 
 /// Starts two WAL-backed shards + a replicas=0 router, pushes three
@@ -1075,6 +1198,336 @@ TEST(ClusterMembershipTest, DrainAddCyclesReuseTombstonedSlots) {
   router.Stop();
   s0.Stop();
   s1.Stop();
+}
+
+TEST(ClusterMembershipTest, ChangesFailWhileAKeptMemberIsDown) {
+  // With replicas = 0 a dead shard's streams exist nowhere else, so no
+  // manifest names them and a ring flip would orphan them. Every member
+  // the next ring keeps must answer: add and drain both fail, and the
+  // placement stays as it was.
+  SketchServer s0(ShardOptions());
+  SketchServer s1(ShardOptions());
+  SketchServer joining_server(ShardOptions());
+  std::string error;
+  ASSERT_TRUE(s0.Start(&error)) << error;
+  ASSERT_TRUE(s1.Start(&error)) << error;
+  ASSERT_TRUE(joining_server.Start(&error)) << error;
+  ClusterRouter::Options options = RouterOptions({&s0, &s1});
+  options.replicas = 0;
+  ClusterRouter router(options);
+  ASSERT_TRUE(router.Start(&error)) << error;
+  ASSERT_EQ(router.ProbeAll(), 2u);
+
+  auto client = MustConnect(router.port(), "down");
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client->PushUpdatesWithRetry(MakeBatch(i)).ok);
+  }
+  std::vector<std::string> names;
+  std::vector<std::vector<std::string>> targets;
+  for (int i = 0; i < 64; ++i) {
+    names.push_back("N" + std::to_string(i));
+    targets.push_back(router.WriteTargets(names.back()));
+  }
+  s0.Stop();
+
+  ClusterShard joining;
+  joining.name = "s2";
+  joining.host = "127.0.0.1";
+  joining.port = joining_server.port();
+  uint64_t moved = 0;
+  EXPECT_FALSE(router.AddShard(joining, &moved, &error));
+  EXPECT_NE(error.find("'s0'"), std::string::npos) << error;
+  EXPECT_FALSE(router.DrainShard("s1", &moved, &error));
+  EXPECT_NE(error.find("'s0'"), std::string::npos) << error;
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(router.WriteTargets(names[i]), targets[i]) << names[i];
+  }
+  EXPECT_EQ(router.stats().removed_shards, 1u);  // The candidate's slot.
+
+  router.Stop();
+  s1.Stop();
+  joining_server.Stop();
+}
+
+TEST(ClusterMembershipTest, DrainOfADeadShardReadsItsStreamsFromReplicas) {
+  // The one member a change may lose is the shard it removes: its
+  // streams come from their replicas, and answers stay exact.
+  SketchServer s0(ShardOptions());
+  SketchServer s1(ShardOptions());
+  SketchServer s2(ShardOptions());
+  SketchServer reference(ShardOptions());
+  std::string error;
+  for (SketchServer* server : {&s0, &s1, &s2, &reference}) {
+    ASSERT_TRUE(server->Start(&error)) << error;
+  }
+  ClusterRouter router(RouterOptions({&s0, &s1, &s2}));
+  ASSERT_TRUE(router.Start(&error)) << error;
+  ASSERT_EQ(router.ProbeAll(), 3u);
+
+  auto via_router = MustConnect(router.port(), "dead-drain");
+  auto via_reference = MustConnect(reference.port(), "dead-drain");
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(via_router->PushUpdatesWithRetry(MakeBatch(i)).ok);
+    ASSERT_TRUE(via_reference->PushUpdates(MakeBatch(i)).ok);
+  }
+  s2.Stop();
+  ASSERT_EQ(router.ProbeAll(), 2u);
+
+  uint64_t moved = 0;
+  ASSERT_TRUE(router.DrainShard("s2", &moved, &error)) << error;
+  for (const char* stream : {"A", "B", "C"}) {
+    const std::vector<std::string> targets = router.WriteTargets(stream);
+    EXPECT_EQ(std::count(targets.begin(), targets.end(), "s2"), 0)
+        << stream;
+  }
+  ExpectAnswersMatchReference(*via_router, *via_reference);
+
+  router.Stop();
+  for (SketchServer* server : {&s0, &s1, &reference}) server->Stop();
+}
+
+/// `count` stream names that gain a placed shard when the ring goes from
+/// `before` to `after`, and that `before` does not place on `avoid`.
+std::vector<std::string> MovingStreams(const Placement& before,
+                                       const Placement& after,
+                                       const std::string& avoid,
+                                       size_t count) {
+  constexpr size_t kPlaced = 2;  // RouterOptions: replicas = 1.
+  std::vector<std::string> names;
+  for (int i = 0; names.size() < count && i < 100000; ++i) {
+    const std::string name = "N" + std::to_string(i);
+    const std::vector<std::string> now = before.Targets(name, kPlaced);
+    const auto held_now = [&now](const std::string& shard) {
+      return std::find(now.begin(), now.end(), shard) != now.end();
+    };
+    const std::vector<std::string> then = after.Targets(name, kPlaced);
+    if (!held_now(avoid) &&
+        !std::all_of(then.begin(), then.end(), held_now)) {
+      names.push_back(name);
+    }
+  }
+  return names;
+}
+
+/// A batch over `names`, a few elements each.
+UpdateBatch BatchOver(const std::vector<std::string>& names, int index) {
+  UpdateBatch batch;
+  batch.stream_names = names;
+  for (size_t k = 0; k < names.size(); ++k) {
+    for (int i = 0; i < 16; ++i) {
+      batch.updates.push_back(
+          Update{static_cast<StreamId>(k),
+                 static_cast<uint64_t>((index * 64 + i) * 131 + k) *
+                         2654435761ULL +
+                     5,
+                 1});
+    }
+  }
+  return batch;
+}
+
+/// Streams born while a membership change reads the manifests must reach
+/// every shard the new ring places them on. The proxied shard comes last
+/// in the router's shard order and holds its PULL_REPAIR reply while a
+/// push creates streams that it does not hold and that gain a placed
+/// shard; then the reply goes through. Every new stream must answer
+/// exactly as on a single node, through the router and on each placed
+/// shard directly.
+void ExpectStreamsBornDuringMembershipChangeArrive(bool drain) {
+  SketchServer s0(ShardOptions());
+  SketchServer s1(ShardOptions());
+  SketchServer s2(ShardOptions());
+  SketchServer s3(ShardOptions());
+  SketchServer reference(ShardOptions());
+  std::string error;
+  for (SketchServer* server : {&s0, &s1, &s2, &s3, &reference}) {
+    ASSERT_TRUE(server->Start(&error)) << error;
+  }
+  RewritingProxy proxy(s2.port());
+  ASSERT_TRUE(proxy.Start());
+
+  // A drain needs the drained shard among the members; the proxied one
+  // is pulled last either way.
+  ClusterRouter::Options options = RouterOptions({});
+  options.shards = {ClusterShard{"s0", "127.0.0.1", s0.port()},
+                    ClusterShard{"s1", "127.0.0.1", s1.port()}};
+  if (drain) options.shards.push_back({"s3", "127.0.0.1", s3.port()});
+  options.shards.push_back({"s2", "127.0.0.1", proxy.port()});
+  ClusterRouter router(options);
+  ASSERT_TRUE(router.Start(&error)) << error;
+  ASSERT_EQ(router.ProbeAll(), options.shards.size());
+
+  std::vector<std::string> members;
+  for (const ClusterShard& shard : options.shards) {
+    members.push_back(shard.name);
+  }
+  const Placement before(Placement::Mode::kRing, members,
+                         options.placement_seed, options.virtual_nodes);
+  Placement after = before;
+  if (drain) {
+    after.RemoveNode("s3");
+  } else {
+    after.AddNode("s3");
+  }
+  const std::vector<std::string> born = MovingStreams(before, after, "s2", 4);
+  ASSERT_EQ(born.size(), 4u);
+
+  auto via_router = MustConnect(router.port(), "birth");
+  auto via_reference = MustConnect(reference.port(), "birth");
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(via_router->PushUpdatesWithRetry(MakeBatch(i)).ok);
+    ASSERT_TRUE(via_reference->PushUpdates(MakeBatch(i)).ok);
+  }
+
+  proxy.HoldNextRepairState();
+  bool changed = false;
+  std::string change_error;
+  std::thread change([&] {
+    uint64_t moved = 0;
+    changed = drain ? router.DrainShard("s3", &moved, &change_error)
+                    : router.AddShard(ClusterShard{"s3", "127.0.0.1",
+                                                   s3.port()},
+                                      &moved, &change_error);
+  });
+  ASSERT_TRUE(proxy.WaitUntilHeld(std::chrono::seconds(10)));
+
+  // The birth push may only wait for the change, never overtake it.
+  const UpdateBatch birth = BatchOver(born, 0);
+  auto pusher_client = MustConnect(router.port(), "birth-pusher");
+  std::future<SketchClient::Status> pushed =
+      std::async(std::launch::async, [&] {
+        return pusher_client->PushUpdatesWithRetry(birth);
+      });
+  pushed.wait_for(std::chrono::milliseconds(300));
+  proxy.Release();
+  const SketchClient::Status push_status = pushed.get();
+  change.join();
+  ASSERT_TRUE(push_status.ok) << push_status.error;
+  ASSERT_TRUE(changed) << change_error;
+  auto reference_pusher = MustConnect(reference.port(), "birth-pusher");
+  ASSERT_TRUE(reference_pusher->PushUpdates(birth).ok);
+
+  for (const std::string& name : born) {
+    const QueryResultInfo fed = via_router->Query(name);
+    const QueryResultInfo ref = via_reference->Query(name);
+    ASSERT_TRUE(ref.ok) << name << ": " << ref.error;
+    ASSERT_TRUE(fed.ok) << name << " (read from " << router.ReadTarget(name)
+                        << "): " << fed.error;
+    EXPECT_EQ(fed.estimate, ref.estimate) << name;
+    EXPECT_EQ(fed.lo, ref.lo) << name;
+    EXPECT_EQ(fed.hi, ref.hi) << name;
+    for (const std::string& target : router.WriteTargets(name)) {
+      const SketchServer& server = target == "s0"   ? s0
+                                   : target == "s1" ? s1
+                                   : target == "s2" ? s2
+                                                    : s3;
+      const QueryResultInfo held = MustConnect(server.port())->Query(name);
+      ASSERT_TRUE(held.ok) << name << " on " << target << ": " << held.error;
+      EXPECT_EQ(held.estimate, ref.estimate) << name << " on " << target;
+    }
+  }
+  ExpectAnswersMatchReference(*via_router, *via_reference);
+
+  router.Stop();
+  proxy.Stop();
+  for (SketchServer* server : {&s0, &s1, &s2, &s3, &reference}) {
+    server->Stop();
+  }
+}
+
+TEST(ClusterMembershipTest, StreamsBornDuringAddShardReachEveryPlacedShard) {
+  ExpectStreamsBornDuringMembershipChangeArrive(/*drain=*/false);
+}
+
+TEST(ClusterMembershipTest, StreamsBornDuringDrainShardReachEveryPlacedShard) {
+  ExpectStreamsBornDuringMembershipChangeArrive(/*drain=*/true);
+}
+
+TEST(ClusterMembershipTest, MembershipChangeWaitsForAPartialFanOutRetry) {
+  // Dedup windows are per site, not per stream. A push applied on s0 but
+  // bounced by s1 leaves the two sources disagreeing on one (site,
+  // sequence); a joining shard that took x from s0 and y from s1 with the
+  // merged windows would dedupe the client's retry and lose y's half. So
+  // the change waits for the retry before it reads any manifest.
+  SketchServer s0(ShardOptions());
+  SketchServer s1(ShardOptions());
+  SketchServer s2(ShardOptions());
+  SketchServer reference(ShardOptions());
+  std::string error;
+  for (SketchServer* server : {&s0, &s1, &s2, &reference}) {
+    ASSERT_TRUE(server->Start(&error)) << error;
+  }
+  RewritingProxy proxy(s1.port());
+  ASSERT_TRUE(proxy.Start());
+
+  ClusterRouter::Options options = RouterOptions({});
+  options.shards = {ClusterShard{"s0", "127.0.0.1", s0.port()},
+                    ClusterShard{"s1", "127.0.0.1", proxy.port()}};
+  options.replicas = 0;
+  ClusterRouter router(options);
+  ASSERT_TRUE(router.Start(&error)) << error;
+  ASSERT_EQ(router.ProbeAll(), 2u);
+
+  // x lives on s0 and y on s1, and both move to s2.
+  Placement before(Placement::Mode::kRing, {"s0", "s1"},
+                   options.placement_seed, options.virtual_nodes);
+  Placement after = before;
+  after.AddNode("s2");
+  std::string x;
+  std::string y;
+  for (int i = 0; (x.empty() || y.empty()) && i < 100000; ++i) {
+    const std::string name = "M" + std::to_string(i);
+    if (after.Targets(name, 1)[0] != "s2") continue;
+    std::string& slot = before.Targets(name, 1)[0] == "s0" ? x : y;
+    if (slot.empty()) slot = name;
+  }
+  ASSERT_FALSE(x.empty());
+  ASSERT_FALSE(y.empty());
+
+  auto via_router = MustConnect(router.port(), "doubt");
+  auto via_reference = MustConnect(reference.port(), "doubt");
+  const UpdateBatch first = BatchOver({x, y}, 0);
+  const UpdateBatch second = BatchOver({x, y}, 1);
+  ASSERT_TRUE(via_router->PushUpdatesAt(first, 1).ok);
+  proxy.BounceNextPush();
+  const SketchClient::Status bounced = via_router->PushUpdatesAt(second, 2);
+  ASSERT_FALSE(bounced.ok);
+  ASSERT_TRUE(bounced.retry) << bounced.error;
+
+  std::future<bool> added = std::async(std::launch::async, [&] {
+    uint64_t moved = 0;
+    std::string add_error;
+    const bool ok = router.AddShard(
+        ClusterShard{"s2", "127.0.0.1", s2.port()}, &moved, &add_error);
+    EXPECT_TRUE(ok) << add_error;
+    EXPECT_EQ(moved, 2u);
+    return ok;
+  });
+  EXPECT_EQ(added.wait_for(std::chrono::milliseconds(300)),
+            std::future_status::timeout)
+      << "the membership change did not wait for the in-doubt retry";
+  const SketchClient::Status retried = via_router->PushUpdatesAt(second, 2);
+  ASSERT_TRUE(retried.ok) << retried.error;
+  ASSERT_TRUE(added.get());
+  EXPECT_EQ(router.WriteTargets(x)[0], "s2");
+  EXPECT_EQ(router.WriteTargets(y)[0], "s2");
+
+  ASSERT_TRUE(via_reference->PushUpdatesAt(first, 1).ok);
+  ASSERT_TRUE(via_reference->PushUpdatesAt(second, 2).ok);
+  for (const std::string& expression :
+       {x, y, x + " | " + y, x + " & " + y, x + " - " + y}) {
+    const QueryResultInfo fed = via_router->Query(expression);
+    const QueryResultInfo ref = via_reference->Query(expression);
+    ASSERT_TRUE(ref.ok) << expression << ": " << ref.error;
+    ASSERT_TRUE(fed.ok) << expression << ": " << fed.error;
+    EXPECT_EQ(fed.estimate, ref.estimate) << expression;
+    EXPECT_EQ(fed.lo, ref.lo) << expression;
+    EXPECT_EQ(fed.hi, ref.hi) << expression;
+  }
+
+  router.Stop();
+  proxy.Stop();
+  for (SketchServer* server : {&s0, &s1, &s2, &reference}) server->Stop();
 }
 
 // --- Backend streams through the cluster --------------------------------

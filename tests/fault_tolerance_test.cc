@@ -21,6 +21,8 @@
 
 #include "core/sketch_backend.h"
 #include "core/sketch_bank.h"
+#include "distributed/summary_codec.h"
+#include "query/stream_engine.h"
 #include "server/fault_injector.h"
 #include "server/sketch_client.h"
 #include "server/sketch_server.h"
@@ -705,6 +707,57 @@ TEST(FaultToleranceTest, GracefulStopCheckpointRestoresWithoutReplay) {
   error.clear();
   EXPECT_FALSE(refused.Start(&error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(FaultToleranceTest, CheckpointPastTheBankFileBudgetRestores) {
+  // A server's bank may hold more counters than a bank file may declare
+  // (kMaxDecodedCounterBytes); its own checkpoint must still restore.
+  // 17 streams of 64 copies at levels 64 and s 128 hold 136 MiB.
+  const std::filesystem::path dir = FreshDir("ft_checkpoint_budget");
+  SketchServer::Options options = WalServerOptions(dir.string());
+  options.params.levels = 64;
+  options.params.num_second_level = 128;
+  constexpr size_t kStreams = 17;
+  UpdateBatch batch;
+  for (size_t i = 0; i < kStreams; ++i) {
+    batch.stream_names.push_back("S" + std::to_string(i));
+    batch.updates.push_back(
+        Update{static_cast<StreamId>(i), 1000 + i, 1});
+  }
+  std::vector<TwoLevelHashSketch> before;
+  {
+    SketchServer server(options);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    std::unique_ptr<SketchClient> client =
+        SketchClient::Connect("127.0.0.1", server.port(), &error);
+    ASSERT_NE(client, nullptr) << error;
+    ASSERT_TRUE(client->PushUpdates(batch).ok);
+    server.Stop();
+    EXPECT_GT(server.bank().CounterBytes(), kMaxDecodedCounterBytes);
+    before = server.bank().Sketches("S3");
+  }
+
+  // Past the budget a bank file or LoadSnapshot gets by default...
+  Checkpoint checkpoint;
+  std::string error;
+  ASSERT_TRUE(ReadCheckpoint(dir.string(), &checkpoint, &error)) << error;
+  {
+    EngineSnapshotData data;
+    EXPECT_FALSE(DecodeEngineSnapshot(checkpoint.engine_snapshot,
+                                      kMaxDecodedCounterBytes, &data,
+                                      &error));
+    EXPECT_NE(error.find("MiB of sketch counters"), std::string::npos)
+        << error;
+  }
+
+  // ...yet the server that wrote it restores every stream.
+  SketchServer recovered(options);
+  ASSERT_TRUE(recovered.Start(&error)) << error;
+  EXPECT_EQ(recovered.stats().recoveries, 1u);
+  recovered.Stop();
+  EXPECT_EQ(recovered.bank().StreamNames().size(), kStreams);
+  EXPECT_EQ(recovered.bank().Sketches("S3"), before);
 }
 
 TEST(FaultToleranceTest, PeriodicCheckpointsCompactTheWal) {

@@ -191,7 +191,8 @@ TEST(GoldenBytesTest, EngineSnapshotBytesAndFixedPoint) {
     other[4] = static_cast<char>(version);
     EngineSnapshotData data;
     std::string error;
-    EXPECT_FALSE(DecodeEngineSnapshot(other, &data, &error));
+    EXPECT_FALSE(
+        DecodeEngineSnapshot(other, kMaxDecodedCounterBytes, &data, &error));
     EXPECT_EQ(error, "unsupported engine snapshot version " +
                          std::to_string(version));
     EXPECT_EQ(StreamEngine::LoadSnapshot(other), nullptr);

@@ -703,8 +703,8 @@ TEST(SummaryCodecFuzzTest, TaggedSummariesRoundTripAcrossBackends) {
       size_t offset = 0;
       StreamSummary decoded;
       std::string error;
-      ASSERT_TRUE(
-          DecodeStreamSummary(encoded, &offset, &home, &decoded, &error))
+      ASSERT_TRUE(DecodeStreamSummary(encoded, &offset, &home, nullptr,
+                                      &decoded, &error))
           << error;
       EXPECT_EQ(offset, encoded.size());
       ASSERT_EQ(decoded.backend, summary.backend);
@@ -720,8 +720,8 @@ TEST(SummaryCodecFuzzTest, TaggedSummariesRoundTripAcrossBackends) {
       // Foreign backend options are refused like foreign stored coins.
       offset = 0;
       StreamSummary refused;
-      EXPECT_FALSE(
-          DecodeStreamSummary(encoded, &offset, &foreign, &refused, &error));
+      EXPECT_FALSE(DecodeStreamSummary(encoded, &offset, &foreign, nullptr,
+                                       &refused, &error));
       EXPECT_NE(error.find("foreign backend configuration"),
                 std::string::npos);
 
@@ -730,7 +730,7 @@ TEST(SummaryCodecFuzzTest, TaggedSummariesRoundTripAcrossBackends) {
         offset = 0;
         StreamSummary trunc;
         EXPECT_FALSE(DecodeStreamSummary(encoded.substr(0, cut), &offset,
-                                         &home, &trunc, &error));
+                                         &home, nullptr, &trunc, &error));
       }
     }
   }
@@ -754,14 +754,16 @@ TEST(SummaryCodecFuzzTest, TaggedSummarySurvivesRandomByteSoup) {
     size_t offset = 0;
     StreamSummary decoded;
     std::string error;
-    if (!DecodeStreamSummary(data, &offset, nullptr, &decoded, &error)) {
+    if (!DecodeStreamSummary(data, &offset, nullptr, nullptr, &decoded,
+                             &error)) {
       EXPECT_FALSE(error.empty());
     } else {
       EXPECT_LE(offset, data.size());
     }
     // A receiver's decode refuses, or accepts only its own shape.
     offset = 0;
-    if (DecodeStreamSummary(data, &offset, &receiver, &decoded, &error)) {
+    if (DecodeStreamSummary(data, &offset, &receiver, nullptr, &decoded,
+                            &error)) {
       EXPECT_LE(offset, data.size());
       if (decoded.backend == 0) {
         EXPECT_EQ(decoded.sketches.size(), 1u);

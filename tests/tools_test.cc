@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <string>
+#include <utility>
 
 #include "capped_child.h"
+#include "core/sketch_backend.h"
+#include "core/two_level_hash_sketch.h"
 #include "query/stream_engine.h"
 #include "stream/stream_generator.h"
 #include "stream/stream_io.h"
@@ -70,37 +76,86 @@ TEST_F(ToolsTest, BankEncodeDecodeRoundTrip) {
   }
 }
 
+/// A bank file inside every per-field bound that would still build
+/// `copies` x 128 KiB of counters: one stream of all-zero copies at
+/// levels 64 and s 128, each copy a 29-byte compact encoding (a header
+/// and one zero run). kMaxCopies copies make 1.9 MB of file ask for
+/// 8 GiB.
+std::string AllZeroWideBank(int copies) {
+  SketchParams wide;
+  wide.levels = 64;
+  wide.num_second_level = 128;
+  const SketchBank shape(SketchFamily(wide, copies, 1));
+  std::string bytes = EncodeBank(shape);
+  // An empty bank ends with two u32 zeros: the stream and query counts.
+  bytes.resize(bytes.size() - 2 * sizeof(uint32_t));
+  const auto append_u32 = [&bytes](uint32_t value) {
+    bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append_u32(1);
+  append_u32(1);
+  bytes += 'A';
+  bytes += static_cast<char>(SketchBackendId::kTwoLevelHash);
+  append_u32(static_cast<uint32_t>(copies));
+  // Every copy is the first one's encoding under its own seed value.
+  std::string copy;
+  TwoLevelHashSketch(shape.family().seed(0)).SerializeCompactTo(&copy);
+  const uint64_t first_seed = shape.family().seed(0)->seed_value();
+  const size_t seed_at = copy.find(std::string(
+      reinterpret_cast<const char*>(&first_seed), sizeof(first_seed)));
+  EXPECT_NE(seed_at, std::string::npos);
+  EXPECT_EQ(copy.size(), 29u);
+  for (int i = 0; i < copies; ++i) {
+    const uint64_t seed = shape.family().seed(i)->seed_value();
+    std::memcpy(&copy[seed_at], &seed, sizeof(seed));
+    bytes += copy;
+  }
+  append_u32(0);
+  return bytes;
+}
+
 TEST_F(ToolsTest, OversizedHeaderIsRefusedBeforeAllocating) {
   // A bank file with no streams is its 68-byte header. Declaring
   // s = 2^28 second-level functions describes a 4 GiB hash family per
   // copy; every header decoder (bank file, engine snapshot, server
   // checkpoint) must refuse it before building anything.
   SketchBank empty(SketchFamily(SketchParams{}, 2, 1));
-  std::string bytes = EncodeBank(empty);
-  ASSERT_EQ(bytes.size(), 68u);
+  std::string huge_family = EncodeBank(empty);
+  ASSERT_EQ(huge_family.size(), 68u);
   // u32 magic, u8 version, u8 backend, u32 backend size, i32 levels, then
   // i32 s.
   constexpr size_t kSecondLevelOffset = 14;
   int32_t s = 0;
-  std::memcpy(&s, &bytes[kSecondLevelOffset], sizeof(s));
+  std::memcpy(&s, &huge_family[kSecondLevelOffset], sizeof(s));
   ASSERT_EQ(s, SketchParams{}.num_second_level);
   s = int32_t{1} << 28;
-  std::memcpy(&bytes[kSecondLevelOffset], &s, sizeof(s));
-  const std::string path = Track(TempPath("hostile_header.bank"));
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << bytes;
+  std::memcpy(&huge_family[kSecondLevelOffset], &s, sizeof(s));
+
+  // Every field in bounds, but the copies would build 8 GiB (or, from
+  // half the bytes, 4 GiB) of counters.
+  const std::string huge_counters = AllZeroWideBank(kMaxCopies);
+  const std::string half_counters = AllZeroWideBank(kMaxCopies / 2);
+  ASSERT_FALSE(HasFailure());
+
+  for (const auto& [bytes, why] :
+       {std::pair{huge_family, "invalid sketch parameters"},
+        std::pair{huge_counters, "MiB of sketch counters"},
+        std::pair{half_counters, "MiB of sketch counters"}}) {
+    const std::string path = Track(TempPath("hostile_header.bank"));
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << bytes;
+    }
+    ExpectCleanInCappedChild([&bytes, &path, why] {
+      const CommandResult info = RunInfo(path);
+      EXPECT_FALSE(info.ok);
+      EXPECT_NE(info.error.find(why), std::string::npos) << info.error;
+      std::string error;
+      EXPECT_EQ(DecodeBank(bytes, &error), nullptr);
+      EXPECT_NE(error.find(why), std::string::npos) << error;
+      EXPECT_EQ(StreamEngine::LoadSnapshot(bytes), nullptr);
+    });
   }
-  ExpectCleanInCappedChild([&bytes, &path] {
-    const CommandResult info = RunInfo(path);
-    EXPECT_FALSE(info.ok);
-    EXPECT_NE(info.error.find("invalid sketch parameters"),
-              std::string::npos)
-        << info.error;
-    std::string error;
-    EXPECT_EQ(DecodeBank(bytes, &error), nullptr);
-    EXPECT_EQ(StreamEngine::LoadSnapshot(bytes), nullptr);
-  });
 }
 
 TEST_F(ToolsTest, BankDecodeRejectsGarbage) {
@@ -174,6 +229,24 @@ TEST_F(ToolsTest, BuildRejectsBadInputs) {
   const CommandResult result = RunBuild(spec);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("malformed"), std::string::npos);
+}
+
+TEST_F(ToolsTest, BuildRefusesABankItCouldNotReadBack) {
+  // One stream of 1100 copies at levels 64 and s 128 holds 137.5 MiB of
+  // counters, over the bank-file budget: refused before it is built.
+  const std::string updates_path = Track(TempPath("one_stream.txt"));
+  WriteUpdatesFile(updates_path, {Insert(0, 1)});
+  BuildSpec spec;
+  spec.updates_path = updates_path;
+  spec.output_path = Track(TempPath("too_wide.bin"));
+  spec.params.levels = 64;
+  spec.params.num_second_level = 128;
+  spec.copies = 1100;
+  const CommandResult result = RunBuild(spec);
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("MiB a bank file holds"), std::string::npos)
+      << result.error;
+  EXPECT_FALSE(std::filesystem::exists(spec.output_path));
 }
 
 TEST_F(ToolsTest, BuildValidatesStreamNameCount) {

@@ -520,8 +520,8 @@ TEST(TsanConcurrencyTest, ServerPlanCacheConcurrentQueryVsPush) {
 TEST(TsanConcurrencyTest, RouterRepairMembershipPushQueryStress) {
   // The self-healing router's shared-state seams all at once: the
   // background probe loop, explicit RepairShard sweeps, online
-  // add-shard/drain-shard (write-gate exclusive transfers + dual-write
-  // overlay + ring flips) — all racing client pushes and federated
+  // add-shard/drain-shard (one transfer under the exclusive write gate,
+  // then the ring flip) — all racing client pushes and federated
   // queries. Functional bar: every acknowledged batch lands exactly once,
   // so the final federated answers match a fault-free reference server
   // bit-for-bit.

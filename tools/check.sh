@@ -13,8 +13,9 @@
 #   3. tsan      ThreadSanitizer build + the concurrency-sensitive tests
 #                (race detection over the server, shard queues, WAL
 #                writer, parallel ingest, the epoll ingest loop, the
-#                fault-tolerance suite's idle sweeps and restarts, and
-#                lazy slice publication).
+#                fault-tolerance suite's idle sweeps and restarts, lazy
+#                slice publication, and the router's online membership
+#                changes racing pushes).
 #   4. ubsan    UndefinedBehaviorSanitizer build (-fno-sanitize-recover,
 #                so any UB fails the run) + full test suite.
 #   5. chaos     AddressSanitizer build + the fault-tolerance suite
@@ -24,7 +25,10 @@
 #   6. cluster   AddressSanitizer build + the cluster suite (hash-ring
 #                placement, hello handshake, federated queries, chaos
 #                failover, self-healing repair, read policies, online
-#                membership, backoff numerics), then a real 3-shard +
+#                membership, backoff numerics), then the router's
+#                repair/membership/push/query stress test repeated 200
+#                times (its one state transfer must never miss a write),
+#                then a real 3-shard +
 #                router deployment through the sketchtool CLI: kill -9
 #                the shard owning a stream mid-run, fail reads over to
 #                the replica, restart on the WAL, verify the SAME router
@@ -153,7 +157,7 @@ stage_tsan() {
   # file — the gate requires the tree to be race-free as written.
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     build_and_test "${prefix}-tsan" \
-      "TsanConcurrencyTest|ShardQueueTest|SketchServerTest|ParallelIngest|IngestFastPathTsan|EpollIngestTest|FaultToleranceTest" \
+      "TsanConcurrencyTest|ShardQueueTest|SketchServerTest|ParallelIngest|IngestFastPathTsan|EpollIngestTest|FaultToleranceTest|ClusterMembershipTest" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSETSKETCH_SANITIZE=thread
 }
 
@@ -246,6 +250,13 @@ stage_cluster() {
   build_and_test "${prefix}-cluster" \
     "HashRingTest|PlacementTest|ClusterHandshakeTest|ClusterSummaryTest|ClusterRouterTest|ClusterChaosTest|ClusterSelfHealingTest|ClusterReadPolicyTest|ClusterMembershipTest|ClusterCommandsTest|BackoffTest" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSETSKETCH_SANITIZE=address
+
+  # Repair, add-shard and drain-shard racing pushes and queries: every
+  # run must end bit-identical to a fault-free single node.
+  echo "=== cluster stress (repair + membership + push + query, x200) ==="
+  "${prefix}-cluster/tests/setsketch_tests" --gtest_brief=1 \
+    --gtest_filter=TsanConcurrencyTest.RouterRepairMembershipPushQueryStress \
+    --gtest_repeat=200
 
   echo "=== cluster e2e (3 shards + router, kill -9 + failover) ==="
   local tool="${prefix}-cluster/tools/sketchtool"
@@ -429,9 +440,9 @@ stage_cluster() {
 
   echo "=== cluster e2e (online membership: add-shard / drain-shard) ==="
   # A vetted fourth shard joins the RUNNING router: only its ring
-  # segment migrates (dual-write covers the transition), and the
-  # federated answer never drifts from the fault-free reference —
-  # before, during, and after the membership change.
+  # segment migrates (pushes wait under the write gate until the ring
+  # flips), and the federated answer never drifts from the fault-free
+  # reference — before, during, and after the membership change.
   "${tool}" serve --port 0 --copies 32 --wal-dir "${dir}/wal3" \
     > "${dir}/shard3.log" &
   local shard3_pid=$!
