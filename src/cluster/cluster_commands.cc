@@ -97,14 +97,13 @@ CommandResult RunRouteAdmin(const RouteAdminSpec& spec) {
 
 CommandResult RunRoute(const ClusterRouter::Options& options,
                        std::ostream* announce) {
-  if (!options.params.Valid()) return Fail("invalid sketch parameters");
-  if (options.copies < 1) return Fail("--copies must be >= 1");
+  std::string error;
+  if (!options.Validate(&error)) return Fail(error);
   if (options.shards.empty()) return Fail("no shards given");
   if (options.replicas >= static_cast<int>(options.shards.size())) {
     return Fail("--replicas must be < the number of shards");
   }
   ClusterRouter router(options);
-  std::string error;
   if (!router.Start(&error)) return Fail("cannot start router: " + error);
   const size_t healthy = router.ProbeAll();
   if (announce != nullptr) {

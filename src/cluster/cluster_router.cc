@@ -72,8 +72,7 @@ ClusterRouter::ShardState::ShardState(const ClusterShard& shard_in,
 
 ClusterRouter::ClusterRouter(const Options& options)
     : options_(options),
-      coins_(SketchFamily(options.params, options.copies, options.seed),
-             options.backend_size),
+      coins_(options),
       placement_(options.static_placement ? Placement::Mode::kStatic
                                           : Placement::Mode::kRing,
                  [&options] {
@@ -120,6 +119,7 @@ bool ClusterRouter::Start(std::string* error) {
     }
     return false;
   };
+  if (!options_.Validate(error)) return false;
   if (shards_.empty()) {
     if (error != nullptr) *error = "a cluster needs at least one shard";
     return false;
@@ -267,12 +267,6 @@ void ClusterRouter::HandleConnection(int fd) {
   --connections_active_;
 }
 
-HelloInfo ClusterRouter::OwnHello() const {
-  return MakeHello(kFeatureSummaryPull, options_.params, options_.copies,
-                   options_.seed, options_.default_backend,
-                   options_.backend_size);
-}
-
 std::string ClusterRouter::HandleFrame(const FrameView& frame,
                                        Connection* connection,
                                        bool* keep_open) {
@@ -282,8 +276,10 @@ std::string ClusterRouter::HandleFrame(const FrameView& frame,
       HelloInfo hello;
       if (DecodeHello(std::string(frame.payload), /*response=*/false,
                       &hello)) {
-        return EncodeFrame(Opcode::kPong,
-                           EncodeHello(OwnHello(), /*response=*/true));
+        return EncodeFrame(
+            Opcode::kPong,
+            EncodeHello(HelloInfo{kFeatureSummaryPull, options_},
+                        /*response=*/true));
       }
       return EncodeFrame(Opcode::kPong, frame.payload);
     }
@@ -378,7 +374,7 @@ bool ClusterRouter::EnsureClientLocked(ShardState* state) {
     if (state->client == nullptr) return false;
     // Handshake every fresh connection: the config gate must hold for
     // the shard process currently answering, not one that once did.
-    const HelloInfo mine = OwnHello();
+    const HelloInfo mine{kFeatureSummaryPull, options_};
     HelloInfo theirs;
     const SketchClient::Status hello = state->client->Hello(mine, &theirs);
     if (!hello.ok) {
@@ -390,7 +386,7 @@ bool ClusterRouter::EnsureClientLocked(ShardState* state) {
     }
     // Any shard may become a transfer's source or destination.
     constexpr uint8_t kNeeded = kFeatureSummaryPull | kFeatureRepair;
-    if (!mine.ConfigMatches(theirs) ||
+    if (mine.config != theirs.config ||
         (theirs.features & kNeeded) != kNeeded) {
       state->Set(kShardRefused);
       state->client.reset();

@@ -146,7 +146,10 @@ class ClusterRouter {
                  ///< degraded in the result status byte.
   };
 
-  struct Options {
+  /// The deployment's stored coins (core/sketch_config.h): every shard
+  /// must present an == config in its hello or it is refused
+  /// (CONFIG_MISMATCH).
+  struct Options : SketchConfig {
     /// Initial shard membership; ADD_SHARD / DRAIN_SHARD mutate it live
     /// (ring placement only).
     std::vector<ClusterShard> shards;
@@ -157,19 +160,6 @@ class ClusterRouter {
     bool static_placement = false;
     int virtual_nodes = 64;
     uint64_t placement_seed = 7;
-
-    /// The deployment's stored coins; every shard must present the same
-    /// triple in its hello or it is refused (CONFIG_MISMATCH).
-    SketchParams params;
-    int copies = 128;
-    uint64_t seed = 42;
-
-    /// Deployment-wide sketch-backend configuration (DESIGN.md §3.8).
-    /// Carried in the hello handshake next to the stored-coins triple; a
-    /// shard presenting a different backend/size pair is refused exactly
-    /// like foreign coins.
-    SketchBackendId default_backend = SketchBackendId::kTwoLevelHash;
-    uint32_t backend_size = 4096;
 
     /// Estimator tuning for federated QUERY answers (must match the
     /// single-node configuration for bit-identical results).
@@ -224,6 +214,7 @@ class ClusterRouter {
 
   /// Binds and spawns the acceptor (and the probe thread if enabled).
   /// Does NOT require shards to be up: connections are dialed lazily.
+  /// Refuses a config SketchConfig::Validate refuses before binding.
   bool Start(std::string* error = nullptr);
 
   int port() const { return port_; }
@@ -362,9 +353,6 @@ class ClusterRouter {
   void HandleConnection(int fd);
   void ProbeLoop();
 
-  /// This router's hello: PULL_SUMMARY support plus the deployment's
-  /// configuration, sent to shards and answered to hello PINGs.
-  HelloInfo OwnHello() const;
   std::string HandleFrame(const FrameView& frame, Connection* connection,
                           bool* keep_open);
   std::string HandlePushUpdates(std::string_view payload,

@@ -83,7 +83,7 @@ UnionEstimate KernelEstimateUnion(const UnionView& view, double epsilon,
   UnionEstimate result;
   const int r = view.copies();
   const int levels = view.levels();
-  if (r <= 0 || levels <= 0 || epsilon <= 0) return result;
+  if (r <= 0 || levels <= 0 || !(epsilon > 0)) return result;
   const double threshold = (1.0 + epsilon) * r / 8.0;
 
   // Find the smallest level whose non-empty count drops to the target
@@ -190,8 +190,7 @@ WitnessEstimate KernelCountWitnesses(const UnionView& view,
   WitnessEstimate result;
   const int r = view.copies();
   const int levels = view.levels();
-  if (r <= 0 || levels <= 0 || union_estimate < 0 ||
-      options.beta <= 1.0 || options.epsilon <= 0 || options.epsilon >= 1) {
+  if (r <= 0 || levels <= 0 || union_estimate < 0 || !options.Valid()) {
     return result;
   }
   result.copies = r;

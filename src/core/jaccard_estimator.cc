@@ -8,10 +8,7 @@ namespace setsketch {
 JaccardEstimate EstimateJaccard(const std::vector<SketchGroup>& pairs,
                                 const WitnessOptions& options) {
   JaccardEstimate result;
-  if (pairs.empty() || options.beta <= 1.0 || options.epsilon <= 0 ||
-      options.epsilon >= 1) {
-    return result;
-  }
+  if (pairs.empty() || !options.Valid()) return result;
   for (const SketchGroup& pair : pairs) {
     if (pair.size() != 2 || !GroupSeedsMatch(pair)) return result;
   }

@@ -42,6 +42,10 @@ struct WitnessOptions {
   /// expression estimator; binary estimators take u_hat from the
   /// caller). Extension beyond the paper; ablated in bench_union.
   bool mle_union = false;
+
+  /// True iff the witness level is defined: beta > 1 and epsilon in
+  /// (0, 1). Written as the positive test so NaN fails it.
+  bool Valid() const { return beta > 1.0 && epsilon > 0 && epsilon < 1; }
 };
 
 /// One 0/1 witness observation from a single sketch-copy pair

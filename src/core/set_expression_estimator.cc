@@ -26,9 +26,7 @@ ExpressionEstimate EstimateExpressionWithKernel(
     const UnionView& view, const WitnessPredicate& witness,
     const WitnessOptions& options) {
   ExpressionEstimate result;
-  if (options.beta <= 1.0 || options.epsilon <= 0 || options.epsilon >= 1) {
-    return result;
-  }
+  if (!options.Valid()) return result;
 
   // Stage 1: estimate |U| over all participating streams (Figure 5, or
   // the all-levels MLE extension when requested).

@@ -19,9 +19,18 @@ uint64_t NextBankId() {
 }  // namespace
 
 SketchBank::SketchBank(SketchFamily family, uint32_t backend_size)
-    : family_(std::move(family)), bank_id_(NextBankId()) {
+    : family_(std::move(family)),
+      config_{family_.params(), family_.size(), family_.master_seed(),
+              SketchBackendId::kTwoLevelHash, backend_size},
+      bank_id_(NextBankId()) {
   backend_options_.size = backend_size;
   backend_options_.seed = family_.master_seed();
+}
+
+SketchBank::SketchBank(const SketchConfig& config)
+    : SketchBank(SketchFamily(config.params, config.copies, config.seed),
+                 config.backend_size) {
+  config_.default_backend = config.default_backend;
 }
 
 bool SketchBank::AddStream(const std::string& name) {

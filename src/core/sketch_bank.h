@@ -17,6 +17,7 @@
 
 #include "core/property_checks.h"
 #include "core/sketch_backend.h"
+#include "core/sketch_config.h"
 #include "core/sketch_seed.h"
 #include "core/two_level_hash_sketch.h"
 #include "stream/update.h"
@@ -64,6 +65,10 @@ class SketchBank {
   /// size / SetSketch registers); their hash seed derives from the
   /// family's master seed so distributed banks agree on coins.
   explicit SketchBank(SketchFamily family, uint32_t backend_size = 4096);
+
+  /// Creates the bank a valid `config` describes. AddStream still uses
+  /// the 2-level hash; applying default_backend is the owner's job.
+  explicit SketchBank(const SketchConfig& config);
 
   /// Registers a stream (no-op if already present). Returns true if newly
   /// added.
@@ -167,6 +172,9 @@ class SketchBank {
 
   int num_copies() const { return family_.size(); }
   const SketchFamily& family() const { return family_; }
+  /// The configuration this bank was built under; the family constructor
+  /// records the 2-level hash as its default backend.
+  const SketchConfig& config() const { return config_; }
 
   /// Ingest epoch of stream `name`: starts at 1 on registration and is
   /// bumped on every (potential) counter mutation. Returns 0 for unknown
@@ -184,6 +192,7 @@ class SketchBank {
 
  private:
   SketchFamily family_;
+  SketchConfig config_;
   BackendOptions backend_options_;
   uint64_t bank_id_;
   std::unordered_map<std::string, std::vector<TwoLevelHashSketch>> streams_;

@@ -16,7 +16,7 @@ bool SketchParams::Valid() const {
       first_level_kind != FirstLevelKind::kKWisePoly) {
     return false;
   }
-  if (independence > kMaxIndependence) return false;
+  if (independence < 0 || independence > kMaxIndependence) return false;
   if (first_level_kind == FirstLevelKind::kKWisePoly && independence < 2) {
     return false;
   }

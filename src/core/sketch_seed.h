@@ -80,8 +80,8 @@ struct SketchParams {
 
   /// True iff the configuration is usable: levels in [1, 64], s in
   /// [1, kMaxSecondLevel], a known first-level kind, and independence in
-  /// [2, kMaxIndependence] for the polynomial family (at most
-  /// kMaxIndependence for kMix64, which ignores it). Every decoder checks
+  /// [2, kMaxIndependence] for the polynomial family (in [0,
+  /// kMaxIndependence] for kMix64, which ignores it). Every decoder checks
   /// it before building a family from a header, so these bounds are also
   /// what a hostile header can make a receiver allocate.
   bool Valid() const;

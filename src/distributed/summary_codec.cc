@@ -78,10 +78,7 @@ bool DecodeStreamSummary(const std::string& data, size_t* offset,
     return false;
   }
   if (counter_budget != nullptr) {
-    const SketchParams& params = receiver->family().params();
-    const uint64_t counter_bytes =
-        uint64_t{copies} * static_cast<uint64_t>(params.levels) * 2 *
-        static_cast<uint64_t>(params.num_second_level) * sizeof(int64_t);
+    const uint64_t counter_bytes = receiver->config().CounterBytesPerStream();
     if (counter_bytes > *counter_budget) {
       *error = "needs " + std::to_string(counter_bytes >> 20) +
                " MiB of sketch counters, over the " +

@@ -14,8 +14,9 @@ namespace setsketch {
 namespace {
 
 constexpr uint32_t kSnapshotMagic = 0x534B534E;  // "SKSN"
-// Layout version; SSN1 and SSN2 files were versions 1 and 2.
-constexpr uint8_t kSnapshotVersion = 3;
+// Layout version; SSN1 and SSN2 files were versions 1 and 2, and
+// version 3 spelled the configuration as fixed-width fields.
+constexpr uint8_t kSnapshotVersion = 4;
 
 template <typename T>
 void AppendPod(std::string* out, T value) {
@@ -48,8 +49,7 @@ bool ReadString(const std::string& data, size_t* offset, std::string* s) {
 
 StreamEngine::StreamEngine(const Options& options)
     : options_(options),
-      bank_(SketchFamily(options.params, options.copies, options.seed),
-            options.backend_size),
+      bank_(options),
       plan_cache_(std::make_unique<PlanCache>(
           PlanCache::Options{options.witness})) {
   if (options_.track_exact) {
@@ -141,26 +141,18 @@ size_t StreamEngine::IngestAllParallel(const std::vector<Update>& updates,
   return applied;
 }
 
-std::string EncodeEngineSnapshot(const StreamEngine::Options& options,
+std::string EncodeEngineSnapshot(const SketchBank& bank,
+                                 const WitnessOptions& witness,
                                  int64_t updates_processed,
                                  const std::vector<std::string>& names,
-                                 const SketchBank& bank,
                                  const std::vector<std::string>& query_texts) {
   std::string out;
   AppendPod(&out, kSnapshotMagic);
   AppendPod(&out, kSnapshotVersion);
-  AppendPod(&out, static_cast<uint8_t>(options.default_backend));
-  AppendPod(&out, options.backend_size);
-  const SketchParams& p = options.params;
-  AppendPod(&out, static_cast<int32_t>(p.levels));
-  AppendPod(&out, static_cast<int32_t>(p.num_second_level));
-  AppendPod(&out, static_cast<uint8_t>(p.first_level_kind));
-  AppendPod(&out, static_cast<int32_t>(p.independence));
-  AppendPod(&out, static_cast<int32_t>(options.copies));
-  AppendPod(&out, options.seed);
-  AppendPod(&out, options.witness.epsilon);
-  AppendPod(&out, options.witness.beta);
-  AppendPod(&out, static_cast<uint8_t>(options.witness.pool_all_levels));
+  EncodeSketchConfig(bank.config(), &out);
+  AppendPod(&out, witness.epsilon);
+  AppendPod(&out, witness.beta);
+  AppendPod(&out, static_cast<uint8_t>(witness.pool_all_levels));
   AppendPod(&out, updates_processed);
   AppendPod(&out, static_cast<uint32_t>(names.size()));
   for (const std::string& name : names) {
@@ -191,41 +183,18 @@ bool DecodeEngineSnapshot(const std::string& bytes, uint64_t counter_budget,
     return fail("unsupported engine snapshot version " +
                 std::to_string(version));
   }
-  StreamEngine::Options& options = out->options;
-  uint8_t default_backend = 0;
-  if (!ReadPod(bytes, &offset, &default_backend) ||
-      !ReadPod(bytes, &offset, &options.backend_size) ||
-      !KnownSketchBackend(default_backend) ||
-      options.backend_size < kMinBackendSize ||
-      options.backend_size > kMaxBackendSize) {
-    return fail("malformed snapshot backend configuration");
-  }
-  options.default_backend = static_cast<SketchBackendId>(default_backend);
-  int32_t levels = 0, s = 0, independence = 0, copies = 0;
-  uint8_t kind = 0, pooled = 0;
-  if (!ReadPod(bytes, &offset, &levels) || !ReadPod(bytes, &offset, &s) ||
-      !ReadPod(bytes, &offset, &kind) ||
-      !ReadPod(bytes, &offset, &independence) ||
-      !ReadPod(bytes, &offset, &copies) ||
-      !ReadPod(bytes, &offset, &options.seed) ||
-      !ReadPod(bytes, &offset, &options.witness.epsilon) ||
-      !ReadPod(bytes, &offset, &options.witness.beta) ||
+  if (!DecodeSketchConfig(bytes, &offset, &out->config, error)) return false;
+  WitnessOptions& witness = out->witness;
+  uint8_t pooled = 0;
+  if (!ReadPod(bytes, &offset, &witness.epsilon) ||
+      !ReadPod(bytes, &offset, &witness.beta) ||
       !ReadPod(bytes, &offset, &pooled)) {
     return fail("truncated snapshot header");
   }
-  options.params.levels = levels;
-  options.params.num_second_level = s;
-  options.params.first_level_kind = static_cast<FirstLevelKind>(kind);
-  options.params.independence = independence;
-  options.copies = copies;
-  options.witness.pool_all_levels = pooled != 0;
-  options.track_exact = false;  // Ground truth is not part of a snapshot.
-  if (!options.params.Valid() || copies < 1 || copies > kMaxCopies) {
-    return fail("invalid sketch parameters");
-  }
+  witness.pool_all_levels = pooled != 0;
+  if (!witness.Valid()) return fail("invalid witness options");
   // Every stream is decoded for the configuration the header declares.
-  const SketchBank shape(SketchFamily(options.params, copies, options.seed),
-                         options.backend_size);
+  const SketchBank shape(out->config);
 
   uint32_t num_streams = 0;
   if (!ReadPod(bytes, &offset, &out->updates_processed) ||
@@ -270,8 +239,8 @@ std::string StreamEngine::SaveSnapshot() const {
   for (const PlanCache::Compiled& query : queries_) {
     query_texts.push_back(query->display);
   }
-  return EncodeEngineSnapshot(options_, updates_processed_, names_, bank_,
-                              query_texts);
+  return EncodeEngineSnapshot(bank_, options_.witness, updates_processed_,
+                              names_, query_texts);
 }
 
 std::unique_ptr<StreamEngine> StreamEngine::LoadSnapshot(
@@ -281,7 +250,10 @@ std::unique_ptr<StreamEngine> StreamEngine::LoadSnapshot(
   if (!DecodeEngineSnapshot(bytes, counter_budget, &data, &error)) {
     return nullptr;
   }
-  auto engine = std::make_unique<StreamEngine>(data.options);
+  Options options;
+  static_cast<SketchConfig&>(options) = data.config;
+  options.witness = data.witness;
+  auto engine = std::make_unique<StreamEngine>(options);
   for (auto& [name, summary] : data.streams) {
     // Decoding matched every synopsis to the header's configuration,
     // which this engine adopts. Registering afterwards assigns the id and
@@ -360,7 +332,9 @@ StreamEngine::Explanation StreamEngine::ExplainQuery(int query_id) const {
       options_.witness.mle_union
           ? EstimateSetUnionMle(groups, options_.witness.epsilon)
           : EstimateSetUnion(groups, options_.witness.epsilon);
-  if (union_estimate.ok && union_estimate.estimate > 0) {
+  if (!options_.witness.Valid()) {
+    report += "witness options admit no witness level\n";
+  } else if (union_estimate.ok && union_estimate.estimate > 0) {
     explanation.union_estimate = union_estimate.estimate;
     explanation.witness_level =
         WitnessLevel(union_estimate.estimate, options_.witness.epsilon,

@@ -32,19 +32,8 @@ namespace setsketch {
 /// One-pass engine: ingest updates, answer set-expression cardinalities.
 class StreamEngine {
  public:
-  struct Options {
-    /// Sketch shape shared by all streams.
-    SketchParams params;
-    /// Independent sketch copies r per stream (accuracy knob).
-    int copies = 128;
-    /// Master seed; fixes all hash functions ("stored coins").
-    uint64_t seed = 42;
-    /// Sketch backend for newly registered streams (DESIGN.md §3.8). The
-    /// default keeps the paper's 2-level hash sketch bit-identical.
-    SketchBackendId default_backend = SketchBackendId::kTwoLevelHash;
-    /// Size knob for alternative-backend streams (theta sample size k /
-    /// SetSketch registers K). Ignored by the default backend.
-    uint32_t backend_size = 4096;
+  /// The synopsis shape (core/sketch_config.h) plus engine-local knobs.
+  struct Options : SketchConfig {
     /// Also keep exact stream state so answers can report ground truth.
     /// Costs O(distinct elements) memory — for tests/demos only.
     bool track_exact = false;
@@ -204,34 +193,32 @@ class StreamEngine {
 
 /// Decoded form of a snapshot: everything needed to rebuild a synopsis.
 struct EngineSnapshotData {
-  StreamEngine::Options options;  // track_exact always false.
+  SketchConfig config;
+  WitnessOptions witness;
   int64_t updates_processed = 0;
   /// Every stream's name and synopsis, in id order.
   std::vector<std::pair<std::string, StreamSummary>> streams;
   std::vector<std::string> query_texts;
 };
 
-/// Serializes a synopsis: configuration (the sketch parameters, copies,
-/// seed, default backend and backend size), every stream's synopsis in
-/// `names` order (each name must exist in `bank`), and query texts. The
-/// byte format is StreamEngine::SaveSnapshot's: u32 magic "SKSN", u8
-/// version 3, the fixed-width configuration, then each stream as a
-/// u32-length name followed by its synopsis in the one per-stream
-/// layout (distributed/summary_codec.h). Restorers refuse a snapshot
-/// whose configuration disagrees with their own, exactly like
-/// mismatching stored coins.
-std::string EncodeEngineSnapshot(const StreamEngine::Options& options,
+/// Serializes a synopsis in StreamEngine::SaveSnapshot's format: u32
+/// magic "SKSN", u8 version 4, `bank`'s config (EncodeSketchConfig, the
+/// hello's codec), the witness epsilon, beta and pooling flag, then each
+/// stream in `names` order (each must exist in `bank`) as a u32-length
+/// name and its synopsis (distributed/summary_codec.h), then the query
+/// texts. Restorers refuse a config that is not == their own.
+std::string EncodeEngineSnapshot(const SketchBank& bank,
+                                 const WitnessOptions& witness,
                                  int64_t updates_processed,
                                  const std::vector<std::string>& names,
-                                 const SketchBank& bank,
                                  const std::vector<std::string>& query_texts);
 
 /// Parses EncodeEngineSnapshot bytes. False with *error on malformed
-/// input, another magic or another version byte, a stream whose synopsis
-/// does not match the header's configuration, or streams that would build
-/// more than `counter_budget` bytes of sketch counters
-/// (DecodeStreamSummary). Restorers compare that configuration with
-/// their own.
+/// input, another magic or another version byte, a configuration
+/// DecodeSketchConfig refuses, witness options WitnessOptions::Valid
+/// refuses, a stream whose synopsis does not match the header's
+/// configuration, or streams that would build more than `counter_budget`
+/// bytes of sketch counters (DecodeStreamSummary).
 bool DecodeEngineSnapshot(const std::string& bytes, uint64_t counter_budget,
                           EngineSnapshotData* out, std::string* error);
 

@@ -415,32 +415,12 @@ QueryResultInfo PlannedQueryResult(const CompiledQuery& query,
   return result;
 }
 
-HelloInfo MakeHello(uint8_t features, const SketchParams& params, int copies,
-                    uint64_t seed, SketchBackendId backend,
-                    uint32_t backend_size) {
-  HelloInfo hello;
-  hello.features = features;
-  hello.params = params;
-  hello.copies = copies;
-  hello.seed = seed;
-  hello.backend = static_cast<uint8_t>(backend);
-  hello.backend_size = backend_size;
-  return hello;
-}
-
 std::string EncodeHello(const HelloInfo& hello, bool response) {
   std::string out;
   AppendU32(&out, response ? kHelloResponseMagic : kHelloRequestMagic);
   out.push_back(static_cast<char>(kHelloVersion));
   out.push_back(static_cast<char>(hello.features));
-  AppendVarint(&out, static_cast<uint64_t>(hello.params.levels));
-  AppendVarint(&out, static_cast<uint64_t>(hello.params.num_second_level));
-  AppendVarint(&out, static_cast<uint64_t>(hello.params.first_level_kind));
-  AppendVarint(&out, static_cast<uint64_t>(hello.params.independence));
-  AppendVarint(&out, static_cast<uint64_t>(hello.copies));
-  AppendVarint(&out, hello.seed);
-  AppendVarint(&out, static_cast<uint64_t>(hello.backend));
-  AppendVarint(&out, static_cast<uint64_t>(hello.backend_size));
+  EncodeSketchConfig(hello.config, &out);
   return out;
 }
 
@@ -454,35 +434,9 @@ bool DecodeHello(const std::string& payload, bool response, HelloInfo* out) {
   if (static_cast<uint8_t>(payload[4]) != kHelloVersion) return false;
   out->features = static_cast<uint8_t>(payload[5]);
   size_t offset = sizeof(uint32_t) + 2;
-  uint64_t levels = 0, second = 0, kind = 0, independence = 0, copies = 0;
-  uint64_t backend = 0, backend_size = 0;
-  if (!ReadVarint(payload, &offset, &levels) ||
-      !ReadVarint(payload, &offset, &second) ||
-      !ReadVarint(payload, &offset, &kind) ||
-      !ReadVarint(payload, &offset, &independence) ||
-      !ReadVarint(payload, &offset, &copies) ||
-      !ReadVarint(payload, &offset, &out->seed) ||
-      !ReadVarint(payload, &offset, &backend) ||
-      !ReadVarint(payload, &offset, &backend_size) ||
-      offset != payload.size()) {
-    return false;
-  }
-  // Bound the fields to sane configuration space before narrowing.
-  if (levels > 4096 || second > static_cast<uint64_t>(kMaxSecondLevel) ||
-      kind > 1 || independence > static_cast<uint64_t>(kMaxIndependence) ||
-      copies > static_cast<uint64_t>(kMaxCopies) ||
-      backend > kMaxSketchBackendId ||
-      backend_size < kMinBackendSize || backend_size > kMaxBackendSize) {
-    return false;
-  }
-  out->params.levels = static_cast<int>(levels);
-  out->params.num_second_level = static_cast<int>(second);
-  out->params.first_level_kind = static_cast<FirstLevelKind>(kind);
-  out->params.independence = static_cast<int>(independence);
-  out->copies = static_cast<int>(copies);
-  out->backend = static_cast<uint8_t>(backend);
-  out->backend_size = static_cast<uint32_t>(backend_size);
-  return true;
+  std::string why;
+  return DecodeSketchConfig(payload, &offset, &out->config, &why) &&
+         offset == payload.size();
 }
 
 std::string EncodeSummaryPull(const SummaryPullRequest& request) {

@@ -39,8 +39,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/sketch_backend.h"
-#include "core/sketch_seed.h"
+#include "core/sketch_config.h"
 #include "distributed/summary_codec.h"
 #include "query/plan_cache.h"
 #include "server/wal.h"
@@ -244,16 +243,15 @@ QueryResultInfo PlannedQueryResult(const CompiledQuery& query,
 // ---------------------------------------------------------------------------
 // Cluster handshake. A hello rides inside PING/PONG payloads, carrying
 // the protocol feature byte plus the sender's sketch configuration — the
-// deployment's "stored coins". A router refuses shards whose (params,
-// copies, seed, backend, backend size) disagree with its own instead of
-// silently merging incompatible coins. A PING whose payload is not a
-// hello (a plain liveness ping) is echoed verbatim.
+// deployment's "stored coins". A router refuses shards whose config is
+// not == its own instead of silently merging incompatible coins. A PING
+// whose payload is not a hello (a plain liveness ping) is echoed
+// verbatim.
 
 inline constexpr uint32_t kHelloRequestMagic = 0x534B4849u;   // "SKHI".
 inline constexpr uint32_t kHelloResponseMagic = 0x534B484Fu;  // "SKHO".
-/// Hello layout version: magic, version byte, feature byte, then eight
-/// varints (levels, second-level count, first-level kind, independence,
-/// copies, seed, backend id, backend size). Decoders refuse any other
+/// Hello layout version: magic, version byte, feature byte, then the
+/// configuration block (EncodeSketchConfig). Decoders refuse any other
 /// version byte.
 inline constexpr uint8_t kHelloVersion = 2;
 /// Feature bit: the peer serves PULL_SUMMARY (cluster federation).
@@ -262,36 +260,18 @@ inline constexpr uint8_t kFeatureSummaryPull = 0x01;
 /// catch-up and membership migration).
 inline constexpr uint8_t kFeatureRepair = 0x02;
 
+/// A hello: feature bits plus the sender's configuration. Peers combine
+/// synopses only when the configs are ==.
 struct HelloInfo {
   uint8_t features = 0;
-  SketchParams params;
-  int copies = 0;
-  uint64_t seed = 0;
-  /// Default sketch backend id (SketchBackendId; 0 = 2-level hash) and
-  /// its size knob.
-  uint8_t backend = 0;
-  uint32_t backend_size = 4096;
-
-  /// True iff the peers' coins are interchangeable. Backend configuration
-  /// is part of the coins: a backend-tagged router must not merge
-  /// synopses from a shard that builds a different (or no) backend, so a
-  /// mismatch is refused exactly like mismatched seeds.
-  bool ConfigMatches(const HelloInfo& other) const {
-    return params == other.params && copies == other.copies &&
-           seed == other.seed && backend == other.backend &&
-           backend_size == other.backend_size;
-  }
+  SketchConfig config;
 };
-/// The hello a process built with this configuration sends and answers
-/// with (the server, the router and the router's shard dials share it).
-HelloInfo MakeHello(uint8_t features, const SketchParams& params, int copies,
-                    uint64_t seed, SketchBackendId backend,
-                    uint32_t backend_size);
 /// Encodes a hello as a PING (request) or PONG (response) payload.
 std::string EncodeHello(const HelloInfo& hello, bool response);
 /// Decodes a hello payload of the given direction. Returns false for
-/// anything else: another version byte, or a verbatim echo of the
-/// request payload when `response` is set (the magics differ).
+/// anything else: another version byte, a configuration
+/// DecodeSketchConfig refuses, or a verbatim echo of the request payload
+/// when `response` is set (the magics differ).
 bool DecodeHello(const std::string& payload, bool response, HelloInfo* out);
 
 // ---------------------------------------------------------------------------

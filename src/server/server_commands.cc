@@ -37,10 +37,9 @@ std::unique_ptr<SketchClient> Dial(const std::string& host, int port,
 
 CommandResult RunServe(const SketchServer::Options& options,
                        std::ostream* announce) {
-  if (!options.params.Valid()) return Fail("invalid sketch parameters");
-  if (options.copies < 1) return Fail("--copies must be >= 1");
-  SketchServer server(options);
   std::string error;
+  if (!options.Validate(&error)) return Fail(error);
+  SketchServer server(options);
   if (!server.Start(&error)) return Fail("cannot start server: " + error);
   if (announce != nullptr) {
     *announce << "listening on " << options.bind_address << ":"

@@ -41,8 +41,7 @@ void ApplyGroup(const StreamBatch& group, int begin, int end,
 
 SketchServer::SketchServer(const Options& options)
     : options_(options),
-      bank_(SketchFamily(options.params, options.copies, options.seed),
-            options.backend_size),
+      bank_(options),
       coordinator_(options.params, options.copies, options.seed),
       plan_cache_(PlanCache::Options{options.witness}) {
   if (options_.shards < 1) options_.shards = 1;
@@ -61,6 +60,7 @@ bool SketchServer::Start(std::string* error) {
     return false;
   };
 
+  if (!options_.Validate(error)) return false;
   // Recover persisted state BEFORE opening the listen socket: no client
   // can observe (or push into) a partially restored server.
   if (!options_.wal_dir.empty() && !RecoverAndOpenWal(error)) return false;
@@ -167,10 +167,8 @@ std::string SketchServer::HandleFrame(Opcode opcode, std::string_view payload,
       if (DecodeHello(std::string(payload), /*response=*/false, &hello)) {
         return EncodeFrame(
             Opcode::kPong,
-            EncodeHello(MakeHello(kFeatureSummaryPull | kFeatureRepair,
-                                  options_.params, options_.copies,
-                                  options_.seed, options_.default_backend,
-                                  options_.backend_size),
+            EncodeHello(HelloInfo{kFeatureSummaryPull | kFeatureRepair,
+                                  options_},
                         /*response=*/true));
       }
       return EncodeFrame(Opcode::kPong, payload);
@@ -597,16 +595,9 @@ std::string SketchServer::HandlePushRepair(std::string_view payload,
 }
 
 std::string SketchServer::EncodeBankSnapshot() {
-  StreamEngine::Options engine_options;
-  engine_options.params = options_.params;
-  engine_options.copies = options_.copies;
-  engine_options.seed = options_.seed;
-  engine_options.witness = options_.witness;
-  engine_options.default_backend = options_.default_backend;
-  engine_options.backend_size = options_.backend_size;
   MutexLock lock(&registry_mutex_);
-  return EncodeEngineSnapshot(engine_options, persisted_updates_,
-                              names_by_id_, bank_, {});
+  return EncodeEngineSnapshot(bank_, options_.witness, persisted_updates_,
+                              names_by_id_, {});
 }
 
 bool SketchServer::RecoverAndOpenWal(std::string* error) {
@@ -634,23 +625,11 @@ bool SketchServer::RecoverAndOpenWal(std::string* error) {
                               &snapshot_error)) {
       return fail("checkpoint engine snapshot: " + snapshot_error);
     }
-    const SketchParams& p = data.options.params;
-    if (p.levels != options_.params.levels ||
-        p.num_second_level != options_.params.num_second_level ||
-        p.first_level_kind != options_.params.first_level_kind ||
-        p.independence != options_.params.independence ||
-        data.options.copies != options_.copies ||
-        data.options.seed != options_.seed) {
+    if (data.config != options_) {
       return fail(
           "checkpoint was written with a different sketch configuration "
-          "(params/copies/seed); refusing to mix incompatible synopses");
-    }
-    if (data.options.default_backend != options_.default_backend ||
-        data.options.backend_size != options_.backend_size) {
-      return fail(
-          "checkpoint was written under a different sketch backend "
-          "configuration (backend/size); refusing to mix incompatible "
-          "synopses");
+          "(params, copies, seed, backend or backend size); refusing to "
+          "mix incompatible synopses");
     }
     for (auto& [name, summary] : data.streams) {
       std::string why;

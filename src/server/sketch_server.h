@@ -82,22 +82,12 @@ class FaultInjector;
 /// SHUTDOWN frame followed by Wait()) drains and joins them.
 class SketchServer : private EpollServerBackend::Handler {
  public:
-  struct Options {
-    /// Sketch configuration — the deployment-wide "stored coins". Clients
-    /// pushing summaries must have been built with the same triple.
-    SketchParams params;
-    int copies = 128;
-    uint64_t seed = 42;
-
-    /// Distinct-sketch backend for newly created streams (DESIGN.md §3.8).
-    /// PUSH_UPDATES backend tags override it per stream at first sight;
-    /// mismatched tags on existing streams are refused (CONFIG_MISMATCH),
-    /// exactly like foreign stored coins. The default keeps every answer
-    /// bit-identical to the pre-backend server.
-    SketchBackendId default_backend = SketchBackendId::kTwoLevelHash;
-    /// Size knob for alternative backends (registers / sample capacity).
-    uint32_t backend_size = 4096;
-
+  /// The deployment-wide "stored coins" (core/sketch_config.h): clients
+  /// pushing summaries must have been built with the same config. PUSH
+  /// backend tags override default_backend per stream at first sight;
+  /// mismatched tags on existing streams are refused (CONFIG_MISMATCH),
+  /// exactly like foreign stored coins.
+  struct Options : SketchConfig {
     /// Ingest shards (worker threads); each owns a copy range.
     int shards = 2;
     /// Max batches in flight per shard before RETRY_LATER.
@@ -156,7 +146,9 @@ class SketchServer : private EpollServerBackend::Handler {
   SketchServer& operator=(const SketchServer&) = delete;
 
   /// Binds, listens and spawns acceptor + shard workers. Returns false
-  /// (with *error filled) if the socket setup fails.
+  /// (with *error filled) for a config SketchConfig::Validate refuses,
+  /// before recovering or binding anything, or if recovery or the socket
+  /// setup fails.
   bool Start(std::string* error = nullptr);
 
   /// Port actually bound (resolves ephemeral port 0); -1 before Start.

@@ -9,15 +9,11 @@
 namespace setsketch {
 
 std::string EncodeBank(const SketchBank& bank) {
-  StreamEngine::Options options;
-  options.params = bank.family().params();
-  options.copies = bank.num_copies();
-  options.seed = bank.family().master_seed();
-  options.backend_size = bank.backend_options().size;
   // Stable stream order makes encodings reproducible.
   std::vector<std::string> names = bank.StreamNames();
   std::sort(names.begin(), names.end());
-  return EncodeEngineSnapshot(options, /*updates_processed=*/0, names, bank,
+  return EncodeEngineSnapshot(bank, WitnessOptions{},
+                              /*updates_processed=*/0, names,
                               /*query_texts=*/{});
 }
 
@@ -29,10 +25,7 @@ std::unique_ptr<SketchBank> DecodeBank(const std::string& bytes,
     if (error != nullptr) *error = "not a sketch-bank file: " + why;
     return nullptr;
   }
-  const StreamEngine::Options& options = data.options;
-  auto bank = std::make_unique<SketchBank>(
-      SketchFamily(options.params, options.copies, options.seed),
-      options.backend_size);
+  auto bank = std::make_unique<SketchBank>(data.config);
   for (auto& [name, summary] : data.streams) {
     if (!bank->InstallSummary(name, std::move(summary), &why)) {
       if (error != nullptr) *error = "stream '" + name + "' " + why;

@@ -16,8 +16,8 @@
 
 namespace setsketch {
 
-/// Serializes a bank (params, copies, master seed, backend size, every
-/// stream's synopsis in name order) into a byte buffer.
+/// Serializes a bank (its SketchConfig, every stream's synopsis in name
+/// order) into a byte buffer.
 std::string EncodeBank(const SketchBank& bank);
 
 /// Decodes EncodeBank bytes. On failure returns nullptr and, if `error`

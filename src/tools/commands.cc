@@ -8,6 +8,7 @@
 #include "core/confidence.h"
 #include "core/set_expression_estimator.h"
 #include "core/set_union_estimator.h"
+#include "core/sketch_config.h"
 #include "distributed/summary_codec.h"
 #include "expr/parser.h"
 #include "query/plan_cache.h"
@@ -32,13 +33,10 @@ std::unique_ptr<SketchBank> LoadBank(const std::string& path,
   return DecodeBank(bytes, error);
 }
 
-/// Empty when `streams` streams of `copies` copies shaped by `params` fit
-/// a bank file (DecodeBank reads it back); otherwise why they do not.
-std::string OverBankFileBudget(size_t streams, const SketchParams& params,
-                               int copies) {
-  const uint64_t stream_bytes =
-      static_cast<uint64_t>(copies) * static_cast<uint64_t>(params.levels) *
-      2 * static_cast<uint64_t>(params.num_second_level) * sizeof(int64_t);
+/// Empty when `streams` streams shaped by `config` fit a bank file
+/// (DecodeBank reads it back); otherwise why they do not.
+std::string OverBankFileBudget(size_t streams, const SketchConfig& config) {
+  const uint64_t stream_bytes = config.CounterBytesPerStream();
   if (streams <= kMaxDecodedCounterBytes / stream_bytes) return {};
   return std::to_string(streams) + " streams of " +
          std::to_string(stream_bytes >> 10) +
@@ -63,8 +61,9 @@ std::string DescribeParams(const SketchBank& bank) {
 }  // namespace
 
 CommandResult RunBuild(const BuildSpec& spec) {
-  if (!spec.params.Valid()) return Fail("invalid sketch parameters");
-  if (spec.copies < 1) return Fail("--copies must be >= 1");
+  const SketchConfig config{spec.params, spec.copies, spec.seed};
+  std::string error;
+  if (!config.Validate(&error)) return Fail(error);
   std::ifstream in(spec.updates_path);
   if (!in) return Fail("cannot open updates file: " + spec.updates_path);
   const ParsedUpdates parsed = ReadUpdates(in);
@@ -97,17 +96,15 @@ CommandResult RunBuild(const BuildSpec& spec) {
 
   // Refused before anything is built: sketchtool writes only banks it
   // can read back.
-  const std::string over =
-      OverBankFileBudget(names.size(), spec.params, spec.copies);
+  const std::string over = OverBankFileBudget(names.size(), config);
   if (!over.empty()) return Fail(over);
 
-  SketchBank bank(SketchFamily(spec.params, spec.copies, spec.seed));
+  SketchBank bank(config);
   for (const std::string& name : names) bank.AddStream(name);
   for (const Update& u : parsed.updates) {
     bank.Apply(names[u.stream], u.element, u.delta);
   }
 
-  std::string error;
   if (!WriteFileBytes(spec.output_path, EncodeBank(bank), &error)) {
     return Fail(error);
   }
@@ -189,9 +186,7 @@ CommandResult RunMerge(const std::vector<std::string>& input_paths,
   for (size_t i = 1; i < input_paths.size(); ++i) {
     const std::unique_ptr<SketchBank> next = load(input_paths[i]);
     if (!next) return Fail(error);
-    if (!(next->family().params() == merged->family().params()) ||
-        next->num_copies() != merged->num_copies() ||
-        next->family().master_seed() != merged->family().master_seed()) {
+    if (next->config() != merged->config()) {
       return Fail(input_paths[i] +
                   ": configuration/master seed differs from " +
                   input_paths[0] + " (sketches are not combinable)");
@@ -211,8 +206,7 @@ CommandResult RunMerge(const std::vector<std::string>& input_paths,
     }
   }
   const std::string over =
-      OverBankFileBudget(merged->StreamNames().size(),
-                         merged->family().params(), merged->num_copies());
+      OverBankFileBudget(merged->StreamNames().size(), merged->config());
   if (!over.empty()) return Fail(over);
   if (!WriteFileBytes(output_path, EncodeBank(*merged), &error)) {
     return Fail(error);

@@ -20,6 +20,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -340,16 +341,16 @@ TEST(ClusterHandshakeTest, HelloExchangesConfigAndFeatures) {
   auto client = MustConnect(server.port());
 
   HelloInfo mine;
-  mine.params = TestParams();
-  mine.copies = kCopies;
-  mine.seed = kMasterSeed;
+  mine.config.params = TestParams();
+  mine.config.copies = kCopies;
+  mine.config.seed = kMasterSeed;
   HelloInfo theirs;
   const SketchClient::Status status = client->Hello(mine, &theirs);
   ASSERT_TRUE(status.ok) << status.error;
-  EXPECT_TRUE(theirs.params == TestParams());
-  EXPECT_EQ(theirs.copies, kCopies);
-  EXPECT_EQ(theirs.seed, kMasterSeed);
-  EXPECT_TRUE(theirs.ConfigMatches(mine));
+  EXPECT_TRUE(theirs.config.params == TestParams());
+  EXPECT_EQ(theirs.config.copies, kCopies);
+  EXPECT_EQ(theirs.config.seed, kMasterSeed);
+  EXPECT_TRUE(theirs.config == mine.config);
   EXPECT_NE(theirs.features & kFeatureSummaryPull, 0u);
 
   // A plain PING (no hello payload) still echoes, so pre-cluster clients
@@ -1686,6 +1687,31 @@ TEST(ClusterCommandsTest, ParseShardListValidatesInput) {
   EXPECT_FALSE(ParseShardList(":7001", &shards, &error));
   EXPECT_FALSE(ParseShardList("host:notaport", &shards, &error));
   EXPECT_FALSE(ParseShardList("host:99999", &shards, &error));
+}
+
+TEST(ClusterCommandsTest, InvalidConfigIsRefusedBeforeBinding) {
+  ClusterRouter::Options options;
+  ClusterShard shard;
+  shard.name = "s0";
+  shard.port = 1;
+  options.shards = {shard, shard};
+  options.backend_size = kMinBackendSize / 2;
+  ClusterRouter router(options);
+  std::string error;
+  EXPECT_FALSE(router.Start(&error));
+  EXPECT_NE(error.find("invalid sketch configuration"), std::string::npos)
+      << error;
+  EXPECT_LE(router.port(), 0);  // Never bound.
+
+  options.backend_size = 4096;
+  options.copies = 0;
+  std::ostringstream announce;
+  const CommandResult routed = RunRoute(options, &announce);
+  EXPECT_FALSE(routed.ok);
+  EXPECT_NE(routed.error.find("invalid sketch configuration"),
+            std::string::npos)
+      << routed.error;
+  EXPECT_TRUE(announce.str().empty());
 }
 
 TEST(ClusterCommandsTest, RunRouteRejectsBadOptions) {

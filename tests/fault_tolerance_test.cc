@@ -709,6 +709,37 @@ TEST(FaultToleranceTest, GracefulStopCheckpointRestoresWithoutReplay) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(FaultToleranceTest, EveryValidConfigRestoresFromItsOwnCheckpoint) {
+  // The largest copy count and backend size SketchConfig::Validate
+  // accepts: a server may start with them only if it can restore the
+  // checkpoint it writes (levels 1 and s 1 keep the family small).
+  const std::filesystem::path dir = FreshDir("ft_checkpoint_bounds");
+  SketchServer::Options options = WalServerOptions(dir.string(), kMaxCopies);
+  options.params.levels = 1;
+  options.params.num_second_level = 1;
+  options.backend_size = kMaxBackendSize;
+  ASSERT_TRUE(options.Validate(nullptr));
+  std::vector<TwoLevelHashSketch> before;
+  {
+    SketchServer server(options);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    std::unique_ptr<SketchClient> client =
+        SketchClient::Connect("127.0.0.1", server.port(), &error);
+    ASSERT_NE(client, nullptr) << error;
+    ASSERT_TRUE(client->PushUpdatesWithRetry(MakeBatch(0, 8)).ok);
+    server.Stop();  // Graceful: compacts into a checkpoint.
+    EXPECT_GE(server.stats().snapshots_written, 1u);
+    before = server.bank().Sketches("A");
+  }
+  SketchServer recovered(options);
+  std::string error;
+  ASSERT_TRUE(recovered.Start(&error)) << error;
+  EXPECT_EQ(recovered.stats().recoveries, 1u);
+  recovered.Stop();
+  EXPECT_EQ(recovered.bank().Sketches("A"), before);
+}
+
 TEST(FaultToleranceTest, CheckpointPastTheBankFileBudgetRestores) {
   // A server's bank may hold more counters than a bank file may declare
   // (kMaxDecodedCounterBytes); its own checkpoint must still restore.

@@ -89,14 +89,14 @@ TEST(GoldenBytesTest, FrameHeader) {
 TEST(GoldenBytesTest, HelloRequest) {
   // "SKHI" magic, version 2, features, then levels, s, first-level
   // kind, independence, copies, seed, backend id, backend size (varints).
-  const HelloInfo hello =
-      MakeHello(kFeatureSummaryPull | kFeatureRepair, TinyParams(), 1, kSeed,
-                SketchBackendId::kTwoLevelHash, 4096);
+  const HelloInfo hello{kFeatureSummaryPull | kFeatureRepair,
+                        SketchConfig{TinyParams(), 1, kSeed,
+                                     SketchBackendId::kTwoLevelHash, 4096}};
   const std::string payload = EncodeHello(hello, /*response=*/false);
   EXPECT_EQ(Hex(payload), "49484b530203020100080105008020");
   HelloInfo decoded;
   ASSERT_TRUE(DecodeHello(payload, /*response=*/false, &decoded));
-  EXPECT_TRUE(decoded.ConfigMatches(hello));
+  EXPECT_TRUE(decoded.config == hello.config);
   EXPECT_EQ(decoded.features, hello.features);
 
   for (const uint8_t version : {uint8_t{1}, uint8_t{3}}) {
@@ -168,10 +168,10 @@ TEST(GoldenBytesTest, EngineSnapshotBytesAndFixedPoint) {
   engine.Ingest("A", 7, 1);
   const std::string bytes = engine.SaveSnapshot();
   EXPECT_EQ(Hex(bytes),
-            "4e534b53" "03"                       // "SKSN", version 3
-            "00" "00100000"                       // backend 0, size 4096
-            "02000000" "01000000" "00" "08000000"  // levels, s, kind, t
-            "01000000" "0500000000000000"         // copies, seed
+            "4e534b53" "04"                       // "SKSN", version 4
+            "02" "01" "00" "08" "01" "05"         // levels, s, kind, t,
+                                                  // copies, seed
+            "00" "8020"                           // backend 0, size 4096
             "000000000000e03f" "0000000000000040" "00"  // witness
             "0100000000000000"                    // updates processed
             "01000000" "01000000" "41"            // one stream, "A"
@@ -186,7 +186,7 @@ TEST(GoldenBytesTest, EngineSnapshotBytesAndFixedPoint) {
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->SaveSnapshot(), bytes);
 
-  for (const uint8_t version : {uint8_t{2}, uint8_t{4}}) {
+  for (const uint8_t version : {uint8_t{3}, uint8_t{5}}) {
     std::string other = bytes;
     other[4] = static_cast<char>(version);
     EngineSnapshotData data;

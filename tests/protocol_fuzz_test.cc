@@ -569,36 +569,36 @@ TEST(ProtocolFuzzTest, HostileQueryPayloadsNeverCrashThePlanner) {
 
 TEST(HelloCodecTest, BackendConfigUpgradesToVersion2AndRoundTrips) {
   HelloInfo mine;
-  mine.params.levels = 16;
-  mine.params.num_second_level = 32;
-  mine.copies = 64;
-  mine.seed = 7;
-  mine.backend = static_cast<uint8_t>(SketchBackendId::kThetaKmv);
-  mine.backend_size = 8192;
+  mine.config.params.levels = 16;
+  mine.config.params.num_second_level = 32;
+  mine.config.copies = 64;
+  mine.config.seed = 7;
+  mine.config.default_backend = SketchBackendId::kThetaKmv;
+  mine.config.backend_size = 8192;
   for (const bool response : {false, true}) {
     const std::string payload = EncodeHello(mine, response);
     ASSERT_GT(payload.size(), 4u);
     EXPECT_EQ(static_cast<uint8_t>(payload[4]), kHelloVersion);
     HelloInfo decoded;
     ASSERT_TRUE(DecodeHello(payload, response, &decoded));
-    EXPECT_EQ(decoded.backend, mine.backend);
-    EXPECT_EQ(decoded.backend_size, mine.backend_size);
-    EXPECT_TRUE(decoded.ConfigMatches(mine));
+    EXPECT_EQ(decoded.config.default_backend, mine.config.default_backend);
+    EXPECT_EQ(decoded.config.backend_size, mine.config.backend_size);
+    EXPECT_TRUE(decoded.config == mine.config);
     HelloInfo defaults = mine;
-    defaults.backend = 0;
-    defaults.backend_size = 4096;
-    EXPECT_FALSE(decoded.ConfigMatches(defaults));
+    defaults.config.default_backend = SketchBackendId::kTwoLevelHash;
+    defaults.config.backend_size = 4096;
+    EXPECT_FALSE(decoded.config == defaults.config);
   }
 }
 
 TEST(HelloCodecTest, RejectsHostileBackendFieldsAndEveryTruncation) {
   HelloInfo mine;
-  mine.params.levels = 32;
-  mine.params.num_second_level = 32;
-  mine.copies = 128;
-  mine.seed = 42;
-  mine.backend = static_cast<uint8_t>(SketchBackendId::kSetSketch);
-  mine.backend_size = 1024;
+  mine.config.params.levels = 32;
+  mine.config.params.num_second_level = 32;
+  mine.config.copies = 128;
+  mine.config.seed = 42;
+  mine.config.default_backend = SketchBackendId::kSetSketch;
+  mine.config.backend_size = 1024;
   const std::string payload = EncodeHello(mine, /*response=*/false);
   for (size_t cut = 0; cut < payload.size(); ++cut) {
     HelloInfo decoded;
@@ -607,19 +607,23 @@ TEST(HelloCodecTest, RejectsHostileBackendFieldsAndEveryTruncation) {
         << "cut " << cut;
   }
 
-  // Unknown backend ids and out-of-range sizes are refused before any
-  // narrowing — a hostile peer cannot plant an unconstructible config.
-  const auto craft = [&](uint64_t backend, uint64_t size) {
+  // Unknown backend ids and out-of-range sizes or shapes are refused
+  // before any narrowing — a hostile peer cannot plant an
+  // unconstructible config. The hello refuses exactly what
+  // SketchConfig::Validate refuses.
+  const auto craft = [&](uint64_t backend, uint64_t size,
+                         uint64_t levels = 32, uint64_t s = 32,
+                         uint64_t copies = 128) {
     std::string bytes;
     const uint32_t magic = kHelloRequestMagic;
     bytes.append(reinterpret_cast<const char*>(&magic), sizeof(magic));
     bytes.push_back(static_cast<char>(kHelloVersion));
     bytes.push_back('\0');
-    AppendVarint(&bytes, 32);
-    AppendVarint(&bytes, 32);
+    AppendVarint(&bytes, levels);
+    AppendVarint(&bytes, s);
     AppendVarint(&bytes, 0);
     AppendVarint(&bytes, 0);
-    AppendVarint(&bytes, 128);
+    AppendVarint(&bytes, copies);
     AppendVarint(&bytes, 42);
     AppendVarint(&bytes, backend);
     AppendVarint(&bytes, size);
@@ -631,6 +635,21 @@ TEST(HelloCodecTest, RejectsHostileBackendFieldsAndEveryTruncation) {
   EXPECT_FALSE(
       DecodeHello(craft(1, uint64_t{kMaxBackendSize} + 1), false, &decoded));
   EXPECT_TRUE(DecodeHello(craft(1, 4096), false, &decoded));
+  for (const uint64_t levels : {0, 65}) {
+    EXPECT_FALSE(DecodeHello(craft(1, 4096, levels), false, &decoded))
+        << "levels " << levels;
+  }
+  for (const uint64_t s : {0, kMaxSecondLevel + 1}) {
+    EXPECT_FALSE(DecodeHello(craft(1, 4096, 32, s), false, &decoded))
+        << "s " << s;
+  }
+  for (const uint64_t copies : {0, kMaxCopies + 1}) {
+    EXPECT_FALSE(DecodeHello(craft(1, 4096, 32, 32, copies), false,
+                             &decoded))
+        << "copies " << copies;
+  }
+  EXPECT_TRUE(DecodeHello(craft(1, 4096, 64, kMaxSecondLevel, kMaxCopies),
+                          false, &decoded));
 }
 
 // ---------------------------------------------------------------------------

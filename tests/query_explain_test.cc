@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "query/stream_engine.h"
 #include "test_helpers.h"
 
@@ -73,6 +75,25 @@ TEST(ExplainTest, ReportsWitnessGeometryWithData) {
   EXPECT_EQ(explanation.streams,
             (std::vector<std::string>{"A", "B"}));
   EXPECT_NE(explanation.report.find("witness level"), std::string::npos);
+}
+
+TEST(ExplainTest, WitnessOptionsWithoutALevelExplainWithoutAborting) {
+  for (const double beta : {std::nan(""), 1.0}) {
+    StreamEngine::Options options = ExplainOptions();
+    options.witness.beta = beta;
+    StreamEngine engine(options);
+    const auto q = engine.RegisterQuery("A - B");
+    ASSERT_TRUE(q.ok());
+    for (uint64_t e = 0; e < 1000; ++e) {
+      engine.Ingest("A", e, 1);
+      if (e % 2 == 0) engine.Ingest("B", e, 1);
+    }
+    EXPECT_FALSE(engine.AnswerQuery(q.id).ok);
+    const auto explanation = engine.ExplainQuery(q.id);
+    EXPECT_EQ(explanation.witness_level, -1);
+    EXPECT_NE(explanation.report.find("no witness level"), std::string::npos)
+        << explanation.report;
+  }
 }
 
 }  // namespace

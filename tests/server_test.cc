@@ -15,7 +15,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
+#include <sstream>
 #include <thread>
 
 #include "capped_child.h"
@@ -27,6 +29,7 @@
 #include "frame_reader.h"
 #include "hash/prng.h"
 #include "query/plan_cache.h"
+#include "server/server_commands.h"
 #include "server/shard_queue.h"
 #include "server/sketch_client.h"
 #include "server/sketch_server.h"
@@ -240,6 +243,38 @@ TEST(SketchServerTest, EndToEndLoopbackWithSummaryAndQueries) {
 }
 
 // --- Acceptance: backpressure + graceful drain --------------------------
+
+TEST(SketchServerTest, InvalidConfigIsRefusedBeforeRecoveryOrBinding) {
+  // A backend size the first tagged push would abort the server on, and
+  // a copy count its own checkpoint could never be restored with.
+  SketchServer::Options small_backend;
+  small_backend.backend_size = kMinBackendSize / 2;
+  SketchServer::Options too_many_copies;
+  too_many_copies.params.levels = 1;
+  too_many_copies.params.num_second_level = 1;
+  too_many_copies.copies = kMaxCopies + 1;
+  for (SketchServer::Options options : {small_backend, too_many_copies}) {
+    const std::filesystem::path wal =
+        std::filesystem::path(::testing::TempDir()) / "never_created_wal";
+    std::filesystem::remove_all(wal);
+    options.wal_dir = wal.string();
+    SketchServer server(options);
+    std::string error;
+    EXPECT_FALSE(server.Start(&error));
+    EXPECT_NE(error.find("invalid sketch configuration"), std::string::npos)
+        << error;
+    EXPECT_LE(server.port(), 0);  // Never bound.
+    EXPECT_FALSE(std::filesystem::exists(wal));
+
+    std::ostringstream announce;
+    const CommandResult served = RunServe(options, &announce);
+    EXPECT_FALSE(served.ok);
+    EXPECT_NE(served.error.find("invalid sketch configuration"),
+              std::string::npos)
+        << served.error;
+    EXPECT_TRUE(announce.str().empty());
+  }
+}
 
 TEST(SketchServerTest, BackpressureRetryLaterLosesNoAcknowledgedBatch) {
   // One slow shard with a single-slot queue: the round trip is much

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/sketch_bank.h"
+#include "core/sketch_config.h"
 #include "core/sketch_seed.h"
 #include "core/two_level_hash_sketch.h"
 #include "hash/prng.h"
@@ -48,6 +49,71 @@ TEST(SketchParamsTest, ValidityChecks) {
   EXPECT_FALSE(p.Valid());
   p.independence = 2;
   EXPECT_TRUE(p.Valid());
+}
+
+TEST(SketchConfigTest, CodecDecodesExactlyWhatValidateAccepts) {
+  SketchConfig top;
+  top.params.levels = 64;
+  top.params.num_second_level = kMaxSecondLevel;
+  top.params.first_level_kind = FirstLevelKind::kKWisePoly;
+  top.params.independence = kMaxIndependence;
+  top.copies = kMaxCopies;
+  top.seed = ~uint64_t{0};
+  top.default_backend = SketchBackendId::kSetSketch;
+  top.backend_size = kMaxBackendSize;
+  SketchConfig bottom;
+  bottom.params.levels = 1;
+  bottom.params.num_second_level = 1;
+  bottom.params.independence = 0;
+  bottom.copies = 1;
+  bottom.seed = 0;
+  bottom.backend_size = kMinBackendSize;
+
+  std::vector<SketchConfig> refused(9, bottom);
+  refused[0].params.levels = 0;
+  refused[1].params.levels = 65;
+  refused[2].params.num_second_level = kMaxSecondLevel + 1;
+  refused[3].params.independence = -1;
+  refused[4].copies = 0;
+  refused[5].copies = kMaxCopies + 1;
+  refused[6].default_backend = static_cast<SketchBackendId>(9);
+  refused[7].backend_size = kMinBackendSize - 1;
+  refused[8].backend_size = kMaxBackendSize + 1;
+
+  for (const SketchConfig& config : {SketchConfig{}, top, bottom}) {
+    std::string error;
+    EXPECT_TRUE(config.Validate(&error)) << error;
+    std::string bytes;
+    EncodeSketchConfig(config, &bytes);
+    size_t offset = 0;
+    SketchConfig decoded;
+    ASSERT_TRUE(DecodeSketchConfig(bytes, &offset, &decoded, &error))
+        << error;
+    EXPECT_EQ(offset, bytes.size());
+    EXPECT_TRUE(decoded == config);
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      offset = 0;
+      EXPECT_FALSE(DecodeSketchConfig(bytes.substr(0, cut), &offset,
+                                      &decoded, &error));
+    }
+  }
+  for (size_t i = 0; i < refused.size(); ++i) {
+    std::string error;
+    EXPECT_FALSE(refused[i].Validate(&error)) << "config " << i;
+    EXPECT_FALSE(error.empty());
+    std::string bytes;
+    EncodeSketchConfig(refused[i], &bytes);
+    size_t offset = 0;
+    SketchConfig decoded;
+    EXPECT_FALSE(DecodeSketchConfig(bytes, &offset, &decoded, &error))
+        << "config " << i;
+  }
+
+  EXPECT_EQ(SketchConfig{}.CounterBytesPerStream(),
+            uint64_t{128} * 48 * 2 * 32 * sizeof(int64_t));
+  SketchConfig other_size;
+  other_size.backend_size = 8192;
+  EXPECT_FALSE(other_size == SketchConfig{});
 }
 
 TEST(SketchSeedTest, SameSeedValueSameFunctions) {

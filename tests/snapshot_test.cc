@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <utility>
 
 #include "query/stream_engine.h"
 #include "stream/stream_generator.h"
@@ -127,6 +130,26 @@ TEST(SnapshotTest, EmptyEngineRoundTrips) {
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->num_queries(), 0);
   EXPECT_TRUE(restored->stream_names().empty());
+}
+
+TEST(SnapshotTest, RejectsWitnessOptionsThatCannotPickALevel) {
+  const std::string bytes = BuildPopulatedEngine().SaveSnapshot();
+  // u32 magic, u8 version, the configuration block, then the witness
+  // epsilon and beta as doubles.
+  std::string config;
+  EncodeSketchConfig(SnapshotOptions(), &config);
+  const size_t epsilon_at = 5 + config.size();
+  const size_t beta_at = epsilon_at + sizeof(double);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [at, value] :
+       {std::pair{beta_at, nan}, std::pair{epsilon_at, nan},
+        std::pair{epsilon_at, 0.0}, std::pair{beta_at, 1.0}}) {
+    std::string hostile = bytes;
+    std::memcpy(&hostile[at], &value, sizeof(value));
+    EXPECT_EQ(StreamEngine::LoadSnapshot(hostile), nullptr)
+        << "offset " << at << " value " << value;
+  }
+  ASSERT_NE(StreamEngine::LoadSnapshot(bytes), nullptr);
 }
 
 TEST(SnapshotTest, RejectsMalformedInput) {

@@ -19,6 +19,7 @@
 #include "stream/stream_io.h"
 #include "tools/bank_io.h"
 #include "tools/commands.h"
+#include "util/varint.h"
 
 namespace setsketch {
 namespace {
@@ -115,21 +116,20 @@ std::string AllZeroWideBank(int copies) {
 }
 
 TEST_F(ToolsTest, OversizedHeaderIsRefusedBeforeAllocating) {
-  // A bank file with no streams is its 68-byte header. Declaring
+  // A bank file with no streams is its 47-byte header. Declaring
   // s = 2^28 second-level functions describes a 4 GiB hash family per
   // copy; every header decoder (bank file, engine snapshot, server
   // checkpoint) must refuse it before building anything.
   SketchBank empty(SketchFamily(SketchParams{}, 2, 1));
   std::string huge_family = EncodeBank(empty);
-  ASSERT_EQ(huge_family.size(), 68u);
-  // u32 magic, u8 version, u8 backend, u32 backend size, i32 levels, then
-  // i32 s.
-  constexpr size_t kSecondLevelOffset = 14;
-  int32_t s = 0;
-  std::memcpy(&s, &huge_family[kSecondLevelOffset], sizeof(s));
-  ASSERT_EQ(s, SketchParams{}.num_second_level);
-  s = int32_t{1} << 28;
-  std::memcpy(&huge_family[kSecondLevelOffset], &s, sizeof(s));
+  ASSERT_EQ(huge_family.size(), 47u);
+  // u32 magic, u8 version, varint levels (one byte here), then varint s.
+  constexpr size_t kSecondLevelOffset = 6;
+  ASSERT_EQ(huge_family[kSecondLevelOffset],
+            static_cast<char>(SketchParams{}.num_second_level));
+  std::string s;
+  AppendVarint(&s, uint64_t{1} << 28);
+  huge_family.replace(kSecondLevelOffset, 1, s);
 
   // Every field in bounds, but the copies would build 8 GiB (or, from
   // half the bytes, 4 GiB) of counters.
@@ -229,6 +229,28 @@ TEST_F(ToolsTest, BuildRejectsBadInputs) {
   const CommandResult result = RunBuild(spec);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("malformed"), std::string::npos);
+}
+
+TEST_F(ToolsTest, BuildRefusesAnInvalidConfig) {
+  const std::string updates_path = Track(TempPath("config_updates.txt"));
+  WriteUpdatesFile(updates_path, {Insert(0, 1)});
+  BuildSpec spec;
+  spec.updates_path = updates_path;
+  spec.output_path = Track(TempPath("never_config.bin"));
+  for (const int copies : {0, kMaxCopies + 1}) {
+    spec.copies = copies;
+    const CommandResult result = RunBuild(spec);
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.error.find("invalid sketch configuration"),
+              std::string::npos)
+        << result.error;
+  }
+  spec.copies = 8;
+  spec.params.levels = 65;
+  EXPECT_FALSE(RunBuild(spec).ok);
+  EXPECT_FALSE(std::filesystem::exists(spec.output_path));
+  spec.params.levels = 64;
+  EXPECT_TRUE(RunBuild(spec).ok);
 }
 
 TEST_F(ToolsTest, BuildRefusesABankItCouldNotReadBack) {

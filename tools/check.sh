@@ -21,7 +21,9 @@
 #   5. chaos     AddressSanitizer build + the fault-tolerance suite
 #                (seeded fault injection, WAL corruption, crash
 #                recovery), then a real kill -9 crash/recover/dedup
-#                cycle driven end-to-end through the sketchtool CLI.
+#                cycle driven end-to-end through the sketchtool CLI,
+#                and two startup refusals: a restart under another
+#                --copies and an out-of-bounds --backend-size.
 #   6. cluster   AddressSanitizer build + the cluster suite (hash-ring
 #                placement, hello handshake, federated queries, chaos
 #                failover, self-healing repair, read policies, online
@@ -238,6 +240,27 @@ stage_chaos() {
   "${tool}" shutdown --port "${port}"
   wait "${server_pid}"
   grep -q "batches recovered" "${dir}/serve2.log"
+
+  # A restart under another configuration must refuse the checkpoint
+  # instead of mixing foreign coins; an invalid configuration is refused
+  # before the server binds. (timeout only bounds a wrongly started
+  # server; the message checks tell the refusals apart from it.)
+  if timeout 30 "${tool}" serve --port 0 --copies 16 --wal-dir "${wal}" \
+      > "${dir}/serve3.log" 2>&1; then
+    echo "chaos e2e: restart with --copies 16 was not refused" >&2
+    exit 1
+  fi
+  grep -q "different sketch configuration" "${dir}/serve3.log"
+  if timeout 30 "${tool}" serve --port 0 --backend-size 8 \
+      > "${dir}/serve4.log" 2>&1; then
+    echo "chaos e2e: serve --backend-size 8 was not refused" >&2
+    exit 1
+  fi
+  if grep -q "listening on" "${dir}/serve4.log"; then
+    echo "chaos e2e: serve --backend-size 8 bound a port" >&2
+    exit 1
+  fi
+  grep -q "invalid sketch configuration" "${dir}/serve4.log"
   rm -rf "${dir}"
   echo "=== chaos e2e passed ==="
 }
