@@ -11,6 +11,11 @@
 //   invalidate_requery one update before each query (epoch invalidation
 //                      forces one probe-table build, the plan itself is
 //                      reused; the update is not timed),
+//   trickle_requery    perfbench query_mixed's fresh-query shape: levels
+//                      24, s 16, 128 copies, six streams, and one
+//                      64-update trickle into one stream before each
+//                      stale re-query of one of three four-stream
+//                      expressions (the trickle is not timed),
 //   served_hot         the full loopback server QUERY path, hot cache,
 // and printing the server's plan_cache_* STATS counters afterwards. The
 // planned rows take the query text, as every front door does. Two
@@ -206,6 +211,50 @@ int main() {
     }
     record("cold_direct", direct_seconds, cold_queries);
     record("invalidate_requery", requery_seconds, cold_queries);
+  }
+
+  // --- trickle_requery: the fresh-query sequence of perfbench's
+  // query_mixed workload, at its shape.
+  {
+    SketchParams params;
+    params.levels = 24;
+    params.num_second_level = 16;
+    constexpr int kStreams = 6;
+    constexpr size_t kTrickle = 64;
+    const std::vector<std::string> texts = {"((S0 | S1) & S2) - S3",
+                                            "(S1 - S2) | (S0 & S4)",
+                                            "((S2 & S0) | S5) - S1"};
+    VennPartitionGenerator six(kStreams, UniformRegionProbs(kStreams));
+    const PartitionedDataset preload = six.Generate(universe / 4, 4321);
+    SketchBank trickle_bank(SketchFamily(params, kCopies, 20030609));
+    const std::vector<std::string> six_names =
+        {"S0", "S1", "S2", "S3", "S4", "S5"};
+    for (const std::string& name : six_names) trickle_bank.AddStream(name);
+    trickle_bank.ApplyBatch(six_names, preload.ToInsertUpdates(4));
+    PlanCache trickle_cache(cache_options);
+    for (const std::string& text : texts) {
+      trickle_cache.Query(text, trickle_bank);
+    }
+    uint64_t element = 1;
+    double seconds = 0.0;
+    for (int64_t i = 0; i < cold_queries; ++i) {
+      std::vector<ElementDelta> items;
+      for (size_t k = 0; k < kTrickle; ++k) {
+        items.push_back(
+            ElementDelta{element++ * 0x9E3779B97F4A7C15ULL, int64_t{1}});
+      }
+      trickle_bank.ApplyBatch(six_names[static_cast<size_t>(i % kStreams)],
+                              items);
+      Stopwatch watch;
+      const PlanCache::Result result = trickle_cache.Query(
+          texts[static_cast<size_t>(i % 3)], trickle_bank);
+      seconds += watch.Seconds();
+      if (!result.ok) {
+        std::cerr << "trickle_requery query failed: " << result.error << "\n";
+        return 1;
+      }
+    }
+    record("trickle_requery", seconds, cold_queries);
   }
 
   // --- served_hot: the full loopback QUERY path against a served bank. --

@@ -72,7 +72,9 @@ ClusterRouter::ShardState::ShardState(const ClusterShard& shard_in,
 
 ClusterRouter::ClusterRouter(const Options& options)
     : options_(options),
-      coins_(options),
+      // Start refuses an invalid shape; until then the coins are the
+      // default config's, so construction never aborts.
+      coins_(ConstructibleConfig(options)),
       placement_(options.static_placement ? Placement::Mode::kStatic
                                           : Placement::Mode::kRing,
                  [&options] {
@@ -87,7 +89,7 @@ ClusterRouter::ClusterRouter(const Options& options)
                    return names;
                  }(),
                  options.placement_seed, options.virtual_nodes),
-      federated_(coins_.family(), options.backend_size),
+      federated_(coins_.family(), coins_.config().backend_size),
       plan_cache_(PlanCache::Options{options.witness}) {
   if (options_.replicas < 0) options_.replicas = 0;
   // Capacity for the initial membership plus every future ADD_SHARD is

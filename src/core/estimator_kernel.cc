@@ -30,51 +30,57 @@ bool GroupUnionView::UnionSingleton(int copy, int level) const {
   return UnionSingletonBucket(group, level);
 }
 
-bool ProbeTable::Build(const std::vector<SketchGroup>& groups) {
+bool ProbeTable::Build(const std::vector<const SketchColumn*>& columns) {
   copies_ = 0;
   levels_ = 0;
   words_ = 0;
   occupancy_.clear();
   flags_.clear();
-  if (groups.empty() || groups[0].empty()) return false;
-  const size_t columns = groups[0].size();
-  const int levels = groups[0][0]->levels();
-  for (const SketchGroup& group : groups) {
-    if (group.size() != columns || !GroupSeedsMatch(group) ||
-        group[0]->levels() != levels) {
-      return false;
-    }
+  if (columns.empty() || columns[0]->empty()) return false;
+  const size_t copies = columns[0]->size();
+  for (const SketchColumn* column : columns) {
+    if (column->size() != copies) return false;
   }
-  copies_ = static_cast<int>(groups.size());
-  levels_ = levels;
-  words_ = (columns + 63) / 64;
-  const size_t cells = groups.size() * static_cast<size_t>(levels);
-  occupancy_.assign(cells * words_, 0);
+  const int levels = (*columns[0])[0].levels();
+  const size_t cells = copies * static_cast<size_t>(levels);
+  const size_t words = (columns.size() + 63) / 64;
+  occupancy_.assign(cells * words, 0);
   flags_.assign(cells, 0);
-  for (int copy = 0; copy < copies_; ++copy) {
-    const SketchGroup& group = groups[static_cast<size_t>(copy)];
-    for (int level = 0; level < levels_; ++level) {
-      const size_t cell = Cell(copy, level);
-      uint64_t* mask = &occupancy_[cell * words_];
-      bool any = false;
-      int64_t total = 0;
-      for (size_t k = 0; k < columns; ++k) {
-        const int64_t level_total = group[k]->LevelTotal(level);
-        total += level_total;
-        if (level_total != 0) {  // !LevelEmpty(level).
-          mask[k / 64] |= uint64_t{1} << (k % 64);
-          any = true;
+  // One reused group, filled per copy straight from the columns.
+  SketchGroup group(columns.size());
+  UnionBucketProbe probes[64];  // levels <= 64.
+  const size_t summary_words =
+      static_cast<size_t>(levels) *
+      static_cast<size_t>((*columns[0])[0].row_words());
+  for (size_t copy = 0; copy < copies; ++copy) {
+    for (size_t k = 0; k < columns.size(); ++k) {
+      group[k] = &(*columns[k])[copy];
+      // The next copy's summaries are separate allocations the hardware
+      // prefetcher cannot guess; after ingest they are cache misses.
+      if (copy + 1 < copies) {
+        const uint64_t* next = (*columns[k])[copy + 1].PositiveRow(0);
+        for (size_t w = 0; w < summary_words; w += 8) {
+          __builtin_prefetch(next + w);
         }
       }
-      if (!any) continue;  // All totals 0: empty and not a singleton.
-      flags_[cell] = kNonEmpty;
-      // UnionSingletonBucket on the total summed above (the split half
-      // alone; re-summing costs ~15% of the build).
-      if (total != 0 && !UnionBucketSplit(group, level)) {
-        flags_[cell] |= kSingleton;
-      }
+    }
+    if (!GroupSeedsMatch(group) || group[0]->levels() != levels) {
+      occupancy_.clear();
+      flags_.clear();
+      return false;
+    }
+    const size_t row = copy * static_cast<size_t>(levels);
+    ProbeUnionBuckets(group, 0, levels, probes, &occupancy_[row * words]);
+    for (int level = 0; level < levels; ++level) {
+      const UnionBucketProbe& probe = probes[level];
+      flags_[row + static_cast<size_t>(level)] = static_cast<unsigned char>(
+          (probe.nonempty ? kNonEmpty : 0) |
+          (probe.singleton ? kSingleton : 0));
     }
   }
+  copies_ = static_cast<int>(copies);
+  levels_ = levels;
+  words_ = words;
   return true;
 }
 

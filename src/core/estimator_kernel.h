@@ -16,15 +16,18 @@
 // predicate.
 //
 // Two view implementations exist:
-//   * GroupUnionView — lazy sums over aligned SketchGroups, no
-//     materialization; this is the classic direct-estimation path.
+//   * GroupUnionView — probes aligned SketchGroups one bucket at a time,
+//     no materialization; this is the classic direct-estimation path.
 //   * ProbeTable — the same two facts precomputed once per (copy, level)
-//     from live groups, plus each stream's occupancy bit (the leaf value
-//     of the witness condition B(E)) in a ceil(k/64)-word mask. Its probes
-//     are bit-identical to GroupUnionView over the same groups by
-//     construction; query/plan_cache.h builds one per stale plan under the
-//     caller's ingest locks and evaluates it after they are released, so
-//     no sketch counters are ever copied or merged for a query.
+//     from the bank's stream columns, plus each stream's occupancy bit
+//     (the leaf value of the witness condition B(E)) in a ceil(k/64)-word
+//     mask. Both views decide every bucket through ProbeUnionBuckets
+//     (core/property_checks.h), which reads the sketches' per-row sign
+//     summaries rather than their counters, so the table's probes are
+//     bit-identical to GroupUnionView's by construction.
+//     query/plan_cache.h builds one per stale plan under the caller's
+//     ingest locks and evaluates it after they are released, so no sketch
+//     counters are ever copied or merged for a query.
 
 #ifndef SETSKETCH_CORE_ESTIMATOR_KERNEL_H_
 #define SETSKETCH_CORE_ESTIMATOR_KERNEL_H_
@@ -79,18 +82,24 @@ class GroupUnionView final : public UnionView {
   bool pairwise_;
 };
 
-/// Per-(copy, level) probe table over r aligned SketchGroups
-/// (groups[copy][column]): which stream columns' buckets are occupied, and
-/// whether the union bucket is a singleton. NonEmpty is the OR of the
-/// column bits and UnionSingleton is UnionSingletonBucket on the summed
-/// counters, so every probe equals the n-ary GroupUnionView's over the
-/// same groups.
+/// Per-(copy, level) probe table over r aligned copies of a set of
+/// stream columns: which columns' buckets are occupied, and whether the
+/// union bucket is a singleton. Each copy's cells come from one
+/// ProbeUnionBuckets call, the procedure behind UnionBucketEmpty and
+/// UnionSingletonBucket, so every probe equals the n-ary
+/// GroupUnionView's over the same groups. It reads one row-summary word
+/// per (stream, copy, level) at s <= 32, and the counters only where a
+/// row has a negative cell.
 class ProbeTable final : public UnionView {
  public:
-  /// Rebuilds the table from `groups`, reusing this table's storage.
-  /// Returns false (and leaves the table empty) on empty or ragged input,
-  /// or on mismatched seeds.
-  bool Build(const std::vector<SketchGroup>& groups);
+  /// One stream's r aligned copies (SketchBank::Columns).
+  using SketchColumn = std::vector<TwoLevelHashSketch>;
+
+  /// Rebuilds the table from stream `columns` (copy i of every column
+  /// forms group i), reusing this table's storage. Returns false (and
+  /// leaves the table empty) on empty or ragged input, or on mismatched
+  /// seeds.
+  bool Build(const std::vector<const SketchColumn*>& columns);
 
   int copies() const override { return copies_; }
   int levels() const override { return levels_; }

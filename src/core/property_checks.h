@@ -11,12 +11,22 @@
 // the streams, so union-emptiness/singleton checks reduce to the unary
 // checks on lazily-summed counters (no merged sketch is materialized).
 //
+// The n-ary union checks decide through one procedure, ProbeUnionBuckets,
+// which the plan cache's probe table (core/estimator_kernel.h) calls too.
+// It reads each column's row summary (core/two_level_hash_sketch.h): with
+// no negative cell in any participating row, the summed counters of pair
+// j are positive exactly where some column's are, so emptiness and the
+// split test are ORs and ANDs of summary words. A row with a negative
+// cell sends its (copy, level) back to the counter sums.
+//
 // All sketches passed to a multi-sketch check must share the same SketchSeed
 // (same "stored coins"); the checks return false on mismatched seeds.
 
 #ifndef SETSKETCH_CORE_PROPERTY_CHECKS_H_
 #define SETSKETCH_CORE_PROPERTY_CHECKS_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/two_level_hash_sketch.h"
@@ -47,6 +57,24 @@ bool IdenticalSingletonBucket(const TwoLevelHashSketch& a,
 bool SingletonUnionBucket(const TwoLevelHashSketch& a,
                           const TwoLevelHashSketch& b, int level);
 
+/// The two facts every union-bucket probe reports.
+struct UnionBucketProbe {
+  bool nonempty = false;   ///< Some column's bucket is occupied.
+  bool singleton = false;  ///< The union bucket holds one distinct value.
+};
+
+/// Buckets [first, first + count) of the union over `group` (one seed):
+/// the one decision procedure behind UnionBucketEmpty,
+/// UnionSingletonBucket and ProbeTable::Build. probes[i] describes level
+/// first + i: `nonempty` is the OR of the columns' !LevelEmpty, and
+/// `singleton` is the paper's SingletonBucket on the summed counters.
+/// When `occupancy` is non-null it receives count * ceil(group.size() /
+/// 64) words, level-major: bit k % 64 of occupancy[i * words + k / 64]
+/// says whether column k is occupied at level first + i.
+void ProbeUnionBuckets(std::span<const TwoLevelHashSketch* const> group,
+                       int first, int count, UnionBucketProbe* probes,
+                       uint64_t* occupancy);
+
 /// n-ary generalization: true iff bucket `level` is empty in every sketch
 /// of the group.
 bool UnionBucketEmpty(const SketchGroup& group, int level);
@@ -54,13 +82,6 @@ bool UnionBucketEmpty(const SketchGroup& group, int level);
 /// n-ary generalization: true iff the set union over the whole group of the
 /// elements mapping to bucket `level` is a singleton.
 bool UnionSingletonBucket(const SketchGroup& group, int level);
-
-/// The split test behind UnionSingletonBucket: true iff some second-level
-/// pair of the group's summed counters at bucket `level` has both cells
-/// positive. With a nonzero summed LevelTotal, the union bucket is a
-/// singleton iff this is false. Lets a caller that already summed the
-/// level totals skip re-reading them.
-bool UnionBucketSplit(const SketchGroup& group, int level);
 
 /// True iff all sketches in `group` share one SketchSeed (and the group is
 /// non-empty). Estimators validate their inputs with this.

@@ -188,9 +188,8 @@ const std::vector<TwoLevelHashSketch>& SketchBank::Sketches(
   return it->second;
 }
 
-std::vector<SketchGroup> SketchBank::Groups(
+std::vector<const std::vector<TwoLevelHashSketch>*> SketchBank::Columns(
     const std::vector<std::string>& names) const {
-  std::vector<SketchGroup> groups;
   std::vector<const std::vector<TwoLevelHashSketch>*> columns;
   columns.reserve(names.size());
   for (const std::string& name : names) {
@@ -198,7 +197,15 @@ std::vector<SketchGroup> SketchBank::Groups(
     if (it == streams_.end()) return {};
     columns.push_back(&it->second);
   }
-  groups.resize(static_cast<size_t>(family_.size()));
+  return columns;
+}
+
+std::vector<SketchGroup> SketchBank::Groups(
+    const std::vector<std::string>& names) const {
+  const std::vector<const std::vector<TwoLevelHashSketch>*> columns =
+      Columns(names);
+  if (columns.size() != names.size()) return {};
+  std::vector<SketchGroup> groups(static_cast<size_t>(family_.size()));
   for (int i = 0; i < family_.size(); ++i) {
     SketchGroup& group = groups[static_cast<size_t>(i)];
     group.reserve(columns.size());

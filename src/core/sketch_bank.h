@@ -138,6 +138,12 @@ class SketchBank {
   const std::vector<TwoLevelHashSketch>& Sketches(
       const std::string& name) const;
 
+  /// The r-copy columns of `names`, in the given order — what
+  /// ProbeTable::Build reads. Returns an empty vector if any name is
+  /// unknown.
+  std::vector<const std::vector<TwoLevelHashSketch>*> Columns(
+      const std::vector<std::string>& names) const;
+
   /// Builds the per-copy groups for `names`, i.e. groups[i] holds the i-th
   /// sketch of each named stream, in the given order. Returns an empty
   /// vector if any name is unknown.

@@ -42,6 +42,10 @@ uint64_t SketchConfig::CounterBytesPerStream() const {
          static_cast<uint64_t>(params.num_second_level) * sizeof(int64_t);
 }
 
+SketchConfig ConstructibleConfig(const SketchConfig& config) {
+  return config.Validate(nullptr) ? config : SketchConfig{};
+}
+
 void EncodeSketchConfig(const SketchConfig& config, std::string* out) {
   const SketchParams& p = config.params;
   for (const uint64_t field :

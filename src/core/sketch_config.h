@@ -49,6 +49,12 @@ struct SketchConfig {
   uint64_t CounterBytesPerStream() const;
 };
 
+/// `config` when it validates, else the default SketchConfig: the shape
+/// an owner whose Start refuses invalid configs (SketchServer,
+/// ClusterRouter) builds its bank from, so constructing the owner never
+/// aborts on a shape Start is about to refuse.
+SketchConfig ConstructibleConfig(const SketchConfig& config);
+
 /// Appends `config` as eight varints: levels, second-level count,
 /// first-level kind, independence, copies, seed, default backend id,
 /// backend size.

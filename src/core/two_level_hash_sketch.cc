@@ -1,6 +1,7 @@
 #include "core/two_level_hash_sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -31,26 +32,43 @@ bool ReadPod(const std::string& data, size_t* offset, T* value) {
   return true;
 }
 
+/// Summarizes one row of `s` counter pairs into `row`: bit 2j + b of the
+/// row is "cell (j, b) > 0" (word (2j + b) / 64). Returns whether some
+/// cell is negative. The portable variant of SummarizeRowAvx2 below.
+bool SummarizeRow(const int64_t* base, int s, uint64_t* row) {
+  uint64_t word = 0;
+  int64_t signs = 0;
+  for (int j = 0; j < s; ++j) {
+    const int64_t c0 = base[2 * j];
+    const int64_t c1 = base[2 * j + 1];
+    signs |= c0 | c1;
+    word |= (static_cast<uint64_t>(c0 > 0) |
+             static_cast<uint64_t>(c1 > 0) << 1)
+            << ((2 * j) & 63);
+    if (((2 * j + 2) & 63) == 0) {
+      row[j / 32] = word;
+      word = 0;
+    }
+  }
+  if (((2 * s) & 63) != 0) row[(2 * s) / 64] = word;
+  return signs < 0;
+}
+
+/// Template argument of ScatterMask for widths without their own
+/// unrolled instantiation.
+constexpr int kAnyWidth = -1;
+
 /// Portable counter-scatter kernel for the sliced update paths (the AVX2
 /// variant below takes over when the CPU supports it): adds `delta` to
 /// the cell selected by bit j of `mask` for each of `s` second-level
-/// pairs, maintaining the nonzero-cell count. Zero transitions are rare
-/// once counters are warm, so a predicted not-taken branch beats updating
-/// the count branchlessly every cell. Templated on the pair count so the
-/// common widths get a fully unrolled loop (a runtime trip count costs
-/// ~2x here); `kAnyWidth` keeps one shared instantiation for the rest.
-constexpr int kAnyWidth = -1;
-
+/// pairs. Templated on the pair count so the common widths get a fully
+/// unrolled loop (a runtime trip count costs ~2x here); `kAnyWidth`
+/// keeps one shared instantiation for the rest.
 template <int kWidth>
-void ScatterMask(int64_t* base, uint64_t mask, int64_t delta, int s,
-                 int64_t* nonzero_cells) {
+void ScatterMask(int64_t* base, uint64_t mask, int64_t delta, int s) {
   const int count = kWidth == kAnyWidth ? s : kWidth;
   for (int j = 0; j < count; ++j) {
-    int64_t& cell = base[2 * j + static_cast<int>((mask >> j) & 1ULL)];
-    const int64_t before = cell;
-    cell = before + delta;
-    if (before == 0) [[unlikely]] ++*nonzero_cells;
-    if (cell == 0) [[unlikely]] --*nonzero_cells;
+    base[2 * j + static_cast<int>((mask >> j) & 1ULL)] += delta;
   }
 }
 
@@ -59,15 +77,10 @@ void ScatterMask(int64_t* base, uint64_t mask, int64_t delta, int s,
 /// only behind a __builtin_cpu_supports check): two counter pairs per
 /// 256-bit lane, with the touched cell of each pair selected by adding a
 /// precomputed addend row — (delta, 0) or (0, delta) per pair, indexed by
-/// two mask bits at a time. Zero transitions are detected branchlessly in
-/// the same pass (zero-ness of a lane changed <=> that cell transitioned;
-/// untouched cells never change), so the common case runs with a single
-/// predicted not-taken branch per update, and the rare slow path recovers
-/// each `before` as `cell - addend`.
+/// two mask bits at a time.
 __attribute__((target("avx2"))) void ScatterMaskAvx2(int64_t* base,
                                                      uint64_t mask,
-                                                     int64_t delta, int s,
-                                                     int64_t* nonzero_cells) {
+                                                     int64_t delta, int s) {
   // rows[p] is the addend quad for mask bit pair p = (b1 b0):
   // (b0 ? (0, d) : (d, 0), b1 ? (0, d) : (d, 0)).
   alignas(32) int64_t rows[4][4];
@@ -77,52 +90,75 @@ __attribute__((target("avx2"))) void ScatterMaskAvx2(int64_t* base,
     rows[p][2] = (p & 2) ? 0 : delta;
     rows[p][3] = (p & 2) ? delta : 0;
   }
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i transitioned = zero;
   int j = 0;
   for (; j + 2 <= s; j += 2) {
     __m256i* quad = reinterpret_cast<__m256i*>(base + 2 * j);
-    const __m256i before = _mm256_loadu_si256(quad);
     const __m256i add = _mm256_load_si256(
         reinterpret_cast<const __m256i*>(rows[(mask >> j) & 3ULL]));
-    const __m256i after = _mm256_add_epi64(before, add);
-    _mm256_storeu_si256(quad, after);
-    const __m256i before_zero = _mm256_cmpeq_epi64(before, zero);
-    const __m256i after_zero = _mm256_cmpeq_epi64(after, zero);
-    transitioned = _mm256_or_si256(
-        transitioned, _mm256_xor_si256(before_zero, after_zero));
+    _mm256_storeu_si256(quad,
+                        _mm256_add_epi64(_mm256_loadu_si256(quad), add));
   }
-  const bool any = _mm256_movemask_epi8(transitioned) != 0;
   if (j < s) {  // odd s: last pair takes the scalar path.
-    int64_t& cell = base[2 * j + static_cast<int>((mask >> j) & 1ULL)];
-    const int64_t before = cell;
-    cell = before + delta;
-    if (before == 0) [[unlikely]] ++*nonzero_cells;
-    if (cell == 0) [[unlikely]] --*nonzero_cells;
-  }
-  if (any) [[unlikely]] {
-    const int vectored = s & ~1;
-    for (int k = 0; k < vectored; ++k) {
-      const int64_t cell = base[2 * k + static_cast<int>((mask >> k) & 1ULL)];
-      const int64_t before = cell - delta;
-      *nonzero_cells += static_cast<int>(before == 0) -
-                        static_cast<int>(cell == 0);
-    }
+    base[2 * j + static_cast<int>((mask >> j) & 1ULL)] += delta;
   }
 }
 
-bool ScatterHasAvx2() { return __builtin_cpu_supports("avx2"); }
+/// AVX2 variant of SummarizeRow: four cells per compare against zero,
+/// and the OR of every quad's sign bits says whether any is negative.
+__attribute__((target("avx2"))) bool SummarizeRowAvx2(const int64_t* base,
+                                                      int s, uint64_t* row) {
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i signs = zero;
+  uint64_t word = 0;
+  int j = 0;
+  for (; j + 2 <= s; j += 2) {
+    const __m256i quad =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + 2 * j));
+    signs = _mm256_or_si256(signs, quad);
+    const auto positive = static_cast<uint64_t>(_mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpgt_epi64(quad, zero))));
+    word |= positive << ((2 * j) & 63);
+    if (((2 * j + 4) & 63) == 0) {
+      row[j / 32] = word;
+      word = 0;
+    }
+  }
+  bool negative = _mm256_movemask_pd(_mm256_castsi256_pd(signs)) != 0;
+  if (j < s) {  // odd s: the last pair.
+    const int64_t c0 = base[2 * j];
+    const int64_t c1 = base[2 * j + 1];
+    negative = negative || (c0 | c1) < 0;
+    word |= (static_cast<uint64_t>(c0 > 0) |
+             static_cast<uint64_t>(c1 > 0) << 1)
+            << ((2 * j) & 63);
+  }
+  if (((2 * s) & 63) != 0) row[(2 * s) / 64] = word;
+  return negative;
+}
+
+bool CpuHasAvx2() { return __builtin_cpu_supports("avx2"); }
 #endif  // SETSKETCH_SCATTER_AVX2
+
+/// Row-summary words for `params`, padded to whole cache lines.
+size_t SummaryWords(const SketchParams& params) {
+  constexpr size_t kWordsPerLine = kCacheLineBytes / sizeof(uint64_t);
+  const size_t words = static_cast<size_t>(params.levels) *
+                       static_cast<size_t>((2 * params.num_second_level + 63) /
+                                           64);
+  return (words + kWordsPerLine - 1) / kWordsPerLine * kWordsPerLine;
+}
 
 }  // namespace
 
 TwoLevelHashSketch::TwoLevelHashSketch(std::shared_ptr<const SketchSeed> seed)
     : seed_(std::move(seed)),
       num_second_level_(seed_->params().num_second_level),
+      row_words_((2 * num_second_level_ + 63) / 64),
       slice_(seed_->slice()),
       counters_(static_cast<size_t>(seed_->params().levels) *
                     static_cast<size_t>(num_second_level_) * 2,
-                0) {}
+                0),
+      positive_(SummaryWords(seed_->params()), 0) {}
 
 void TwoLevelHashSketch::ApplyMask(int level, uint64_t mask, int64_t delta) {
   SETSKETCH_DCHECK(level >= 0 && level < seed_->params().levels)
@@ -130,28 +166,43 @@ void TwoLevelHashSketch::ApplyMask(int level, uint64_t mask, int64_t delta) {
   int64_t* base = counters_.data() + CellIndex(level, 0, 0);
   const int s = num_second_level_;
 #ifdef SETSKETCH_SCATTER_AVX2
-  static const bool use_avx2 = ScatterHasAvx2();
+  static const bool use_avx2 = CpuHasAvx2();
   if (use_avx2) {
-    ScatterMaskAvx2(base, mask, delta, s, &nonzero_cells_);
+    ScatterMaskAvx2(base, mask, delta, s);
     return;
   }
 #endif
   switch (s) {
     case 8:
-      ScatterMask<8>(base, mask, delta, s, &nonzero_cells_);
+      ScatterMask<8>(base, mask, delta, s);
       break;
     case 16:
-      ScatterMask<16>(base, mask, delta, s, &nonzero_cells_);
+      ScatterMask<16>(base, mask, delta, s);
       break;
     case 32:
-      ScatterMask<32>(base, mask, delta, s, &nonzero_cells_);
+      ScatterMask<32>(base, mask, delta, s);
       break;
     case 64:
-      ScatterMask<64>(base, mask, delta, s, &nonzero_cells_);
+      ScatterMask<64>(base, mask, delta, s);
       break;
     default:
-      ScatterMask<kAnyWidth>(base, mask, delta, s, &nonzero_cells_);
+      ScatterMask<kAnyWidth>(base, mask, delta, s);
       break;
+  }
+}
+
+void TwoLevelHashSketch::SummarizeRows(uint64_t rows) {
+#ifdef SETSKETCH_SCATTER_AVX2
+  static const bool use_avx2 = CpuHasAvx2();
+  const auto summarize = use_avx2 ? SummarizeRowAvx2 : SummarizeRow;
+#else
+  const auto summarize = SummarizeRow;
+#endif
+  for (; rows != 0; rows &= rows - 1) {
+    const int level = std::countr_zero(rows);
+    SetRowNegative(level,
+                   summarize(counters_.data() + CellIndex(level, 0, 0),
+                             num_second_level_, MutablePositiveRow(level)));
   }
 }
 
@@ -160,20 +211,18 @@ void TwoLevelHashSketch::Update(uint64_t element, int64_t delta) {
     UpdateScalar(element, delta);
     return;
   }
-  ApplyMask(seed_->Level(element), slice_->Bits(element), delta);
+  const int level = seed_->Level(element);
+  ApplyMask(level, slice_->Bits(element), delta);
+  SummarizeRows(uint64_t{1} << level);
 }
 
 void TwoLevelHashSketch::UpdateScalar(uint64_t element, int64_t delta) {
   const int level = seed_->Level(element);
   int64_t* base = counters_.data() + CellIndex(level, 0, 0);
   for (int j = 0; j < num_second_level_; ++j) {
-    const int bit = seed_->second_level(j)(element);
-    int64_t& cell = base[2 * j + bit];
-    const int64_t before = cell;
-    cell = before + delta;
-    if (before == 0) [[unlikely]] ++nonzero_cells_;
-    if (cell == 0) [[unlikely]] --nonzero_cells_;
+    base[2 * j + seed_->second_level(j)(element)] += delta;
   }
+  SummarizeRows(uint64_t{1} << level);
 }
 
 void TwoLevelHashSketch::UpdateBatch(std::span<const ElementDelta> batch) {
@@ -183,21 +232,25 @@ void TwoLevelHashSketch::UpdateBatch(std::span<const ElementDelta> batch) {
   }
   // Hash a block ahead of the counter scatter: the (level, mask) loop is
   // pure computation, the scatter loop is mostly memory traffic, and
-  // splitting them keeps both pipelines full.
+  // splitting them keeps both pipelines full. The rows the batch touched
+  // are summarized once, at the end.
   constexpr size_t kBlock = 64;
   int level[kBlock];
   uint64_t mask[kBlock];
+  uint64_t touched = 0;
   const SketchSeed& seed = *seed_;
   for (size_t i = 0; i < batch.size(); i += kBlock) {
     const size_t n = std::min(kBlock, batch.size() - i);
     for (size_t k = 0; k < n; ++k) {
       level[k] = seed.Level(batch[i + k].element);
       mask[k] = slice_->Bits(batch[i + k].element);
+      touched |= uint64_t{1} << level[k];
     }
     for (size_t k = 0; k < n; ++k) {
       ApplyMask(level[k], mask[k], batch[i + k].delta);
     }
   }
+  SummarizeRows(touched);
 }
 
 bool TwoLevelHashSketch::Merge(const TwoLevelHashSketch& other) {
@@ -208,20 +261,48 @@ bool TwoLevelHashSketch::Merge(const TwoLevelHashSketch& other) {
       << "seed-compatible sketches with mismatched counter arrays:"
       << counters_.size() << "vs" << other.counters_.size();
   for (size_t i = 0; i < counters_.size(); ++i) {
-    const int64_t before = counters_[i];
     counters_[i] += other.counters_[i];
-    nonzero_cells_ +=
-        static_cast<int>(before == 0 && counters_[i] != 0) -
-        static_cast<int>(before != 0 && counters_[i] == 0);
   }
-  SETSKETCH_DCHECK(nonzero_cells_ == RecountNonzeroCells())
-      << "nonzero-cell count diverged from counters after Merge";
+  SummarizeRows(AllRows());
+  SETSKETCH_DCHECK(SummaryMatchesCounters())
+      << "row summaries diverged from counters after Merge";
   return true;
 }
 
 void TwoLevelHashSketch::Clear() {
   std::fill(counters_.begin(), counters_.end(), 0);
-  nonzero_cells_ = 0;
+  std::fill(positive_.begin(), positive_.end(), 0);
+  negative_rows_ = 0;
+}
+
+bool TwoLevelHashSketch::Empty() const {
+  if (negative_rows_ != 0) return false;
+  for (const uint64_t word : positive_) {
+    if (word != 0) return false;
+  }
+  return true;
+}
+
+bool TwoLevelHashSketch::SummaryMatchesCounters() const {
+  for (int level = 0; level < levels(); ++level) {
+    bool negative = false;
+    std::vector<uint64_t> row(static_cast<size_t>(row_words_), 0);
+    for (int j = 0; j < num_second_level_; ++j) {
+      for (int bit = 0; bit < 2; ++bit) {
+        const int64_t cell = Count(level, j, bit);
+        negative = negative || cell < 0;
+        if (cell > 0) {
+          const int index = 2 * j + bit;
+          row[static_cast<size_t>(index / 64)] |= uint64_t{1} << (index % 64);
+        }
+      }
+    }
+    if (negative != (((negative_rows_ >> level) & 1) != 0) ||
+        !std::equal(row.begin(), row.end(), PositiveRow(level))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 namespace {
@@ -256,7 +337,13 @@ void TwoLevelHashSketch::SerializeTo(std::string* out) const {
 void TwoLevelHashSketch::SerializeCompactTo(std::string* out) const {
   // Upper bound on the token stream: <= 10 varint bytes per nonzero cell
   // and <= nonzero + 1 zero runs of <= 11 bytes (token + run length).
-  const size_t nonzero = static_cast<size_t>(nonzero_cells_);
+  // Nonzero cells are at most the positive ones plus every cell of a row
+  // with a negative one.
+  size_t nonzero = static_cast<size_t>(std::popcount(negative_rows_)) * 2 *
+                   static_cast<size_t>(num_second_level_);
+  for (const uint64_t word : positive_) {
+    nonzero += static_cast<size_t>(std::popcount(word));
+  }
   out->reserve(out->size() + kHeaderBytes + 10 * nonzero +
                11 * (nonzero + 1));
   AppendHeader(out, kMagicCompact, seed_->params(), seed_->seed_value());
@@ -322,38 +409,29 @@ std::unique_ptr<TwoLevelHashSketch> TwoLevelHashSketch::Deserialize(
   if (magic == kMagic) {
     for (int64_t& c : sketch->counters_) {
       if (!ReadPod(data, offset, &c)) return nullptr;
-      sketch->nonzero_cells_ += static_cast<int>(c != 0);
     }
-    return sketch;
-  }
-  // Compact decoding: zigzag varints with zero-run-length tokens.
-  size_t i = 0;
-  const size_t n = sketch->counters_.size();
-  while (i < n) {
-    uint64_t token = 0;
-    if (!ReadVarint(data, offset, &token)) return nullptr;
-    if (token == 0) {
-      uint64_t run = 0;
-      if (!ReadVarint(data, offset, &run)) return nullptr;
-      if (run == 0 || run > n - i) return nullptr;  // Corrupt run.
-      i += run;  // Cells already zero-initialized.
-    } else {
-      // ZigZagDecode(token) != 0 whenever token != 0, so every non-run
-      // token is one nonzero cell.
-      sketch->counters_[i] = ZigZagDecode(token);
-      ++sketch->nonzero_cells_;
-      ++i;
+  } else {
+    // Compact decoding: zigzag varints with zero-run-length tokens.
+    size_t i = 0;
+    const size_t n = sketch->counters_.size();
+    while (i < n) {
+      uint64_t token = 0;
+      if (!ReadVarint(data, offset, &token)) return nullptr;
+      if (token == 0) {
+        uint64_t run = 0;
+        if (!ReadVarint(data, offset, &run)) return nullptr;
+        if (run == 0 || run > n - i) return nullptr;  // Corrupt run.
+        i += run;  // Cells already zero-initialized.
+      } else {
+        sketch->counters_[i] = ZigZagDecode(token);
+        ++i;
+      }
     }
   }
-  SETSKETCH_DCHECK(sketch->nonzero_cells_ == sketch->RecountNonzeroCells())
-      << "nonzero-cell count diverged after compact decode";
+  sketch->SummarizeRows(sketch->AllRows());
+  SETSKETCH_DCHECK(sketch->SummaryMatchesCounters())
+      << "row summaries diverged from counters after decode";
   return sketch;
-}
-
-int64_t TwoLevelHashSketch::RecountNonzeroCells() const {
-  int64_t nonzero = 0;
-  for (const int64_t c : counters_) nonzero += static_cast<int>(c != 0);
-  return nonzero;
 }
 
 bool operator==(const TwoLevelHashSketch& a, const TwoLevelHashSketch& b) {

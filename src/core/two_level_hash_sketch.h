@@ -9,6 +9,13 @@
 // no trace (the paper's key robustness property), and sketches of disjoint
 // stream fragments combine by plain counter addition (used by the
 // distributed model).
+//
+// Each first-level row also carries a summary kept exact by every
+// mutator: one "cell > 0" bit per counter plus a "row has a negative
+// cell" bit. On rows without negative cells (every row of a legal
+// stream) the paper's emptiness and singleton tests are word operations
+// on these bits (core/property_checks.h), so a query reads one word per
+// row instead of the row's counters.
 
 #ifndef SETSKETCH_CORE_TWO_LEVEL_HASH_SKETCH_H_
 #define SETSKETCH_CORE_TWO_LEVEL_HASH_SKETCH_H_
@@ -63,8 +70,38 @@ class TwoLevelHashSketch {
     return Count(level, 0, 0) + Count(level, 0, 1);
   }
 
-  /// True iff no element with nonzero net frequency maps to `level`.
-  bool LevelEmpty(int level) const { return LevelTotal(level) == 0; }
+  /// True iff no element with nonzero net frequency maps to `level`
+  /// (LevelTotal(level) == 0). Decided from the row summary: on a row
+  /// with no negative cell, the total is zero iff neither cell of pair 0
+  /// is positive; a row with a negative cell reads the counters.
+  bool LevelEmpty(int level) const {
+    if (((negative_rows_ >> level) & 1) != 0) [[unlikely]] {
+      return LevelTotal(level) == 0;
+    }
+    return (PositiveRow(level)[0] & 3) == 0;
+  }
+
+  /// Row summary of first-level bucket `level`: row_words() words of
+  /// "cell > 0" bits, cell (j, b) at bit 2j + b of the row (bit
+  /// (2j + b) % 64 of word (2j + b) / 64). Every mutator keeps it exact.
+  const uint64_t* PositiveRow(int level) const {
+    return positive_.data() +
+           static_cast<size_t>(level) * static_cast<size_t>(row_words_);
+  }
+  /// ceil(2s / 64): words per row summary.
+  int row_words() const { return row_words_; }
+  /// row_words() at the largest s SketchParams::Valid accepts.
+  static constexpr int kMaxRowWords = (2 * kMaxSecondLevel + 63) / 64;
+
+  /// Bit `level` set iff some cell of row `level` is negative. Only
+  /// streams whose net frequencies go negative (illegal in the paper's
+  /// model) have such rows; readers fall back to the counters there.
+  uint64_t negative_rows() const { return negative_rows_; }
+
+  /// True iff the row summaries equal a plain recount of the counters
+  /// (the invariant every mutator keeps; checked by debug builds after
+  /// bulk operations and by tests).
+  bool SummaryMatchesCounters() const;
 
   /// Adds `other`'s counters into this sketch. Both sketches must share the
   /// same SketchSeed; the result is the sketch of the concatenated streams.
@@ -74,14 +111,9 @@ class TwoLevelHashSketch {
   /// Resets all counters to zero.
   void Clear();
 
-  /// True iff every counter is zero. O(1): Update/Merge/Clear/Deserialize
-  /// maintain the nonzero-cell count (the coordinator and property checks
-  /// call this per query).
-  bool Empty() const { return nonzero_cells_ == 0; }
-
-  /// Number of counter cells currently nonzero (the invariant behind
-  /// Empty(); exposed for tests).
-  int64_t NonzeroCells() const { return nonzero_cells_; }
+  /// True iff every counter is zero: no row has a positive or a negative
+  /// cell. O(levels * row_words()) over the row summaries.
+  bool Empty() const;
 
   const SketchSeed& seed() const { return *seed_; }
   const std::shared_ptr<const SketchSeed>& shared_seed() const {
@@ -133,24 +165,48 @@ class TwoLevelHashSketch {
   }
 
   /// Scatters one update whose second-level bits are already evaluated
-  /// (bit j of `mask` selects the counter of pair j), tracking zero/nonzero
-  /// cell transitions.
+  /// (bit j of `mask` selects the counter of pair j). Leaves the row
+  /// summary to the caller's SummarizeRows.
   void ApplyMask(int level, uint64_t mask, int64_t delta);
 
-  /// O(cells) ground-truth recount of nonzero counters — the invariant
-  /// behind Empty(); compared against nonzero_cells_ by debug checks
-  /// after bulk operations (Merge, compact decode).
-  int64_t RecountNonzeroCells() const;
+  /// Recomputes the summary of every row whose bit is set in `rows`
+  /// from the counters.
+  void SummarizeRows(uint64_t rows);
+
+  /// Every row's bit, for SummarizeRows.
+  uint64_t AllRows() const {
+    return levels() >= 64 ? ~uint64_t{0} : (uint64_t{1} << levels()) - 1;
+  }
+
+  uint64_t* MutablePositiveRow(int level) {
+    return positive_.data() +
+           static_cast<size_t>(level) * static_cast<size_t>(row_words_);
+  }
+
+  /// Records whether row `level` has a negative cell. Writes only on a
+  /// change, so shard workers updating adjacent copies do not share a
+  /// written line through this member.
+  void SetRowNegative(int level, bool negative) {
+    const uint64_t bit = uint64_t{1} << level;
+    if (((negative_rows_ & bit) != 0) != negative) [[unlikely]] {
+      negative_rows_ ^= bit;
+    }
+  }
 
   std::shared_ptr<const SketchSeed> seed_;
   int num_second_level_;
+  int row_words_;
   /// Cached seed_->slice(); nullptr iff s > 64 (scalar fallback).
   const SecondLevelSlice* slice_;
   /// Cache-line aligned: the server's shard workers partition adjacent
   /// sketch copies, and alignment keeps the copy-range split from false
   /// sharing a line across workers (util/aligned_alloc.h).
   std::vector<int64_t, AlignedAllocator<int64_t>> counters_;
-  int64_t nonzero_cells_ = 0;
+  /// Row summaries, levels x row_words_ words (see PositiveRow), padded
+  /// to whole cache lines for the same reason as counters_.
+  std::vector<uint64_t, AlignedAllocator<uint64_t>> positive_;
+  /// Bit `level` set iff row `level` has a negative cell (levels <= 64).
+  uint64_t negative_rows_ = 0;
 };
 
 }  // namespace setsketch

@@ -31,12 +31,26 @@ void Probe(const std::vector<std::string>& streams, const SketchBank& bank,
   for (size_t k = 0; k < streams.size(); ++k) {
     request->epochs[k] = bank.StreamEpoch(streams[k]);
   }
-  const std::vector<SketchGroup> groups = bank.Groups(streams);
-  if (groups.empty()) {
+  const std::vector<const std::vector<TwoLevelHashSketch>*> columns =
+      bank.Columns(streams);
+  if (columns.size() != streams.size()) {
     request->error = "unknown stream in expression";
-  } else if (!request->table.Build(groups)) {
+  } else if (!request->table.Build(columns)) {
     request->error = "sketch probe failed (mismatched seeds)";
   }
+}
+
+// The memoized answer's estimator evidence: the Figure 5 union stage
+// and the witness stage.
+void AppendEvidence(const ExpressionEstimate& detail, std::ostream* out) {
+  const UnionEstimate& u = detail.union_part;
+  const WitnessEstimate& w = detail.expression;
+  *out << "memo evidence: union level " << u.level << ", nonempty "
+       << u.nonempty_count << "/" << u.copies << " copies (p_hat " << u.p_hat
+       << "), saturated " << (u.saturated ? "yes" : "no") << ", estimate "
+       << u.estimate << "; witness level " << w.level << ", witnesses "
+       << w.witnesses << "/" << w.valid_observations
+       << " valid observations, estimate " << w.estimate << "\n";
 }
 
 // A zero-capacity cache would evict the entry FindOrCompileLocked just
@@ -427,11 +441,15 @@ std::string PlanCache::Explain(const Expression& expr,
     return out.str();
   }
 
-  // The probe a stale or cold answer costs: one occupancy mask per
-  // (copy, level) over the plan's stream columns, plus the union-singleton
-  // bit.
+  // The probe a stale or cold answer costs: per (copy, level), one
+  // row-summary word group per stream column, folded into an occupancy
+  // mask over the plan's columns plus the union-singleton bit.
+  const SketchParams& params = bank.family().params();
   out << "probe table: " << bank.num_copies() << " copies x "
-      << bank.family().params().levels << " levels; per cell "
+      << params.levels << " levels; per cell "
+      << (2 * params.num_second_level + 63) / 64
+      << " row-summary word(s) read per stream (counters only for rows "
+         "with a negative cell), "
       << plan.streams.size() << " occupancy bit(s) in "
       << (plan.streams.size() + 63) / 64
       << " mask word(s) + the union-singleton bit\n";
@@ -458,6 +476,7 @@ std::string PlanCache::Explain(const Expression& expr,
         for (const std::string& name : changed) out << " " << name;
         out << ")\n";
       }
+      AppendEvidence(entry.result.detail, &out);
     }
   }
   out << "plan cache: hits=" << stats_.hits << " misses=" << stats_.misses

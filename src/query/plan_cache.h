@@ -178,8 +178,11 @@ class PlanCache {
   Result FinishQuery(SnapshotRequest request);
 
   /// Human-readable EXPLAIN report: canonical plan, CSE sharing, probe
-  /// table shape, and the cache/epoch state of the matching entry
-  /// (read-only — does not compile or promote anything).
+  /// table shape, the cache/epoch state of the matching entry and, when
+  /// it holds an answer for `bank`, that answer's evidence — the Figure 5
+  /// level, nonempty count over copies (p_hat), saturation, and the
+  /// witness count over valid observations (read-only — does not
+  /// compile or promote anything).
   std::string Explain(const Expression& expr, const SketchBank& bank) const;
   std::string Explain(const std::string& text, const SketchBank& bank) const;
 

@@ -41,8 +41,11 @@ void ApplyGroup(const StreamBatch& group, int begin, int end,
 
 SketchServer::SketchServer(const Options& options)
     : options_(options),
-      bank_(options),
-      coordinator_(options.params, options.copies, options.seed),
+      // Start refuses an invalid shape; until then the bank and the
+      // coordinator hold the default one, so construction never aborts.
+      bank_(ConstructibleConfig(options)),
+      coordinator_(bank_.family().params(), bank_.num_copies(),
+                   bank_.family().master_seed()),
       plan_cache_(PlanCache::Options{options.witness}) {
   if (options_.shards < 1) options_.shards = 1;
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;

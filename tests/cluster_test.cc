@@ -1714,6 +1714,29 @@ TEST(ClusterCommandsTest, InvalidConfigIsRefusedBeforeBinding) {
   EXPECT_TRUE(announce.str().empty());
 }
 
+TEST(ClusterCommandsTest, ShapesTheBankCannotHoldAreRefusedByStart) {
+  // Levels 0 and copies 0 have no sketch family at all: constructing the
+  // router must not abort, and Start must refuse them with the typed
+  // error.
+  ClusterShard shard;
+  shard.name = "s0";
+  shard.port = 1;
+  ClusterRouter::Options no_levels;
+  no_levels.shards = {shard, shard};
+  no_levels.params.levels = 0;
+  ClusterRouter::Options no_copies;
+  no_copies.shards = {shard, shard};
+  no_copies.copies = 0;
+  for (const ClusterRouter::Options& options : {no_levels, no_copies}) {
+    ClusterRouter router(options);
+    std::string error;
+    EXPECT_FALSE(router.Start(&error));
+    EXPECT_NE(error.find("invalid sketch configuration"), std::string::npos)
+        << error;
+    EXPECT_LE(router.port(), 0);  // Never bound.
+  }
+}
+
 TEST(ClusterCommandsTest, RunRouteRejectsBadOptions) {
   ClusterRouter::Options options;
   EXPECT_FALSE(RunRoute(options).ok);  // No shards.

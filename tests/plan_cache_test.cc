@@ -4,11 +4,12 @@
 // invalidation -> re-query cycles; probe-table equivalence with the lazy
 // group probes (negative net frequencies, multi-word masks, mismatched
 // seeds); cache-hit semantics for equivalent spellings; one probe per
-// stale query; LRU eviction; bank-identity invalidation; and the
-// engine-level wiring.
+// stale query; LRU eviction; bank-identity invalidation; EXPLAIN's
+// memo evidence; and the engine-level wiring.
 
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -208,6 +209,48 @@ TEST(PlanCacheTest, IngestRebuildsOneProbeTablePerStaleQuery) {
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
+TEST(PlanCacheTest, ExplainShowsTheMemoizedAnswersEvidence) {
+  VennPartitionGenerator gen(3, UniformRegionProbs(3));
+  auto bank = BankFromDataset(gen.Generate(1024, 43), 32, 43);
+  PlanCache cache(PlanCache::Options{});
+  const std::string text = "(S0 | S1) - S2";
+  const auto expected_line = [](const PlanCache::Result& result) {
+    const UnionEstimate& u = result.detail.union_part;
+    const WitnessEstimate& w = result.detail.expression;
+    std::ostringstream line;
+    line << "memo evidence: union level " << u.level << ", nonempty "
+         << u.nonempty_count << "/" << u.copies << " copies (p_hat "
+         << u.p_hat << "), saturated " << (u.saturated ? "yes" : "no")
+         << ", estimate " << u.estimate << "; witness level " << w.level
+         << ", witnesses " << w.witnesses << "/" << w.valid_observations
+         << " valid observations, estimate " << w.estimate << "\n";
+    return line.str();
+  };
+
+  EXPECT_EQ(cache.Explain(text, *bank).find("memo evidence"),
+            std::string::npos);  // Nothing memoized yet.
+  const PlanCache::Result first = cache.Query(text, *bank);
+  ASSERT_TRUE(first.ok) << first.error;
+  ASSERT_EQ(first.detail.union_part.copies, 32);
+  std::string report = cache.Explain(text, *bank);
+  EXPECT_NE(report.find("cache: HIT"), std::string::npos) << report;
+  EXPECT_NE(report.find(expected_line(first)), std::string::npos) << report;
+  EXPECT_NE(report.find("1 row-summary word(s) read per stream"),
+            std::string::npos)
+      << report;
+
+  // A stale entry still shows the evidence of the answer it holds; the
+  // next query replaces both.
+  bank->Apply("S2", 555u, 1);
+  report = cache.Explain(text, *bank);
+  EXPECT_NE(report.find("cache: STALE"), std::string::npos) << report;
+  EXPECT_NE(report.find(expected_line(first)), std::string::npos) << report;
+  const PlanCache::Result second = cache.Query(text, *bank);
+  ASSERT_TRUE(second.ok) << second.error;
+  report = cache.Explain(text, *bank);
+  EXPECT_NE(report.find(expected_line(second)), std::string::npos) << report;
+}
+
 TEST(PlanCacheTest, IngestIntoUnrelatedStreamKeepsPlansHot) {
   VennPartitionGenerator gen(2, BinaryIntersectionProbs(0.5));
   auto bank = BankFromDataset(gen.Generate(1024, 51), 32, 51);
@@ -303,7 +346,7 @@ TEST(ProbeTableTest, MatchesGroupProbesUnderNegativeNetFrequencies) {
     }
     const std::vector<SketchGroup> groups = bank.Groups(names);
     ProbeTable table;
-    ASSERT_TRUE(table.Build(groups));
+    ASSERT_TRUE(table.Build(bank.Columns(names)));
     ExpectTableMatchesGroups(table, groups);
     for (int copy = 0; copy < table.copies(); ++copy) {
       for (int level = 0; level < table.levels(); ++level) {
@@ -351,7 +394,7 @@ TEST(ProbeTableTest, MultiWordMasksCoverSeventyStreams) {
 
   const std::vector<SketchGroup> groups = bank.Groups(names);
   ProbeTable table;
-  ASSERT_TRUE(table.Build(groups));
+  ASSERT_TRUE(table.Build(bank.Columns(names)));
   ExpectTableMatchesGroups(table, groups);
 
   std::string all = names[0];
@@ -386,7 +429,7 @@ TEST(ProbeTableTest, MismatchedSeedsAreATypedError) {
 
   const std::vector<std::string> names = {"S0", "S1"};
   ProbeTable table;
-  EXPECT_FALSE(table.Build(bank->Groups(names)));
+  EXPECT_FALSE(table.Build(bank->Columns(names)));
   EXPECT_EQ(table.copies(), 0);
   EXPECT_FALSE(EstimateSetExpression(*Parse("S0 - S1"), *bank).ok);
 

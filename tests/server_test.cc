@@ -276,6 +276,29 @@ TEST(SketchServerTest, InvalidConfigIsRefusedBeforeRecoveryOrBinding) {
   }
 }
 
+TEST(SketchServerTest, ShapesTheBankCannotHoldAreRefusedByStart) {
+  // Levels 0 and copies 0 have no sketch family at all: constructing the
+  // server must not abort, and Start must refuse them with the typed
+  // error before recovering or binding.
+  SketchServer::Options no_levels;
+  no_levels.params.levels = 0;
+  SketchServer::Options no_copies;
+  no_copies.copies = 0;
+  for (SketchServer::Options options : {no_levels, no_copies}) {
+    const std::filesystem::path wal =
+        std::filesystem::path(::testing::TempDir()) / "never_created_wal";
+    std::filesystem::remove_all(wal);
+    options.wal_dir = wal.string();
+    SketchServer server(options);
+    std::string error;
+    EXPECT_FALSE(server.Start(&error));
+    EXPECT_NE(error.find("invalid sketch configuration"), std::string::npos)
+        << error;
+    EXPECT_LE(server.port(), 0);  // Never bound.
+    EXPECT_FALSE(std::filesystem::exists(wal));
+  }
+}
+
 TEST(SketchServerTest, BackpressureRetryLaterLosesNoAcknowledgedBatch) {
   // One slow shard with a single-slot queue: the round trip is much
   // faster than applying a 5000-update batch at r = 512, so consecutive

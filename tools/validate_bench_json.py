@@ -16,7 +16,9 @@ configured to emit. Benches are keyed by the marker:
                     sweep, and the in-process ApplyBatch ceiling)
   plan_cache        bench_plan_cache (repeated-query throughput: cold
                     direct/replan vs hot/equivalent cache hits, epoch
-                    invalidation re-probe, served loopback QUERY path)
+                    invalidation re-probe, re-probe after a 64-update
+                    trickle at perfbench query_mixed's shape, served
+                    loopback QUERY path)
   cluster           bench_cluster (single-node vs routed ingest with and
                     without replication; federated query cost cold vs
                     via the router's epoch-aware summary cache; the
@@ -70,6 +72,7 @@ EXPECTED_BY_BENCH = {
         "PlanCacheQuery/hot_hit",
         "PlanCacheQuery/equivalent_hit",
         "PlanCacheQuery/invalidate_requery",
+        "PlanCacheQuery/trickle_requery",
         "PlanCacheQuery/served_hot",
     ],
     "cluster": [
