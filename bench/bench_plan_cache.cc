@@ -17,6 +17,11 @@
 //                      stale re-query of one of three four-stream
 //                      expressions (the trickle is not timed),
 //   served_hot         the full loopback server QUERY path, hot cache,
+//   served_fresh       perfbench query_mixed's fresh triple at its shape
+//                      on a loopback server (shards 2): one 64-update
+//                      PUSH into one of S0..S2 plus the QUERY it made
+//                      stale, timed together (the probe table is filled
+//                      on the shard workers),
 // and printing the server's plan_cache_* STATS counters afterwards. The
 // planned rows take the query text, as every front door does. Two
 // claims are asserted here, not just reported, through the exit status:
@@ -315,6 +320,84 @@ int main() {
               << " plan_cache_entries=" << stats.plan_cache_entries
               << " plan_cache_memo_bytes=" << stats.plan_cache_memo_bytes
               << "\n\n";
+    client->Shutdown();
+    server.Wait();
+  }
+
+  // --- served_fresh: perfbench query_mixed's fresh triple against a
+  // served bank at its shape — one 64-update PUSH into one stream, then
+  // the QUERY that push made stale, timed together. The stale plan's
+  // probe table is filled on the two shard workers.
+  {
+    SketchServer::Options options;
+    options.params.levels = 24;
+    options.params.num_second_level = 16;
+    options.copies = kCopies;
+    options.seed = 20030609;
+    options.shards = 2;
+    options.witness = witness;
+    SketchServer server(options);
+    std::string error;
+    if (!server.Start(&error)) {
+      std::cerr << "server start failed: " << error << "\n";
+      return 1;
+    }
+    auto client =
+        SketchClient::Connect("127.0.0.1", server.port(), &error);
+    if (client == nullptr) {
+      std::cerr << "connect failed: " << error << "\n";
+      return 1;
+    }
+    constexpr int kStreams = 6;
+    constexpr size_t kTrickle = 64;
+    const std::vector<std::string> six_names =
+        {"S0", "S1", "S2", "S3", "S4", "S5"};
+    const std::vector<std::string> texts = {"((S0 | S1) & S2) - S3",
+                                            "(S1 - S2) | (S0 & S4)",
+                                            "((S2 & S0) | S5) - S1"};
+    VennPartitionGenerator six(kStreams, UniformRegionProbs(kStreams));
+    const std::vector<Update> preload =
+        six.Generate(universe / 4, 4321).ToInsertUpdates(4);
+    constexpr size_t kBatchSize = 8192;
+    for (size_t begin = 0; begin < preload.size(); begin += kBatchSize) {
+      UpdateBatch batch;
+      batch.stream_names = six_names;
+      const size_t end = std::min(preload.size(), begin + kBatchSize);
+      batch.updates.assign(preload.begin() + begin, preload.begin() + end);
+      if (!client->PushUpdatesWithRetry(batch).ok) {
+        std::cerr << "push failed\n";
+        return 1;
+      }
+    }
+    for (const std::string& text : texts) {
+      if (!client->Query(text).ok) {
+        std::cerr << "served_fresh warm-up query failed\n";
+        return 1;
+      }
+    }
+    const int64_t fresh_queries = std::max<int64_t>(200, hot_queries / 10);
+    uint64_t element = 1;
+    Stopwatch watch;
+    for (int64_t i = 0; i < fresh_queries; ++i) {
+      UpdateBatch batch;
+      batch.stream_names = six_names;
+      for (size_t k = 0; k < kTrickle; ++k) {
+        batch.updates.push_back(
+            Insert(static_cast<StreamId>(i % 3),
+                   element++ * 0x9E3779B97F4A7C15ULL));
+      }
+      if (!client->PushUpdatesWithRetry(batch).ok) {
+        std::cerr << "served_fresh push failed\n";
+        return 1;
+      }
+      const QueryResultInfo answer =
+          client->Query(texts[static_cast<size_t>(i % 3)]);
+      if (!answer.ok) {
+        std::cerr << "served_fresh query failed: " << answer.error << "\n";
+        return 1;
+      }
+    }
+    record("served_fresh", watch.Seconds(), fresh_queries);
     client->Shutdown();
     server.Wait();
   }

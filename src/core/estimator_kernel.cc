@@ -1,106 +1,258 @@
 #include "core/estimator_kernel.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "core/estimator_config.h"
 
 namespace setsketch {
 
-UnionView::~UnionView() = default;
-
-GroupUnionView::GroupUnionView(const std::vector<SketchGroup>& groups,
-                               bool pairwise)
-    : groups_(groups), pairwise_(pairwise) {}
-
-int GroupUnionView::copies() const { return static_cast<int>(groups_.size()); }
-
-int GroupUnionView::levels() const {
-  return groups_.empty() || groups_[0].empty() ? 0 : groups_[0][0]->levels();
-}
-
-bool GroupUnionView::NonEmpty(int copy, int level) const {
-  return !UnionBucketEmpty(groups_[static_cast<size_t>(copy)], level);
-}
-
-bool GroupUnionView::UnionSingleton(int copy, int level) const {
-  const SketchGroup& group = groups_[static_cast<size_t>(copy)];
-  if (pairwise_) {
-    return SingletonUnionBucket(*group[0], *group[1], level);
-  }
-  return UnionSingletonBucket(group, level);
-}
-
-bool ProbeTable::Build(const std::vector<const SketchColumn*>& columns) {
+void ProbeTable::Clear() {
   copies_ = 0;
   levels_ = 0;
+  columns_ = 0;
   words_ = 0;
-  occupancy_.clear();
-  flags_.clear();
+  part_copy_.clear();
+  part_word_.clear();
+  part_filled_.clear();
+  bits_.clear();
+}
+
+void ProbeTable::Shape(int copies, int levels, int columns, int parts) {
+  constexpr size_t kLineWords = kCacheLineBytes / sizeof(uint64_t);
+  copies_ = copies;
+  levels_ = levels;
+  columns_ = columns;
+  part_copy_.resize(static_cast<size_t>(parts) + 1);
+  part_word_.resize(static_cast<size_t>(parts) + 1);
+  for (int p = 0; p <= parts; ++p) {
+    // The copy ranges of the server's shard workers (shard_queue.h).
+    part_copy_[static_cast<size_t>(p)] =
+        static_cast<int>(static_cast<int64_t>(p) * copies / parts);
+  }
+  size_t word = 0;
+  for (size_t p = 0; p <= static_cast<size_t>(parts); ++p) {
+    part_word_[p] = word;
+    if (p < static_cast<size_t>(parts)) {
+      const size_t region = static_cast<size_t>(levels) * PartLevelWords(p);
+      word += (region + kLineWords - 1) / kLineWords * kLineWords;
+    }
+  }
+  words_ = word;
+  part_filled_.assign(static_cast<size_t>(parts), 0);
+  // Every word is written by exactly one FillPart, padding included.
+  bits_.resize((2 + static_cast<size_t>(columns)) * words_);
+}
+
+ProbeTable::Layout ProbeTable::LayoutOf(int copies, int levels, int parts) {
+  ProbeTable table;
+  table.Shape(copies, levels, /*columns=*/0, parts);
+  Layout layout;
+  for (size_t p = 0; p < static_cast<size_t>(parts); ++p) {
+    layout.level_words += table.PartLevelWords(p);
+  }
+  layout.bitset_words = table.words();
+  return layout;
+}
+
+bool ProbeTable::Reset(const std::vector<const SketchColumn*>& columns,
+                       int parts) {
+  Clear();
   if (columns.empty() || columns[0]->empty()) return false;
   const size_t copies = columns[0]->size();
   for (const SketchColumn* column : columns) {
     if (column->size() != copies) return false;
   }
-  const int levels = (*columns[0])[0].levels();
-  const size_t cells = copies * static_cast<size_t>(levels);
-  const size_t words = (columns.size() + 63) / 64;
-  occupancy_.assign(cells * words, 0);
-  flags_.assign(cells, 0);
-  // One reused group, filled per copy straight from the columns.
-  SketchGroup group(columns.size());
-  UnionBucketProbe probes[64];  // levels <= 64.
-  const size_t summary_words =
-      static_cast<size_t>(levels) *
-      static_cast<size_t>((*columns[0])[0].row_words());
-  for (size_t copy = 0; copy < copies; ++copy) {
-    for (size_t k = 0; k < columns.size(); ++k) {
-      group[k] = &(*columns[k])[copy];
-      // The next copy's summaries are separate allocations the hardware
-      // prefetcher cannot guess; after ingest they are cache misses.
-      if (copy + 1 < copies) {
-        const uint64_t* next = (*columns[k])[copy + 1].PositiveRow(0);
-        for (size_t w = 0; w < summary_words; w += 8) {
-          __builtin_prefetch(next + w);
-        }
-      }
-    }
-    if (!GroupSeedsMatch(group) || group[0]->levels() != levels) {
-      occupancy_.clear();
-      flags_.clear();
-      return false;
-    }
-    const size_t row = copy * static_cast<size_t>(levels);
-    ProbeUnionBuckets(group, 0, levels, probes, &occupancy_[row * words]);
-    for (int level = 0; level < levels; ++level) {
-      const UnionBucketProbe& probe = probes[level];
-      flags_[row + static_cast<size_t>(level)] = static_cast<unsigned char>(
-          (probe.nonempty ? kNonEmpty : 0) |
-          (probe.singleton ? kSingleton : 0));
-    }
-  }
-  copies_ = static_cast<int>(copies);
-  levels_ = levels;
-  words_ = words;
+  if (parts < 1) return false;
+  Shape(static_cast<int>(copies), (*columns[0])[0].levels(),
+        static_cast<int>(columns.size()), parts);
   return true;
 }
 
-UnionEstimate KernelEstimateUnion(const UnionView& view, double epsilon,
+template <typename GroupOf>
+bool ProbeTable::FillCells(int part, bool pairwise, const GroupOf& group_of) {
+  const size_t bitsets = 2 + static_cast<size_t>(columns_);
+  const size_t levels = static_cast<size_t>(levels_);
+  const int first = part_copy_[static_cast<size_t>(part)];
+  const int last = part_copy_[static_cast<size_t>(part) + 1];
+  const size_t stride = PartLevelWords(static_cast<size_t>(part));
+  const size_t region = part_word_[static_cast<size_t>(part)];
+  const size_t region_words = part_word_[static_cast<size_t>(part) + 1] -
+                              region;
+  // One word of up to 64 copies per (bitset, level) accumulates here
+  // (block[b * levels + level], bit i for copy start + i), then lands in
+  // the part's region with one store per word.
+  std::vector<uint64_t> block(bitsets * levels);
+  SketchGroup group(static_cast<size_t>(columns_));
+  SketchGroup next(static_cast<size_t>(columns_));
+  if (first < last) group_of(first, &next);
+  for (size_t b = 0; b < bitsets; ++b) {
+    // The region's padding past its last level.
+    uint64_t* out = bits_.data() + b * words_ + region;
+    std::fill(out + levels * stride, out + region_words, uint64_t{0});
+  }
+  size_t word = 0;
+  for (int start = first; start < last; start += 64, ++word) {
+    std::fill(block.begin(), block.end(), uint64_t{0});
+    const int end = std::min(last, start + 64);
+    for (int copy = start; copy < end; ++copy) {
+      std::swap(group, next);
+      if (copy + 1 < last) {
+        // The next copy's summaries are separate allocations the hardware
+        // prefetcher cannot guess; after ingest they are cache misses.
+        group_of(copy + 1, &next);
+        for (const TwoLevelHashSketch* x : next) {
+          if (x == nullptr) continue;  // Refused when its turn comes.
+          const uint64_t* rows = x->PositiveRow(0);
+          const size_t words = levels * static_cast<size_t>(x->row_words());
+          for (size_t w = 0; w < words; w += 8) __builtin_prefetch(rows + w);
+        }
+      }
+      if (!GroupSeedsMatch(group) || group[0]->levels() != levels_) {
+        return false;
+      }
+      const int shift = copy - start;
+      uint64_t* singleton = block.data() + levels;
+      ProbeUnionBuckets(group, 0, levels_,
+                        {block.data(), singleton, block.data() + 2 * levels,
+                         shift});
+      if (pairwise) {
+        for (size_t level = 0; level < levels; ++level) {
+          if (((block[level] >> shift) & 1) == 0) continue;
+          const uint64_t bit = uint64_t{1} << shift;
+          singleton[level] =
+              SingletonUnionBucket(*group[0], *group[1],
+                                   static_cast<int>(level))
+                  ? singleton[level] | bit
+                  : singleton[level] & ~bit;
+        }
+      }
+    }
+    for (size_t b = 0; b < bitsets; ++b) {
+      uint64_t* out = bits_.data() + b * words_ + region + word;
+      for (size_t level = 0; level < levels; ++level) {
+        out[level * stride] = block[b * levels + level];
+      }
+    }
+  }
+  part_filled_[static_cast<size_t>(part)] = 1;
+  return true;
+}
+
+bool ProbeTable::FillPart(const std::vector<const SketchColumn*>& columns,
+                          int part) {
+  if (part < 0 || static_cast<size_t>(part) >= part_filled_.size() ||
+      columns.size() != static_cast<size_t>(columns_)) {
+    return false;
+  }
+  return FillCells(part, /*pairwise=*/false,
+                   [&columns](int copy, SketchGroup* group) {
+                     for (size_t k = 0; k < columns.size(); ++k) {
+                       (*group)[k] =
+                           &(*columns[k])[static_cast<size_t>(copy)];
+                     }
+                   });
+}
+
+bool ProbeTable::Build(const std::vector<const SketchColumn*>& columns) {
+  if (Reset(columns, 1) && FillPart(columns, 0)) return true;
+  Clear();
+  return false;
+}
+
+bool ProbeTable::Build(const std::vector<SketchGroup>& groups,
+                       bool pairwise) {
+  Clear();
+  if (groups.empty() || groups[0].empty() || groups[0][0] == nullptr) {
+    return false;
+  }
+  const size_t columns = groups[0].size();
+  for (const SketchGroup& group : groups) {
+    if (group.size() != columns) return false;
+  }
+  if (pairwise && columns != 2) return false;
+  Shape(static_cast<int>(groups.size()), groups[0][0]->levels(),
+        static_cast<int>(columns), 1);
+  if (FillCells(0, pairwise, [&groups](int copy, SketchGroup* group) {
+        *group = groups[static_cast<size_t>(copy)];
+      })) {
+    return true;
+  }
+  Clear();
+  return false;
+}
+
+bool ProbeTable::Filled() const {
+  return copies_ > 0 &&
+         std::all_of(part_filled_.begin(), part_filled_.end(),
+                     [](unsigned char filled) { return filled != 0; });
+}
+
+bool ProbeTable::Bit(const uint64_t* bitset, int copy, int level) const {
+  // The last part whose first copy is <= copy.
+  const size_t part = static_cast<size_t>(
+      std::upper_bound(part_copy_.begin(), part_copy_.end() - 1, copy) -
+      part_copy_.begin() - 1);
+  const size_t offset = static_cast<size_t>(copy - part_copy_[part]);
+  const uint64_t word =
+      bitset[part_word_[part] +
+             static_cast<size_t>(level) * PartLevelWords(part) + offset / 64];
+  return ((word >> (offset % 64)) & 1) != 0;
+}
+
+template <typename Visit>
+void ProbeTable::ForLevelWords(int level, const Visit& visit) const {
+  if (level < 0) {
+    visit(size_t{0}, words_);  // Padding bits are zero.
+    return;
+  }
+  for (size_t p = 0; p + 1 < part_copy_.size(); ++p) {
+    const size_t stride = PartLevelWords(p);
+    const size_t begin = part_word_[p] + static_cast<size_t>(level) * stride;
+    visit(begin, begin + stride);
+  }
+}
+
+int ProbeTable::Count(const uint64_t* bits, int level) const {
+  int count = 0;
+  ForLevelWords(level, [&](size_t begin, size_t end) {
+    for (size_t w = begin; w < end; ++w) count += std::popcount(bits[w]);
+  });
+  return count;
+}
+
+int ProbeTable::CountBoth(const uint64_t* a, const uint64_t* b,
+                          int level) const {
+  int count = 0;
+  ForLevelWords(level, [&](size_t begin, size_t end) {
+    for (size_t w = begin; w < end; ++w) count += std::popcount(a[w] & b[w]);
+  });
+  return count;
+}
+
+UnionEstimate KernelEstimateUnion(const ProbeTable& table, double epsilon,
                                   bool mle) {
   UnionEstimate result;
-  const int r = view.copies();
-  const int levels = view.levels();
+  const int r = table.copies();
+  const int levels = table.levels();
   if (r <= 0 || levels <= 0 || !(epsilon > 0)) return result;
   const double threshold = (1.0 + epsilon) * r / 8.0;
+
+  // Non-empty cells per level: a few popcounts each.
+  std::vector<int> nonempty(static_cast<size_t>(levels), 0);
+  for (int level = 0; level < levels; ++level) {
+    nonempty[static_cast<size_t>(level)] =
+        table.Count(table.nonempty(), level);
+  }
 
   // Find the smallest level whose non-empty count drops to the target
   // fraction (Figure 5, steps 3-11).
   int index = 0;
   int count = 0;
   for (index = 0; index < levels; ++index) {
-    count = 0;
-    for (int copy = 0; copy < r; ++copy) {
-      if (view.NonEmpty(copy, index)) ++count;
-    }
+    count = nonempty[static_cast<size_t>(index)];
     if (static_cast<double>(count) <= threshold) break;
   }
   if (index == levels) {
@@ -136,15 +288,6 @@ UnionEstimate KernelEstimateUnion(const UnionView& view, double epsilon,
   // All-levels maximum-likelihood refinement: every level j contributes an
   // independent binomial observation k_j of r at
   // p_j(u) = 1 - (1 - 2^-(j+1))^u.
-  std::vector<int> nonempty(static_cast<size_t>(levels), 0);
-  for (int copy = 0; copy < r; ++copy) {
-    for (int level = 0; level < levels; ++level) {
-      if (view.NonEmpty(copy, level)) {
-        ++nonempty[static_cast<size_t>(level)];
-      }
-    }
-  }
-
   // log p_j(u) and log(1 - p_j(u)) with p_j(u) = 1 - (1 - 2^-(j+1))^u.
   auto log_likelihood = [&](double u) {
     double total = 0.0;
@@ -189,13 +332,13 @@ UnionEstimate KernelEstimateUnion(const UnionView& view, double epsilon,
   return result;
 }
 
-WitnessEstimate KernelCountWitnesses(const UnionView& view,
-                                     const WitnessPredicate& witness,
+WitnessEstimate KernelCountWitnesses(const ProbeTable& table,
+                                     const uint64_t* witness,
                                      double union_estimate,
                                      const WitnessOptions& options) {
   WitnessEstimate result;
-  const int r = view.copies();
-  const int levels = view.levels();
+  const int r = table.copies();
+  const int levels = table.levels();
   if (r <= 0 || levels <= 0 || union_estimate < 0 || !options.Valid()) {
     return result;
   }
@@ -204,19 +347,12 @@ WitnessEstimate KernelCountWitnesses(const UnionView& view,
   result.level = WitnessLevel(union_estimate, options.epsilon, options.beta,
                               levels);
 
-  const auto observe = [&](int copy, int level) {
-    if (!view.UnionSingleton(copy, level)) return;  // "noEstimate".
-    ++result.valid_observations;
-    if (witness(copy, level)) ++result.witnesses;
-  };
-  for (int copy = 0; copy < r; ++copy) {
-    if (options.pool_all_levels) {
-      // Pooled mode: every union-singleton bucket is a valid observation.
-      for (int level = 0; level < levels; ++level) observe(copy, level);
-    } else {
-      observe(copy, result.level);
-    }
-  }
+  // Pooled mode: every union-singleton cell is a valid observation;
+  // strict mode: each copy's cell at the witness level. A singleton cell
+  // is a witness where B(E) holds ("noEstimate" elsewhere).
+  const int level = options.pool_all_levels ? -1 : result.level;
+  result.valid_observations = table.Count(table.singleton(), level);
+  result.witnesses = table.CountBoth(table.singleton(), witness, level);
   if (result.valid_observations == 0) return result;  // All "noEstimate".
   result.estimate = result.WitnessFraction() * union_estimate;
   result.ok = true;

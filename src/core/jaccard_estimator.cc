@@ -1,6 +1,6 @@
 #include "core/jaccard_estimator.h"
 
-#include "core/estimator_kernel.h"
+#include "core/set_intersection_estimator.h"
 #include "core/set_union_estimator.h"
 
 namespace setsketch {
@@ -30,15 +30,10 @@ JaccardEstimate EstimateJaccard(const std::vector<SketchGroup>& pairs,
     union_estimate = u.estimate;
   }
 
-  const GroupUnionView view(pairs, /*pairwise=*/true);
-  const WitnessEstimate counted = KernelCountWitnesses(
-      view,
-      [&pairs](int copy, int level) {
-        const SketchGroup& pair = pairs[static_cast<size_t>(copy)];
-        return SingletonBucket(*pair[0], level) &&
-               SingletonBucket(*pair[1], level);
-      },
-      union_estimate, options);
+  // J is the intersection's witness fraction: the same pairwise table
+  // and witness bits.
+  const WitnessEstimate counted =
+      EstimateSetIntersection(pairs, union_estimate, options);
   result.valid_observations = counted.valid_observations;
   result.witnesses = counted.witnesses;
   if (result.valid_observations == 0) {

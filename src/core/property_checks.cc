@@ -1,6 +1,7 @@
 #include "core/property_checks.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace setsketch {
 
@@ -59,52 +60,54 @@ bool GroupSeedsMatch(const SketchGroup& group) {
 
 namespace {
 
+/// Sets bit `shift` of *word to `value`.
+void SetBit(uint64_t* word, int shift, bool value) {
+  const uint64_t bit = uint64_t{1} << shift;
+  *word = value ? *word | bit : *word & ~bit;
+}
+
 /// ProbeUnionBuckets at a level where some row has a negative cell: each
 /// column's occupancy from its own LevelEmpty (which reads its counters
-/// there), the singleton test on the summed counters.
-UnionBucketProbe CounterUnionBucket(
-    std::span<const TwoLevelHashSketch* const> group, int level,
-    uint64_t* occupancy) {
-  UnionBucketProbe probe;
+/// there), the singleton test on the summed counters. Rewrites word i of
+/// every output.
+void CounterUnionBucket(std::span<const TwoLevelHashSketch* const> group,
+                        int level, size_t i, size_t count,
+                        const UnionBucketBits& out) {
+  bool nonempty = false;
   for (size_t k = 0; k < group.size(); ++k) {
-    const uint64_t bit = uint64_t{1} << (k % 64);
-    if (group[k]->LevelEmpty(level)) {
-      if (occupancy != nullptr) occupancy[k / 64] &= ~bit;
-      continue;
+    const bool occupied = !group[k]->LevelEmpty(level);
+    if (out.occupancy != nullptr) {
+      SetBit(out.occupancy + k * count + i, out.shift, occupied);
     }
-    probe.nonempty = true;
-    if (occupancy != nullptr) occupancy[k / 64] |= bit;
+    nonempty = nonempty || occupied;
   }
+  SetBit(out.nonempty + i, out.shift, nonempty);
   // By linearity, summing counters across the group yields the bucket of
   // the multiset union of the streams; run SingletonBucket on those sums.
   int64_t total = 0;
-  for (const TwoLevelHashSketch* x : group) total += x->LevelTotal(level);
-  if (total == 0) return probe;
+  for (const TwoLevelHashSketch* x : group) {
+    total = WrappingAdd(total, x->LevelTotal(level));
+  }
+  bool singleton = total != 0;
   const int s = group[0]->num_second_level();
-  for (int j = 0; j < s; ++j) {
+  for (int j = 0; singleton && j < s; ++j) {
     int64_t c0 = 0, c1 = 0;
     for (const TwoLevelHashSketch* x : group) {
-      c0 += x->Count(level, j, 0);
-      c1 += x->Count(level, j, 1);
+      c0 = WrappingAdd(c0, x->Count(level, j, 0));
+      c1 = WrappingAdd(c1, x->Count(level, j, 1));
     }
-    if (c0 > 0 && c1 > 0) return probe;
+    singleton = !(c0 > 0 && c1 > 0);
   }
-  probe.singleton = true;
-  return probe;
+  SetBit(out.singleton + i, out.shift, singleton);
 }
 
 }  // namespace
 
 void ProbeUnionBuckets(std::span<const TwoLevelHashSketch* const> group,
-                       int first, int count, UnionBucketProbe* probes,
-                       uint64_t* occupancy) {
+                       int first, int count, const UnionBucketBits& out) {
+  if (group.empty()) return;
   const size_t levels = static_cast<size_t>(count);
-  const size_t mask_words = (group.size() + 63) / 64;
-  if (occupancy != nullptr) std::fill_n(occupancy, levels * mask_words, 0);
-  if (group.empty()) {
-    std::fill_n(probes, levels, UnionBucketProbe{});
-    return;
-  }
+  const int shift = out.shift;
   // Every sketch of the group shares the seed, hence the row geometry;
   // rows [first, first + count) are contiguous in each summary.
   const size_t words = static_cast<size_t>(group[0]->row_words());
@@ -118,53 +121,56 @@ void ProbeUnionBuckets(std::span<const TwoLevelHashSketch* const> group,
     negative |= x.negative_rows();
     const uint64_t* rows = x.PositiveRow(first);
     for (size_t i = 0; i < levels * words; ++i) positive[i] |= rows[i];
-    if (occupancy == nullptr) continue;
+    if (out.occupancy == nullptr) continue;
     // On a row without negative cells, LevelTotal != 0 iff a cell of
     // pair 0 (bits 0 and 1) is positive.
-    uint64_t* column = occupancy + k / 64;
-    const size_t shift = k % 64;
-    if (words == 1 && mask_words == 1) {  // Unit strides: vectorizes.
+    uint64_t* occupied = out.occupancy + k * levels;
+    if (words == 1) {  // Unit stride: vectorizes.
       for (size_t i = 0; i < levels; ++i) {
-        column[i] |= ((rows[i] | (rows[i] >> 1)) & 1) << shift;
+        occupied[i] |= ((rows[i] | (rows[i] >> 1)) & 1) << shift;
       }
       continue;
     }
     for (size_t i = 0; i < levels; ++i) {
       const uint64_t w = rows[i * words];
-      column[i * mask_words] |= ((w | (w >> 1)) & 1) << shift;
+      occupied[i] |= ((w | (w >> 1)) & 1) << shift;
     }
   }
-  for (size_t i = 0; i < levels; ++i) {
-    const int level = first + static_cast<int>(i);
-    if (((negative >> level) & 1) != 0) [[unlikely]] {
-      probes[i] = CounterUnionBucket(
-          group, level,
-          occupancy == nullptr ? nullptr : occupancy + i * mask_words);
-      continue;
+  // No negative cell: the summed pair j has a positive cell exactly
+  // where some column's does, so the union is non-empty iff pair 0 of
+  // the OR is, and split iff bits 2j and 2j + 1 of the OR are both set
+  // for some j.
+  const auto decide = [&out, shift](size_t i, uint64_t first_word,
+                                    uint64_t split) {
+    const uint64_t nonempty = (first_word | (first_word >> 1)) & 1;
+    split &= 0x5555555555555555ULL;
+    // 1 iff split != 0, without a branch or a 64-bit compare, so the
+    // loop below vectorizes.
+    const uint64_t any_split = (split | (0 - split)) >> 63;
+    out.nonempty[i] |= nonempty << shift;
+    out.singleton[i] |= (nonempty & (any_split ^ 1)) << shift;
+  };
+  if (words == 1) {
+    for (size_t i = 0; i < levels; ++i) {
+      decide(i, positive[i], positive[i] & (positive[i] >> 1));
     }
-    // No negative cell: the summed pair j has a positive cell exactly
-    // where some column's does, so the union is non-empty iff pair 0 of
-    // the OR is, and split iff bits 2j and 2j + 1 of the OR are both set
-    // for some j.
-    const uint64_t* p = positive + i * words;
-    uint64_t split = p[0] & (p[0] >> 1);
-    for (size_t w = 1; w < words; ++w) split |= p[w] & (p[w] >> 1);
-    probes[i].nonempty = (p[0] & 3) != 0;
-    probes[i].singleton =
-        probes[i].nonempty && (split & 0x5555555555555555ULL) == 0;
+  } else {
+    for (size_t i = 0; i < levels; ++i) {
+      const uint64_t* p = positive + i * words;
+      uint64_t split = 0;
+      for (size_t w = 0; w < words; ++w) split |= p[w] & (p[w] >> 1);
+      decide(i, p[0], split);
+    }
   }
-}
-
-bool UnionBucketEmpty(const SketchGroup& group, int level) {
-  UnionBucketProbe probe;
-  ProbeUnionBuckets(group, level, 1, &probe, nullptr);
-  return !probe.nonempty;
-}
-
-bool UnionSingletonBucket(const SketchGroup& group, int level) {
-  UnionBucketProbe probe;
-  ProbeUnionBuckets(group, level, 1, &probe, nullptr);
-  return probe.singleton;
+  // Rows with a negative cell decide from the counter sums instead.
+  const uint64_t range =
+      levels >= 64 ? ~uint64_t{0} : (uint64_t{1} << levels) - 1;
+  for (uint64_t fallback = (negative >> first) & range; fallback != 0;
+       fallback &= fallback - 1) {
+    const int i = std::countr_zero(fallback);
+    CounterUnionBucket(group, first + i, static_cast<size_t>(i), levels,
+                       out);
+  }
 }
 
 }  // namespace setsketch

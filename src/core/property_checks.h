@@ -11,8 +11,8 @@
 // the streams, so union-emptiness/singleton checks reduce to the unary
 // checks on lazily-summed counters (no merged sketch is materialized).
 //
-// The n-ary union checks decide through one procedure, ProbeUnionBuckets,
-// which the plan cache's probe table (core/estimator_kernel.h) calls too.
+// The n-ary union checks are one procedure, ProbeUnionBuckets, which
+// fills every estimator's probe table (core/estimator_kernel.h).
 // It reads each column's row summary (core/two_level_hash_sketch.h): with
 // no negative cell in any participating row, the summed counters of pair
 // j are positive exactly where some column's are, so emptiness and the
@@ -57,31 +57,24 @@ bool IdenticalSingletonBucket(const TwoLevelHashSketch& a,
 bool SingletonUnionBucket(const TwoLevelHashSketch& a,
                           const TwoLevelHashSketch& b, int level);
 
-/// The two facts every union-bucket probe reports.
-struct UnionBucketProbe {
-  bool nonempty = false;   ///< Some column's bucket is occupied.
-  bool singleton = false;  ///< The union bucket holds one distinct value.
+/// Where ProbeUnionBuckets reports the facts of level first + i: bit
+/// `shift` of word i of each array (other bits are left as they are, so
+/// 64 copies can share one word per level — ProbeTable's bit-sliced
+/// layout).
+struct UnionBucketBits {
+  uint64_t* nonempty = nullptr;   ///< Some column's bucket is occupied.
+  uint64_t* singleton = nullptr;  ///< The union bucket holds one value.
+  /// Column k's own occupancy at word k * count + i, or nullptr.
+  uint64_t* occupancy = nullptr;
+  int shift = 0;
 };
 
-/// Buckets [first, first + count) of the union over `group` (one seed):
-/// the one decision procedure behind UnionBucketEmpty,
-/// UnionSingletonBucket and ProbeTable::Build. probes[i] describes level
-/// first + i: `nonempty` is the OR of the columns' !LevelEmpty, and
-/// `singleton` is the paper's SingletonBucket on the summed counters.
-/// When `occupancy` is non-null it receives count * ceil(group.size() /
-/// 64) words, level-major: bit k % 64 of occupancy[i * words + k / 64]
-/// says whether column k is occupied at level first + i.
+/// Buckets [first, first + count) of the union over `group` (one seed,
+/// count <= 64): the one decision procedure behind ProbeTable. `nonempty` is the OR of the
+/// columns' !LevelEmpty, and `singleton` is the paper's SingletonBucket
+/// on the summed counters.
 void ProbeUnionBuckets(std::span<const TwoLevelHashSketch* const> group,
-                       int first, int count, UnionBucketProbe* probes,
-                       uint64_t* occupancy);
-
-/// n-ary generalization: true iff bucket `level` is empty in every sketch
-/// of the group.
-bool UnionBucketEmpty(const SketchGroup& group, int level);
-
-/// n-ary generalization: true iff the set union over the whole group of the
-/// elements mapping to bucket `level` is a singleton.
-bool UnionSingletonBucket(const SketchGroup& group, int level);
+                       int first, int count, const UnionBucketBits& out);
 
 /// True iff all sketches in `group` share one SketchSeed (and the group is
 /// non-empty). Estimators validate their inputs with this.

@@ -32,18 +32,19 @@ std::optional<int> AtomicDiffEstimate(const TwoLevelHashSketch& a,
 WitnessEstimate EstimateSetDifference(const std::vector<SketchGroup>& pairs,
                                       double union_estimate,
                                       const WitnessOptions& options) {
-  if (!ValidatePairs(pairs)) return WitnessEstimate{};
-  // Thin strategy over the shared kernel: the pairwise view reproduces
-  // AtomicDiffEstimate's SingletonUnionBucket gate; the predicate is
-  // Figure 6, step 5.
-  const GroupUnionView view(pairs, /*pairwise=*/true);
-  return KernelCountWitnesses(
-      view,
-      [&pairs](int copy, int level) {
-        const SketchGroup& pair = pairs[static_cast<size_t>(copy)];
-        return SingletonBucket(*pair[0], level) && BucketEmpty(*pair[1], level);
-      },
-      union_estimate, options);
+  // Thin strategy over the shared kernel: the pairwise table reproduces
+  // AtomicDiffEstimate's SingletonUnionBucket gate; at a union singleton,
+  // Figure 6's step 5 (A's bucket a singleton, B's empty) is A occupied
+  // and B not.
+  ProbeTable table;
+  if (!ValidatePairs(pairs) || !table.Build(pairs, /*pairwise=*/true)) {
+    return WitnessEstimate{};
+  }
+  std::vector<uint64_t> witness(table.words());
+  for (size_t w = 0; w < witness.size(); ++w) {
+    witness[w] = table.occupancy(0)[w] & ~table.occupancy(1)[w];
+  }
+  return KernelCountWitnesses(table, witness.data(), union_estimate, options);
 }
 
 }  // namespace setsketch

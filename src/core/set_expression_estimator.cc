@@ -3,6 +3,7 @@
 #include <unordered_map>
 
 #include "core/sketch_bank.h"
+#include "expr/canonical.h"
 
 namespace setsketch {
 
@@ -23,7 +24,7 @@ bool ValidateGroups(const std::vector<SketchGroup>& groups,
 }  // namespace
 
 ExpressionEstimate EstimateExpressionWithKernel(
-    const UnionView& view, const WitnessPredicate& witness,
+    const ProbeTable& table, const uint64_t* witness,
     const WitnessOptions& options) {
   ExpressionEstimate result;
   if (!options.Valid()) return result;
@@ -31,13 +32,13 @@ ExpressionEstimate EstimateExpressionWithKernel(
   // Stage 1: estimate |U| over all participating streams (Figure 5, or
   // the all-levels MLE extension when requested).
   result.union_part =
-      KernelEstimateUnion(view, options.epsilon, options.mle_union);
+      KernelEstimateUnion(table, options.epsilon, options.mle_union);
   if (!result.union_part.ok) return result;
 
   WitnessEstimate& w = result.expression;
   if (result.union_part.estimate <= 0) {
     // Empty union: |E| is exactly 0 and no witness sampling is needed.
-    w.copies = view.copies();
+    w.copies = table.copies();
     w.union_estimate = result.union_part.estimate;
     w.estimate = 0;
     w.level = 0;
@@ -50,7 +51,7 @@ ExpressionEstimate EstimateExpressionWithKernel(
   // (Section 4) — one bucket per copy in paper-faithful mode, every
   // singleton bucket in pooled mode.
   result.expression = KernelCountWitnesses(
-      view, witness, result.union_part.estimate, options);
+      table, witness, result.union_part.estimate, options);
   result.ok = result.expression.ok;
   return result;
 }
@@ -71,20 +72,20 @@ ExpressionEstimate EstimateSetExpression(
     if (!column.contains(name)) return ExpressionEstimate{};  // Unknown.
   }
 
-  // Thin strategy: the direct (unmerged) view plus the AST's witness
-  // condition B(E) — "bucket non-empty in the stream's sketch" at the
-  // leaves, OR / AND / AND-NOT at the connectives.
-  const GroupUnionView view(groups);
+  // Thin strategy: the probe table of the groups plus the witness
+  // condition B(E) over it — each stream's occupancy bitset at the
+  // leaves, OR / AND / AND-NOT at the connectives of the canonical plan
+  // (pointwise equal to the AST's).
+  ProbeTable table;
+  if (!table.Build(groups)) return ExpressionEstimate{};
+  const CanonicalPlan plan = Canonicalize(expr);
+  std::vector<const uint64_t*> leaves;
+  for (const std::string& name : plan.streams) {
+    leaves.push_back(table.occupancy(static_cast<int>(column.at(name))));
+  }
+  std::vector<uint64_t> scratch;
   return EstimateExpressionWithKernel(
-      view,
-      [&](int copy, int level) {
-        const SketchGroup& group = groups[static_cast<size_t>(copy)];
-        return expr.Evaluate([&](const std::string& name) {
-          const TwoLevelHashSketch* sketch = group[column.at(name)];
-          return !BucketEmpty(*sketch, level);
-        });
-      },
-      options);
+      table, EvaluatePlan(plan, leaves, table.words(), &scratch), options);
 }
 
 ExpressionEstimate EstimateSetExpression(const Expression& expr,

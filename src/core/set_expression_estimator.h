@@ -49,14 +49,15 @@ ExpressionEstimate EstimateSetExpression(
     const Expression& expr, const SketchBank& bank,
     const WitnessOptions& options = {});
 
-/// The expression strategy over an abstract kernel view: stage-1 union
-/// estimate from `view`, stage-2 witness counting with `witness`. This is
-/// the engine both EstimateSetExpression and the plan cache's compiled
-/// plans run on — given bit-identical views and predicates it produces
-/// bit-identical estimates. Callers validate their own inputs; the witness
-/// predicate is only consulted at union-singleton buckets.
+/// The expression strategy over a probe table: stage-1 union estimate
+/// from the table, stage-2 witness counting over `witness` — B(E) per
+/// cell, a table.words() bitset (EvaluatePlan over the table's occupancy
+/// bitsets). This is the engine both EstimateSetExpression and the plan
+/// cache's compiled plans run on — given bit-identical tables it produces
+/// bit-identical estimates. Callers validate their own inputs; the
+/// witness bits are only read at union-singleton cells.
 ExpressionEstimate EstimateExpressionWithKernel(
-    const UnionView& view, const WitnessPredicate& witness,
+    const ProbeTable& table, const uint64_t* witness,
     const WitnessOptions& options);
 
 }  // namespace setsketch

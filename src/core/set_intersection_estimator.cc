@@ -22,17 +22,16 @@ WitnessEstimate EstimateSetIntersection(
   for (const SketchGroup& pair : pairs) {
     if (pair.size() != 2 || !GroupSeedsMatch(pair)) return WitnessEstimate{};
   }
-  // Thin strategy over the shared kernel; the predicate is Section 3.5's
-  // modified step 5 (the union singleton occupies both buckets).
-  const GroupUnionView view(pairs, /*pairwise=*/true);
-  return KernelCountWitnesses(
-      view,
-      [&pairs](int copy, int level) {
-        const SketchGroup& pair = pairs[static_cast<size_t>(copy)];
-        return SingletonBucket(*pair[0], level) &&
-               SingletonBucket(*pair[1], level);
-      },
-      union_estimate, options);
+  // Thin strategy over the shared kernel; at a pairwise union singleton,
+  // Section 3.5's modified step 5 (the singleton occupies both buckets)
+  // is both columns occupied.
+  ProbeTable table;
+  if (!table.Build(pairs, /*pairwise=*/true)) return WitnessEstimate{};
+  std::vector<uint64_t> witness(table.words());
+  for (size_t w = 0; w < witness.size(); ++w) {
+    witness[w] = table.occupancy(0)[w] & table.occupancy(1)[w];
+  }
+  return KernelCountWitnesses(table, witness.data(), union_estimate, options);
 }
 
 }  // namespace setsketch

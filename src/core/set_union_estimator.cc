@@ -24,14 +24,16 @@ bool ValidateGroups(const std::vector<SketchGroup>& groups) {
 
 UnionEstimate EstimateSetUnion(const std::vector<SketchGroup>& groups,
                                double epsilon) {
-  if (!ValidateGroups(groups)) return UnionEstimate{};
-  return KernelEstimateUnion(GroupUnionView(groups), epsilon, /*mle=*/false);
+  ProbeTable table;
+  if (!ValidateGroups(groups) || !table.Build(groups)) return UnionEstimate{};
+  return KernelEstimateUnion(table, epsilon, /*mle=*/false);
 }
 
 UnionEstimate EstimateSetUnionMle(const std::vector<SketchGroup>& groups,
                                   double epsilon) {
-  if (!ValidateGroups(groups)) return UnionEstimate{};
-  return KernelEstimateUnion(GroupUnionView(groups), epsilon, /*mle=*/true);
+  ProbeTable table;
+  if (!ValidateGroups(groups) || !table.Build(groups)) return UnionEstimate{};
+  return KernelEstimateUnion(table, epsilon, /*mle=*/true);
 }
 
 }  // namespace setsketch

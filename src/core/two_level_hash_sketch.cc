@@ -68,7 +68,8 @@ template <int kWidth>
 void ScatterMask(int64_t* base, uint64_t mask, int64_t delta, int s) {
   const int count = kWidth == kAnyWidth ? s : kWidth;
   for (int j = 0; j < count; ++j) {
-    base[2 * j + static_cast<int>((mask >> j) & 1ULL)] += delta;
+    int64_t& cell = base[2 * j + static_cast<int>((mask >> j) & 1ULL)];
+    cell = WrappingAdd(cell, delta);
   }
 }
 
@@ -99,7 +100,8 @@ __attribute__((target("avx2"))) void ScatterMaskAvx2(int64_t* base,
                         _mm256_add_epi64(_mm256_loadu_si256(quad), add));
   }
   if (j < s) {  // odd s: last pair takes the scalar path.
-    base[2 * j + static_cast<int>((mask >> j) & 1ULL)] += delta;
+    int64_t& cell = base[2 * j + static_cast<int>((mask >> j) & 1ULL)];
+    cell = WrappingAdd(cell, delta);
   }
 }
 
@@ -220,7 +222,8 @@ void TwoLevelHashSketch::UpdateScalar(uint64_t element, int64_t delta) {
   const int level = seed_->Level(element);
   int64_t* base = counters_.data() + CellIndex(level, 0, 0);
   for (int j = 0; j < num_second_level_; ++j) {
-    base[2 * j + seed_->second_level(j)(element)] += delta;
+    int64_t& cell = base[2 * j + seed_->second_level(j)(element)];
+    cell = WrappingAdd(cell, delta);
   }
   SummarizeRows(uint64_t{1} << level);
 }
@@ -261,7 +264,7 @@ bool TwoLevelHashSketch::Merge(const TwoLevelHashSketch& other) {
       << "seed-compatible sketches with mismatched counter arrays:"
       << counters_.size() << "vs" << other.counters_.size();
   for (size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] += other.counters_[i];
+    counters_[i] = WrappingAdd(counters_[i], other.counters_[i]);
   }
   SummarizeRows(AllRows());
   SETSKETCH_DCHECK(SummaryMatchesCounters())

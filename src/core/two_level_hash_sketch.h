@@ -32,6 +32,15 @@
 
 namespace setsketch {
 
+/// Counter addition as two's-complement wrapping. Update deltas are any
+/// int64, so a counter can leave the int64 range; every counter add in
+/// the sketch goes through this (signed overflow would be undefined
+/// behaviour), which keeps the synopsis linear modulo 2^64.
+inline int64_t WrappingAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 /// One 2-level hash sketch over one update stream.
 class TwoLevelHashSketch {
  public:
@@ -67,7 +76,7 @@ class TwoLevelHashSketch {
   /// Total element count (sum of net frequencies) mapped to `level`.
   /// Equals Count(level, j, 0) + Count(level, j, 1) for every j.
   int64_t LevelTotal(int level) const {
-    return Count(level, 0, 0) + Count(level, 0, 1);
+    return WrappingAdd(Count(level, 0, 0), Count(level, 0, 1));
   }
 
   /// True iff no element with nonzero net frequency maps to `level`

@@ -301,44 +301,46 @@ ExprPtr CanonicalToExpression(const CanonicalPlan& plan) {
   return built[static_cast<size_t>(plan.root)];
 }
 
-bool EvaluatePlan(const CanonicalPlan& plan,
-                  const std::function<bool(int)>& occupied,
-                  std::vector<unsigned char>* scratch) {
-  if (!plan.ok()) return false;
-  std::vector<unsigned char>& values = *scratch;
-  values.assign(plan.nodes.size(), 0);
+const uint64_t* EvaluatePlan(const CanonicalPlan& plan,
+                             std::span<const uint64_t* const> leaves,
+                             size_t words, std::vector<uint64_t>* scratch) {
+  scratch->resize(plan.nodes.size() * words);
+  uint64_t* values = scratch->data();
+  const auto node_words = [values, words](int id) {
+    return values + static_cast<size_t>(id) * words;
+  };
   for (size_t i = 0; i < plan.nodes.size(); ++i) {
     const CanonicalNode& node = plan.nodes[i];
-    bool value = false;
+    uint64_t* out = node_words(static_cast<int>(i));
     switch (node.kind) {
       case Expression::Kind::kStream:
-        value = occupied(node.column);
+        std::copy_n(leaves[static_cast<size_t>(node.column)], words, out);
         break;
       case Expression::Kind::kUnion:
-        for (const int child : node.children) {
-          if (values[static_cast<size_t>(child)] != 0) {
-            value = true;
-            break;
-          }
+        std::copy_n(node_words(node.children[0]), words, out);
+        for (size_t c = 1; c < node.children.size(); ++c) {
+          const uint64_t* child = node_words(node.children[c]);
+          for (size_t w = 0; w < words; ++w) out[w] |= child[w];
         }
         break;
       case Expression::Kind::kIntersect:
-        value = true;
-        for (const int child : node.children) {
-          if (values[static_cast<size_t>(child)] == 0) {
-            value = false;
-            break;
-          }
+        std::copy_n(node_words(node.children[0]), words, out);
+        for (size_t c = 1; c < node.children.size(); ++c) {
+          const uint64_t* child = node_words(node.children[c]);
+          for (size_t w = 0; w < words; ++w) out[w] &= child[w];
         }
         break;
-      case Expression::Kind::kDifference:
-        value = values[static_cast<size_t>(node.children[0])] != 0 &&
-                values[static_cast<size_t>(node.children[1])] == 0;
+      case Expression::Kind::kDifference: {
+        const uint64_t* base = node_words(node.children[0]);
+        const uint64_t* subtrahend = node_words(node.children[1]);
+        for (size_t w = 0; w < words; ++w) {
+          out[w] = base[w] & ~subtrahend[w];
+        }
         break;
+      }
     }
-    values[i] = value ? 1 : 0;
   }
-  return values[static_cast<size_t>(plan.root)] != 0;
+  return node_words(plan.root);
 }
 
 }  // namespace setsketch

@@ -22,7 +22,7 @@
 #define SETSKETCH_EXPR_CANONICAL_H_
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,14 +68,16 @@ CanonicalPlan Canonicalize(const Expression& expr);
 /// shape — for tests and algebraic analysis over the canonical form.
 ExprPtr CanonicalToExpression(const CanonicalPlan& plan);
 
-/// Evaluates the plan's Boolean witness function bottom-up given the truth
-/// value of each leaf column (`occupied(column)` for streams[column]).
-/// Pointwise equal to Expression::Evaluate on the original tree. `scratch`
-/// is resized to nodes.size() and reused across calls (the plan cache's
-/// scratch arena).
-bool EvaluatePlan(const CanonicalPlan& plan,
-                  const std::function<bool(int)>& occupied,
-                  std::vector<unsigned char>* scratch);
+/// Evaluates the plan's Boolean witness function bottom-up over bitsets
+/// of `words` words: bit i of leaves[c] is the truth value of streams[c]
+/// at point i (the probe table's cells). Each node is one OR / AND /
+/// AND-NOT pass over whole bitsets, and bit i of the result is
+/// Expression::Evaluate on the original tree at point i. `scratch` is
+/// resized to nodes.size() * words and reused across calls (the plan
+/// cache's scratch arena); the result points into it.
+const uint64_t* EvaluatePlan(const CanonicalPlan& plan,
+                             std::span<const uint64_t* const> leaves,
+                             size_t words, std::vector<uint64_t>* scratch);
 
 }  // namespace setsketch
 

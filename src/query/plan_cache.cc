@@ -20,23 +20,25 @@ std::string HashToHex(uint64_t hash) {
   return out;
 }
 
-// Builds the probe table for `streams` from the quiesced `bank` into
-// *request (reusing its table storage), recording the probe's bank id and
-// epochs, or request->error.
+// Shapes the probe table for `streams` over `bank` into *request
+// (reusing its table storage), recording the probe's bank id, epochs and
+// columns, or request->error. With parts == 0 it fills the table here in
+// one part; otherwise it leaves `parts` parts for the caller to fill.
 void Probe(const std::vector<std::string>& streams, const SketchBank& bank,
-           PlanCache::SnapshotRequest* request) {
+           int parts, PlanCache::SnapshotRequest* request) {
   request->error.clear();
   request->bank_id = bank.bank_id();
   request->epochs.resize(streams.size());
   for (size_t k = 0; k < streams.size(); ++k) {
     request->epochs[k] = bank.StreamEpoch(streams[k]);
   }
-  const std::vector<const std::vector<TwoLevelHashSketch>*> columns =
-      bank.Columns(streams);
-  if (columns.size() != streams.size()) {
+  request->columns = bank.Columns(streams);
+  if (request->columns.size() != streams.size()) {
     request->error = "unknown stream in expression";
-  } else if (!request->table.Build(columns)) {
-    request->error = "sketch probe failed (mismatched seeds)";
+  } else if (!request->table.Reset(request->columns, std::max(parts, 1))) {
+    request->error = "sketch probe failed (ragged columns)";
+  } else if (parts == 0) {
+    request->Fill(0);
   }
 }
 
@@ -217,7 +219,7 @@ PlanCache::Result PlanCache::Query(const CompiledQuery& query,
 }
 
 bool PlanCache::BeginQuery(const CompiledQuery& query, const SketchBank& bank,
-                           Result* hit, SnapshotRequest* request) {
+                           Result* hit, SnapshotRequest* request, int parts) {
   if (AnswerProvablyEmpty(query, bank, hit)) return true;
   if (UsesBackendStreams(query.streams, bank)) {
     // Backend-routed queries evaluate inline: the synopsis is a few KB
@@ -249,9 +251,9 @@ bool PlanCache::BeginQuery(const CompiledQuery& query, const SketchBank& bank,
   }
   request->plan = query.plan;
   request->canonical = query.canonical;
-  // The probe reads the bank (quiesced by the caller) but no cache state,
-  // so concurrent FinishQuery evaluations are not held up behind it.
-  Probe(request->plan.streams, bank, request);
+  // The probe reads the bank's registry but no cache state, so concurrent
+  // FinishQuery evaluations are not held up behind it.
+  Probe(request->plan.streams, bank, parts, request);
   return false;
 }
 
@@ -327,57 +329,28 @@ PlanCache::Result PlanCache::EvaluateLocked(Entry* entry,
                                             SnapshotRequest request) {
   Result result;
   result.canonical = entry->canonical;
+  if (request.error.empty() && !request.table.Filled()) {
+    request.error = "sketch probe failed (mismatched seeds)";
+  }
   if (!request.error.empty()) {
     result.error = std::move(request.error);
     entry->result_built = false;
     return result;
   }
 
-  // Witness predicate: evaluate the canonical DAG bottom-up into the
-  // entry's scratch arena, reading each leaf's occupancy bit from the
-  // table. Pointwise identical to Expression::Evaluate on the original
-  // tree.
+  // B(E) over every cell: the canonical DAG as OR / AND / AND-NOT passes
+  // over the table's occupancy bitsets (the plan's columns are the
+  // table's), into the entry's scratch arena.
   const CanonicalPlan& plan = entry->plan;
   const ProbeTable& table = request.table;
-  std::vector<unsigned char>& scratch = entry->scratch;
-  scratch.resize(plan.nodes.size());
-  const auto witness = [&](int copy, int level) {
-    for (size_t id = 0; id < plan.nodes.size(); ++id) {
-      const CanonicalNode& node = plan.nodes[id];
-      bool value = false;
-      switch (node.kind) {
-        case Expression::Kind::kStream:
-          value = table.Occupied(copy, level, node.column);
-          break;
-        case Expression::Kind::kUnion:
-          for (int child : node.children) {
-            if (scratch[static_cast<size_t>(child)] != 0) {
-              value = true;
-              break;
-            }
-          }
-          break;
-        case Expression::Kind::kIntersect:
-          value = true;
-          for (int child : node.children) {
-            if (scratch[static_cast<size_t>(child)] == 0) {
-              value = false;
-              break;
-            }
-          }
-          break;
-        case Expression::Kind::kDifference:
-          value = scratch[static_cast<size_t>(node.children[0])] != 0 &&
-                  scratch[static_cast<size_t>(node.children[1])] == 0;
-          break;
-      }
-      scratch[id] = value ? 1 : 0;
-    }
-    return scratch[static_cast<size_t>(plan.root)] != 0;
-  };
-
-  result.detail = EstimateExpressionWithKernel(table, witness,
-                                               options_.witness);
+  std::vector<const uint64_t*> leaves(plan.streams.size());
+  for (size_t k = 0; k < leaves.size(); ++k) {
+    leaves[k] = table.occupancy(static_cast<int>(k));
+  }
+  const uint64_t* witness =
+      EvaluatePlan(plan, leaves, table.words(), &entry->scratch);
+  result.detail =
+      EstimateExpressionWithKernel(table, witness, options_.witness);
   result.ok = result.detail.ok;
   if (result.ok) {
     result.estimate = result.detail.expression.estimate;
@@ -394,14 +367,14 @@ PlanCache::Result PlanCache::EvaluateLocked(Entry* entry,
 }
 
 std::string PlanCache::Explain(const std::string& text,
-                               const SketchBank& bank) const {
+                               const SketchBank& bank, int parts) const {
   const ParseResult parsed = ParseExpression(text);
   if (!parsed.ok()) return "error: " + parsed.error + "\n";
-  return Explain(*parsed.expression, bank);
+  return Explain(*parsed.expression, bank, parts);
 }
 
-std::string PlanCache::Explain(const Expression& expr,
-                               const SketchBank& bank) const {
+std::string PlanCache::Explain(const Expression& expr, const SketchBank& bank,
+                               int parts) const {
   const CanonicalPlan plan = Canonicalize(expr);
   const std::string canonical = plan.ToString();
 
@@ -441,18 +414,23 @@ std::string PlanCache::Explain(const Expression& expr,
     return out.str();
   }
 
-  // The probe a stale or cold answer costs: per (copy, level), one
-  // row-summary word group per stream column, folded into an occupancy
-  // mask over the plan's columns plus the union-singleton bit.
+  // The probe a stale or cold answer costs: one bitset over every
+  // (copy, level) cell per fact, filled from one row-summary word group
+  // per (stream, copy, level), then B(E) as one pass per plan node.
   const SketchParams& params = bank.family().params();
+  parts = std::max(parts, 1);
+  const ProbeTable::Layout layout =
+      ProbeTable::LayoutOf(bank.num_copies(), params.levels, parts);
   out << "probe table: " << bank.num_copies() << " copies x "
-      << params.levels << " levels; per cell "
-      << (2 * params.num_second_level + 63) / 64
-      << " row-summary word(s) read per stream (counters only for rows "
-         "with a negative cell), "
-      << plan.streams.size() << " occupancy bit(s) in "
-      << (plan.streams.size() + 63) / 64
-      << " mask word(s) + the union-singleton bit\n";
+      << params.levels << " levels in " << parts << " part(s), bitsets of "
+      << layout.level_words
+      << " word(s) per level: nonempty, union-singleton, "
+      << plan.streams.size() << " occupancy ("
+      << (2 + plan.streams.size()) * layout.bitset_words
+      << " words); fill reads " << (2 * params.num_second_level + 63) / 64
+      << " row-summary word(s) per stream and cell (counters only on rows "
+         "with a negative cell); B(E) in "
+      << plan.nodes.size() << " bitset pass(es)\n";
 
   MutexLock lock(&mutex_);
   auto it = entries_.find(plan.hash());
@@ -493,7 +471,8 @@ PlanCache::Stats PlanCache::stats() const {
   stats.memo_bytes = 0;
   for (const auto& [key, entry] : entries_) {
     (void)key;
-    stats.memo_bytes += entry.table.Bytes() + entry.scratch.size();
+    stats.memo_bytes +=
+        entry.table.Bytes() + entry.scratch.size() * sizeof(uint64_t);
   }
   return stats;
 }

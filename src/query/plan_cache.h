@@ -15,23 +15,28 @@
 // answer for it.
 //
 // A stale or cold plan is answered from a ProbeTable
-// (core/estimator_kernel.h) built straight from the live bank: per
-// (copy, level), the occupancy bits of the plan's stream columns and the
-// union-singleton bit of their summed counters — everything the Section 4
-// estimator reads. Nothing is copied or merged; the witness DAG reads its
-// leaf bits from the table's masks.
+// (core/estimator_kernel.h) filled straight from the live bank: bitsets
+// over every (copy, level) cell of the union's non-empty and
+// union-singleton bits and of each plan stream's occupancy bit —
+// everything the Section 4 estimator reads. Nothing is copied or merged;
+// the witness condition B(E) is the canonical DAG evaluated once per
+// query as OR / AND / AND-NOT over whole bitsets, and every count is a
+// popcount. The engine, the router and site-summary views fill the
+// table on the calling thread; the server has BeginQuery shape it in
+// copy-range parts and fills each on the shard worker that owns those
+// copies (server/sketch_server.h).
 //
 // Planned evaluation is bit-identical to direct EstimateSetExpression over
-// the same bank: the table's probes equal the lazy group probes by
-// construction, and canonicalization preserves the Boolean witness
-// function pointwise (tests/plan_cache_test.cc asserts exact equality,
-// including through ingest -> invalidation -> re-query cycles).
+// the same bank: both build the same table through one fill routine, and
+// canonicalization preserves the Boolean witness function pointwise
+// (tests/plan_cache_test.cc asserts exact equality, including through
+// ingest -> invalidation -> re-query cycles).
 //
 // Thread safety: all public methods are serialized on an internal mutex,
 // but the caller must keep `bank` quiescent (no concurrent mutation) for
 // the duration of any call that takes one — the server holds its ingest
 // locks, the engine is externally synchronized. FinishQuery takes no
-// bank (only the probe table BeginQuery built), so evaluation can run
+// bank (only the probe table the caller filled), so evaluation can run
 // after the caller released its ingest locks; see BeginQuery.
 
 #ifndef SETSKETCH_QUERY_PLAN_CACHE_H_
@@ -147,34 +152,57 @@ class PlanCache {
   static bool AnswerProvablyEmpty(const CompiledQuery& query,
                                   const SketchBank& bank, Result* result);
 
+  /// True iff any of `streams` is registered under an alternative sketch
+  /// backend in `bank` — such queries route around the memo machinery
+  /// (DistinctSketch synopses are tiny; there is no r-copy probe worth
+  /// memoizing) straight to the backend's expression algebra, which
+  /// BeginQuery runs inline over the quiesced bank. Reads only the
+  /// bank's stream registry.
+  static bool UsesBackendStreams(const std::vector<std::string>& streams,
+                                 const SketchBank& bank);
+
   /// A BeginQuery miss: everything FinishQuery needs to evaluate without
   /// the bank — the canonical plan and its text, the bank identity, the
-  /// per-stream epochs (canonical, sorted stream order) and the probe
-  /// table, all taken at probe time.
+  /// per-stream epochs (canonical, sorted stream order) taken at probe
+  /// time, and the probe table with the stream columns it is filled from.
   struct SnapshotRequest {
     CanonicalPlan plan;
     std::string canonical;  ///< plan.ToString().
     uint64_t bank_id = 0;
     std::vector<uint64_t> epochs;
+    /// The bank's columns for plan.streams; borrowed, valid while the
+    /// bank stays quiesced.
+    std::vector<const ProbeTable::SketchColumn*> columns;
     ProbeTable table;
     std::string error;  ///< Unknown stream / mismatched seeds, if any.
+
+    /// Fills part `part` of the table (ProbeTable::FillPart); distinct
+    /// parts may be filled from different threads.
+    void Fill(int part) { table.FillPart(columns, part); }
   };
 
   /// Two-phase query for callers that must not evaluate while holding
   /// their ingest locks (the server: a burst of cold expressions would
   /// otherwise stall PUSH admission for the duration of each estimate).
   ///
-  /// BeginQuery runs under the caller's quiesced locks: on a fresh
-  /// memoized result (or a provably-empty or backend-routed expression)
-  /// it fills *hit and returns true; otherwise it builds the plan's probe
-  /// table from `bank` into *request and returns false. The caller then
-  /// releases its locks and calls FinishQuery, which evaluates the table
-  /// and installs the result under the probe's epochs — unless a
-  /// concurrent FinishQuery already installed a result under newer
-  /// epochs, in which case this probe's (still point-in-time-correct)
-  /// answer is returned without regressing the newer memo.
+  /// BeginQuery runs under the caller's locks: on a fresh memoized
+  /// result (or a provably-empty or backend-routed expression) it fills
+  /// *hit and returns true; otherwise it probes the plan's table from
+  /// `bank` into *request and returns false. With `parts` == 0 it fills
+  /// the table here, so `bank` must be quiesced. With `parts` > 0 it only
+  /// shapes the table in that many copy-range parts (ProbeTable::Reset),
+  /// reading stream epochs and columns but no counters, so pending ingest
+  /// need not have drained yet; the caller then fills every part with
+  /// the bank quiesced (SnapshotRequest::Fill, e.g. on the threads that
+  /// own those copies). Either way the caller releases its locks and
+  /// calls FinishQuery, which evaluates the table and installs the result
+  /// under the probe's epochs — unless a concurrent FinishQuery already
+  /// installed a result under newer epochs, in which case this probe's
+  /// (still point-in-time-correct) answer is returned without regressing
+  /// the newer memo. A part that failed to fill (mismatched seeds) makes
+  /// FinishQuery answer the typed "sketch probe failed" error.
   bool BeginQuery(const CompiledQuery& query, const SketchBank& bank,
-                  Result* hit, SnapshotRequest* request);
+                  Result* hit, SnapshotRequest* request, int parts = 0);
   Result FinishQuery(SnapshotRequest request);
 
   /// Human-readable EXPLAIN report: canonical plan, CSE sharing, probe
@@ -182,9 +210,12 @@ class PlanCache {
   /// it holds an answer for `bank`, that answer's evidence — the Figure 5
   /// level, nonempty count over copies (p_hat), saturation, and the
   /// witness count over valid observations (read-only — does not
-  /// compile or promote anything).
-  std::string Explain(const Expression& expr, const SketchBank& bank) const;
-  std::string Explain(const std::string& text, const SketchBank& bank) const;
+  /// compile or promote anything). `parts` is the number of copy-range
+  /// parts the caller's stale probes shape the table in (BeginQuery).
+  std::string Explain(const Expression& expr, const SketchBank& bank,
+                      int parts = 1) const;
+  std::string Explain(const std::string& text, const SketchBank& bank,
+                      int parts = 1) const;
 
   Stats stats() const;
 
@@ -203,7 +234,7 @@ class PlanCache {
     bool result_built = false;
 
     ProbeTable table;                 ///< Last probe (storage reused).
-    std::vector<unsigned char> scratch;  ///< Witness-DAG eval arena.
+    std::vector<uint64_t> scratch;    ///< B(E) bitset arena, per node.
     uint64_t last_used = 0;           ///< LRU tick.
   };
 
@@ -213,12 +244,6 @@ class PlanCache {
     uint64_t last_used = 0;           ///< LRU tick, shared with entries.
   };
 
-  /// True iff any of `streams` is registered under an alternative sketch
-  /// backend in `bank` — such queries route around the memo machinery
-  /// (DistinctSketch synopses are tiny; there is no r-copy probe worth
-  /// memoizing) straight to the backend's expression algebra.
-  static bool UsesBackendStreams(const std::vector<std::string>& streams,
-                                 const SketchBank& bank);
   /// Evaluates a backend-routed query (see UsesBackendStreams).
   Result BackendQuery(const CompiledQuery& query, const SketchBank& bank)
       SETSKETCH_EXCLUDES(mutex_);

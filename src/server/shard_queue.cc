@@ -19,7 +19,7 @@ bool ShardQueue::Push(std::shared_ptr<const IngestBatch> batch) {
     // Producers admit batches only after CanAccept() under their own
     // mutex, so exceeding capacity means that protocol was broken and
     // the queue no longer bounds work in flight.
-    SETSKETCH_DCHECK(in_flight_ < capacity_)
+    SETSKETCH_DCHECK(in_flight_ < capacity_ || batch->probe != nullptr)
         << "Push past capacity:" << in_flight_ << "of" << capacity_;
     queue_.push_back(std::move(batch));
     ++in_flight_;

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -38,6 +39,10 @@ namespace setsketch {
 struct IngestBatch {
   std::vector<StreamBatch> groups;
   size_t num_updates = 0;  ///< Total items across groups.
+  /// Set on a query's probe task instead of updates: every shard worker
+  /// calls it with its shard index once the batches queued before it
+  /// are applied, so it reads the copies that worker owns, quiesced.
+  std::function<void(int shard)> probe;
 };
 
 /// Bounded FIFO of shared batches for one ingest shard.
@@ -51,7 +56,9 @@ class ShardQueue {
   bool CanAccept() const SETSKETCH_EXCLUDES(mu_);
 
   /// Enqueues unconditionally (caller checked CanAccept under its producer
-  /// mutex). Returns false only after Stop().
+  /// mutex). Returns false only after Stop(). A probe task may take a
+  /// slot past capacity: its caller holds the producer mutex until the
+  /// task is done, so no producer sees the extra slot.
   bool Push(std::shared_ptr<const IngestBatch> batch) SETSKETCH_EXCLUDES(mu_);
 
   /// Blocks for the next batch. Returns nullptr once the queue was

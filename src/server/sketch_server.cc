@@ -743,6 +743,13 @@ void SketchServer::WorkerLoop(int shard_index) {
   const int end = (shard_index + 1) * copies / shards;
   ShardQueue& queue = *queues_[static_cast<size_t>(shard_index)];
   while (std::shared_ptr<const IngestBatch> batch = queue.PopOrWait()) {
+    if (batch->probe) {
+      // A stale query's probe: fill the table cells of this shard's
+      // copies, just written by the batches ahead of it.
+      batch->probe(shard_index);
+      queue.TaskDone();
+      continue;
+    }
     // A single DistinctSketch has no copy ranges to shard, so shard 0
     // applies backend groups whole — still single-writer, since every
     // queue sees every batch in the same order and only this shard
@@ -755,13 +762,35 @@ void SketchServer::WorkerLoop(int shard_index) {
   }
 }
 
+bool SketchServer::AnySiteSummaryLocked(
+    const std::vector<std::string>& names) const {
+  for (const std::string& name : names) {
+    if (coordinator_.Sketches(name) != nullptr) return true;
+  }
+  return false;
+}
+
+void SketchServer::ProbeOnShardsLocked(PlanCache::SnapshotRequest* request) {
+  // Part t holds the copies shard t owns; shard t fills it as a task
+  // behind the batches it already holds.
+  auto task = std::make_shared<IngestBatch>();
+  task->probe = [request](int shard) { request->Fill(shard); };
+  std::vector<bool> pending(queues_.size());
+  for (size_t t = 0; t < queues_.size(); ++t) {
+    pending[t] = !queues_[t]->Push(task);
+  }
+  // With no producer admitted, a drained queue has run its task.
+  for (const auto& queue : queues_) queue->WaitDrained();
+  for (size_t t = 0; t < queues_.size(); ++t) {
+    // A stopped queue refused the task; its worker has applied
+    // everything by now.
+    if (pending[t]) request->Fill(static_cast<int>(t));
+  }
+}
+
 std::optional<SketchBank> SketchServer::SummaryViewLocked(
     const std::vector<std::string>& names, std::string* error) const {
-  bool any_summary = false;
-  for (const std::string& name : names) {
-    any_summary = any_summary || coordinator_.Sketches(name) != nullptr;
-  }
-  if (!any_summary) return std::nullopt;
+  if (!AnySiteSummaryLocked(names)) return std::nullopt;
   // Counter linearity: a stream's view column is its directly pushed
   // counters plus the site summaries' sum. Unknown names stay out of the
   // view, so the planner reports them.
@@ -814,27 +843,49 @@ QueryResultInfo SketchServer::Answer(const std::string& expression_text) {
     MutexLock registry_lock(&registry_mutex_);
     answered = PlanCache::AnswerProvablyEmpty(*query, bank_, &planned);
   }
-  // Under the quiesced locks, a query over bank_ alone runs BeginQuery:
-  // the memo check and, on a miss, the probe table (occupancy and
-  // singleton bits, no counter copies). A query touching a site-summary
-  // stream copies its columns into a view bank instead. Either way the
-  // estimation runs after the locks are released.
+  // Under push_mutex_ no batch enters, and the epochs a batch bumps at
+  // admission are final, so a query over bank_'s two-level streams runs
+  // BeginQuery before the queues drain: the memo check and, on a miss,
+  // the probe table's shape (epochs and columns, no counters). The fill
+  // then rides the shard queues behind the batches they already hold,
+  // and each worker fills the cells of its own copies. A query touching
+  // a site-summary or backend stream drains first and reads a view bank
+  // or the backend synopses inline. Either way the estimation runs after
+  // the locks are released.
   PlanCache::SnapshotRequest request;
   std::optional<SketchBank> view;
   if (!answered) {
     MutexLock push_lock(&push_mutex_);
-    for (const auto& queue : queues_) queue->WaitDrained();
-    MutexLock registry_lock(&registry_mutex_);
-    MutexLock coordinator_lock(&coordinator_mutex_);
-    std::string error;
-    view = SummaryViewLocked(query->streams, &error);
-    if (!error.empty()) {
-      QueryResultInfo result;
-      result.error = std::move(error);
-      return result;
+    bool drain_first = false;
+    {
+      MutexLock registry_lock(&registry_mutex_);
+      MutexLock coordinator_lock(&coordinator_mutex_);
+      drain_first = AnySiteSummaryLocked(query->streams) ||
+                    PlanCache::UsesBackendStreams(query->streams, bank_);
+      if (!drain_first) {
+        answered = plan_cache_.BeginQuery(*query, bank_, &planned, &request,
+                                          options_.shards);
+      }
     }
-    answered = !view.has_value() &&
-               plan_cache_.BeginQuery(*query, bank_, &planned, &request);
+    if (!drain_first && !answered && request.error.empty()) {
+      ProbeOnShardsLocked(&request);
+    } else {
+      // Every QUERY is an ingest barrier, also when it reads no counters.
+      for (const auto& queue : queues_) queue->WaitDrained();
+    }
+    if (drain_first) {
+      MutexLock registry_lock(&registry_mutex_);
+      MutexLock coordinator_lock(&coordinator_mutex_);
+      std::string error;
+      view = SummaryViewLocked(query->streams, &error);
+      if (!error.empty()) {
+        QueryResultInfo result;
+        result.error = std::move(error);
+        return result;
+      }
+      answered = !view.has_value() &&
+                 plan_cache_.BeginQuery(*query, bank_, &planned, &request);
+    }
   }
   if (!answered) {
     planned = view.has_value() ? plan_cache_.Query(*query, *view)
@@ -856,8 +907,10 @@ std::string SketchServer::Explain(const std::string& expression_text) {
   const std::optional<SketchBank> view =
       SummaryViewLocked(parsed.expression->StreamNames(), &error);
   if (!error.empty()) return "error: " + error + "\n";
-  return plan_cache_.Explain(*parsed.expression,
-                             view.has_value() ? *view : bank_);
+  // A view is probed whole on this thread; bank_ in one part per shard.
+  return view.has_value()
+             ? plan_cache_.Explain(*parsed.expression, *view)
+             : plan_cache_.Explain(*parsed.expression, bank_, options_.shards);
 }
 
 std::string SketchServer::RenderStats() const {

@@ -20,7 +20,9 @@
 //
 // Counters are therefore single-writer (lock-free ingest, bit-identical
 // to serial), queries quiesce ingest by draining the queues while holding
-// the producer mutex, and graceful shutdown drains everything that was
+// the producer mutex — a stale plan's probe rides them as one task per
+// busy shard, so each worker fills the probe-table cells of the copies
+// it owns — and graceful shutdown drains everything that was
 // acknowledged before workers exit.
 //
 // Site summaries (PUSH_SUMMARY) are merged idempotently through the
@@ -319,6 +321,20 @@ class SketchServer : private EpollServerBackend::Handler {
   std::optional<SketchBank> SummaryViewLocked(
       const std::vector<std::string>& names, std::string* error) const
       SETSKETCH_REQUIRES(registry_mutex_, coordinator_mutex_);
+
+  /// True iff any of `names` is carried by a site summary.
+  bool AnySiteSummaryLocked(const std::vector<std::string>& names) const
+      SETSKETCH_REQUIRES(coordinator_mutex_);
+
+  /// Fills a stale plan's probe table (shaped in options_.shards parts by
+  /// BeginQuery) on the shard workers: a probe task on every queue,
+  /// behind the batches it holds, so worker t fills the cells of the
+  /// copies it owns once it applied them (a stopped queue's part is filled
+  /// on the calling thread). Returns once every queue drained, so it also
+  /// serves as the query's ingest barrier. Requires push_mutex_ held (no
+  /// batch enters, no column moves).
+  void ProbeOnShardsLocked(PlanCache::SnapshotRequest* request)
+      SETSKETCH_REQUIRES(push_mutex_);
 
   /// The one exactly-once admission path every PUSH_UPDATES takes:
   /// draining gate, dedup seen-check, all-or-nothing queue admission,

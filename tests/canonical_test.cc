@@ -3,7 +3,6 @@
 // sub-expression identification, pointwise Boolean equivalence of the
 // rewrites, and the parser's typed error paths the planner depends on.
 
-#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -123,27 +122,41 @@ TEST(CanonicalTest, NoSharingWhenSubtreesDiffer) {
 
 /// Evaluates `expr` and its canonical plan on every truth assignment of
 /// the plan's streams and asserts pointwise equality; this is the property
-/// that makes planned estimates bit-identical to direct ones.
+/// that makes planned estimates bit-identical to direct ones. Assignment
+/// `mask` is bit `mask` of the bitsets, so one EvaluatePlan call covers
+/// them all.
 void ExpectPlanMatchesTreeOnAllAssignments(const Expression& expr) {
   const CanonicalPlan plan = Canonicalize(expr);
   ASSERT_TRUE(plan.ok());
   const int n = static_cast<int>(plan.streams.size());
   ASSERT_LE(n, 12);
-  std::vector<unsigned char> scratch;
-  for (uint32_t mask = 0; mask < (1u << n); ++mask) {
-    const auto column_occupied = [&](int column) {
-      return ((mask >> column) & 1u) != 0;
-    };
+  const uint32_t points = 1u << n;
+  const size_t words = (points + 63) / 64;
+  std::vector<std::vector<uint64_t>> leaves(
+      static_cast<size_t>(n), std::vector<uint64_t>(words, 0));
+  std::vector<const uint64_t*> leaf_words;
+  for (int c = 0; c < n; ++c) {
+    for (uint32_t mask = 0; mask < points; ++mask) {
+      if (((mask >> c) & 1u) != 0) {
+        leaves[static_cast<size_t>(c)][mask / 64] |= uint64_t{1}
+                                                     << (mask % 64);
+      }
+    }
+    leaf_words.push_back(leaves[static_cast<size_t>(c)].data());
+  }
+  std::vector<uint64_t> scratch;
+  const uint64_t* root = EvaluatePlan(plan, leaf_words, words, &scratch);
+  for (uint32_t mask = 0; mask < points; ++mask) {
     const auto name_occupied = [&](const std::string& name) {
       for (int c = 0; c < n; ++c) {
         if (plan.streams[static_cast<size_t>(c)] == name) {
-          return column_occupied(c);
+          return ((mask >> c) & 1u) != 0;
         }
       }
       ADD_FAILURE() << "unknown stream " << name;
       return false;
     };
-    EXPECT_EQ(EvaluatePlan(plan, column_occupied, &scratch),
+    EXPECT_EQ(((root[mask / 64] >> (mask % 64)) & 1) != 0,
               expr.Evaluate(name_occupied))
         << expr.ToString() << " mask=" << mask;
   }

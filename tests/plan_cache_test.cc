@@ -235,9 +235,21 @@ TEST(PlanCacheTest, ExplainShowsTheMemoizedAnswersEvidence) {
   std::string report = cache.Explain(text, *bank);
   EXPECT_NE(report.find("cache: HIT"), std::string::npos) << report;
   EXPECT_NE(report.find(expected_line(first)), std::string::npos) << report;
-  EXPECT_NE(report.find("1 row-summary word(s) read per stream"),
+  EXPECT_NE(report.find("1 row-summary word(s) per stream and cell"),
             std::string::npos)
       << report;
+  // 32 copies x 24 levels, three streams: one 24-word bitset each for
+  // nonempty, singleton and the streams; in three copy-range parts
+  // (10, 11, 11 copies) each part pads its 24 words on its own.
+  EXPECT_NE(report.find("in 1 part(s), bitsets of 1 word(s) per level: "
+                        "nonempty, union-singleton, 3 occupancy (120 words)"),
+            std::string::npos)
+      << report;
+  const std::string split = cache.Explain(text, *bank, /*parts=*/3);
+  EXPECT_NE(split.find("in 3 part(s), bitsets of 3 word(s) per level: "
+                       "nonempty, union-singleton, 3 occupancy (360 words)"),
+            std::string::npos)
+      << split;
 
   // A stale entry still shows the evidence of the answer it holds; the
   // next query replaces both.
@@ -293,25 +305,24 @@ TEST(PlanCacheTest, DifferentBankNeverReusesMemos) {
 
 // --- Probe table ---------------------------------------------------------
 
-/// Asserts every probe of `table` equals the lazy group probes over the
-/// same groups: union occupancy and singleton per (copy, level), and each
-/// column's occupancy bit.
+/// Asserts every probe of `table` equals the paper's tests on the
+/// groups' summed counters: union occupancy and singleton per (copy,
+/// level), and each column's occupancy bit.
 void ExpectTableMatchesGroups(const ProbeTable& table,
                               const std::vector<SketchGroup>& groups) {
-  const GroupUnionView lazy(groups);
-  ASSERT_EQ(table.copies(), lazy.copies());
-  ASSERT_EQ(table.levels(), lazy.levels());
+  ASSERT_EQ(static_cast<size_t>(table.copies()), groups.size());
+  ASSERT_EQ(table.levels(), groups[0][0]->levels());
   for (int copy = 0; copy < table.copies(); ++copy) {
     const SketchGroup& group = groups[static_cast<size_t>(copy)];
     for (int level = 0; level < table.levels(); ++level) {
-      ASSERT_EQ(table.NonEmpty(copy, level), lazy.NonEmpty(copy, level))
+      const BruteForceUnionBucket truth = EvaluateUnionBucket(group, level);
+      ASSERT_EQ(table.NonEmpty(copy, level), truth.nonempty)
           << "copy " << copy << " level " << level;
-      ASSERT_EQ(table.UnionSingleton(copy, level),
-                lazy.UnionSingleton(copy, level))
+      ASSERT_EQ(table.UnionSingleton(copy, level), truth.singleton)
           << "copy " << copy << " level " << level;
       for (size_t k = 0; k < group.size(); ++k) {
         ASSERT_EQ(table.Occupied(copy, level, static_cast<int>(k)),
-                  !BucketEmpty(*group[k], level))
+                  truth.occupied[k])
             << "copy " << copy << " level " << level << " column " << k;
       }
     }

@@ -1,6 +1,6 @@
 // Tests for the Section 3.2 elementary property checks: SingletonBucket,
 // IdenticalSingletonBucket, SingletonUnionBucket, and their n-ary
-// generalizations.
+// generalization, ProbeUnionBuckets.
 //
 // The checks are probabilistic only in one direction (a multi-element
 // bucket can masquerade as a singleton with probability 2^-s); with s = 16
@@ -47,6 +47,20 @@ class PropertyCheckTest : public ::testing::Test {
   TwoLevelHashSketch a_;
   TwoLevelHashSketch b_;
 };
+
+/// The n-ary union facts of bucket `level`, read through
+/// ProbeUnionBuckets (the procedure that fills every probe table).
+struct UnionProbe {
+  bool empty = true;
+  bool singleton = false;
+};
+
+UnionProbe ProbeUnion(const SketchGroup& group, int level) {
+  uint64_t nonempty = 0;
+  uint64_t singleton = 0;
+  ProbeUnionBuckets(group, level, 1, {&nonempty, &singleton, nullptr, 0});
+  return {nonempty == 0, singleton != 0};
+}
 
 // ---------------------------------------------------------------------------
 // BucketEmpty / SingletonBucket
@@ -169,23 +183,23 @@ TEST_F(PropertyCheckTest, GroupSeedsMatchValidation) {
 
 TEST_F(PropertyCheckTest, UnionBucketEmptyAcrossGroup) {
   TwoLevelHashSketch c(seed_);
-  EXPECT_TRUE(UnionBucketEmpty({&a_, &b_, &c}, 0));
+  EXPECT_TRUE(ProbeUnion({&a_, &b_, &c}, 0).empty);
   const auto [level, elements] = ElementsInOneBucket(1);
   c.Update(elements[0], 1);
-  EXPECT_FALSE(UnionBucketEmpty({&a_, &b_, &c}, level));
+  EXPECT_FALSE(ProbeUnion({&a_, &b_, &c}, level).empty);
 }
 
 TEST_F(PropertyCheckTest, NaryUnionSingletonMatchesBinaryCheck) {
   const auto [level, elements] = ElementsInOneBucket(2);
   a_.Update(elements[0], 1);
   b_.Update(elements[0], 2);
-  EXPECT_EQ(UnionSingletonBucket({&a_, &b_}, level),
+  EXPECT_EQ(ProbeUnion({&a_, &b_}, level).singleton,
             SingletonUnionBucket(a_, b_, level));
-  EXPECT_TRUE(UnionSingletonBucket({&a_, &b_}, level));
+  EXPECT_TRUE(ProbeUnion({&a_, &b_}, level).singleton);
   b_.Update(elements[1], 1);
-  EXPECT_EQ(UnionSingletonBucket({&a_, &b_}, level),
+  EXPECT_EQ(ProbeUnion({&a_, &b_}, level).singleton,
             SingletonUnionBucket(a_, b_, level));
-  EXPECT_FALSE(UnionSingletonBucket({&a_, &b_}, level));
+  EXPECT_FALSE(ProbeUnion({&a_, &b_}, level).singleton);
 }
 
 TEST_F(PropertyCheckTest, NaryUnionSingletonThreeStreams) {
@@ -195,15 +209,15 @@ TEST_F(PropertyCheckTest, NaryUnionSingletonThreeStreams) {
   a_.Update(elements[0], 1);
   b_.Update(elements[0], 4);
   c.Update(elements[0], 2);
-  EXPECT_TRUE(UnionSingletonBucket({&a_, &b_, &c}, level));
+  EXPECT_TRUE(ProbeUnion({&a_, &b_, &c}, level).singleton);
   // A second value anywhere breaks it.
   c.Update(elements[1], 1);
-  EXPECT_FALSE(UnionSingletonBucket({&a_, &b_, &c}, level));
+  EXPECT_FALSE(ProbeUnion({&a_, &b_, &c}, level).singleton);
 }
 
 TEST_F(PropertyCheckTest, NaryUnionSingletonAllEmptyIsFalse) {
   TwoLevelHashSketch c(seed_);
-  EXPECT_FALSE(UnionSingletonBucket({&a_, &b_, &c}, 0));
+  EXPECT_FALSE(ProbeUnion({&a_, &b_, &c}, 0).singleton);
 }
 
 // Randomized sweep: SingletonBucket must agree with ground truth on every

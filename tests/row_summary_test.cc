@@ -3,8 +3,7 @@
 // UpdateScalar, UpdateBatch, Merge, Clear, fixed and compact Deserialize,
 // SketchBank::InstallSummary — each row summary equals a recount of the
 // counters, and the union probes that read the summaries (ProbeTable,
-// GroupUnionView, UnionBucketEmpty/UnionSingletonBucket) equal a
-// brute-force evaluation of the paper's tests on summed counters. The
+// filled by ProbeUnionBuckets) equal a brute-force evaluation of the paper's tests on summed counters. The
 // streams carry negative net frequencies, including a +1/-1 pair that
 // cancels inside one row, so the counter fallback is exercised at every
 // s around the 64-bit word boundaries.
@@ -29,35 +28,6 @@ constexpr int kLevels = 12;
 constexpr int kCopies = 4;
 const std::vector<std::string> kNames = {"A", "B", "C"};
 
-/// The paper's tests on the group's summed counters, read cell by cell.
-struct BruteForce {
-  bool nonempty = false;
-  bool singleton = false;
-  std::vector<bool> occupied;
-};
-
-BruteForce Evaluate(const SketchGroup& group, int level) {
-  BruteForce result;
-  int64_t total = 0;
-  for (const TwoLevelHashSketch* x : group) {
-    const int64_t column_total = x->Count(level, 0, 0) + x->Count(level, 0, 1);
-    result.occupied.push_back(column_total != 0);
-    result.nonempty = result.nonempty || column_total != 0;
-    total += column_total;
-  }
-  bool split = false;
-  for (int j = 0; j < group[0]->num_second_level(); ++j) {
-    int64_t c0 = 0, c1 = 0;
-    for (const TwoLevelHashSketch* x : group) {
-      c0 += x->Count(level, j, 0);
-      c1 += x->Count(level, j, 1);
-    }
-    split = split || (c0 > 0 && c1 > 0);
-  }
-  result.singleton = total != 0 && !split;
-  return result;
-}
-
 /// Asserts every summary matches its counters and every probe of every
 /// view over `names` matches the brute-force evaluation.
 void ExpectProbesAgree(const SketchBank& bank,
@@ -71,19 +41,14 @@ void ExpectProbesAgree(const SketchBank& bank,
   const std::vector<SketchGroup> groups = bank.Groups(names);
   ProbeTable table;
   ASSERT_TRUE(table.Build(bank.Columns(names))) << context;
-  const GroupUnionView lazy(groups);
   for (int copy = 0; copy < table.copies(); ++copy) {
     const SketchGroup& group = groups[static_cast<size_t>(copy)];
     for (int level = 0; level < table.levels(); ++level) {
-      const BruteForce truth = Evaluate(group, level);
+      const BruteForceUnionBucket truth = EvaluateUnionBucket(group, level);
       const std::string where = context + " copy " + std::to_string(copy) +
                                 " level " + std::to_string(level);
       ASSERT_EQ(table.NonEmpty(copy, level), truth.nonempty) << where;
       ASSERT_EQ(table.UnionSingleton(copy, level), truth.singleton) << where;
-      ASSERT_EQ(lazy.NonEmpty(copy, level), truth.nonempty) << where;
-      ASSERT_EQ(lazy.UnionSingleton(copy, level), truth.singleton) << where;
-      ASSERT_EQ(UnionBucketEmpty(group, level), !truth.nonempty) << where;
-      ASSERT_EQ(UnionSingletonBucket(group, level), truth.singleton) << where;
       for (size_t k = 0; k < group.size(); ++k) {
         ASSERT_EQ(table.Occupied(copy, level, static_cast<int>(k)),
                   truth.occupied[k])

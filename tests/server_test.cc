@@ -425,6 +425,69 @@ TEST(SketchServerTest, RepeatedQueryTextHitsAndMatchesAFreshPlanner) {
   server.Stop();
 }
 
+TEST(SketchServerTest, FreshQueryProbedOnShardsMatchesInProcessPlanner) {
+  // A QUERY right after a PUSH finds its plan stale and fills the probe
+  // table on the shard workers, each the cells of the copies it owns
+  // (also when a shard's range ends inside a word, or is empty). The
+  // answer must be bit-identical to an in-process planner over a bank
+  // fed the same updates.
+  const std::vector<std::string> names = {"A", "B", "C", "D"};
+  const std::vector<std::string> texts = {"(A - B) | (C & D)", "A & B",
+                                          "(A | B | C) - D"};
+  for (const int shards : {1, 2, 3}) {
+    for (const int copies : {1, 100, 128}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + " copies " +
+                   std::to_string(copies));
+      SketchServer server(ServerOptions(copies, shards));
+      std::string error;
+      ASSERT_TRUE(server.Start(&error)) << error;
+      auto client = MustConnect(server);
+      ASSERT_NE(client, nullptr);
+      SketchBank local(SketchFamily(TestParams(), copies, kMasterSeed));
+      for (const std::string& name : names) local.AddStream(name);
+      PlanCache planner(PlanCache::Options{server.options().witness});
+
+      SplitMix64 rng(static_cast<uint64_t>(shards * 1000 + copies));
+      for (int round = 0; round < 6; ++round) {
+        UpdateBatch batch;
+        batch.stream_names = names;
+        const int size = round == 0 ? 2000 : 64;
+        for (int i = 0; i < size; ++i) {
+          const auto stream = static_cast<StreamId>(rng.Next() % 4);
+          const uint64_t element = 1 + rng.Next() % 5000;
+          // Some deletions, including ones that drive net frequencies
+          // negative (rows with negative cells).
+          const int64_t delta = rng.Next() % 5 == 0 ? -1 : 1;
+          batch.updates.push_back(Update{stream, element, delta});
+          local.Apply(names[stream], element, delta);
+        }
+        ASSERT_TRUE(client->PushUpdates(batch).ok);
+        const std::string& text = texts[static_cast<size_t>(round) % 3];
+        const QueryResultInfo served = client->Query(text);
+        const PlanCache::Result expected = planner.Query(text, local);
+        ASSERT_EQ(served.ok, expected.ok) << served.error;
+        EXPECT_EQ(served.estimate, expected.estimate) << text;
+        EXPECT_EQ(served.lo, expected.interval.lo) << text;
+        EXPECT_EQ(served.hi, expected.interval.hi) << text;
+      }
+      const SketchServer::StatsSnapshot stats = server.stats();
+      EXPECT_EQ(stats.plan_cache_merge_builds, 6u);
+      // EXPLAIN describes the table the shards fill: one part per shard,
+      // each part's copies of a level rounded up to whole words.
+      const int level_words = copies == 1 ? 1 : (shards == 3 ? 3 : 2);
+      std::string report;
+      ASSERT_TRUE(client->Explain(texts[0], &report).ok);
+      EXPECT_NE(report.find("in " + std::to_string(shards) +
+                            " part(s), bitsets of " +
+                            std::to_string(level_words) +
+                            " word(s) per level"),
+                std::string::npos)
+          << report;
+      server.Stop();
+    }
+  }
+}
+
 TEST(SketchServerTest, ManyStreamQueryDoesNotStallPushAdmission) {
   // A QUERY naming 25 or 40 streams used to enumerate 2^n Venn regions
   // (or shift a 32-bit mask past its width) under the ingest locks. It

@@ -3,6 +3,7 @@
 // the SketchSeed / SketchFamily / SketchBank plumbing.
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -210,6 +211,50 @@ TEST(TwoLevelHashSketchTest, InsertThenDeleteRestoresEmpty) {
   EXPECT_FALSE(sketch.Empty());
   for (uint64_t e = 0; e < 100; ++e) sketch.Update(e, -2);
   EXPECT_TRUE(sketch.Empty());
+}
+
+TEST(TwoLevelHashSketchTest, CounterArithmeticWrapsAtInt64Extremes) {
+  // PUSH deltas are any int64, so counter sums leave the int64 range.
+  // Every counter add wraps (two's complement): Update, UpdateScalar,
+  // UpdateBatch and Merge agree bit for bit, and the sketch stays linear
+  // modulo 2^64. Under -fsanitize=undefined this also proves no add is
+  // a signed overflow. s = 65 takes the per-function path throughout.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const std::vector<ElementDelta> items = {
+      {11, kMax}, {11, kMax}, {12, kMin}, {12, kMin}, {11, 1},
+      {13, kMin}, {13, kMax}, {14, kMax}, {14, 2},    {12, -1}};
+  for (const int s : {16, 65}) {
+    SketchParams params = SmallParams();
+    params.num_second_level = s;
+    const auto seed = MakeSeed(29, params);
+    TwoLevelHashSketch sliced(seed), scalar(seed), batched(seed);
+    TwoLevelHashSketch merged(seed), second_half(seed);
+    for (size_t i = 0; i < items.size(); ++i) {
+      sliced.Update(items[i].element, items[i].delta);
+      scalar.UpdateScalar(items[i].element, items[i].delta);
+      (i < items.size() / 2 ? merged : second_half)
+          .UpdateBatch({&items[i], 1});
+    }
+    batched.UpdateBatch(items);
+    ASSERT_TRUE(merged.Merge(second_half));
+    for (const TwoLevelHashSketch* x : {&scalar, &batched, &merged}) {
+      EXPECT_TRUE(*x == sliced) << "s=" << s;
+      EXPECT_TRUE(x->SummaryMatchesCounters()) << "s=" << s;
+    }
+
+    // Element 11 alone: 2 * kMax + 1 wraps to -1 in every counter it
+    // touches; adding 1 more returns the sketch to empty.
+    TwoLevelHashSketch lone(seed);
+    lone.Update(11, kMax);
+    lone.UpdateScalar(11, kMax);
+    lone.UpdateBatch(std::vector<ElementDelta>{{11, 1}});
+    const int level = seed->Level(11);
+    EXPECT_EQ(lone.LevelTotal(level), -1) << "s=" << s;
+    EXPECT_FALSE(lone.LevelEmpty(level));
+    lone.Update(11, 1);
+    EXPECT_TRUE(lone.Empty()) << "s=" << s;
+  }
 }
 
 TEST(TwoLevelHashSketchTest, ApplyUsesElementAndDelta) {

@@ -4,6 +4,7 @@
 #ifndef SETSKETCH_TESTS_TEST_HELPERS_H_
 #define SETSKETCH_TESTS_TEST_HELPERS_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,6 +44,37 @@ inline std::unique_ptr<SketchBank> BankFromDataset(
 }
 
 /// Stream names "S0".."S{n-1}" for a dataset.
+/// The paper's union-bucket tests read cell by cell from the group's
+/// summed counters: an independent oracle for the row-summary probes.
+struct BruteForceUnionBucket {
+  bool nonempty = false;
+  bool singleton = false;
+  std::vector<bool> occupied;  ///< Per column of the group.
+};
+
+inline BruteForceUnionBucket EvaluateUnionBucket(const SketchGroup& group,
+                                                 int level) {
+  BruteForceUnionBucket result;
+  int64_t total = 0;
+  for (const TwoLevelHashSketch* x : group) {
+    const int64_t column_total = x->Count(level, 0, 0) + x->Count(level, 0, 1);
+    result.occupied.push_back(column_total != 0);
+    result.nonempty = result.nonempty || column_total != 0;
+    total += column_total;
+  }
+  bool split = false;
+  for (int j = 0; j < group[0]->num_second_level(); ++j) {
+    int64_t c0 = 0, c1 = 0;
+    for (const TwoLevelHashSketch* x : group) {
+      c0 += x->Count(level, j, 0);
+      c1 += x->Count(level, j, 1);
+    }
+    split = split || (c0 > 0 && c1 > 0);
+  }
+  result.singleton = total != 0 && !split;
+  return result;
+}
+
 inline std::vector<std::string> DatasetStreamNames(int num_streams) {
   std::vector<std::string> names;
   for (int s = 0; s < num_streams; ++s) {

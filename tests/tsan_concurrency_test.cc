@@ -12,7 +12,9 @@
 //   * ShardQueue push/drain/shutdown from concurrent producers and a
 //     consumer, including Stop() racing active pushes;
 //   * ParallelIngest fanning one update batch over a shared SketchBank;
-//   * SketchServer serving PUSH/QUERY/STATS from concurrent clients;
+//   * SketchServer serving PUSH/QUERY/STATS from concurrent clients, and
+//     stale queries filling probe tables on the shard workers while
+//     pushes keep arriving;
 //   * Wal appends from many threads racing a rotation (the shard-mutex
 //     seam the fault-tolerance PR introduced);
 //   * the cluster router's probe loop, repair sweeps, and online
@@ -35,6 +37,7 @@
 #include "core/sketch_bank.h"
 #include "core/sketch_seed.h"
 #include "query/parallel_ingest.h"
+#include "query/plan_cache.h"
 #include "server/shard_queue.h"
 #include "server/sketch_client.h"
 #include "server/sketch_server.h"
@@ -513,6 +516,101 @@ TEST(TsanConcurrencyTest, ServerPlanCacheConcurrentQueryVsPush) {
   EXPECT_GT(stats.plan_cache_hits + stats.plan_cache_misses +
                 stats.plan_cache_invalidations,
             0u);
+}
+
+TEST(TsanConcurrencyTest, FreshQueriesProbeOnShardWorkersWhilePushing) {
+  // Two connections push while a third issues queries every push makes
+  // stale: each answer's probe table is filled on three shard workers,
+  // behind the batches they hold, while the io thread admits more. TSan
+  // proves the fill neither races the workers' apply nor a neighbour
+  // shard's words (copies = 100: shard ranges end inside words); the
+  // final quiescent answer must equal an in-process planner's.
+  SketchServer::Options options;
+  options.params = SmallParams();
+  options.copies = 100;
+  options.seed = 4242;
+  options.shards = 3;
+  options.queue_capacity = 8;
+  options.witness.pool_all_levels = true;
+  SketchServer server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  constexpr int kPushers = 2;
+  constexpr int kBatches = 30;
+  constexpr int kPerBatch = 64;
+  {
+    // The streams exist before the first query.
+    std::string connect_error;
+    auto client =
+        SketchClient::Connect("127.0.0.1", server.port(), &connect_error);
+    ASSERT_NE(client, nullptr) << connect_error;
+    UpdateBatch batch;
+    batch.stream_names = {"A", "B", "C"};
+    for (StreamId k = 0; k < 3; ++k) batch.updates.push_back(Update{k, 7, 1});
+    ASSERT_TRUE(client->PushUpdates(batch).ok);
+  }
+  SpinBarrier barrier(kPushers + 1);
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kPushers; ++p) {
+    threads.emplace_back([&server, &barrier, p] {
+      std::string connect_error;
+      auto client =
+          SketchClient::Connect("127.0.0.1", server.port(), &connect_error);
+      ASSERT_NE(client, nullptr) << connect_error;
+      barrier.ArriveAndWait();
+      for (int b = 0; b < kBatches; ++b) {
+        UpdateBatch batch;
+        batch.stream_names = {"A", "B", "C"};
+        for (int i = 0; i < kPerBatch; ++i) {
+          const uint64_t element =
+              static_cast<uint64_t>((p * kBatches + b) * kPerBatch + i) *
+              0x9E3779B97F4A7C15ULL;
+          batch.updates.push_back(
+              Update{static_cast<StreamId>(i % 3), element | 1, 1});
+        }
+        ASSERT_TRUE(client->PushUpdatesWithRetry(batch).ok);
+      }
+    });
+  }
+  std::atomic<int> pushers_done{0};
+  std::atomic<int> answered{0};
+  threads.emplace_back([&server, &barrier, &pushers_done, &answered] {
+    std::string connect_error;
+    auto client =
+        SketchClient::Connect("127.0.0.1", server.port(), &connect_error);
+    ASSERT_NE(client, nullptr) << connect_error;
+    barrier.ArriveAndWait();
+    while (pushers_done.load() < kPushers) {
+      const QueryResultInfo answer = client->Query("(A - B) | C");
+      ASSERT_TRUE(answer.ok) << answer.error;
+      EXPECT_GE(answer.estimate, 0.0);
+      EXPECT_LE(answer.lo, answer.hi);
+      ++answered;
+    }
+  });
+  for (int p = 0; p < kPushers; ++p) {
+    threads[static_cast<size_t>(p)].join();
+    ++pushers_done;
+  }
+  threads.back().join();
+  EXPECT_GT(answered.load(), 0);
+
+  std::string connect_error;
+  auto client =
+      SketchClient::Connect("127.0.0.1", server.port(), &connect_error);
+  ASSERT_NE(client, nullptr) << connect_error;
+  const QueryResultInfo last = client->Query("(A - B) | C");
+  ASSERT_TRUE(last.ok) << last.error;
+  PlanCache planner(PlanCache::Options{options.witness});
+  const PlanCache::Result expected = planner.Query("(A - B) | C", server.bank());
+  ASSERT_TRUE(expected.ok) << expected.error;
+  EXPECT_EQ(last.estimate, expected.estimate);
+  EXPECT_EQ(last.lo, expected.interval.lo);
+  EXPECT_EQ(last.hi, expected.interval.hi);
+  server.Stop();
+  EXPECT_EQ(server.stats().updates_applied,
+            static_cast<uint64_t>(kPushers) * kBatches * kPerBatch + 3);
 }
 
 // --- Cluster router: probe/repair/membership racing PUSH + QUERY --------

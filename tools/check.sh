@@ -15,7 +15,9 @@
 #                writer, parallel ingest, the epoll ingest loop, the
 #                fault-tolerance suite's idle sweeps and restarts, lazy
 #                slice publication, and the router's online membership
-#                changes racing pushes).
+#                changes racing pushes), then the stale-query probe
+#                stress (probe tables filled on the shard workers while
+#                pushes arrive) repeated 50 times.
 #   4. ubsan    UndefinedBehaviorSanitizer build (-fno-sanitize-recover,
 #                so any UB fails the run) + full test suite.
 #   5. chaos     AddressSanitizer build + the fault-tolerance suite
@@ -161,6 +163,14 @@ stage_tsan() {
     build_and_test "${prefix}-tsan" \
       "TsanConcurrencyTest|ShardQueueTest|SketchServerTest|ParallelIngest|IngestFastPathTsan|EpollIngestTest|FaultToleranceTest|ClusterMembershipTest" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSETSKETCH_SANITIZE=thread
+
+  # Stale queries filling probe tables on three shard workers while two
+  # connections push: repeated, since one run sees few interleavings.
+  echo "=== tsan stress (fresh queries probed on shard workers, x50) ==="
+  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+    "${prefix}-tsan/tests/setsketch_tests" --gtest_brief=1 \
+    --gtest_filter=TsanConcurrencyTest.FreshQueriesProbeOnShardWorkersWhilePushing \
+    --gtest_repeat=50
 }
 
 stage_ubsan() {

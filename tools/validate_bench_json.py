@@ -18,7 +18,8 @@ configured to emit. Benches are keyed by the marker:
                     direct/replan vs hot/equivalent cache hits, epoch
                     invalidation re-probe, re-probe after a 64-update
                     trickle at perfbench query_mixed's shape, served
-                    loopback QUERY path)
+                    loopback QUERY path, hot and fresh after a trickle
+                    PUSH)
   cluster           bench_cluster (single-node vs routed ingest with and
                     without replication; federated query cost cold vs
                     via the router's epoch-aware summary cache; the
@@ -74,6 +75,7 @@ EXPECTED_BY_BENCH = {
         "PlanCacheQuery/invalidate_requery",
         "PlanCacheQuery/trickle_requery",
         "PlanCacheQuery/served_hot",
+        "PlanCacheQuery/served_fresh",
     ],
     "cluster": [
         "ClusterIngest/single_node",
