@@ -33,6 +33,8 @@
 // SETSKETCH_BENCH_JSON) validated by tools/validate_bench_json.py.
 // Honors SETSKETCH_BENCH_SCALE (0 < scale <= 1, default 0.25).
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -46,6 +48,7 @@
 #include "core/sketch_bank.h"
 #include "expr/parser.h"
 #include "query/plan_cache.h"
+#include "server/epoll_backend.h"
 #include "server/sketch_client.h"
 #include "server/sketch_server.h"
 #include "stream/stream_generator.h"
@@ -262,12 +265,23 @@ int main() {
     record("trickle_requery", seconds, cold_queries);
   }
 
+  // The served rows pin as perfbench does: the shard workers on CPUs
+  // 0..kServedShards-1 (pin_shards), and this client thread on CPU
+  // kServedShards, with the server's io thread, which inherits its
+  // affinity. The affinity is restored after the served rows.
+  constexpr int kServedShards = 2;
+  cpu_set_t saved_affinity;
+  CPU_ZERO(&saved_affinity);
+  sched_getaffinity(0, sizeof(saved_affinity), &saved_affinity);
+  PinCurrentThreadToCpu(kServedShards);
+
   // --- served_hot: the full loopback QUERY path against a served bank. --
   {
     SketchServer::Options options;
     options.copies = kCopies;
     options.seed = 20030609;
-    options.shards = 2;
+    options.shards = kServedShards;
+    options.pin_shards = true;
     options.witness = witness;
     SketchServer server(options);
     std::string error;
@@ -334,7 +348,8 @@ int main() {
     options.params.num_second_level = 16;
     options.copies = kCopies;
     options.seed = 20030609;
-    options.shards = 2;
+    options.shards = kServedShards;
+    options.pin_shards = true;
     options.witness = witness;
     SketchServer server(options);
     std::string error;
@@ -401,6 +416,7 @@ int main() {
     client->Shutdown();
     server.Wait();
   }
+  sched_setaffinity(0, sizeof(saved_affinity), &saved_affinity);
 
   TablePrinter table({"mode", "queries", "secs", "queries/s", "ns/query"});
   for (const BenchResult& result : results) {

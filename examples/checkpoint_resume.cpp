@@ -3,7 +3,7 @@
 // A long-running monitoring engine periodically snapshots its synopsis
 // state (a few hundred KiB, thanks to the compact encoding), "crashes",
 // and resumes from the snapshot in a fresh process image without touching
-// the stream history. Also shows ExplainQuery (simplification, provable
+// the stream history. Also shows ExplainQuery (canonical plan, provable
 // emptiness, witness geometry) and the ~95% intervals every answer
 // carries.
 //

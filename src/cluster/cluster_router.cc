@@ -15,7 +15,6 @@
 #include <sstream>
 #include <string_view>
 
-#include "expr/parser.h"
 #include "server/fault_injector.h"
 #include "server/ingest_arena.h"
 #include "server/socket_io.h"
@@ -771,13 +770,10 @@ QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
 std::string ClusterRouter::Explain(const std::string& text) const {
   // An expression reports every stream it touches; anything that fails to
   // parse is treated as one bare stream name (handy for scripts).
-  std::vector<std::string> names;
-  const ParseResult parsed = ParseExpression(text);
-  if (parsed.ok()) {
-    names = parsed.expression->StreamNames();
-  } else {
-    names.push_back(text);
-  }
+  // Compiled without the text memo, so EXPLAIN promotes nothing.
+  const std::shared_ptr<const CompiledQuery> query = CompileQuery(text);
+  const std::vector<std::string> names =
+      query->ok() ? query->streams : std::vector<std::string>{text};
   std::ostringstream out;
   {
     MutexLock lock(&placement_mutex_);
@@ -796,9 +792,9 @@ std::string ClusterRouter::Explain(const std::string& text) const {
     const std::string read = ReadTarget(name);
     out << " read=" << (read.empty() ? "-" : read) << "\n";
   }
-  if (parsed.ok()) {
+  if (query->ok()) {
     MutexLock query_lock(&query_mutex_);
-    out << plan_cache_.Explain(*parsed.expression, federated_);
+    out << plan_cache_.Explain(*query, federated_);
   }
   return out.str();
 }

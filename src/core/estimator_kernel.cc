@@ -42,6 +42,13 @@ void ProbeTable::Shape(int copies, int levels, int columns, int parts) {
   }
   words_ = word;
   part_filled_.assign(static_cast<size_t>(parts), 0);
+  part_scratch_.resize(static_cast<size_t>(parts));
+  for (FillScratch& scratch : part_scratch_) {
+    scratch.block.resize((2 + static_cast<size_t>(columns)) *
+                         static_cast<size_t>(levels));
+    scratch.group.resize(static_cast<size_t>(columns));
+    scratch.next.resize(static_cast<size_t>(columns));
+  }
   // Every word is written by exactly one FillPart, padding included.
   bits_.resize((2 + static_cast<size_t>(columns)) * words_);
 }
@@ -81,12 +88,13 @@ bool ProbeTable::FillCells(int part, bool pairwise, const GroupOf& group_of) {
   const size_t region = part_word_[static_cast<size_t>(part)];
   const size_t region_words = part_word_[static_cast<size_t>(part) + 1] -
                               region;
-  // One word of up to 64 copies per (bitset, level) accumulates here
-  // (block[b * levels + level], bit i for copy start + i), then lands in
+  // One word of up to 64 copies per (bitset, level) accumulates in
+  // block[b * levels + level] (bit i for copy start + i), then lands in
   // the part's region with one store per word.
-  std::vector<uint64_t> block(bitsets * levels);
-  SketchGroup group(static_cast<size_t>(columns_));
-  SketchGroup next(static_cast<size_t>(columns_));
+  FillScratch& scratch = part_scratch_[static_cast<size_t>(part)];
+  std::vector<uint64_t>& block = scratch.block;
+  SketchGroup& group = scratch.group;
+  SketchGroup& next = scratch.next;
   if (first < last) group_of(first, &next);
   for (size_t b = 0; b < bitsets; ++b) {
     // The region's padding past its last level.

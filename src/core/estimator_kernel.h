@@ -43,6 +43,7 @@
 #include "core/set_union_estimator.h"       // UnionEstimate
 #include "core/witness_estimate.h"
 #include "util/aligned_alloc.h"
+#include "util/thread_annotations.h"
 
 namespace setsketch {
 
@@ -135,9 +136,12 @@ class ProbeTable {
  private:
   /// Shapes for (copies, levels, columns) in `parts` parts.
   void Shape(int copies, int levels, int columns, int parts);
-  /// Fills part `part` with copy i's group from group_of(i, &group).
+  /// Fills part `part` with copy i's group from group_of(i, &group), in
+  /// the part's FillScratch: a stale QUERY runs it once per shard on the
+  /// worker thread, so it allocates nothing.
   template <typename GroupOf>
-  bool FillCells(int part, bool pairwise, const GroupOf& group_of);
+  SETSKETCH_HOT_PATH bool FillCells(int part, bool pairwise,
+                                    const GroupOf& group_of);
   void Clear();
 
   const uint64_t* Bitset(size_t index) const {
@@ -166,6 +170,15 @@ class ProbeTable {
   /// Per part: 1 once FillPart succeeded (one byte per part, so
   /// concurrent fills write distinct objects).
   std::vector<unsigned char> part_filled_;
+  /// FillCells' working storage, sized by Shape: one word of up to 64
+  /// copies per (bitset, level), and the current and next copy's sketch
+  /// group. One per part, since distinct parts fill concurrently.
+  struct FillScratch {
+    std::vector<uint64_t> block;
+    SketchGroup group;
+    SketchGroup next;
+  };
+  std::vector<FillScratch> part_scratch_;
   /// Bitset b at [b * words(), (b + 1) * words()): 0 non-empty,
   /// 1 singleton, 2 + k column k's occupancy. words() is a whole number
   /// of cache lines, so every part region starts on one.

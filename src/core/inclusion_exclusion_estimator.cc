@@ -3,7 +3,7 @@
 #include <unordered_map>
 
 #include "core/set_union_estimator.h"
-#include "expr/analysis.h"
+#include "expr/canonical.h"
 
 namespace setsketch {
 

@@ -1,6 +1,8 @@
 #include "expr/canonical.h"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <unordered_map>
 
 #include "hash/prng.h"
@@ -270,37 +272,6 @@ CanonicalPlan Canonicalize(const Expression& expr) {
   return builder.Finish(root);
 }
 
-ExprPtr CanonicalToExpression(const CanonicalPlan& plan) {
-  if (!plan.ok()) return nullptr;
-  std::vector<ExprPtr> built(plan.nodes.size());
-  for (size_t i = 0; i < plan.nodes.size(); ++i) {
-    const CanonicalNode& node = plan.nodes[i];
-    if (node.kind == Expression::Kind::kStream) {
-      built[i] = Expression::Stream(node.name);
-      continue;
-    }
-    ExprPtr acc = built[static_cast<size_t>(node.children[0])];
-    for (size_t c = 1; c < node.children.size(); ++c) {
-      ExprPtr rhs = built[static_cast<size_t>(node.children[c])];
-      switch (node.kind) {
-        case Expression::Kind::kUnion:
-          acc = Expression::Union(std::move(acc), std::move(rhs));
-          break;
-        case Expression::Kind::kIntersect:
-          acc = Expression::Intersect(std::move(acc), std::move(rhs));
-          break;
-        case Expression::Kind::kDifference:
-          acc = Expression::Difference(std::move(acc), std::move(rhs));
-          break;
-        case Expression::Kind::kStream:
-          break;
-      }
-    }
-    built[i] = std::move(acc);
-  }
-  return built[static_cast<size_t>(plan.root)];
-}
-
 const uint64_t* EvaluatePlan(const CanonicalPlan& plan,
                              std::span<const uint64_t* const> leaves,
                              size_t words, std::vector<uint64_t>* scratch) {
@@ -341,6 +312,101 @@ const uint64_t* EvaluatePlan(const CanonicalPlan& plan,
     }
   }
   return node_words(plan.root);
+}
+
+namespace {
+
+// Truth-table words per EvaluatePlan call: 4096 Venn regions, so the
+// scratch arena holds nodes x 64 words whatever the stream count (a QUERY
+// text may carry millions of nodes).
+constexpr size_t kTruthTableChunkWords = 64;
+
+// Calls visit(w, bits) for each word w of the truth table over `n`
+// streams, in order: bit b of word w is Venn region 64 * w + b, whose bit
+// i says "member of stream i", and `bits` is the plan's result on those
+// regions (bits past region 2^n - 1 cleared). plan.streams[c] is stream
+// bit[c], or always empty when bit[c] < 0. Stops, returning false, as
+// soon as visit returns false.
+template <typename Visit>
+bool ForEachRegionWord(const CanonicalPlan& plan, const std::vector<int>& bit,
+                       size_t n, const Visit& visit) {
+  // Streams 0..5 vary inside a word; stream i >= 6 is bit i - 6 of the
+  // word index.
+  static constexpr uint64_t kInWord[6] = {
+      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+  const uint64_t words = n <= 6 ? 1 : uint64_t{1} << (n - 6);
+  const uint64_t valid =
+      n >= 6 ? ~uint64_t{0} : (uint64_t{1} << (size_t{1} << n)) - 1;
+  const size_t chunk =
+      static_cast<size_t>(std::min<uint64_t>(words, kTruthTableChunkWords));
+  std::vector<uint64_t> columns(plan.streams.size() * chunk);
+  std::vector<const uint64_t*> leaves(plan.streams.size());
+  std::vector<uint64_t> scratch;
+  for (uint64_t first = 0; first < words; first += chunk) {
+    for (size_t c = 0; c < leaves.size(); ++c) {
+      uint64_t* column = columns.data() + c * chunk;
+      leaves[c] = column;
+      const int i = bit[c];
+      for (size_t w = 0; w < chunk; ++w) {
+        if (i < 0) {
+          column[w] = 0;
+        } else if (i < 6) {
+          column[w] = kInWord[i];
+        } else {
+          column[w] = ((first + w) >> (i - 6)) & 1 ? ~uint64_t{0} : 0;
+        }
+      }
+    }
+    const uint64_t* result = EvaluatePlan(plan, leaves, chunk, &scratch);
+    for (size_t w = 0; w < chunk; ++w) {
+      if (!visit(first + w, result[w] & valid)) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+bool ProvablyEmpty(const CanonicalPlan& plan) {
+  const size_t n = plan.streams.size();
+  if (!plan.ok() || n > kMaxEnumeratedStreams) return false;
+  std::vector<int> bit(n);
+  std::iota(bit.begin(), bit.end(), 0);
+  return ForEachRegionWord(plan, bit, n,
+                           [](uint64_t, uint64_t bits) { return bits == 0; });
+}
+
+VennRegions ResultRegions(const Expression& expr,
+                          const std::vector<std::string>& stream_order) {
+  VennRegions regions;
+  const size_t n = stream_order.size();
+  if (n > kMaxRegionStreams) {
+    regions.error = "expression over " + std::to_string(n) +
+                    " streams: Venn-region enumeration is limited to " +
+                    std::to_string(kMaxRegionStreams);
+    return regions;
+  }
+  const CanonicalPlan plan = Canonicalize(expr);
+  std::vector<int> bit(plan.streams.size(), -1);
+  for (size_t i = n; i-- > 0;) {  // Backwards: the first position wins.
+    const auto it = std::lower_bound(plan.streams.begin(), plan.streams.end(),
+                                     stream_order[i]);
+    if (it != plan.streams.end() && *it == stream_order[i]) {
+      bit[static_cast<size_t>(it - plan.streams.begin())] =
+          static_cast<int>(i);
+    }
+  }
+  // Region 0 (in no stream) is never listed: with every leaf false, a
+  // union/intersection/difference is false.
+  ForEachRegionWord(plan, bit, n, [&regions](uint64_t word, uint64_t bits) {
+    for (; bits != 0; bits &= bits - 1) {
+      regions.masks.push_back(static_cast<uint32_t>(
+          word * 64 + static_cast<uint64_t>(std::countr_zero(bits))));
+    }
+    return true;
+  });
+  return regions;
 }
 
 }  // namespace setsketch

@@ -1,15 +1,18 @@
 // Set-expression AST (Section 4).
 //
 // Expressions are trees over named stream leaves with the three standard
-// set connectives: union, intersection, difference. The same Boolean
-// evaluation serves two purposes:
+// set connectives: union, intersection, difference. Section 4's inductive
+// definition maps them to OR, AND and AND-NOT, and that one Boolean
+// structure decides
 //   * element membership: e is in E iff Evaluate(member-of) is true, which
 //     the exact evaluator uses for ground truth; and
 //   * the paper's witness condition B(E): with "occupied" =
 //     "bucket j non-empty in the stream's sketch", B(E) holds iff the
-//     bucket's singleton element witnesses E (Section 4's inductive
-//     definition maps union to OR, intersection to AND, difference to
-//     AND-NOT).
+//     bucket's singleton element witnesses E.
+// Evaluate is the pointwise reference, one assignment per call. Every
+// bitset evaluation — B(E) over the probe table's cells, emptiness
+// proofs, Venn regions — runs on the canonical plan instead, through
+// EvaluatePlan (expr/canonical.h).
 
 #ifndef SETSKETCH_EXPR_EXPRESSION_H_
 #define SETSKETCH_EXPR_EXPRESSION_H_

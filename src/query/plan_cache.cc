@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "expr/analysis.h"
 #include "expr/parser.h"
 
 namespace setsketch {
@@ -71,7 +70,7 @@ std::shared_ptr<const CompiledQuery> CompileQuery(ExprPtr expression) {
   query->streams = expression->StreamNames();
   query->plan = Canonicalize(*expression);
   query->canonical = query->plan.ToString();
-  query->provably_empty = ProvablyEmpty(*expression);
+  query->provably_empty = ProvablyEmpty(query->plan);
   query->expression = std::move(expression);
   return query;
 }
@@ -366,21 +365,14 @@ PlanCache::Result PlanCache::EvaluateLocked(Entry* entry,
   return result;
 }
 
-std::string PlanCache::Explain(const std::string& text,
+std::string PlanCache::Explain(const CompiledQuery& query,
                                const SketchBank& bank, int parts) const {
-  const ParseResult parsed = ParseExpression(text);
-  if (!parsed.ok()) return "error: " + parsed.error + "\n";
-  return Explain(*parsed.expression, bank, parts);
-}
-
-std::string PlanCache::Explain(const Expression& expr, const SketchBank& bank,
-                               int parts) const {
-  const CanonicalPlan plan = Canonicalize(expr);
-  const std::string canonical = plan.ToString();
+  if (!query.ok()) return "error: " + query.error + "\n";
+  const CanonicalPlan& plan = query.plan;
 
   std::ostringstream out;
-  out << "expression: " << expr.ToString() << "\n";
-  out << "canonical plan: " << canonical << "\n";
+  out << "expression: " << query.display << "\n";
+  out << "canonical plan: " << query.canonical << "\n";
   out << "canonical hash: " << HashToHex(plan.hash()) << "\n";
   out << "streams (" << plan.streams.size() << "):";
   for (const std::string& name : plan.streams) {
@@ -409,7 +401,7 @@ std::string PlanCache::Explain(const Expression& expr, const SketchBank& bank,
     out << "  shared: " << plan.NodeToString(static_cast<int>(id))
         << " (used " << node.uses << "x)\n";
   }
-  if (ProvablyEmpty(expr)) {
+  if (query.provably_empty) {
     out << "provably empty: answered exactly 0 without a plan\n";
     return out.str();
   }
@@ -434,7 +426,7 @@ std::string PlanCache::Explain(const Expression& expr, const SketchBank& bank,
 
   MutexLock lock(&mutex_);
   auto it = entries_.find(plan.hash());
-  if (it == entries_.end() || it->second.canonical != canonical) {
+  if (it == entries_.end() || it->second.canonical != query.canonical) {
     out << "cache: MISS (not compiled yet)\n";
   } else {
     const Entry& entry = it->second;

@@ -70,7 +70,7 @@ struct CompiledQuery {
   std::vector<std::string> streams;
   CanonicalPlan plan;       ///< Canonicalize(*expression).
   std::string canonical;    ///< plan.ToString(), the entry collision guard.
-  bool provably_empty = false;  ///< ProvablyEmpty(*expression).
+  bool provably_empty = false;  ///< ProvablyEmpty(plan).
 
   bool ok() const { return expression != nullptr; }
 };
@@ -205,16 +205,15 @@ class PlanCache {
                   Result* hit, SnapshotRequest* request, int parts = 0);
   Result FinishQuery(SnapshotRequest request);
 
-  /// Human-readable EXPLAIN report: canonical plan, CSE sharing, probe
-  /// table shape, the cache/epoch state of the matching entry and, when
-  /// it holds an answer for `bank`, that answer's evidence — the Figure 5
-  /// level, nonempty count over copies (p_hat), saturation, and the
-  /// witness count over valid observations (read-only — does not
-  /// compile or promote anything). `parts` is the number of copy-range
-  /// parts the caller's stale probes shape the table in (BeginQuery).
-  std::string Explain(const Expression& expr, const SketchBank& bank,
-                      int parts = 1) const;
-  std::string Explain(const std::string& text, const SketchBank& bank,
+  /// Human-readable EXPLAIN report of a compiled query (its parse error,
+  /// if any): canonical plan, CSE sharing, probe table shape, the
+  /// cache/epoch state of the matching entry and, when it holds an answer
+  /// for `bank`, that answer's evidence — the Figure 5 level, nonempty
+  /// count over copies (p_hat), saturation, and the witness count over
+  /// valid observations (read-only — compiles and promotes nothing).
+  /// `parts` is the number of copy-range parts the caller's stale probes
+  /// shape the table in (BeginQuery).
+  std::string Explain(const CompiledQuery& query, const SketchBank& bank,
                       int parts = 1) const;
 
   Stats stats() const;

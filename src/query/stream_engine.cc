@@ -6,7 +6,6 @@
 
 #include "core/estimator_config.h"
 #include "distributed/summary_codec.h"
-#include "expr/analysis.h"
 #include "query/parallel_ingest.h"
 
 namespace setsketch {
@@ -311,15 +310,10 @@ StreamEngine::Explanation StreamEngine::ExplainQuery(int query_id) const {
   const CompiledQuery& query = *queries_[static_cast<size_t>(query_id)];
   explanation.ok = true;
   explanation.expression = query.display;
-  const ExprPtr simplified = Simplify(query.expression);
-  explanation.simplified = simplified ? simplified->ToString() : "{}";
   explanation.provably_empty = query.provably_empty;
   explanation.streams = query.streams;
 
   std::string report = "query: " + explanation.expression + "\n";
-  if (explanation.simplified != explanation.expression) {
-    report += "simplifies to: " + explanation.simplified + "\n";
-  }
   if (explanation.provably_empty) {
     report += "provably empty: |E| = 0 for any stream contents; no "
               "sampling needed\n";
@@ -365,7 +359,7 @@ StreamEngine::Explanation StreamEngine::ExplainQuery(int query_id) const {
   // Planner view: canonical form, CSE sharing, merge tasks and the plan
   // cache's epoch state for this query.
   report += "-- planner --\n";
-  report += plan_cache_->Explain(*query.expression, bank_);
+  report += plan_cache_->Explain(query, bank_);
   explanation.report = std::move(report);
   return explanation;
 }

@@ -129,8 +129,6 @@ class StreamEngine {
   struct Explanation {
     bool ok = false;
     std::string expression;          ///< Registered form.
-    std::string simplified;          ///< After algebraic simplification
-                                     ///< ("{}" if provably empty).
     bool provably_empty = false;     ///< True => |E| = 0 for any data.
     std::vector<std::string> streams;
     double union_estimate = 0.0;     ///< Current |union of streams|.
@@ -139,8 +137,9 @@ class StreamEngine {
     std::string report;              ///< Rendered multi-line summary.
   };
 
-  /// Explains query `query_id`: algebraic simplification, emptiness
-  /// proof, and the witness-sampling geometry implied by current data.
+  /// Explains query `query_id`: emptiness proof, the witness-sampling
+  /// geometry implied by current data, and the planner's view (canonical
+  /// plan, sharing, probe table, cache state).
   Explanation ExplainQuery(int query_id) const;
 
   /// Answers every registered query.

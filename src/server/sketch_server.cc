@@ -11,7 +11,6 @@
 #include <limits>
 #include <sstream>
 
-#include "expr/parser.h"
 #include "query/stream_engine.h"
 #include "util/check.h"
 
@@ -895,8 +894,11 @@ QueryResultInfo SketchServer::Answer(const std::string& expression_text) {
 }
 
 std::string SketchServer::Explain(const std::string& expression_text) {
-  const ParseResult parsed = ParseExpression(expression_text);
-  if (!parsed.ok()) return "error: " + parsed.error + "\n";
+  // Compiled without the text memo: EXPLAIN compiles and promotes
+  // nothing in the plan cache.
+  const std::shared_ptr<const CompiledQuery> query =
+      CompileQuery(expression_text);
+  if (!query->ok()) return "error: " + query->error + "\n";
   // Same quiesce and view as Answer: the report reads stream membership
   // and epochs.
   MutexLock push_lock(&push_mutex_);
@@ -905,12 +907,12 @@ std::string SketchServer::Explain(const std::string& expression_text) {
   MutexLock coordinator_lock(&coordinator_mutex_);
   std::string error;
   const std::optional<SketchBank> view =
-      SummaryViewLocked(parsed.expression->StreamNames(), &error);
+      SummaryViewLocked(query->streams, &error);
   if (!error.empty()) return "error: " + error + "\n";
   // A view is probed whole on this thread; bank_ in one part per shard.
   return view.has_value()
-             ? plan_cache_.Explain(*parsed.expression, *view)
-             : plan_cache_.Explain(*parsed.expression, bank_, options_.shards);
+             ? plan_cache_.Explain(*query, *view)
+             : plan_cache_.Explain(*query, bank_, options_.shards);
 }
 
 std::string SketchServer::RenderStats() const {

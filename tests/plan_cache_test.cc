@@ -17,7 +17,6 @@
 
 #include "core/set_expression_estimator.h"
 #include "core/sketch_bank.h"
-#include "expr/analysis.h"
 #include "expr/expression.h"
 #include "expr/parser.h"
 #include "query/plan_cache.h"
@@ -127,7 +126,7 @@ TEST(PlanCacheTest, RandomizedEquivalenceThroughIngestAndInvalidation) {
     // The cache short-circuits provably-empty queries to an exact 0
     // without running the estimator, so the bit-identical comparison only
     // applies to the non-degenerate ones.
-    if (ProvablyEmpty(*expr)) {
+    if (ProvablyEmpty(Canonicalize(*expr))) {
       const PlanCache::Result empty = cache.Query(*expr, *bank);
       EXPECT_TRUE(empty.ok);
       EXPECT_EQ(empty.estimate, 0.0);
@@ -227,12 +226,13 @@ TEST(PlanCacheTest, ExplainShowsTheMemoizedAnswersEvidence) {
     return line.str();
   };
 
-  EXPECT_EQ(cache.Explain(text, *bank).find("memo evidence"),
+  const auto compiled = CompileQuery(text);
+  EXPECT_EQ(cache.Explain(*compiled, *bank).find("memo evidence"),
             std::string::npos);  // Nothing memoized yet.
   const PlanCache::Result first = cache.Query(text, *bank);
   ASSERT_TRUE(first.ok) << first.error;
   ASSERT_EQ(first.detail.union_part.copies, 32);
-  std::string report = cache.Explain(text, *bank);
+  std::string report = cache.Explain(*compiled, *bank);
   EXPECT_NE(report.find("cache: HIT"), std::string::npos) << report;
   EXPECT_NE(report.find(expected_line(first)), std::string::npos) << report;
   EXPECT_NE(report.find("1 row-summary word(s) per stream and cell"),
@@ -245,7 +245,7 @@ TEST(PlanCacheTest, ExplainShowsTheMemoizedAnswersEvidence) {
                         "nonempty, union-singleton, 3 occupancy (120 words)"),
             std::string::npos)
       << report;
-  const std::string split = cache.Explain(text, *bank, /*parts=*/3);
+  const std::string split = cache.Explain(*compiled, *bank, /*parts=*/3);
   EXPECT_NE(split.find("in 3 part(s), bitsets of 3 word(s) per level: "
                        "nonempty, union-singleton, 3 occupancy (360 words)"),
             std::string::npos)
@@ -254,12 +254,12 @@ TEST(PlanCacheTest, ExplainShowsTheMemoizedAnswersEvidence) {
   // A stale entry still shows the evidence of the answer it holds; the
   // next query replaces both.
   bank->Apply("S2", 555u, 1);
-  report = cache.Explain(text, *bank);
+  report = cache.Explain(*compiled, *bank);
   EXPECT_NE(report.find("cache: STALE"), std::string::npos) << report;
   EXPECT_NE(report.find(expected_line(first)), std::string::npos) << report;
   const PlanCache::Result second = cache.Query(text, *bank);
   ASSERT_TRUE(second.ok) << second.error;
-  report = cache.Explain(text, *bank);
+  report = cache.Explain(*compiled, *bank);
   EXPECT_NE(report.find(expected_line(second)), std::string::npos) << report;
 }
 
@@ -375,7 +375,7 @@ TEST(ProbeTableTest, MatchesGroupProbesUnderNegativeNetFrequencies) {
     PlanCache cache(PlanCache::Options{});
     for (int q = 0; q < 8; ++q) {
       const ExprPtr expr = RandomExpression(rng, names, 3);
-      if (ProvablyEmpty(*expr)) continue;
+      if (ProvablyEmpty(Canonicalize(*expr))) continue;
       ExpectBitIdentical(cache.Query(*expr, bank),
                          EstimateSetExpression(*expr, bank),
                          expr->ToString() + " (churn)");

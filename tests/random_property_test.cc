@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/set_expression_estimator.h"
-#include "expr/analysis.h"
+#include "expr/canonical.h"
 #include "expr/exact_evaluator.h"
 #include "hash/prng.h"
 #include "query/stream_engine.h"

@@ -157,6 +157,9 @@ HOTPATH_SIGNALS = [
     (re.compile(r"(?:\.|->)\s*(?:push_back|emplace_back|resize|reserve)"
                 r"\s*\("),
      "container growth"),
+    (re.compile(r"\bstd::(?:vector|deque|list|(?:unordered_)?(?:map|set))"
+                r"\s*<[^;()]*>\s+\w+\s*[({]"),
+     "container construction"),
     (re.compile(r"(?<![\w.])throw\b"), "throw"),
     (re.compile(r"::open\s*\(|\bfopen\s*\("), "file open syscall"),
     (re.compile(r"(?<![\w.])(?:sleep|usleep|nanosleep)\s*\("),
