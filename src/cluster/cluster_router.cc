@@ -1,33 +1,17 @@
 #include "cluster/cluster_router.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string_view>
 
-#include "server/fault_injector.h"
-#include "server/ingest_arena.h"
-#include "server/socket_io.h"
-
 namespace setsketch {
 
 namespace {
 
 constexpr uint64_t kProbeBackoffSalt = 0x726F757470726F62ULL;  // "routprob"
-
-std::string ErrorFrame(WireError code, std::string_view message) {
-  return EncodeFrame(Opcode::kError, EncodeError(code, message));
-}
 
 /// RAII shared hold on the write gate for the push fan-out path.
 class SharedGate {
@@ -74,20 +58,7 @@ ClusterRouter::ClusterRouter(const Options& options)
       // Start refuses an invalid shape; until then the coins are the
       // default config's, so construction never aborts.
       coins_(ConstructibleConfig(options)),
-      placement_(options.static_placement ? Placement::Mode::kStatic
-                                          : Placement::Mode::kRing,
-                 [&options] {
-                   std::vector<std::string> names;
-                   names.reserve(options.shards.size());
-                   for (const ClusterShard& shard : options.shards) {
-                     names.push_back(shard.name.empty()
-                                         ? shard.host + ":" +
-                                               std::to_string(shard.port)
-                                         : shard.name);
-                   }
-                   return names;
-                 }(),
-                 options.placement_seed, options.virtual_nodes),
+      placement_(options.placement_seed, options.virtual_nodes),
       federated_(coins_.family(), coins_.config().backend_size),
       plan_cache_(PlanCache::Options{options.witness}) {
   if (options_.replicas < 0) options_.replicas = 0;
@@ -103,6 +74,7 @@ ClusterRouter::ClusterRouter(const Options& options)
     auto state = std::make_unique<ShardState>(
         named, options_.probe_backoff_initial_ms,
         options_.probe_backoff_cap_ms);
+    placement_.AddNode(named.name);
     shard_index_by_name_.emplace(named.name, shards_.size());
     shards_.push_back(std::move(state));
   }
@@ -112,166 +84,21 @@ ClusterRouter::ClusterRouter(const Options& options)
 ClusterRouter::~ClusterRouter() { Stop(); }
 
 bool ClusterRouter::Start(std::string* error) {
-  auto fail = [&](const std::string& what) {
-    if (error != nullptr) *error = what + ": " + std::strerror(errno);
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    return false;
-  };
   if (!options_.Validate(error)) return false;
   if (shards_.empty()) {
     if (error != nullptr) *error = "a cluster needs at least one shard";
     return false;
   }
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return fail("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    if (error != nullptr) {
-      *error = "invalid bind address '" + options_.bind_address + "'";
-    }
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return fail("bind");
-  }
-  if (::listen(listen_fd_, options_.listen_backlog) != 0) {
-    return fail("listen");
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    return fail("getsockname");
-  }
-  port_ = ntohs(bound.sin_port);
-
-  acceptor_ = std::thread(&ClusterRouter::AcceptLoop, this);
+  if (!host_.Listen(options_, error)) return false;
+  host_.Serve(&connections_);
   if (options_.probe_interval_ms > 0) {
     probe_thread_ = std::thread(&ClusterRouter::ProbeLoop, this);
-  }
-  started_at_ = std::chrono::steady_clock::now();
-  {
-    MutexLock lock(&lifecycle_mutex_);
-    started_ = true;
   }
   return true;
 }
 
-void ClusterRouter::AcceptLoop() {
-  while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // Listen socket shut down: stopping.
-    }
-    if (draining_.load()) {
-      ::close(fd);
-      continue;
-    }
-    ++connections_accepted_;
-    ++connections_active_;
-    MutexLock lock(&connections_mutex_);
-    open_fds_.push_back(fd);
-    handler_threads_.emplace_back(&ClusterRouter::HandleConnection, this,
-                                  fd);
-  }
-}
-
-void ClusterRouter::HandleConnection(int fd) {
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  SetNonBlocking(fd);
-
-  const auto send_response = [&](const std::string& bytes) {
-    return SendAllWithDeadline(fd, bytes, options_.io_timeout_ms,
-                               options_.fault_injector)
-        .ok();
-  };
-
-  // One thread per connection (the handlers block on shard round
-  // trips), parsing like the server's io loop: bytes land in an arena and
-  // frames are scanned zero-copy off its front.
-  constexpr size_t kReadChunkBytes = 1 << 16;
-  IngestArena arena;
-  Connection connection;
-  connection.fd = fd;
-  bool open = true;
-  while (open) {
-    char* cursor = arena.WritePtr(kReadChunkBytes);
-    size_t received = 0;
-    const IoResult got =
-        RecvSomeWithDeadline(fd, cursor, arena.write_capacity(),
-                             options_.idle_timeout_ms, &received);
-    if (!got.ok()) break;
-    arena.CommitRead(received);
-    while (open) {
-      FrameView frame;
-      size_t frame_bytes = 0;
-      WireError error = WireError::kNone;
-      std::string error_message;
-      const FrameScanStatus status = ScanFrame(
-          arena.Unparsed(), &frame, &frame_bytes, &error, &error_message);
-      if (status == FrameScanStatus::kNeedMore) break;
-      if (status == FrameScanStatus::kError) {
-        ++protocol_errors_;
-        send_response(ErrorFrame(error, error_message));
-        open = false;
-        break;
-      }
-      ++frames_received_;
-      ++connection.frames;
-      bool keep_open = true;
-      const std::string response = HandleFrame(frame, &connection,
-                                               &keep_open);
-      arena.Consume(frame_bytes);
-      const bool sent = send_response(response);
-      if (connection.notify_shutdown) {
-        connection.notify_shutdown = false;
-        {
-          MutexLock lock(&lifecycle_mutex_);
-          shutdown_requested_ = true;
-        }
-        lifecycle_cv_.notify_all();
-      }
-      if (!sent) {
-        open = false;
-        break;
-      }
-      if (connection.errors >= options_.max_connection_errors) {
-        send_response(ErrorFrame(WireError::kTooManyErrors,
-                                 "connection error budget exhausted"));
-        open = false;
-        break;
-      }
-      if (!keep_open) open = false;
-    }
-    arena.MaybeShrink(4 * kReadChunkBytes);
-  }
-  {
-    MutexLock lock(&connections_mutex_);
-    std::erase(open_fds_, fd);
-  }
-  ::close(fd);
-  --connections_active_;
-}
-
 std::string ClusterRouter::HandleFrame(const FrameView& frame,
-                                       Connection* connection,
-                                       bool* keep_open) {
-  *keep_open = true;
+                                       ServerConnection* connection) {
   switch (frame.opcode) {
     case Opcode::kPing: {
       HelloInfo hello;
@@ -299,9 +126,8 @@ std::string ClusterRouter::HandleFrame(const FrameView& frame,
       std::string decode_error;
       if (!DecodeShardAdmin(std::string(frame.payload), &request,
                             &decode_error)) {
-        ++connection->errors;
-        ++protocol_errors_;
-        return ErrorFrame(WireError::kBadPayload, decode_error);
+        return host_.Refuse(connection, WireError::kBadPayload,
+                            decode_error);
       }
       ClusterShard shard;
       shard.name = request.name;
@@ -321,9 +147,8 @@ std::string ClusterRouter::HandleFrame(const FrameView& frame,
       std::string decode_error;
       if (!DecodeShardAdmin(std::string(frame.payload), &request,
                             &decode_error)) {
-        ++connection->errors;
-        ++protocol_errors_;
-        return ErrorFrame(WireError::kBadPayload, decode_error);
+        return host_.Refuse(connection, WireError::kBadPayload,
+                            decode_error);
       }
       uint64_t moved = 0;
       std::string admin_error;
@@ -334,30 +159,17 @@ std::string ClusterRouter::HandleFrame(const FrameView& frame,
       ack.accepted = moved;
       return EncodeFrame(Opcode::kAck, EncodeAck(ack));
     }
-    case Opcode::kShutdown: {
-      draining_.store(true);
-      // The lifecycle notify is deferred until the ACK below has been
-      // queued on the socket (HandleConnection checks notify_shutdown
-      // after the send): waking the Stop() thread first would let its
-      // shutdown(SHUT_RDWR) sweep race ahead of the ACK.
-      connection->notify_shutdown = true;
-      return EncodeFrame(Opcode::kAck, EncodeAck(AckInfo{}));
-    }
     case Opcode::kPushSummary:
     case Opcode::kPullSummary:
     case Opcode::kPullRepair:
     case Opcode::kPushRepair:
-      ++connection->errors;
-      ++protocol_errors_;
-      return ErrorFrame(WireError::kBadPayload,
-                        std::string(OpcodeName(frame.opcode)) +
-                            " is not routed; address a shard directly");
+      return host_.Refuse(connection, WireError::kBadPayload,
+                          std::string(OpcodeName(frame.opcode)) +
+                              " is not routed; address a shard directly");
     default:
-      ++connection->errors;
-      ++protocol_errors_;
-      return ErrorFrame(WireError::kUnknownOpcode,
-                        std::string("unexpected opcode ") +
-                            OpcodeName(frame.opcode));
+      return host_.Refuse(connection, WireError::kUnknownOpcode,
+                          std::string("unexpected opcode ") +
+                              OpcodeName(frame.opcode));
   }
 }
 
@@ -452,7 +264,7 @@ bool ClusterRouter::ProbeLocked(ShardState* state) {
 }
 
 std::vector<size_t> ClusterRouter::PlacedIndices(
-    const Placement& placement, std::string_view stream) const {
+    const HashRing& placement, std::string_view stream) const {
   const std::vector<std::string> names = placement.Targets(
       stream, static_cast<size_t>(options_.replicas) + 1);
   std::vector<size_t> indices;
@@ -530,15 +342,13 @@ void ClusterRouter::ClearInDoubt(std::string_view site,
 }
 
 std::string ClusterRouter::HandlePushUpdates(std::string_view payload,
-                                             Connection* connection) {
+                                             ServerConnection* connection) {
   UpdateBatchView batch;
   std::string decode_error;
   if (!DecodePushUpdates(payload, &batch, &decode_error)) {
-    ++connection->errors;
-    ++protocol_errors_;
-    return ErrorFrame(WireError::kBadPayload, decode_error);
+    return host_.Refuse(connection, WireError::kBadPayload, decode_error);
   }
-  if (draining_.load()) {
+  if (host_.draining()) {
     return ErrorFrame(WireError::kShuttingDown, "router is draining");
   }
 
@@ -632,14 +442,14 @@ std::string ClusterRouter::HandlePushUpdates(std::string_view payload,
         return ErrorFrame(WireError::kConfigMismatch, detail);
       }
       if (!status.retry) {
-        ++forward_failures_;
+        ++counters_.forward_failures;
         // The shard just died mid-fan-out: its placed copies missed this
         // write. Surface as backpressure; the client's retry loop
         // re-pushes the same sequence and the dedup window dedupes the
         // survivors.
         shards_[shard_index]->Set(kShardStale);
       }
-      ++push_bounces_;
+      ++counters_.push_bounces;
       if (any_applied && !batch.site_id.empty()) {
         RecordInDoubt(batch.site_id, batch.sequence);
       }
@@ -647,10 +457,10 @@ std::string ClusterRouter::HandlePushUpdates(std::string_view payload,
     }
     any_applied = true;
     if (!status.duplicate) all_duplicate = false;
-    ++subbatches_forwarded_;
-    updates_forwarded_ += sub.batch.updates.size();
+    ++counters_.subbatches_forwarded;
+    counters_.updates_forwarded += sub.batch.updates.size();
   }
-  ++pushes_forwarded_;
+  ++counters_.pushes_forwarded;
   if (!batch.site_id.empty()) ClearInDoubt(batch.site_id, batch.sequence);
   return EncodeFrame(
       Opcode::kAck,
@@ -660,7 +470,7 @@ std::string ClusterRouter::HandlePushUpdates(std::string_view payload,
 }
 
 QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
-  ++queries_answered_;
+  ++counters_.queries_answered;
   QueryResultInfo result;
   // The text memo hands back the parse, stream list and emptiness verdict;
   // a repeated text compiles nothing.
@@ -690,7 +500,7 @@ QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
       result.error = "stream '" + name + "' has no healthy shard";
       return result;
     }
-    if (failover) ++failovers_;
+    if (failover) ++counters_.failovers;
     if (degraded) degraded_any = true;
     names_by_shard[static_cast<size_t>(target)].push_back(name);
   }
@@ -708,7 +518,7 @@ QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
       request.streams.push_back(std::move(key));
     }
     SummaryResult pulled;
-    ++summary_pulls_;
+    ++counters_.summary_pulls;
     const SketchClient::Status status = WithShard(
         shard_index, [this, &request, &pulled](SketchClient& client) {
           return client.PullSummaries(request, &coins_, &pulled);
@@ -734,7 +544,7 @@ QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
                            entry.name + "'";
             return result;
           }
-          ++summary_streams_unchanged_;
+          ++counters_.summary_streams_unchanged;
           break;
         }
         case SummaryState::kFull: {
@@ -751,7 +561,7 @@ QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
           }
           pull_keys_[entry.name] =
               PullKey{shard_index, entry.bank_id, entry.epoch};
-          ++summary_streams_full_;
+          ++counters_.summary_streams_full;
           break;
         }
       }
@@ -762,7 +572,7 @@ QueryResultInfo ClusterRouter::Answer(const std::string& expression_text) {
       PlannedQueryResult(*query, plan_cache_.Query(*query, federated_));
   if (answer.ok && degraded_any) {
     answer.degraded = true;
-    ++degraded_answers_;
+    ++counters_.degraded_answers;
   }
   return answer;
 }
@@ -777,10 +587,7 @@ std::string ClusterRouter::Explain(const std::string& text) const {
   std::ostringstream out;
   {
     MutexLock lock(&placement_mutex_);
-    out << "placement "
-        << (placement_.mode() == Placement::Mode::kRing ? "ring"
-                                                        : "static")
-        << " replicas " << options_.replicas << "\n";
+    out << "placement ring replicas " << options_.replicas << "\n";
   }
   for (const std::string& name : names) {
     out << "stream " << name << " targets=";
@@ -806,7 +613,7 @@ size_t ClusterRouter::ProbeAll() {
   for (size_t i = 0; i < n; ++i) {
     ShardState* state = shards_[i].get();
     if (state->Has(kShardRemoved)) continue;
-    ++probes_;
+    ++counters_.probes;
     const SketchClient::Status status =
         WithShard(i, [](SketchClient& client) { return client.Ping(); });
     if (status.ok) {
@@ -831,16 +638,16 @@ void ClusterRouter::ProbeLoop() {
   // see every acquire/release pair. Stop() notifies without the lock
   // held; since the wait is timed, a missed notify only delays exit by
   // one probe interval.
-  while (!draining_.load()) {
+  while (!host_.draining()) {
     {
       MutexLock lock(&probe_mutex_);
-      if (!draining_.load()) {
+      if (!host_.draining()) {
         probe_cv_.wait_for(
             probe_mutex_,
             std::chrono::milliseconds(options_.probe_interval_ms));
       }
     }
-    if (draining_.load()) break;
+    if (host_.draining()) break;
     const auto now = std::chrono::steady_clock::now();
     const size_t n = num_shards_.load();
     std::vector<size_t> to_repair;
@@ -850,7 +657,7 @@ void ClusterRouter::ProbeLoop() {
       // Capped-exponential backoff per failing shard: a dead shard is
       // redialed at widening intervals instead of every tick.
       if (now < state->next_probe_at) continue;
-      ++probes_;
+      ++counters_.probes;
       bool up;
       {
         MutexLock lock(&state->mutex);
@@ -882,7 +689,7 @@ void ClusterRouter::ProbeLoop() {
       }
     }
     for (const size_t i : to_repair) {
-      if (draining_.load()) break;
+      if (host_.draining()) break;
       MutexLock admin(&membership_mutex_);
       RepairShardLocked(i, nullptr);
     }
@@ -921,10 +728,10 @@ bool ClusterRouter::RepairShardLocked(size_t target_index,
 
   // A repair is the transfer with the placement unchanged; it dials every
   // member, this shard included, before anything moves.
-  std::unique_ptr<Placement> current;
+  std::unique_ptr<HashRing> current;
   {
     MutexLock lock(&placement_mutex_);
-    current = std::make_unique<Placement>(placement_);
+    current = std::make_unique<HashRing>(placement_);
   }
   std::string why;
   if (!TransferLocked(*current, nullptr, &why)) return fail(why);
@@ -934,7 +741,7 @@ bool ClusterRouter::RepairShardLocked(size_t target_index,
   return true;
 }
 
-bool ClusterRouter::TransferLocked(const Placement& next,
+bool ClusterRouter::TransferLocked(const HashRing& next,
                                    uint64_t* streams_moved,
                                    std::string* error) {
   auto fail = [&](const std::string& what) {
@@ -1065,7 +872,7 @@ bool ClusterRouter::TransferLocked(const Placement& next,
         request.streams.push_back(SummaryPullRequest::Key{stream, 0, 0});
       }
       SummaryResult pulled;
-      ++summary_pulls_;
+      ++counters_.summary_pulls;
       const SketchClient::Status status = WithShard(
           source, [this, &request, &pulled](SketchClient& client) {
             return client.PullSummaries(request, &coins_, &pulled);
@@ -1079,7 +886,7 @@ bool ClusterRouter::TransferLocked(const Placement& next,
           return fail("shard '" + shards_[source]->shard.name +
                       "' no longer holds stream '" + entry.name + "'");
         }
-        ++summary_streams_full_;
+        ++counters_.summary_streams_full;
         moved.insert(entry.name);
         install.streams.push_back(RepairInstall::StreamState{
             std::move(entry.name), std::move(entry.summary)});
@@ -1094,7 +901,7 @@ bool ClusterRouter::TransferLocked(const Placement& next,
       return fail("PUSH_REPAIR to shard '" + name +
                   "' failed: " + pushed.error);
     }
-    ++repairs_;
+    ++counters_.repairs;
 
     RepairManifest after;
     const SketchClient::Status verify = WithShard(
@@ -1135,7 +942,7 @@ bool ClusterRouter::TransferLocked(const Placement& next,
       state->Set(kShardStale);
     } else if (state->Has(kShardStale)) {
       state->ClearBit(kShardStale);
-      ++readmissions_;
+      ++counters_.readmissions;
     }
   }
   if (streams_moved != nullptr) *streams_moved = moved.size();
@@ -1155,18 +962,13 @@ bool ClusterRouter::AddShard(const ClusterShard& shard_in,
   if (shard.name.empty()) {
     shard.name = shard.host + ":" + std::to_string(shard.port);
   }
-  std::unique_ptr<Placement> next;
+  std::unique_ptr<HashRing> next;
   {
     MutexLock lock(&placement_mutex_);
-    if (placement_.mode() != Placement::Mode::kRing) {
-      return fail(
-          "static placement is fixed; membership changes need ring "
-          "placement");
-    }
     if (shard_index_by_name_.contains(shard.name)) {
       return fail("shard '" + shard.name + "' is already a member");
     }
-    next = std::make_unique<Placement>(placement_);
+    next = std::make_unique<HashRing>(placement_);
   }
   next->AddNode(shard.name);
   // Tombstone reuse: a drained slot is revived in place (same ShardState
@@ -1254,14 +1056,9 @@ bool ClusterRouter::DrainShard(const std::string& name_in,
   MutexLock admin(&membership_mutex_);
 
   size_t drain_index = SIZE_MAX;
-  std::unique_ptr<Placement> next;
+  std::unique_ptr<HashRing> next;
   {
     MutexLock lock(&placement_mutex_);
-    if (placement_.mode() != Placement::Mode::kRing) {
-      return fail(
-          "static placement is fixed; membership changes need ring "
-          "placement");
-    }
     const auto it = shard_index_by_name_.find(name_in);
     if (it == shard_index_by_name_.end()) {
       return fail("unknown shard '" + name_in + "'");
@@ -1270,7 +1067,7 @@ bool ClusterRouter::DrainShard(const std::string& name_in,
     if (placement_.nodes().size() < 2) {
       return fail("cannot drain the last shard");
     }
-    next = std::make_unique<Placement>(placement_);
+    next = std::make_unique<HashRing>(placement_);
   }
   next->RemoveNode(name_in);
 
@@ -1318,43 +1115,9 @@ std::string ExtractIngestStats(const std::string& stats_text) {
 
 std::string ClusterRouter::RenderStats() {
   const StatsSnapshot s = stats();
-  std::ostringstream out;
-  out << "shards " << s.shards << "\n"
-      << "healthy_shards " << s.healthy_shards << "\n"
-      << "refused_shards " << s.refused_shards << "\n"
-      << "stale_shards " << s.stale_shards << "\n"
-      << "removed_shards " << s.removed_shards << "\n"
-      << "replicas " << options_.replicas << "\n";
-  {
-    MutexLock lock(&placement_mutex_);
-    out << "placement "
-        << (placement_.mode() == Placement::Mode::kRing ? "ring"
-                                                        : "static")
-        << "\n";
-  }
-  out << "read_policy "
-      << (options_.read_policy == ReadPolicy::kAvailable ? "available"
-                                                         : "strict")
-      << "\n"
-      << "connections_accepted " << s.connections_accepted << "\n"
-      << "connections_active " << s.connections_active << "\n"
-      << "frames_received " << s.frames_received << "\n"
-      << "protocol_errors " << s.protocol_errors << "\n"
-      << "pushes_forwarded " << s.pushes_forwarded << "\n"
-      << "push_bounces " << s.push_bounces << "\n"
-      << "subbatches_forwarded " << s.subbatches_forwarded << "\n"
-      << "updates_forwarded " << s.updates_forwarded << "\n"
-      << "forward_failures " << s.forward_failures << "\n"
-      << "failovers " << s.failovers << "\n"
-      << "queries_answered " << s.queries_answered << "\n"
-      << "degraded_answers " << s.degraded_answers << "\n"
-      << "summary_pulls " << s.summary_pulls << "\n"
-      << "summary_streams_full " << s.summary_streams_full << "\n"
-      << "summary_streams_unchanged " << s.summary_streams_unchanged << "\n"
-      << "probes " << s.probes << "\n"
-      << "repairs " << s.repairs << "\n"
-      << "readmissions " << s.readmissions << "\n"
-      << "uptime_ms " << s.uptime_ms << "\n";
+  std::string out;
+  SETSKETCH_STAT_RENDER(SETSKETCH_ROUTER_STATS)
+  std::ostringstream shard_lines;
   const size_t n = num_shards_.load();
   for (size_t i = 0; i < n; ++i) {
     ShardState* state = shards_[i].get();
@@ -1372,15 +1135,16 @@ std::string ClusterRouter::RenderStats() {
           i, [&text](SketchClient& client) { return client.Stats(&text); });
       if (status.ok) ingest = ExtractIngestStats(text);
     }
-    out << "shard " << state->shard.name << " host=" << state->shard.host
-        << " port=" << state->shard.port
-        << " healthy=" << ((health & kShardHealthy) != 0 ? 1 : 0)
-        << " refused=" << ((health & kShardRefused) != 0 ? 1 : 0)
-        << " stale=" << ((health & kShardStale) != 0 ? 1 : 0)
-        << " removed=" << ((health & kShardRemoved) != 0 ? 1 : 0)
-        << " failures=" << state->failures.load() << ingest << "\n";
+    shard_lines << "shard " << state->shard.name
+                << " host=" << state->shard.host
+                << " port=" << state->shard.port
+                << " healthy=" << ((health & kShardHealthy) != 0 ? 1 : 0)
+                << " refused=" << ((health & kShardRefused) != 0 ? 1 : 0)
+                << " stale=" << ((health & kShardStale) != 0 ? 1 : 0)
+                << " removed=" << ((health & kShardRemoved) != 0 ? 1 : 0)
+                << " failures=" << state->failures.load() << ingest << "\n";
   }
-  return out.str();
+  return out + shard_lines.str();
 }
 
 ClusterRouter::StatsSnapshot ClusterRouter::stats() const {
@@ -1400,78 +1164,26 @@ ClusterRouter::StatsSnapshot ClusterRouter::stats() const {
     }
     if ((health & kShardStale) != 0) ++s.stale_shards;
   }
-  s.connections_accepted = connections_accepted_.load();
-  s.connections_active = connections_active_.load();
-  s.frames_received = frames_received_.load();
-  s.protocol_errors = protocol_errors_.load();
-  s.pushes_forwarded = pushes_forwarded_.load();
-  s.push_bounces = push_bounces_.load();
-  s.subbatches_forwarded = subbatches_forwarded_.load();
-  s.updates_forwarded = updates_forwarded_.load();
-  s.forward_failures = forward_failures_.load();
-  s.failovers = failovers_.load();
-  s.queries_answered = queries_answered_.load();
-  s.degraded_answers = degraded_answers_.load();
-  s.summary_pulls = summary_pulls_.load();
-  s.summary_streams_full = summary_streams_full_.load();
-  s.summary_streams_unchanged = summary_streams_unchanged_.load();
-  s.probes = probes_.load();
-  s.repairs = repairs_.load();
-  s.readmissions = readmissions_.load();
-  s.uptime_ms = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - started_at_)
-          .count());
+  s.replicas = options_.replicas;
+  s.placement = "ring";
+  s.read_policy =
+      options_.read_policy == ReadPolicy::kAvailable ? "available" : "strict";
+  host_.LoadFrontDoor(&s);
+  SETSKETCH_STAT_LOAD(SETSKETCH_ROUTER_STATS)
+  s.uptime_ms = host_.uptime_ms();
   return s;
 }
 
 void ClusterRouter::Stop() {
-  {
-    MutexLock lock(&lifecycle_mutex_);
-    if (!started_ || stopped_) {
-      stopped_ = true;
-      return;
-    }
-    if (stop_started_) {
-      while (!stopped_) lifecycle_cv_.wait(lifecycle_mutex_);
-      return;
-    }
-    stop_started_ = true;
-  }
-  draining_.store(true);
+  // Stop accepting, then close every connection and join its thread.
+  if (!host_.StopServing()) return;
   probe_cv_.notify_all();
-
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
   if (probe_thread_.joinable()) probe_thread_.join();
-
-  std::vector<std::thread> handlers;
-  {
-    MutexLock lock(&connections_mutex_);
-    for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
-    handlers.swap(handler_threads_);
-  }
-  for (std::thread& handler : handlers) handler.join();
-
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  {
-    MutexLock lock(&lifecycle_mutex_);
-    stopped_ = true;
-    shutdown_requested_ = true;
-  }
-  lifecycle_cv_.notify_all();
+  host_.FinishStop();
 }
 
 void ClusterRouter::Wait() {
-  {
-    MutexLock lock(&lifecycle_mutex_);
-    // Explicit loop (not a predicate lambda): the analysis treats lambda
-    // bodies as separate, unlocked functions.
-    while (!shutdown_requested_ && !stopped_) {
-      lifecycle_cv_.wait(lifecycle_mutex_);
-    }
-  }
+  host_.WaitForShutdown();
   Stop();
 }
 

@@ -86,6 +86,7 @@
 #include "core/sketch_seed.h"
 #include "query/plan_cache.h"
 #include "server/protocol.h"
+#include "server/service_host.h"
 #include "server/sketch_client.h"
 #include "util/backoff.h"
 #include "util/thread_annotations.h"
@@ -135,9 +136,37 @@ class RwGate {
   bool exclusive_ SETSKETCH_GUARDED_BY(mutex_) = false;
 };
 
+/// Every line of the router's STATS report before the per-shard lines, in
+/// order (server/service_host.h explains the entry kinds).
+#define SETSKETCH_ROUTER_STATS(COUNTER, FRONT_DOOR, VALUE)                   \
+  VALUE(size_t, shards)                                                      \
+  VALUE(size_t, healthy_shards)                                              \
+  VALUE(size_t, refused_shards)                                              \
+  VALUE(size_t, stale_shards)                                                \
+  VALUE(size_t, removed_shards)                                              \
+  VALUE(int, replicas)                                                       \
+  VALUE(std::string_view, placement)   /* Always "ring". */                  \
+  VALUE(std::string_view, read_policy) /* "strict" or "available". */        \
+  SETSKETCH_FRONT_DOOR(FRONT_DOOR)                                           \
+  COUNTER(pushes_forwarded)     /* Batches ACKed to the client. */           \
+  COUNTER(push_bounces)         /* RETRY_LATER answers to clients. */        \
+  COUNTER(subbatches_forwarded)                                              \
+  COUNTER(updates_forwarded)    /* Per placed copy. */                       \
+  COUNTER(forward_failures)                                                  \
+  COUNTER(failovers)            /* Reads served by a non-owner. */           \
+  COUNTER(queries_answered)                                                  \
+  COUNTER(degraded_answers)     /* Answered from stale replicas. */          \
+  COUNTER(summary_pulls)        /* PULL_SUMMARY round trips issued. */       \
+  COUNTER(summary_streams_full)                                              \
+  COUNTER(summary_streams_unchanged)                                         \
+  COUNTER(probes)                                                            \
+  COUNTER(repairs)              /* Anti-entropy transfers applied. */        \
+  COUNTER(readmissions)         /* Stale bits cleared after repair. */       \
+  VALUE(uint64_t, uptime_ms)
+
 /// Federating router node. Start() binds and serves; Stop()/Wait() mirror
-/// SketchServer's lifecycle.
-class ClusterRouter {
+/// SketchServer's lifecycle, in the same service shell.
+class ClusterRouter : private ServiceHost::Handler {
  public:
   /// What a QUERY may read when every placed copy of a stream is stale.
   enum class ReadPolicy {
@@ -148,31 +177,20 @@ class ClusterRouter {
 
   /// The deployment's stored coins (core/sketch_config.h): every shard
   /// must present an == config in its hello or it is refused
-  /// (CONFIG_MISMATCH).
-  struct Options : SketchConfig {
-    /// Initial shard membership; ADD_SHARD / DRAIN_SHARD mutate it live
-    /// (ring placement only).
+  /// (CONFIG_MISMATCH). The client-facing endpoint and deadlines are
+  /// ServiceOptions, as for SketchServer.
+  struct Options : SketchConfig, ServiceOptions {
+    /// Initial shard membership; ADD_SHARD / DRAIN_SHARD mutate it live.
     std::vector<ClusterShard> shards;
     /// Failover copies per stream beyond the owner (0 = no replication).
     int replicas = 1;
-    /// Placement policy: consistent-hash ring unless static_placement.
-    /// Static placement refuses online membership changes.
-    bool static_placement = false;
+    /// The consistent-hash ring's shape (cluster/hash_ring.h).
     int virtual_nodes = 64;
     uint64_t placement_seed = 7;
 
     /// Estimator tuning for federated QUERY answers (must match the
     /// single-node configuration for bit-identical results).
     WitnessOptions witness;
-
-    /// Client-facing TCP endpoint. Port 0 binds an ephemeral port.
-    std::string bind_address = "127.0.0.1";
-    int port = 0;
-    int listen_backlog = 64;
-    int max_connection_errors = 8;
-    /// Client-facing deadlines (same semantics as SketchServer).
-    int io_timeout_ms = 30000;
-    int idle_timeout_ms = 0;
 
     /// Router -> shard deadlines.
     int shard_connect_timeout_ms = 2000;
@@ -201,8 +219,8 @@ class ClusterRouter {
 
     ReadPolicy read_policy = ReadPolicy::kStrict;
 
-    /// Test seams: client-facing response sends / shard-facing sends.
-    FaultInjector* fault_injector = nullptr;
+    /// Test seam for the shard-facing sends (ServiceOptions holds the
+    /// client-facing one).
     FaultInjector* shard_fault_injector = nullptr;
   };
 
@@ -217,7 +235,7 @@ class ClusterRouter {
   /// Refuses a config SketchConfig::Validate refuses before binding.
   bool Start(std::string* error = nullptr);
 
-  int port() const { return port_; }
+  int port() const { return host_.port(); }
 
   void Stop();
   void Wait();
@@ -264,31 +282,7 @@ class ClusterRouter {
 
   /// Point-in-time counters.
   struct StatsSnapshot {
-    size_t shards = 0;
-    size_t healthy_shards = 0;
-    size_t refused_shards = 0;
-    size_t stale_shards = 0;
-    size_t removed_shards = 0;
-    uint64_t connections_accepted = 0;
-    uint64_t connections_active = 0;
-    uint64_t frames_received = 0;
-    uint64_t protocol_errors = 0;
-    uint64_t pushes_forwarded = 0;   ///< Batches ACKed to the client.
-    uint64_t push_bounces = 0;       ///< RETRY_LATER answers to clients.
-    uint64_t subbatches_forwarded = 0;
-    uint64_t updates_forwarded = 0;  ///< Per placed copy.
-    uint64_t forward_failures = 0;
-    uint64_t failovers = 0;          ///< Reads served by a non-owner.
-    uint64_t queries_answered = 0;
-    uint64_t degraded_answers = 0;   ///< Answers served under kAvailable
-                                     ///< from stale replicas.
-    uint64_t summary_pulls = 0;      ///< PULL_SUMMARY round trips issued.
-    uint64_t summary_streams_full = 0;
-    uint64_t summary_streams_unchanged = 0;
-    uint64_t probes = 0;
-    uint64_t repairs = 0;            ///< Anti-entropy transfers applied.
-    uint64_t readmissions = 0;       ///< Stale bits cleared after repair.
-    uint64_t uptime_ms = 0;
+    SETSKETCH_STAT_FIELDS(SETSKETCH_ROUTER_STATS)
   };
   StatsSnapshot stats() const;
 
@@ -328,17 +322,6 @@ class ClusterRouter {
     Backoff probe_backoff;
   };
 
-  struct Connection {
-    int fd = -1;
-    int errors = 0;
-    uint64_t frames = 0;
-    /// SHUTDOWN was handled on this connection: the lifecycle wait is
-    /// released only after the ACK is queued on the socket, so Stop()'s
-    /// shutdown(SHUT_RDWR) sweep can never cut the client off before
-    /// the ACK bytes are in flight.
-    bool notify_shutdown = false;
-  };
-
   /// Where a stream in federated_ was pulled from: the shard, and that
   /// shard bank's (bank_id, epoch) at the pull. Sent back with the next
   /// pull of the stream from the same shard, so an unchanged stream
@@ -349,14 +332,13 @@ class ClusterRouter {
     uint64_t epoch = 0;
   };
 
-  void AcceptLoop();
-  void HandleConnection(int fd);
   void ProbeLoop();
 
-  std::string HandleFrame(const FrameView& frame, Connection* connection,
-                          bool* keep_open);
+  // ServiceHost::Handler — run on the connections' threads.
+  std::string HandleFrame(const FrameView& frame,
+                          ServerConnection* connection) override;
   std::string HandlePushUpdates(std::string_view payload,
-                                Connection* connection);
+                                ServerConnection* connection);
   /// Not const: fetches each healthy shard's STATS over its connection to
   /// fold the per-shard ingest counters into the report.
   std::string RenderStats();
@@ -385,7 +367,7 @@ class ClusterRouter {
       SETSKETCH_EXCLUDES(placement_mutex_);
   /// `stream`'s target indices under `placement`; every target must be in
   /// shard_index_by_name_.
-  std::vector<size_t> PlacedIndices(const Placement& placement,
+  std::vector<size_t> PlacedIndices(const HashRing& placement,
                                     std::string_view stream) const
       SETSKETCH_REQUIRES(placement_mutex_);
   /// First placed shard eligible for reads; -1 if none. Sets *failover
@@ -403,9 +385,10 @@ class ClusterRouter {
   /// shard hold what `next` places on it, then installs `next` as the
   /// placement and re-admits the stale shards it completed. Fails, with
   /// nothing flipped, when a member `next` keeps does not answer or a
-  /// shard that `next` gives a stream cannot receive it. *streams_moved (optional) receives the number of
-  /// distinct streams installed anywhere.
-  bool TransferLocked(const Placement& next, uint64_t* streams_moved,
+  /// shard that `next` gives a stream cannot receive it. *streams_moved
+  /// (optional) receives the number of distinct streams installed
+  /// anywhere.
+  bool TransferLocked(const HashRing& next, uint64_t* streams_moved,
                       std::string* error)
       SETSKETCH_REQUIRES(membership_mutex_)
           SETSKETCH_EXCLUDES(in_doubt_mutex_);
@@ -423,7 +406,7 @@ class ClusterRouter {
   /// map. Lock order: query_mutex_ or membership_mutex_ before
   /// placement_mutex_; placement_mutex_ before nothing (leaf).
   mutable Mutex placement_mutex_;
-  Placement placement_ SETSKETCH_GUARDED_BY(placement_mutex_);
+  HashRing placement_ SETSKETCH_GUARDED_BY(placement_mutex_);
   std::unordered_map<std::string, size_t> shard_index_by_name_
       SETSKETCH_GUARDED_BY(placement_mutex_);
 
@@ -464,46 +447,18 @@ class ClusterRouter {
       SETSKETCH_GUARDED_BY(query_mutex_);
   PlanCache plan_cache_;
 
-  int listen_fd_ = -1;
-  int port_ = -1;
-  std::thread acceptor_;
-  Mutex connections_mutex_;
-  std::vector<std::thread> handler_threads_
-      SETSKETCH_GUARDED_BY(connections_mutex_);
-  std::vector<int> open_fds_ SETSKETCH_GUARDED_BY(connections_mutex_);
+  // The service shell; its acceptor hands every connection to a thread
+  // of its own, since the handlers block on shard round trips.
+  ServiceHost host_{this};
+  ThreadPerConnection connections_{&host_, options_.idle_timeout_ms};
+  struct Counters {
+    SETSKETCH_STAT_COUNTERS(SETSKETCH_ROUTER_STATS)
+  };
+  Counters counters_;
 
   std::thread probe_thread_;
   Mutex probe_mutex_;  // Guards only the probe thread's timed wait.
   CondVar probe_cv_;
-
-  std::chrono::steady_clock::time_point started_at_ =
-      std::chrono::steady_clock::now();
-  Mutex lifecycle_mutex_;
-  CondVar lifecycle_cv_;
-  bool started_ SETSKETCH_GUARDED_BY(lifecycle_mutex_) = false;
-  bool shutdown_requested_ SETSKETCH_GUARDED_BY(lifecycle_mutex_) = false;
-  bool stop_started_ SETSKETCH_GUARDED_BY(lifecycle_mutex_) = false;
-  bool stopped_ SETSKETCH_GUARDED_BY(lifecycle_mutex_) = false;
-  std::atomic<bool> draining_{false};
-
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_active_{0};
-  std::atomic<uint64_t> frames_received_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> pushes_forwarded_{0};
-  std::atomic<uint64_t> push_bounces_{0};
-  std::atomic<uint64_t> subbatches_forwarded_{0};
-  std::atomic<uint64_t> updates_forwarded_{0};
-  std::atomic<uint64_t> forward_failures_{0};
-  std::atomic<uint64_t> failovers_{0};
-  std::atomic<uint64_t> queries_answered_{0};
-  std::atomic<uint64_t> degraded_answers_{0};
-  std::atomic<uint64_t> summary_pulls_{0};
-  std::atomic<uint64_t> summary_streams_full_{0};
-  std::atomic<uint64_t> summary_streams_unchanged_{0};
-  std::atomic<uint64_t> probes_{0};
-  std::atomic<uint64_t> repairs_{0};
-  std::atomic<uint64_t> readmissions_{0};
 };
 
 }  // namespace setsketch

@@ -76,52 +76,4 @@ std::string HashRing::Owner(std::string_view key) const {
   return targets.empty() ? std::string() : std::move(targets.front());
 }
 
-Placement::Placement(Mode mode, const std::vector<std::string>& nodes,
-                     uint64_t seed, int virtual_nodes)
-    : mode_(mode), nodes_(nodes), seed_(seed),
-      ring_(seed, virtual_nodes) {
-  if (mode_ == Mode::kRing) {
-    for (const std::string& node : nodes_) ring_.AddNode(node);
-  }
-}
-
-bool Placement::AddNode(const std::string& name) {
-  if (mode_ != Mode::kRing) return false;
-  if (std::find(nodes_.begin(), nodes_.end(), name) != nodes_.end()) {
-    return false;
-  }
-  nodes_.push_back(name);
-  ring_.AddNode(name);
-  return true;
-}
-
-bool Placement::RemoveNode(const std::string& name) {
-  if (mode_ != Mode::kRing) return false;
-  const auto it = std::find(nodes_.begin(), nodes_.end(), name);
-  if (it == nodes_.end()) return false;
-  nodes_.erase(it);
-  return ring_.RemoveNode(name);
-}
-
-std::vector<std::string> Placement::Targets(std::string_view key,
-                                            size_t count) const {
-  if (mode_ == Mode::kRing) return ring_.Targets(key, count);
-  std::vector<std::string> targets;
-  if (nodes_.empty() || count == 0) return targets;
-  const size_t want = std::min(count, nodes_.size());
-  targets.reserve(want);
-  // Reuse the ring's key hash so both modes agree on the key -> point
-  // mapping and differ only in how points map to members.
-  uint64_t h = seed_;
-  for (const char c : key) {
-    h = (h ^ static_cast<uint8_t>(c)) * 0x100000001b3ULL;
-  }
-  const size_t base = static_cast<size_t>(SplitMix64(h).Next() %
-                                          nodes_.size());
-  for (size_t k = 0; k < want; ++k) {
-    targets.push_back(nodes_[(base + k) % nodes_.size()]);
-  }
-  return targets;
-}
-
 }  // namespace setsketch

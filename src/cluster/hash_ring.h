@@ -12,12 +12,8 @@
 //   * Minimal movement: removing a shard only reassigns the keys that
 //     shard owned (they slide to their next clockwise neighbor); adding a
 //     shard steals roughly 1/(n+1) of the keyspace and moves nothing
-//     else. A static modulo placement, by contrast, reshuffles almost
+//     else. A modulo placement, by contrast, would reshuffle almost
 //     every key on any membership change.
-//
-// Placement wraps the ring with an optional static fallback (hash modulo
-// the member list) for fixed-membership deployments where the simpler
-// scheme is easier to reason about.
 
 #ifndef SETSKETCH_CLUSTER_HASH_RING_H_
 #define SETSKETCH_CLUSTER_HASH_RING_H_
@@ -70,42 +66,6 @@ class HashRing {
   /// Ring points sorted by hash; .second indexes nodes_. Ties (vanishing
   /// probability) break by node index so layouts stay deterministic.
   std::vector<std::pair<uint64_t, size_t>> points_;
-};
-
-/// Stream-to-shard placement policy: the ring by default, or static
-/// hash-modulo placement over the fixed member list.
-class Placement {
- public:
-  enum class Mode {
-    kRing,    ///< Consistent hashing (virtual nodes, minimal movement).
-    kStatic,  ///< hash(key) % nodes, replicas at the next indices.
-  };
-
-  Placement(Mode mode, const std::vector<std::string>& nodes, uint64_t seed,
-            int virtual_nodes);
-
-  Mode mode() const { return mode_; }
-
-  const std::vector<std::string>& nodes() const { return nodes_; }
-
-  /// Owner followed by `count - 1` distinct replica candidates.
-  std::vector<std::string> Targets(std::string_view key,
-                                   size_t count) const;
-
-  /// Joins a node (online membership). Returns false — and changes
-  /// nothing — for a duplicate name or in static mode, whose hash-modulo
-  /// scheme would reshuffle almost every key on any membership change.
-  bool AddNode(const std::string& name);
-
-  /// Removes a node (online membership). Returns false for an unknown
-  /// name or in static mode.
-  bool RemoveNode(const std::string& name);
-
- private:
-  Mode mode_;
-  std::vector<std::string> nodes_;
-  uint64_t seed_;
-  HashRing ring_;
 };
 
 }  // namespace setsketch

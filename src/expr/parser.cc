@@ -1,6 +1,8 @@
 #include "expr/parser.h"
 
+#include <algorithm>
 #include <cctype>
+#include <string>
 
 namespace setsketch {
 
@@ -10,6 +12,13 @@ namespace {
 // recursive-descent depth well below any stack limit so the parser fails
 // with a typed error instead of overflowing.
 constexpr int kMaxDepth = 256;
+
+// An unparenthesized chain ("A - B | C - B | ...") parses iteratively
+// into a left-deep tree, and every later walk over a tree (canonical plan,
+// ToString, the destructor chain) recurses once per level. The parser
+// refuses a tree taller than this while it builds it, so no deeper tree
+// ever exists.
+constexpr int kMaxHeight = 1024;
 
 // Recursive-descent parser over a character cursor.
 class Parser {
@@ -24,7 +33,8 @@ class Parser {
       result.code = ParseErrorCode::kEmptyInput;
       return result;
     }
-    ExprPtr expr = ParseExpr(0);
+    int height = 0;
+    ExprPtr expr = ParseExpr(0, &height);
     if (!expr) {
       result.error = error_;
       result.code = code_;
@@ -65,9 +75,20 @@ class Parser {
     return false;
   }
 
+  // The height of a node joining subtrees of heights `left` and `right`;
+  // false (and a kTooDeep failure) past kMaxHeight.
+  bool Join(int left, int right, int* height) {
+    *height = std::max(left, right) + 1;
+    if (*height <= kMaxHeight) return true;
+    return Fail(ParseErrorCode::kTooDeep, "expression tree deeper than " +
+                                              std::to_string(kMaxHeight) +
+                                              " levels");
+  }
+
   // expr := term (('|' | '+' | '-') term)*
-  ExprPtr ParseExpr(int depth) {
-    ExprPtr left = ParseTerm(depth);
+  // Each Parse* sets *height to the height of the tree it returns.
+  ExprPtr ParseExpr(int depth, int* height) {
+    ExprPtr left = ParseTerm(depth, height);
     if (!left) return nullptr;
     for (;;) {
       SkipSpace();
@@ -75,8 +96,9 @@ class Parser {
       const char op = text_[pos_];
       if (op != '|' && op != '+' && op != '-') return left;
       ++pos_;
-      ExprPtr right = ParseTerm(depth);
-      if (!right) return nullptr;
+      int right_height = 0;
+      ExprPtr right = ParseTerm(depth, &right_height);
+      if (!right || !Join(*height, right_height, height)) return nullptr;
       left = (op == '-') ? Expression::Difference(std::move(left),
                                                   std::move(right))
                          : Expression::Union(std::move(left),
@@ -85,21 +107,22 @@ class Parser {
   }
 
   // term := primary ('&' primary)*
-  ExprPtr ParseTerm(int depth) {
-    ExprPtr left = ParsePrimary(depth);
+  ExprPtr ParseTerm(int depth, int* height) {
+    ExprPtr left = ParsePrimary(depth, height);
     if (!left) return nullptr;
     for (;;) {
       SkipSpace();
       if (pos_ >= text_.size() || text_[pos_] != '&') return left;
       ++pos_;
-      ExprPtr right = ParsePrimary(depth);
-      if (!right) return nullptr;
+      int right_height = 0;
+      ExprPtr right = ParsePrimary(depth, &right_height);
+      if (!right || !Join(*height, right_height, height)) return nullptr;
       left = Expression::Intersect(std::move(left), std::move(right));
     }
   }
 
   // primary := IDENT | '(' expr ')'
-  ExprPtr ParsePrimary(int depth) {
+  ExprPtr ParsePrimary(int depth, int* height) {
     SkipSpace();
     if (pos_ >= text_.size()) {
       Fail(ParseErrorCode::kUnexpectedToken, "expected stream name or '('");
@@ -112,7 +135,7 @@ class Parser {
         return nullptr;
       }
       ++pos_;
-      ExprPtr inner = ParseExpr(depth + 1);
+      ExprPtr inner = ParseExpr(depth + 1, height);
       if (!inner) return nullptr;
       SkipSpace();
       if (pos_ >= text_.size() || text_[pos_] != ')') {
@@ -129,6 +152,7 @@ class Parser {
               text_[pos_] == '_')) {
         ++pos_;
       }
+      *height = 0;
       return Expression::Stream(text_.substr(start, pos_ - start));
     }
     Fail(ParseErrorCode::kUnexpectedToken,

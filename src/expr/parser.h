@@ -9,6 +9,10 @@
 //
 // '|' and '+' both denote union, '&' intersection, '-' difference.
 // Examples: "A & B", "(A - B) & C", "R1 & R2 - R3".
+//
+// Parentheses nest at most 256 deep and the tree is at most 1024 levels
+// tall (a chain of n terms is n - 1 levels); past either cap the parse
+// fails with ParseErrorCode::kTooDeep.
 
 #ifndef SETSKETCH_EXPR_PARSER_H_
 #define SETSKETCH_EXPR_PARSER_H_
@@ -28,7 +32,8 @@ enum class ParseErrorCode {
   kUnbalancedParens,  ///< Missing ')' or stray ')'.
   kUnexpectedToken,   ///< Operator/operand out of place or bad character.
   kTrailingInput,     ///< Well-formed prefix followed by junk.
-  kTooDeep,           ///< Nesting beyond the recursion-depth cap.
+  kTooDeep,           ///< Parentheses nested past the recursion cap, or a
+                      ///< tree taller than the height cap.
 };
 
 /// Outcome of parsing.

@@ -28,8 +28,8 @@ bool PinCurrentThreadToCpu(int cpu) {
 }
 
 EpollServerBackend::EpollServerBackend(const Options& options,
-                                       Handler* handler)
-    : options_(options), handler_(handler) {
+                                       ServiceHost* host)
+    : options_(options), host_(host) {
   if (options_.io_threads < 1) options_.io_threads = 1;
   if (options_.read_chunk_bytes == 0) options_.read_chunk_bytes = 1u << 16;
 }
@@ -147,64 +147,19 @@ void EpollServerBackend::HandleReadable(Loop* loop, ConnState* state) {
   }
   arena.CommitRead(static_cast<size_t>(received));
   state->last_activity = std::chrono::steady_clock::now();
-
-  // Parse every complete frame the arena now holds. Payload views borrow
-  // from the arena; each frame is consumed only after its handler
-  // returns. Responses accumulate and leave in ONE send below.
-  std::string responses;
-  size_t frames_parsed = 0;
-  bool open = true;
-  while (open) {
-    FrameView view;
-    size_t frame_bytes = 0;
-    WireError error = WireError::kNone;
-    std::string error_message;
-    const FrameScanStatus status = ScanFrame(arena.Unparsed(), &view,
-                                             &frame_bytes, &error,
-                                             &error_message);
-    if (status == FrameScanStatus::kNeedMore) break;
-    if (status == FrameScanStatus::kError) {
-      // Header-level corruption: no resync is possible. Report & close.
-      handler_->OnStreamError(error, error_message, connection, &responses);
-      open = false;
-      break;
-    }
-    ++frames_parsed;
-    ++connection->frames;
-    bool keep_open = true;
-    handler_->OnFrame(view, connection, &responses, &keep_open);
-    arena.Consume(frame_bytes);
-    if (connection->errors >= options_.max_connection_errors) {
-      responses += EncodeFrame(
-          Opcode::kError, EncodeError(WireError::kTooManyErrors,
-                                      "connection error budget exhausted"));
-      open = false;
-      break;
-    }
-    if (!keep_open) open = false;
-  }
+  const bool open = host_->ServeReadBatch(connection, &arena,
+                                          static_cast<size_t>(received));
   // Big frames transiently inflate the arena; once drained it falls back
   // to a bounded multiple of the read chunk so idle connections stay
   // cheap.
   arena.MaybeShrink(4 * options_.read_chunk_bytes);
-  handler_->OnReadBatch(static_cast<size_t>(received), frames_parsed,
-                        arena.high_watermark());
-
-  if (!responses.empty()) {
-    const bool sent = SendAllWithDeadline(connection->fd, responses,
-                                          options_.io_timeout_ms,
-                                          options_.fault_injector)
-                          .ok();
-    handler_->OnResponsesSent(connection);
-    if (!sent) open = false;
-  }
   if (!open) CloseConnection(loop, state);
 }
 
 void EpollServerBackend::CloseConnection(Loop* loop, ConnState* state) {
   const int fd = state->connection.fd;
   ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-  handler_->OnDisconnect(&state->connection);
+  host_->CountDisconnect();
   std::unique_ptr<ConnState> retired;
   {
     MutexLock lock(&loop->mutex);
@@ -254,7 +209,7 @@ void EpollServerBackend::Shutdown() {
     {
       MutexLock lock(&loop->mutex);
       for (const auto& [fd, state] : loop->connections) {
-        handler_->OnDisconnect(&state->connection);
+        host_->CountDisconnect();
         ::close(fd);
       }
       loop->connections.clear();

@@ -337,6 +337,10 @@ std::string EncodeError(WireError error, std::string_view message) {
   return out;
 }
 
+std::string ErrorFrame(WireError error, std::string_view message) {
+  return EncodeFrame(Opcode::kError, EncodeError(error, message));
+}
+
 bool DecodeError(const std::string& payload, ErrorInfo* out) {
   size_t offset = 0;
   uint64_t code = 0;

@@ -102,7 +102,7 @@ enum class WireError : uint8_t {
                          ///< sketches are not combinable with ours.
   kNoHealthyShard = 12,  ///< Router: no live shard can own the stream.
   kBadMembership = 13,   ///< Router: add/drain request refused (duplicate
-                         ///< name, unknown shard, static placement, ...).
+                         ///< name, unknown shard, last shard, ...).
 };
 
 /// Human-readable error-code name ("BAD_PAYLOAD").
@@ -198,6 +198,8 @@ bool DecodePushUpdates(std::string_view payload, UpdateBatchView* out,
 
 /// ERROR payload: varint code + message bytes (rest of payload).
 std::string EncodeError(WireError error, std::string_view message);
+/// A whole ERROR frame: EncodeFrame(kError, EncodeError(error, message)).
+std::string ErrorFrame(WireError error, std::string_view message);
 struct ErrorInfo {
   WireError code = WireError::kNone;
   std::string message;

@@ -1,15 +1,6 @@
 #include "server/sketch_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <iomanip>
 #include <limits>
-#include <sstream>
 
 #include "query/stream_engine.h"
 #include "util/check.h"
@@ -17,10 +8,6 @@
 namespace setsketch {
 
 namespace {
-
-std::string ErrorFrame(WireError code, std::string_view message) {
-  return EncodeFrame(Opcode::kError, EncodeError(code, message));
-}
 
 /// Applies one resolved group to copies [begin, end) of its column, or —
 /// for an alternative-backend group — to the whole synopsis when
@@ -53,71 +40,21 @@ SketchServer::SketchServer(const Options& options)
 SketchServer::~SketchServer() { Stop(); }
 
 bool SketchServer::Start(std::string* error) {
-  auto fail = [&](const std::string& what) {
-    if (error != nullptr) *error = what + ": " + std::strerror(errno);
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    return false;
-  };
-
   if (!options_.Validate(error)) return false;
   // Recover persisted state BEFORE opening the listen socket: no client
   // can observe (or push into) a partially restored server.
   if (!options_.wal_dir.empty() && !RecoverAndOpenWal(error)) return false;
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return fail("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    if (error != nullptr) {
-      *error = "invalid bind address '" + options_.bind_address + "'";
-    }
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return fail("bind");
-  }
-  if (::listen(listen_fd_, options_.listen_backlog) != 0) {
-    return fail("listen");
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    return fail("getsockname");
-  }
-  port_ = ntohs(bound.sin_port);
+  if (!host_.Listen(options_, error)) return false;
 
   EpollServerBackend::Options backend_options;
   backend_options.io_threads = options_.io_threads;
   backend_options.read_chunk_bytes = options_.read_chunk_bytes;
-  backend_options.io_timeout_ms = options_.io_timeout_ms;
   backend_options.idle_timeout_ms = options_.idle_timeout_ms;
-  backend_options.max_connection_errors = options_.max_connection_errors;
   // io threads pin after the shard workers (worker t -> cpu t).
   backend_options.pin_cpu_offset = options_.pin_shards ? options_.shards : -1;
-  backend_options.fault_injector = options_.fault_injector;
-  epoll_backend_ = std::make_unique<EpollServerBackend>(
-      backend_options, static_cast<EpollServerBackend::Handler*>(this));
-  std::string backend_error;
-  if (!epoll_backend_->Start(&backend_error)) {
-    if (error != nullptr) *error = backend_error;
-    epoll_backend_.reset();
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
+  epoll_backend_ = std::make_unique<EpollServerBackend>(backend_options,
+                                                        &host_);
+  if (!epoll_backend_->Start(error)) return false;
 
   queues_.reserve(static_cast<size_t>(options_.shards));
   for (int i = 0; i < options_.shards; ++i) {
@@ -127,40 +64,14 @@ bool SketchServer::Start(std::string* error) {
   for (int i = 0; i < options_.shards; ++i) {
     workers_.emplace_back(&SketchServer::WorkerLoop, this, i);
   }
-  acceptor_ = std::thread(&SketchServer::AcceptLoop, this);
-  started_at_ = std::chrono::steady_clock::now();
-  {
-    MutexLock lock(&lifecycle_mutex_);
-    started_ = true;
-  }
+  host_.Serve(epoll_backend_.get());
   return true;
 }
 
-void SketchServer::AcceptLoop() {
-  while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // Listen socket was shut down: we are stopping.
-    }
-    if (draining_.load()) {
-      ::close(fd);
-      continue;
-    }
-    ++connections_accepted_;
-    ++connections_active_;
-    if (!epoll_backend_->Adopt(fd)) {
-      ::close(fd);
-      --connections_active_;
-    }
-  }
-}
-
-std::string SketchServer::HandleFrame(Opcode opcode, std::string_view payload,
-                                      Connection* connection,
-                                      bool* keep_open) {
-  *keep_open = true;
-  switch (opcode) {
+std::string SketchServer::HandleFrame(const FrameView& frame,
+                                      Connection* connection) {
+  const std::string_view payload = frame.payload;
+  switch (frame.opcode) {
     case Opcode::kPing: {
       // A hello-carrying ping gets this server's own configuration back
       // (the cluster handshake); any other payload echoes, so plain
@@ -194,69 +105,24 @@ std::string SketchServer::HandleFrame(Opcode opcode, std::string_view payload,
     case Opcode::kExplain:
       return EncodeFrame(Opcode::kExplainResult,
                          Explain(std::string(payload)));
-    case Opcode::kShutdown: {
-      draining_.store(true);
-      // The lifecycle notify is deferred until the ACK below has been
-      // queued on the socket (OnResponsesSent, which the io loop runs
-      // post-send): waking the Stop() thread first
-      // would let its shutdown(SHUT_RDWR) sweep race ahead of the ACK.
-      connection->notify_shutdown = true;
-      return EncodeFrame(Opcode::kAck, EncodeAck(AckInfo{}));
-    }
     default:
-      ++connection->errors;
-      ++protocol_errors_;
-      return ErrorFrame(WireError::kUnknownOpcode,
-                        std::string("unexpected opcode ") +
-                            OpcodeName(opcode));
+      return host_.Refuse(connection, WireError::kUnknownOpcode,
+                          std::string("unexpected opcode ") +
+                              OpcodeName(frame.opcode));
   }
-}
-
-// ---------------------------------------------------------------------------
-// EpollServerBackend::Handler — the io loop's calls into frame dispatch.
-
-void SketchServer::OnFrame(const FrameView& frame,
-                           ServerConnection* connection,
-                           std::string* responses, bool* keep_open) {
-  ++frames_received_;
-  responses->append(
-      HandleFrame(frame.opcode, frame.payload, connection, keep_open));
-}
-
-void SketchServer::OnStreamError(WireError error, const std::string& message,
-                                 ServerConnection* /*connection*/,
-                                 std::string* responses) {
-  ++protocol_errors_;
-  responses->append(ErrorFrame(error, message));
-}
-
-void SketchServer::OnResponsesSent(ServerConnection* connection) {
-  if (!connection->notify_shutdown) return;
-  connection->notify_shutdown = false;
-  {
-    MutexLock lock(&lifecycle_mutex_);
-    shutdown_requested_ = true;
-  }
-  lifecycle_cv_.notify_all();
 }
 
 void SketchServer::OnReadBatch(size_t bytes, size_t frames,
                                size_t arena_high_watermark) {
-  ingest_bytes_read_ += bytes;
-  ++ingest_read_calls_;
-  uint64_t seen = ingest_max_frames_per_read_.load(std::memory_order_relaxed);
-  while (frames > seen &&
-         !ingest_max_frames_per_read_.compare_exchange_weak(seen, frames)) {
-  }
-  seen = ingest_arena_hwm_bytes_.load(std::memory_order_relaxed);
-  while (arena_high_watermark > seen &&
-         !ingest_arena_hwm_bytes_.compare_exchange_weak(
-             seen, arena_high_watermark)) {
-  }
-}
-
-void SketchServer::OnDisconnect(ServerConnection* /*connection*/) {
-  --connections_active_;
+  counters_.ingest_bytes_read += bytes;
+  ++counters_.ingest_read_calls;
+  const auto raise = [](std::atomic<uint64_t>* peak, uint64_t value) {
+    uint64_t seen = peak->load(std::memory_order_relaxed);
+    while (value > seen && !peak->compare_exchange_weak(seen, value)) {
+    }
+  };
+  raise(&counters_.ingest_max_frames_per_read, frames);
+  raise(&counters_.ingest_arena_hwm_bytes, arena_high_watermark);
 }
 
 std::shared_ptr<IngestBatch> SketchServer::ResolveBatchLocked(
@@ -344,9 +210,7 @@ std::string SketchServer::HandlePushUpdates(std::string_view payload,
   thread_local UpdateBatchView batch;
   std::string decode_error;
   if (!DecodePushUpdates(payload, &batch, &decode_error)) {
-    ++connection->errors;
-    ++protocol_errors_;
-    return ErrorFrame(WireError::kBadPayload, decode_error);
+    return host_.Refuse(connection, WireError::kBadPayload, decode_error);
   }
   return AdmitPush(batch.site_id, batch.sequence, batch.stream_names,
                    batch.stream_backends, batch.updates, payload);
@@ -357,20 +221,20 @@ std::string SketchServer::AdmitPush(
     const std::vector<std::string_view>& stream_names,
     const std::vector<uint8_t>& stream_backends,
     const std::vector<Update>& updates, std::string_view raw_payload) {
-  if (draining_.load()) {
+  if (host_.draining()) {
     return ErrorFrame(WireError::kShuttingDown, "server is draining");
   }
   const uint64_t num_updates = updates.size();
   {
     MutexLock lock(&push_mutex_);
-    if (draining_.load()) {
+    if (host_.draining()) {
       return ErrorFrame(WireError::kShuttingDown, "server is draining");
     }
     // Exactly-once admission: the seen-check, the durable append and the
     // enqueue are one atomic step under push_mutex_, so two connections
     // retransmitting the same (site, sequence) cannot both apply it.
     if (!site_id.empty() && dedup_.Seen(site_id, sequence)) {
-      ++duplicates_dropped_;
+      ++counters_.duplicates_dropped;
       return EncodeFrame(Opcode::kAck,
                          EncodeAck(AckInfo{num_updates, false, true}));
     }
@@ -385,7 +249,7 @@ std::string SketchServer::AdmitPush(
       // Backpressure is a frame, not a blocked socket: the client owns
       // the retry policy. Nothing was applied or recorded: the retry is
       // a fresh admission attempt, not a duplicate.
-      ++batches_rejected_;
+      ++counters_.batches_rejected;
       return EncodeFrame(Opcode::kRetryLater, "");
     }
     // Resolve inside the push_mutex_ critical section: ResolveBatchLocked
@@ -408,7 +272,7 @@ std::string SketchServer::AdmitPush(
       // Backend-tag conflict: refused before the WAL append and before
       // any stream registration, exactly like a stored-coins mismatch —
       // mixed-backend counters must never merge.
-      ++batches_rejected_;
+      ++counters_.batches_rejected;
       return ErrorFrame(WireError::kConfigMismatch, conflict);
     }
     if (wal_ != nullptr) {
@@ -421,8 +285,8 @@ std::string SketchServer::AdmitPush(
     }
     if (!site_id.empty()) dedup_.Record(site_id, sequence);
     for (const auto& queue : queues_) queue->Push(resolved);
-    ++batches_accepted_;
-    updates_enqueued_ += num_updates;
+    ++counters_.batches_accepted;
+    counters_.updates_enqueued += num_updates;
     persisted_updates_ += static_cast<int64_t>(num_updates);
     MaybeCompactLocked();
   }
@@ -432,7 +296,7 @@ std::string SketchServer::AdmitPush(
 
 std::string SketchServer::HandlePushSummary(std::string_view payload,
                                             Connection* connection) {
-  if (draining_.load()) {
+  if (host_.draining()) {
     return ErrorFrame(WireError::kShuttingDown, "server is draining");
   }
   Coordinator::IngestResult result;
@@ -441,12 +305,11 @@ std::string SketchServer::HandlePushSummary(std::string_view payload,
     result = coordinator_.AddSiteSummary(std::string(payload));
   }
   if (!result.ok) {
-    ++summaries_rejected_;
-    ++connection->errors;
-    ++protocol_errors_;
-    return ErrorFrame(WireError::kRejectedSummary, result.error);
+    ++counters_.summaries_rejected;
+    return host_.Refuse(connection, WireError::kRejectedSummary,
+                        result.error);
   }
-  ++summaries_accepted_;
+  ++counters_.summaries_accepted;
   return EncodeFrame(
       Opcode::kAck,
       EncodeAck(AckInfo{static_cast<uint64_t>(result.streams_merged),
@@ -458,16 +321,14 @@ std::string SketchServer::HandlePullSummary(std::string_view payload,
   SummaryPullRequest request;
   std::string decode_error;
   if (!DecodeSummaryPull(std::string(payload), &request, &decode_error)) {
-    ++connection->errors;
-    ++protocol_errors_;
-    return ErrorFrame(WireError::kBadPayload, decode_error);
+    return host_.Refuse(connection, WireError::kBadPayload, decode_error);
   }
   return EncodeFrame(Opcode::kSummaryResult,
                      EncodeSummaryResult(PullSummaries(request)));
 }
 
 SummaryResult SketchServer::PullSummaries(const SummaryPullRequest& request) {
-  ++summary_pulls_;
+  ++counters_.summary_pulls;
   SummaryResult result;
   result.streams.reserve(request.streams.size());
   // Same quiesce as Answer: with the queues drained under push_mutex_,
@@ -498,7 +359,7 @@ SummaryResult SketchServer::PullSummaries(const SummaryPullRequest& request) {
 }
 
 RepairManifest SketchServer::PullRepairManifest() {
-  ++repair_pulls_;
+  ++counters_.repair_pulls;
   RepairManifest manifest;
   // Same quiesce as PullSummaries, so the stream identities and the dedup
   // watermarks describe one consistent post-ACK state.
@@ -560,7 +421,7 @@ bool SketchServer::InstallRepair(const RepairInstall& install,
     *error = "repair installed but checkpointing it failed";
     return false;
   }
-  ++repair_installs_;
+  ++counters_.repair_installs;
   *installed = install.streams.size();
   return true;
 }
@@ -578,20 +439,16 @@ std::string SketchServer::HandlePushRepair(std::string_view payload,
                                   &error);
   }
   if (!decoded) {
-    ++connection->errors;
-    ++protocol_errors_;
-    return ErrorFrame(WireError::kBadPayload, error);
+    return host_.Refuse(connection, WireError::kBadPayload, error);
   }
-  if (draining_.load()) {
+  if (host_.draining()) {
     return ErrorFrame(WireError::kShuttingDown,
                       "server is draining; repair refused");
   }
   uint64_t installed = 0;
   WireError code = WireError::kNone;
   if (!InstallRepair(install, &installed, &code, &error)) {
-    ++connection->errors;
-    ++protocol_errors_;
-    return ErrorFrame(code, error);
+    return host_.Refuse(connection, code, error);
   }
   return EncodeFrame(Opcode::kAck, EncodeAck(AckInfo{installed}));
 }
@@ -673,14 +530,14 @@ bool SketchServer::RecoverAndOpenWal(std::string* error) {
         if (!record.site_id.empty()) {
           dedup_.Record(record.site_id, record.sequence);
         }
-        ++recovered_batches_;
-        recovered_updates_ += resolved->num_updates;
+        ++counters_.recovered_batches;
+        counters_.recovered_updates += resolved->num_updates;
         persisted_updates_ += static_cast<int64_t>(resolved->num_updates);
       },
       &replay_stats, &replay_error);
   if (!replayed) return fail(replay_error);
   if (have_checkpoint || replay_stats.records_replayed > 0) {
-    recoveries_.store(1);
+    counters_.recoveries.store(1);
   }
 
   Wal::Options wal_options;
@@ -721,7 +578,7 @@ bool SketchServer::CheckpointNowLocked() {
   if (WriteCheckpoint(options_.wal_dir, checkpoint, options_.wal_fsync,
                       &wal_error)) {
     wal_->Compact(covered_generation);
-    ++snapshots_written_;
+    ++counters_.snapshots_written;
     written = true;
   }
   // On write failure the old segments stay; recovery replays them plus
@@ -756,7 +613,7 @@ void SketchServer::WorkerLoop(int shard_index) {
     for (const StreamBatch& group : batch->groups) {
       ApplyGroup(group, begin, end, /*owns_backend=*/shard_index == 0);
     }
-    shard_updates_applied_ += batch->num_updates;
+    counters_.updates_applied += batch->num_updates;
     queue.TaskDone();
   }
 }
@@ -824,7 +681,7 @@ std::optional<SketchBank> SketchServer::SummaryViewLocked(
 }
 
 QueryResultInfo SketchServer::Answer(const std::string& expression_text) {
-  ++queries_answered_;
+  ++counters_.queries_answered;
   // Compiled before any ingest lock: a repeated text is one lookup in the
   // plan cache's text memo (parse, canonical plan, streams, emptiness).
   const PlanCache::Compiled query = plan_cache_.Compile(expression_text);
@@ -917,92 +774,18 @@ std::string SketchServer::Explain(const std::string& expression_text) {
 
 std::string SketchServer::RenderStats() const {
   const StatsSnapshot s = stats();
-  std::ostringstream out;
-  out << "connections_accepted " << s.connections_accepted << "\n"
-      << "connections_active " << s.connections_active << "\n"
-      << "frames_received " << s.frames_received << "\n"
-      << "protocol_errors " << s.protocol_errors << "\n"
-      << "batches_accepted " << s.batches_accepted << "\n"
-      << "batches_rejected " << s.batches_rejected << "\n"
-      << "updates_enqueued " << s.updates_enqueued << "\n"
-      << "updates_applied " << s.updates_applied << "\n"
-      << "summaries_accepted " << s.summaries_accepted << "\n"
-      << "summaries_rejected " << s.summaries_rejected << "\n"
-      << "queries_answered " << s.queries_answered << "\n"
-      << "duplicates_dropped " << s.duplicates_dropped << "\n"
-      << "wal_records " << s.wal_records << "\n"
-      << "wal_bytes " << s.wal_bytes << "\n"
-      << "wal_generation " << s.wal_generation << "\n"
-      << "snapshots_written " << s.snapshots_written << "\n"
-      << "recoveries " << s.recoveries << "\n"
-      << "recovered_batches " << s.recovered_batches << "\n"
-      << "recovered_updates " << s.recovered_updates << "\n"
-      << "streams " << s.streams << "\n"
-      << "shards " << s.shards << "\n"
-      << "queue_capacity " << s.queue_capacity << "\n"
-      << "plan_cache_hits " << s.plan_cache_hits << "\n"
-      << "plan_cache_misses " << s.plan_cache_misses << "\n"
-      << "plan_cache_invalidations " << s.plan_cache_invalidations << "\n"
-      << "plan_cache_merge_builds " << s.plan_cache_merge_builds << "\n"
-      << "plan_cache_backend_queries " << s.plan_cache_backend_queries
-      << "\n"
-      << "plan_cache_entries " << s.plan_cache_entries << "\n"
-      << "plan_cache_memo_bytes " << s.plan_cache_memo_bytes << "\n"
-      << "backend_default "
-      << SketchBackendName(
-             static_cast<SketchBackendId>(s.backend_default))
-      << "\n"
-      << "backend_streams " << s.backend_streams << "\n"
-      << "dedup_sites " << s.dedup_sites << "\n"
-      << "dedup_window_bits " << s.dedup_window_bits << "\n"
-      << "summary_pulls " << s.summary_pulls << "\n"
-      << "repair_pulls " << s.repair_pulls << "\n"
-      << "repair_installs " << s.repair_installs << "\n"
-      << "uptime_ms " << s.uptime_ms << "\n"
-      << "ingest_io_threads " << options_.io_threads << "\n"
-      << "ingest_bytes_read " << s.ingest_bytes_read << "\n"
-      << "ingest_read_calls " << s.ingest_read_calls << "\n"
-      << "ingest_max_frames_per_read " << s.ingest_max_frames_per_read
-      << "\n"
-      << "ingest_arena_hwm_bytes " << s.ingest_arena_hwm_bytes << "\n";
-  // Average read-batch occupancy: how many frames one syscall carries.
-  out << "ingest_frames_per_read " << std::fixed << std::setprecision(2)
-      << (s.ingest_read_calls > 0
-              ? static_cast<double>(s.frames_received) /
-                    static_cast<double>(s.ingest_read_calls)
-              : 0.0)
-      << "\n";
-  return out.str();
+  std::string out;
+  SETSKETCH_STAT_RENDER(SETSKETCH_SERVER_STATS)
+  return out;
 }
 
 SketchServer::StatsSnapshot SketchServer::stats() const {
   StatsSnapshot s;
-  s.connections_accepted = connections_accepted_.load();
-  s.connections_active = connections_active_.load();
-  s.frames_received = frames_received_.load();
-  s.protocol_errors = protocol_errors_.load();
-  s.batches_accepted = batches_accepted_.load();
-  s.batches_rejected = batches_rejected_.load();
-  s.updates_enqueued = updates_enqueued_.load();
+  host_.LoadFrontDoor(&s);
+  SETSKETCH_STAT_LOAD(SETSKETCH_SERVER_STATS)
   // Each shard counts every batch it applied; a batch is fully applied
   // once all shards processed it.
-  s.updates_applied =
-      shard_updates_applied_.load() / static_cast<uint64_t>(options_.shards);
-  s.summaries_accepted = summaries_accepted_.load();
-  s.summaries_rejected = summaries_rejected_.load();
-  s.queries_answered = queries_answered_.load();
-  s.duplicates_dropped = duplicates_dropped_.load();
-  s.snapshots_written = snapshots_written_.load();
-  s.recoveries = recoveries_.load();
-  s.recovered_batches = recovered_batches_.load();
-  s.recovered_updates = recovered_updates_.load();
-  s.summary_pulls = summary_pulls_.load();
-  s.repair_pulls = repair_pulls_.load();
-  s.repair_installs = repair_installs_.load();
-  s.ingest_bytes_read = ingest_bytes_read_.load();
-  s.ingest_read_calls = ingest_read_calls_.load();
-  s.ingest_max_frames_per_read = ingest_max_frames_per_read_.load();
-  s.ingest_arena_hwm_bytes = ingest_arena_hwm_bytes_.load();
+  s.updates_applied /= static_cast<uint64_t>(options_.shards);
   if (wal_ != nullptr) {
     s.wal_records = wal_->records_appended();
     s.wal_bytes = wal_->bytes_appended();
@@ -1022,11 +805,8 @@ SketchServer::StatsSnapshot SketchServer::stats() const {
         bank_.BackendStreamCount(SketchBackendId::kThetaKmv) +
         bank_.BackendStreamCount(SketchBackendId::kSetSketch);
   }
-  s.backend_default = static_cast<uint8_t>(options_.default_backend);
-  s.uptime_ms = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - started_at_)
-          .count());
+  s.backend_default = SketchBackendName(options_.default_backend);
+  s.uptime_ms = host_.uptime_ms();
   s.shards = options_.shards;
   s.queue_capacity = options_.queue_capacity;
   const PlanCache::Stats plan = plan_cache_.stats();
@@ -1037,38 +817,24 @@ SketchServer::StatsSnapshot SketchServer::stats() const {
   s.plan_cache_backend_queries = plan.backend_queries;
   s.plan_cache_entries = plan.entries;
   s.plan_cache_memo_bytes = plan.memo_bytes;
+  s.ingest_io_threads = options_.io_threads;
+  s.ingest_frames_per_read =
+      s.ingest_read_calls > 0 ? static_cast<double>(s.frames_received) /
+                                    static_cast<double>(s.ingest_read_calls)
+                              : 0.0;
   return s;
 }
 
 void SketchServer::Stop() {
-  {
-    MutexLock lock(&lifecycle_mutex_);
-    if (!started_ || stopped_) {
-      stopped_ = true;
-      return;
-    }
-    if (stop_started_) {
-      // Another thread is stopping; wait for it to finish.
-      while (!stopped_) lifecycle_cv_.wait(lifecycle_mutex_);
-      return;
-    }
-    stop_started_ = true;
-  }
-  draining_.store(true);
+  // Stop accepting and join the io threads, which close every connection.
+  if (!host_.StopServing()) return;
 
-  // 1. Stop accepting: wake the blocked accept().
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
-
-  // 2. Join the io threads, which close every adopted connection.
-  epoll_backend_->Shutdown();
-
-  // 3. Drain: workers finish every queued batch, then exit. Nothing that
+  // Drain: workers finish every queued batch, then exit. Nothing that
   // was acknowledged is lost.
   for (const auto& queue : queues_) queue->Stop();
   for (std::thread& worker : workers_) worker.join();
 
-  // 4. Fold the whole log into a final checkpoint: restarts after a
+  // Fold the whole log into a final checkpoint: restarts after a
   // graceful stop recover from the snapshot alone, replaying nothing.
   // Producers and workers are joined, so push_mutex_ is uncontended —
   // taken anyway so the guarded dedup_/snapshot reads stay inside the
@@ -1083,29 +849,16 @@ void SketchServer::Stop() {
     if (WriteCheckpoint(options_.wal_dir, checkpoint, options_.wal_fsync,
                         &wal_error)) {
       wal_->Compact(checkpoint.covered_generation);
-      ++snapshots_written_;
+      ++counters_.snapshots_written;
     }
     // wal_ stays alive (it only holds closed-over counters and fds to
     // already-compacted files) so post-Stop stats keep their totals.
   }
-
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  {
-    MutexLock lock(&lifecycle_mutex_);
-    stopped_ = true;
-    shutdown_requested_ = true;
-  }
-  lifecycle_cv_.notify_all();
+  host_.FinishStop();
 }
 
 void SketchServer::Wait() {
-  {
-    MutexLock lock(&lifecycle_mutex_);
-    while (!shutdown_requested_ && !stopped_) {
-      lifecycle_cv_.wait(lifecycle_mutex_);
-    }
-  }
+  host_.WaitForShutdown();
   Stop();
 }
 

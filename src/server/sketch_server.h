@@ -6,6 +6,8 @@
 // Threading model:
 //
 //   acceptor thread ──▶ epoll io threads (server/epoll_backend.h), which
+//   (server/service_host.h,   │  run the service shell's frame step:
+//    shared with the router)  │
 //                          │  multiplex every connection, scan frames
 //                          │  zero-copy out of per-connection arenas,
 //                          │  decode PUSH_UPDATES into views
@@ -57,7 +59,6 @@
 #define SETSKETCH_SERVER_SKETCH_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -72,37 +73,83 @@
 #include "query/plan_cache.h"
 #include "server/epoll_backend.h"
 #include "server/protocol.h"
+#include "server/service_host.h"
 #include "server/shard_queue.h"
 #include "server/wal.h"
 #include "util/thread_annotations.h"
 
 namespace setsketch {
 
-class FaultInjector;
+/// Every line of the server's STATS report, in order (server/service_host.h
+/// explains the entry kinds).
+#define SETSKETCH_SERVER_STATS(COUNTER, FRONT_DOOR, VALUE)                   \
+  SETSKETCH_FRONT_DOOR(FRONT_DOOR)                                           \
+  COUNTER(batches_accepted)                                                  \
+  COUNTER(batches_rejected) /* RETRY_LATER responses. */                     \
+  COUNTER(updates_enqueued)                                                  \
+  /* Shard-applied updates summed over shards, divided by the shard count */ \
+  /* in stats(): a batch some shards applied and others not counts        */ \
+  /* partially. Equals updates_enqueued once ingest drained (after any    */ \
+  /* QUERY, which waits for the queues).                                  */ \
+  COUNTER(updates_applied)                                                   \
+  COUNTER(summaries_accepted)                                                \
+  COUNTER(summaries_rejected)                                                \
+  COUNTER(queries_answered)                                                  \
+  COUNTER(duplicates_dropped)      /* Dedup re-ACKs (not re-applied). */     \
+  VALUE(uint64_t, wal_records)     /* Batches appended this run. */          \
+  VALUE(uint64_t, wal_bytes)       /* Bytes appended this run. */            \
+  VALUE(uint64_t, wal_generation)  /* Current WAL generation (0 = off). */   \
+  COUNTER(snapshots_written)       /* Checkpoint compactions. */             \
+  COUNTER(recoveries)              /* 1 if Start() restored state. */        \
+  COUNTER(recovered_batches)       /* WAL-tail batches replayed. */          \
+  COUNTER(recovered_updates)       /* Updates inside those batches. */       \
+  VALUE(uint64_t, streams)                                                   \
+  VALUE(int, shards)                                                         \
+  VALUE(size_t, queue_capacity)                                              \
+  /* Query planner (query/plan_cache.h); merge_builds counts the probe    */ \
+  /* tables built for stale or cold plans, memo_bytes the bytes of probe  */ \
+  /* tables and witness scratch that cached plans hold.                   */ \
+  VALUE(uint64_t, plan_cache_hits)                                           \
+  VALUE(uint64_t, plan_cache_misses)                                         \
+  VALUE(uint64_t, plan_cache_invalidations)                                  \
+  VALUE(uint64_t, plan_cache_merge_builds)                                   \
+  VALUE(uint64_t, plan_cache_backend_queries)                                \
+  VALUE(uint64_t, plan_cache_entries)                                        \
+  VALUE(uint64_t, plan_cache_memo_bytes)                                     \
+  /* Backend seam (DESIGN.md section 3.8): the default's name, and the    */ \
+  /* streams on another backend.                                          */ \
+  VALUE(std::string_view, backend_default)                                   \
+  VALUE(uint64_t, backend_streams)                                           \
+  VALUE(uint64_t, dedup_sites)        /* Sites with a live dedup window. */  \
+  VALUE(uint64_t, dedup_window_bits)  /* Occupied bits, all windows. */      \
+  COUNTER(summary_pulls)              /* PULL_SUMMARY requests served. */    \
+  COUNTER(repair_pulls)               /* PULL_REPAIR manifests served. */    \
+  COUNTER(repair_installs)            /* PUSH_REPAIR installs applied. */    \
+  VALUE(uint64_t, uptime_ms)          /* Milliseconds since Start(). */      \
+  /* The epoll loop's reads; frames_per_read is the average number of     */ \
+  /* frames one recv() carries.                                           */ \
+  VALUE(int, ingest_io_threads)                                              \
+  COUNTER(ingest_bytes_read)          /* Socket bytes drained by reads. */   \
+  COUNTER(ingest_read_calls)          /* recv() calls that returned data. */ \
+  COUNTER(ingest_max_frames_per_read) /* Peak read-batch occupancy. */       \
+  COUNTER(ingest_arena_hwm_bytes)     /* Peak buffered unparsed bytes. */    \
+  VALUE(double, ingest_frames_per_read)
 
 /// TCP sketch-serving endpoint. Start() spawns the threads; Stop() (or a
 /// SHUTDOWN frame followed by Wait()) drains and joins them.
-class SketchServer : private EpollServerBackend::Handler {
+class SketchServer : private ServiceHost::Handler {
  public:
   /// The deployment-wide "stored coins" (core/sketch_config.h): clients
   /// pushing summaries must have been built with the same config. PUSH
   /// backend tags override default_backend per stream at first sight;
   /// mismatched tags on existing streams are refused (CONFIG_MISMATCH),
-  /// exactly like foreign stored coins.
-  struct Options : SketchConfig {
+  /// exactly like foreign stored coins. The client-facing endpoint,
+  /// deadlines and send-fault seam are ServiceOptions.
+  struct Options : SketchConfig, ServiceOptions {
     /// Ingest shards (worker threads); each owns a copy range.
     int shards = 2;
     /// Max batches in flight per shard before RETRY_LATER.
     size_t queue_capacity = 64;
-
-    /// TCP endpoint. Port 0 binds an ephemeral port (see port()).
-    std::string bind_address = "127.0.0.1";
-    int port = 0;
-    int listen_backlog = 64;
-
-    /// Recoverable (payload-level) protocol errors tolerated per
-    /// connection before it is dropped with TOO_MANY_ERRORS.
-    int max_connection_errors = 8;
 
     /// Estimator tuning for QUERY answers.
     WitnessOptions witness;
@@ -120,12 +167,6 @@ class SketchServer : private EpollServerBackend::Handler {
     /// bytes. 0 = only the final checkpoint at graceful Stop().
     uint64_t snapshot_every_bytes = 0;
 
-    /// Deadline for sending any response frame; <= 0 = no deadline.
-    int io_timeout_ms = 30000;
-    /// Idle-connection deadline: a connection that received no bytes for
-    /// this long is dropped. <= 0 = never.
-    int idle_timeout_ms = 0;
-
     /// Event-loop threads serving the connections (server/epoll_backend.h).
     int io_threads = 1;
     /// Bytes drained from a socket per readable event; also the
@@ -136,9 +177,6 @@ class SketchServer : private EpollServerBackend::Handler {
     /// hot in one core's cache; with first-touch allocation the arrays
     /// also land on the owning worker's NUMA node.
     bool pin_shards = false;
-
-    /// Test seam: injects faults into this server's response sends.
-    FaultInjector* fault_injector = nullptr;
   };
 
   explicit SketchServer(const Options& options);
@@ -154,7 +192,7 @@ class SketchServer : private EpollServerBackend::Handler {
   bool Start(std::string* error = nullptr);
 
   /// Port actually bound (resolves ephemeral port 0); -1 before Start.
-  int port() const { return port_; }
+  int port() const { return host_.port(); }
 
   /// Graceful shutdown: stop accepting, unblock connections, drain every
   /// shard queue, join all threads. Idempotent; safe from any thread
@@ -168,58 +206,7 @@ class SketchServer : private EpollServerBackend::Handler {
 
   /// Point-in-time serving counters (all monotonic except depths).
   struct StatsSnapshot {
-    uint64_t connections_accepted = 0;
-    uint64_t connections_active = 0;
-    uint64_t frames_received = 0;
-    uint64_t protocol_errors = 0;
-    uint64_t batches_accepted = 0;
-    uint64_t batches_rejected = 0;  ///< RETRY_LATER responses.
-    uint64_t updates_enqueued = 0;
-    /// Shard-applied update count summed over shards, divided by the
-    /// shard count: a batch some shards have applied and others have not
-    /// counts partially. Equals updates_enqueued once ingest drained
-    /// (after any QUERY, which waits for the queues).
-    uint64_t updates_applied = 0;
-    uint64_t summaries_accepted = 0;
-    uint64_t summaries_rejected = 0;
-    uint64_t queries_answered = 0;
-    uint64_t duplicates_dropped = 0;  ///< Dedup re-ACKs (not re-applied).
-    uint64_t wal_records = 0;         ///< Batches appended this run.
-    uint64_t wal_bytes = 0;           ///< Bytes appended this run.
-    uint64_t wal_generation = 0;      ///< Current WAL generation (0 = off).
-    uint64_t snapshots_written = 0;   ///< Checkpoint compactions.
-    uint64_t recoveries = 0;          ///< 1 if Start() restored state.
-    uint64_t recovered_batches = 0;   ///< WAL-tail batches replayed.
-    uint64_t recovered_updates = 0;   ///< Updates inside those batches.
-    uint64_t streams = 0;
-    int shards = 0;
-    size_t queue_capacity = 0;
-    // Query-planner counters (see query/plan_cache.h).
-    uint64_t plan_cache_hits = 0;
-    uint64_t plan_cache_misses = 0;
-    uint64_t plan_cache_invalidations = 0;
-    /// Probe tables built for stale/cold plans (STATS consumers read it
-    /// under this name).
-    uint64_t plan_cache_merge_builds = 0;
-    uint64_t plan_cache_backend_queries = 0;  ///< Backend-routed queries.
-    uint64_t plan_cache_entries = 0;
-    /// Bytes of probe tables and witness scratch held by cached plans.
-    uint64_t plan_cache_memo_bytes = 0;
-    // Backend-seam exposure (DESIGN.md §3.8).
-    uint8_t backend_default = 0;        ///< Options::default_backend id.
-    uint64_t backend_streams = 0;       ///< Streams on a non-default backend.
-    // Cluster-facing health/exactly-once exposure.
-    uint64_t dedup_sites = 0;        ///< Sites with a live dedup window.
-    uint64_t dedup_window_bits = 0;  ///< Occupied bits across all windows.
-    uint64_t summary_pulls = 0;      ///< PULL_SUMMARY requests served.
-    uint64_t repair_pulls = 0;       ///< PULL_REPAIR manifests served.
-    uint64_t repair_installs = 0;    ///< PUSH_REPAIR installs applied.
-    uint64_t uptime_ms = 0;          ///< Milliseconds since Start().
-    // Ingest I/O counters (the epoll loop's reads).
-    uint64_t ingest_bytes_read = 0;  ///< Socket bytes drained by reads.
-    uint64_t ingest_read_calls = 0;  ///< recv() calls that returned data.
-    uint64_t ingest_max_frames_per_read = 0;  ///< Peak read-batch occupancy.
-    uint64_t ingest_arena_hwm_bytes = 0;  ///< Peak buffered unparsed bytes.
+    SETSKETCH_STAT_FIELDS(SETSKETCH_SERVER_STATS)
   };
   StatsSnapshot stats() const
       SETSKETCH_EXCLUDES(push_mutex_, registry_mutex_);
@@ -279,27 +266,17 @@ class SketchServer : private EpollServerBackend::Handler {
   /// Per-connection protocol state, owned by the epoll backend.
   using Connection = ServerConnection;
 
-  void AcceptLoop();
   void WorkerLoop(int shard_index);
 
-  // EpollServerBackend::Handler — the io loop's protocol hooks.
-  // All run on io threads; per-connection calls are serialized by the
-  // owning event loop.
-  void OnFrame(const FrameView& frame, ServerConnection* connection,
-               std::string* responses, bool* keep_open) override;
-  void OnStreamError(WireError error, const std::string& message,
-                     ServerConnection* connection,
-                     std::string* responses) override;
-  void OnResponsesSent(ServerConnection* connection) override;
+  // ServiceHost::Handler — run on the epoll io threads; per-connection
+  // calls are serialized by the owning event loop.
+  /// Dispatches one decoded frame (its payload borrows from a read
+  /// buffer: it is only guaranteed alive for this call) and returns the
+  /// response frame.
+  std::string HandleFrame(const FrameView& frame,
+                          Connection* connection) override;
   void OnReadBatch(size_t bytes, size_t frames,
                    size_t arena_high_watermark) override;
-  void OnDisconnect(ServerConnection* connection) override;
-
-  /// Dispatches one decoded frame (payload may borrow from a read
-  /// buffer — it is only guaranteed alive for this call); returns the
-  /// response frame and whether the connection should stay open.
-  std::string HandleFrame(Opcode opcode, std::string_view payload,
-                          Connection* connection, bool* keep_open);
 
   std::string HandlePushUpdates(std::string_view payload,
                                 Connection* connection);
@@ -452,51 +429,15 @@ class SketchServer : private EpollServerBackend::Handler {
       0;  // Lifetime total, survives crashes.
   uint64_t bytes_at_last_checkpoint_ SETSKETCH_GUARDED_BY(push_mutex_) = 0;
 
-  // Sockets. The acceptor hands every connection to the epoll backend,
+  // The service shell (listener, lifecycle, frame step, front-door
+  // counters); its acceptor hands every connection to the epoll backend,
   // which owns it from then on.
-  int listen_fd_ = -1;
-  int port_ = -1;
-  std::thread acceptor_;
+  ServiceHost host_{this};
   std::unique_ptr<EpollServerBackend> epoll_backend_;
-
-  // Lifecycle.
-  std::chrono::steady_clock::time_point started_at_ =
-      std::chrono::steady_clock::now();  // Reset by Start().
-  Mutex lifecycle_mutex_;
-  CondVar lifecycle_cv_;
-  bool started_ SETSKETCH_GUARDED_BY(lifecycle_mutex_) = false;
-  bool shutdown_requested_ SETSKETCH_GUARDED_BY(lifecycle_mutex_) = false;
-  bool stop_started_ SETSKETCH_GUARDED_BY(lifecycle_mutex_) = false;
-  bool stopped_ SETSKETCH_GUARDED_BY(lifecycle_mutex_) = false;
-  /// Set on SHUTDOWN: new batches/summaries are refused while the
-  /// already-acknowledged ones drain.
-  std::atomic<bool> draining_{false};
-
-  // Counters (atomics: touched from many threads).
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_active_{0};
-  std::atomic<uint64_t> frames_received_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> batches_accepted_{0};
-  std::atomic<uint64_t> batches_rejected_{0};
-  std::atomic<uint64_t> updates_enqueued_{0};
-  std::atomic<uint64_t> shard_updates_applied_{0};  // Per-shard sum.
-  std::atomic<uint64_t> summaries_accepted_{0};
-  std::atomic<uint64_t> summaries_rejected_{0};
-  std::atomic<uint64_t> queries_answered_{0};
-  std::atomic<uint64_t> duplicates_dropped_{0};
-  std::atomic<uint64_t> summary_pulls_{0};
-  std::atomic<uint64_t> repair_pulls_{0};
-  std::atomic<uint64_t> repair_installs_{0};
-  std::atomic<uint64_t> snapshots_written_{0};
-  std::atomic<uint64_t> recoveries_{0};
-  std::atomic<uint64_t> recovered_batches_{0};
-  std::atomic<uint64_t> recovered_updates_{0};
-  // Ingest I/O counters (OnReadBatch).
-  std::atomic<uint64_t> ingest_bytes_read_{0};
-  std::atomic<uint64_t> ingest_read_calls_{0};
-  std::atomic<uint64_t> ingest_max_frames_per_read_{0};
-  std::atomic<uint64_t> ingest_arena_hwm_bytes_{0};
+  struct Counters {
+    SETSKETCH_STAT_COUNTERS(SETSKETCH_SERVER_STATS)
+  };
+  Counters counters_;  // Touched from many threads.
 };
 
 }  // namespace setsketch

@@ -1289,8 +1289,8 @@ TEST(ClusterMembershipTest, DrainOfADeadShardReadsItsStreamsFromReplicas) {
 
 /// `count` stream names that gain a placed shard when the ring goes from
 /// `before` to `after`, and that `before` does not place on `avoid`.
-std::vector<std::string> MovingStreams(const Placement& before,
-                                       const Placement& after,
+std::vector<std::string> MovingStreams(const HashRing& before,
+                                       const HashRing& after,
                                        const std::string& avoid,
                                        size_t count) {
   constexpr size_t kPlaced = 2;  // RouterOptions: replicas = 1.
@@ -1362,9 +1362,9 @@ void ExpectStreamsBornDuringMembershipChangeArrive(bool drain) {
   for (const ClusterShard& shard : options.shards) {
     members.push_back(shard.name);
   }
-  const Placement before(Placement::Mode::kRing, members,
-                         options.placement_seed, options.virtual_nodes);
-  Placement after = before;
+  HashRing before(options.placement_seed, options.virtual_nodes);
+  for (const std::string& member : members) before.AddNode(member);
+  HashRing after = before;
   if (drain) {
     after.RemoveNode("s3");
   } else {
@@ -1470,9 +1470,10 @@ TEST(ClusterMembershipTest, MembershipChangeWaitsForAPartialFanOutRetry) {
   ASSERT_EQ(router.ProbeAll(), 2u);
 
   // x lives on s0 and y on s1, and both move to s2.
-  Placement before(Placement::Mode::kRing, {"s0", "s1"},
-                   options.placement_seed, options.virtual_nodes);
-  Placement after = before;
+  HashRing before(options.placement_seed, options.virtual_nodes);
+  before.AddNode("s0");
+  before.AddNode("s1");
+  HashRing after = before;
   after.AddNode("s2");
   std::string x;
   std::string y;

@@ -1,6 +1,6 @@
 // Tests for the cluster placement layer (cluster/hash_ring.h): seed
 // determinism, load balance across virtual nodes, minimal key movement
-// on membership changes, and the static-placement fallback.
+// on membership changes.
 
 #include <gtest/gtest.h>
 
@@ -150,30 +150,6 @@ TEST(HashRingTest, RemoveUnknownNodeIsRejected) {
   // Double-add is a no-op, not a duplicate membership.
   ring.AddNode("shard-0");
   EXPECT_EQ(ring.num_nodes(), 3u);
-}
-
-TEST(PlacementTest, StaticModeCoversAllNodesAndIsDeterministic) {
-  const std::vector<std::string> nodes = NodeNames(4);
-  const Placement a(Placement::Mode::kStatic, nodes, 7, 64);
-  const Placement b(Placement::Mode::kStatic, nodes, 7, 64);
-  std::map<std::string, int> load;
-  for (const std::string& key : Keys(2000)) {
-    const std::vector<std::string> targets = a.Targets(key, 2);
-    ASSERT_EQ(targets.size(), 2u);
-    EXPECT_EQ(targets, b.Targets(key, 2)) << key;
-    EXPECT_NE(targets[0], targets[1]);
-    ++load[targets[0]];
-  }
-  EXPECT_EQ(load.size(), 4u);  // Modulo placement touches every node.
-}
-
-TEST(PlacementTest, RingModeMatchesBareRing) {
-  const std::vector<std::string> nodes = NodeNames(4);
-  const Placement placement(Placement::Mode::kRing, nodes, 7, 64);
-  const HashRing ring = MakeRing(7, 4);
-  for (const std::string& key : Keys(200)) {
-    EXPECT_EQ(placement.Targets(key, 2), ring.Targets(key, 2)) << key;
-  }
 }
 
 }  // namespace

@@ -388,6 +388,42 @@ TEST(SketchServerTest, QueryErrorsAndProvablyEmpty) {
   EXPECT_DOUBLE_EQ(empty.estimate, 0.0);
 }
 
+TEST(SketchServerTest, OperatorChainPastTheHeightCapIsRefusedTooDeep) {
+  // An unparenthesized chain parses iteratively into a left-deep tree,
+  // one level per operator; 100 000 terms once overflowed the stack in
+  // the walks after the parse.
+  std::string chain = "S0";
+  for (int k = 1; k < 100000; ++k) {
+    chain += k % 2 == 1 ? " - S1" : " | S" + std::to_string(k % 7);
+  }
+  EXPECT_EQ(ParseExpression(chain).code, ParseErrorCode::kTooDeep);
+  const auto compiled = CompileQuery(chain);
+  EXPECT_FALSE(compiled->ok());
+  EXPECT_NE(compiled->error.find("deeper than"), std::string::npos)
+      << compiled->error;
+  // 1025 terms make a tree exactly at the cap.
+  std::string at_cap = "S0";
+  for (int k = 1; k < 1025; ++k) at_cap += " | S" + std::to_string(k % 7);
+  EXPECT_TRUE(ParseExpression(at_cap).ok());
+  EXPECT_EQ(ParseExpression(at_cap + " | S0").code, ParseErrorCode::kTooDeep);
+
+  SketchServer server(ServerOptions(/*copies=*/16));
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto client = MustConnect(server);
+  ASSERT_NE(client, nullptr);
+  const QueryResultInfo served = client->Query(chain);
+  EXPECT_FALSE(served.ok);
+  EXPECT_NE(served.error.find("deeper than"), std::string::npos)
+      << served.error;
+  std::string report;
+  ASSERT_TRUE(client->Explain(chain, &report).ok);
+  EXPECT_NE(report.find("deeper than"), std::string::npos) << report;
+  // The same connection, and the server, keep serving.
+  EXPECT_TRUE(client->Ping().ok);
+  EXPECT_TRUE(MustConnect(server)->Ping().ok);
+}
+
 TEST(SketchServerTest, RepeatedQueryTextHitsAndMatchesAFreshPlanner) {
   SketchServer server(ServerOptions(/*copies=*/32));
   std::string error;

@@ -14,8 +14,10 @@
 #                (race detection over the server, shard queues, WAL
 #                writer, parallel ingest, the epoll ingest loop, the
 #                fault-tolerance suite's idle sweeps and restarts, lazy
-#                slice publication, and the router's online membership
-#                changes racing pushes), then the stale-query probe
+#                slice publication, the router's online membership
+#                changes racing pushes, and the router's per-connection
+#                threads being joined as connections end), then the
+#                stale-query probe
 #                stress (probe tables filled on the shard workers while
 #                pushes arrive) repeated 50 times.
 #   4. ubsan    UndefinedBehaviorSanitizer build (-fno-sanitize-recover,
@@ -29,7 +31,8 @@
 #   6. cluster   AddressSanitizer build + the cluster suite (hash-ring
 #                placement, hello handshake, federated queries, chaos
 #                failover, self-healing repair, read policies, online
-#                membership, backoff numerics), then the router's
+#                membership, backoff numerics, connection threads
+#                joined as connections end), then the router's
 #                repair/membership/push/query stress test repeated 200
 #                times (its one state transfer must never miss a write),
 #                then a real 3-shard +
@@ -161,7 +164,7 @@ stage_tsan() {
   # file — the gate requires the tree to be race-free as written.
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     build_and_test "${prefix}-tsan" \
-      "TsanConcurrencyTest|ShardQueueTest|SketchServerTest|ParallelIngest|IngestFastPathTsan|EpollIngestTest|FaultToleranceTest|ClusterMembershipTest" \
+      "TsanConcurrencyTest|ShardQueueTest|SketchServerTest|ParallelIngest|IngestFastPathTsan|EpollIngestTest|FaultToleranceTest|ClusterMembershipTest|RouterConnectionTest" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSETSKETCH_SANITIZE=thread
 
   # Stale queries filling probe tables on three shard workers while two
@@ -281,7 +284,7 @@ stage_cluster() {
   # self-healing repair/read-policy/membership tests and the shared
   # backoff policy numerics.
   build_and_test "${prefix}-cluster" \
-    "HashRingTest|PlacementTest|ClusterHandshakeTest|ClusterSummaryTest|ClusterRouterTest|ClusterChaosTest|ClusterSelfHealingTest|ClusterReadPolicyTest|ClusterMembershipTest|ClusterCommandsTest|BackoffTest" \
+    "HashRingTest|RouterConnectionTest|ClusterHandshakeTest|ClusterSummaryTest|ClusterRouterTest|ClusterChaosTest|ClusterSelfHealingTest|ClusterReadPolicyTest|ClusterMembershipTest|ClusterCommandsTest|BackoffTest" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSETSKETCH_SANITIZE=address
 
   # Repair, add-shard and drain-shard racing pushes and queries: every

@@ -54,7 +54,7 @@
 //                        re-run push with the same site and seq-start is
 //                        deduplicated, never double-counted)
 //   sketchtool route    --shards H:P[,H:P...] [--port 0] [--bind ...]
-//                       [--replicas 1] [--static-placement]
+//                       [--replicas 1]
 //                       [--virtual-nodes 64] [--placement-seed 7]
 //                       [--copies 128] [--seed 42] [--levels 32]
 //                       [--second-level 32] [--probe-interval-ms 0]
@@ -141,7 +141,7 @@ int Usage() {
                "           [--read-chunk-bytes N] [--pin-shards]\n"
                "           [--backend-sketch NAME] [--backend-size N]\n"
                "  route    --shards H:P[,H:P..] [--port N] [--bind ADDR]\n"
-               "           [--replicas N] [--static-placement]\n"
+               "           [--replicas N]\n"
                "           [--virtual-nodes N] [--placement-seed N]\n"
                "           [--copies N] [--seed N] [--levels N]\n"
                "           [--second-level N] [--probe-interval-ms N]\n"
@@ -307,7 +307,6 @@ int main(int argc, char** argv) {
     options.port = static_cast<int>(flags.GetInt("port", 0));
     options.bind_address = flags.GetString("bind", "127.0.0.1");
     options.replicas = static_cast<int>(flags.GetInt("replicas", 1));
-    options.static_placement = flags.GetBool("static-placement", false);
     options.virtual_nodes =
         static_cast<int>(flags.GetInt("virtual-nodes", 64));
     options.placement_seed =
